@@ -123,9 +123,15 @@ class Credential:
         return self.tbs(suite) + self.signature.encode(suite)
 
 
+def credential_len(suite: CurveSuite) -> int:
+    """Wire length of a credential; distinct per suite."""
+    plen = 1 + 2 * suite.field_len
+    return 1 + SUBJECT_LEN + 1 + plen + 8 + 8 + SUBJECT_LEN + plen + suite.scalar_len
+
+
 def credential_decode(data: bytes, suite: CurveSuite) -> Credential:
     plen = 1 + 2 * suite.field_len
-    want = 1 + SUBJECT_LEN + 1 + plen + 8 + 8 + SUBJECT_LEN + plen + suite.scalar_len
+    want = credential_len(suite)
     if len(data) != want:
         raise MalformedCredential(f"credential length {len(data)}, expected {want}")
     off = 0

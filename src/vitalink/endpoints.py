@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import keyfiles, records, telemetry
-from .credentials import Credential, decode_subject
+from .credentials import credential_len, decode_subject
 from .curves import SUITES, CurveSuite
 from .errors import (
     AuthFailure,
@@ -34,6 +34,7 @@ from .errors import (
     VitalinkError,
 )
 from .handshake import ClientHandshake, LocalIdentity, ServerHandshake
+from .listener import Listener
 from .records import (
     TYPE_ABORT,
     TYPE_CLIENT_FINISH,
@@ -74,8 +75,7 @@ def detect_suite_for_credential(path) -> CurveSuite:
     identifies which curve it belongs to."""
     size = Path(path).stat().st_size
     for suite in SUITES.values():
-        plen = 1 + 2 * suite.field_len
-        if size == 1 + 16 + 1 + plen + 8 + 8 + 16 + plen + suite.scalar_len:
+        if size == credential_len(suite):
             return suite
     raise ValueError(f"{path}: not a credential for any known suite")
 
@@ -207,35 +207,13 @@ class IngestionServer:
         self.identity = load_identity(cfg.key_path, cfg.cred_path, self.suite)
         self.trust_root = keyfiles.read_credential(cfg.root_path, self.suite)
         self.store = Store(cfg.store_dir, fsync=cfg.fsync)
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-        self._sock: socket.socket | None = None
+        self._listener: Listener | None = None
         self.port = 0
 
     def start(self) -> None:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.cfg.listen_host, self.cfg.listen_port))
-        sock.listen(16)
-        sock.settimeout(0.2)
-        self._sock = sock
-        self.port = sock.getsockname()[1]
-        t = threading.Thread(target=self._accept_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
+        self._listener = Listener(self.cfg.listen_host, self.cfg.listen_port, self._handle)
+        self.port = self._listener.port
         log.info("listening addr=%s:%d", self.cfg.listen_host, self.port)
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, addr = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            t = threading.Thread(target=self._handle, args=(conn, addr), daemon=True)
-            t.start()
-            self._threads.append(t)
 
     def _abort(self, conn: socket.socket) -> None:
         try:
@@ -310,6 +288,10 @@ class IngestionServer:
             self._abort(conn)
         except OSError as exc:
             log.error("connection_error session=%s cause=%s", session_hex[:16], exc)
+        except VitalinkError as exc:
+            log.error("session_fatal session=%s cause=%s", session_hex[:16],
+                      type(exc).__name__)
+            self._abort(conn)
         finally:
             if recv_dir is not None:
                 recv_dir.zeroize()
@@ -329,14 +311,8 @@ class IngestionServer:
         )
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        for t in self._threads:
-            t.join(timeout=5.0)
+        if self._listener is not None:
+            self._listener.stop()
         self.store.close()
 
 
@@ -345,9 +321,7 @@ def run_server(cfg: ServerConfig, shutdown: threading.Event | None = None) -> No
     server = IngestionServer(cfg)
     server.start()
     try:
-        while shutdown is None or not shutdown.wait(timeout=0.2):
-            if shutdown is None:
-                time.sleep(0.2)
+        (shutdown or threading.Event()).wait()
     finally:
         server.stop()
 

@@ -20,6 +20,7 @@ and fails a signature or finished-MAC check before Establishment.
 from __future__ import annotations
 
 import enum
+import hmac
 import os
 import struct
 import time
@@ -44,7 +45,6 @@ from .errors import (
 RANDOM_LEN = 32
 SIG_LABEL_SERVER = b"vl srv"
 SIG_LABEL_CLIENT = b"vl cli"
-HANDSHAKE_TIMEOUT_S = 10.0
 
 
 class Phase(enum.Enum):
@@ -208,7 +208,8 @@ class ClientHandshake:
         keys = derive_session_keys(
             shared, self.client_random, server_random, kdf.hash_(keyed_part)
         )
-        if kdf.hmac_sha256(keys.server_fin_key, kdf.hash_(keyed_part)) != fin_mac:
+        expected = kdf.hmac_sha256(keys.server_fin_key, kdf.hash_(keyed_part))
+        if not hmac.compare_digest(expected, fin_mac):
             self._fail(BadFinishedMac("server finished MAC mismatch"))
 
         self.transcript += server_hello
@@ -337,7 +338,8 @@ class ServerHandshake:
         mac_input = kdf.hash_(
             bytes(self.transcript) + _lp(cred_bytes) + _lp(sig_bytes)
         )
-        if kdf.hmac_sha256(self._keys.client_fin_key, mac_input) != fin_mac:
+        expected = kdf.hmac_sha256(self._keys.client_fin_key, mac_input)
+        if not hmac.compare_digest(expected, fin_mac):
             self._fail(BadFinishedMac("client finished MAC mismatch"))
 
         self.transcript += client_finish

@@ -24,6 +24,7 @@ from .credentials import Role
 from .curves import SUITES
 from .errors import EndOfStream, VitalinkError
 from .handshake import LocalIdentity, ServerHandshake
+from .listener import Listener
 from .records import (
     TYPE_CLIENT_HELLO,
     TYPE_DATA,
@@ -192,11 +193,11 @@ class Relay:
         except (VitalinkError, OSError):
             pass
         finally:
-            for s in (self.client, self.upstream):
-                try:
-                    s.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
+            # half-close only: the other direction may still carry a late Abort
+            try:
+                dst.shutdown(socket.SHUT_WR)
+            except OSError:
+                pass
 
     def _forge_server_hello(self, original: Frame) -> Frame:
         ch = self._captured_client_hello
@@ -211,19 +212,13 @@ class Relay:
         return Frame(TYPE_SERVER_HELLO, hs.respond(ch.body))
 
     def run(self) -> None:
-        t1 = threading.Thread(target=self._pump, args=(self.client, self.upstream, "c2s"),
-                              daemon=True)
-        t2 = threading.Thread(target=self._pump, args=(self.upstream, self.client, "s2c"),
-                              daemon=True)
-        t1.start()
-        t2.start()
-        t1.join()
-        t2.join()
+        c2s = threading.Thread(target=self._pump, args=(self.client, self.upstream, "c2s"),
+                               daemon=True)
+        c2s.start()
+        self._pump(self.upstream, self.client, "s2c")
+        c2s.join()
         for s in (self.client, self.upstream):
-            try:
-                s.close()
-            except OSError:
-                pass
+            s.close()
 
 
 class TamperProxy:
@@ -234,53 +229,25 @@ class TamperProxy:
         self.upstream = (upstream_host, upstream_port)
         self.plan = plan
         self.report: list[str] = []
-        self._stop = threading.Event()
-        self._sock: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
+        self._listener: Listener | None = None
         self.port = 0
 
     def start(self) -> None:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.listen_host, self.listen_port))
-        sock.listen(16)
-        sock.settimeout(0.2)
-        self._sock = sock
-        self.port = sock.getsockname()[1]
-        t = threading.Thread(target=self._accept_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
+        self._listener = Listener(self.listen_host, self.listen_port, self._handle)
+        self.port = self._listener.port
         log.info("proxy_listening addr=%s:%d mode=%s", self.listen_host, self.port,
                  self.plan.mode)
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                break
-            try:
-                up = socket.create_connection(self.upstream, timeout=5.0)
-            except OSError:
-                conn.close()
-                continue
-            t = threading.Thread(
-                target=Relay(conn, up, self.plan, self.report).run, daemon=True
-            )
-            t.start()
-            self._threads.append(t)
+    def _handle(self, conn: socket.socket, addr) -> None:
+        try:
+            up = socket.create_connection(self.upstream, timeout=5.0)
+        except OSError:
+            return  # the listener closes conn
+        Relay(conn, up, self.plan, self.report).run()
 
     def stop(self) -> None:
-        self._stop.set()
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
-        for t in self._threads:
-            t.join(timeout=5.0)
+        if self._listener is not None:
+            self._listener.stop()
 
 
 def proxy_run(listen_host: str, listen_port: int, upstream_host: str,
@@ -289,9 +256,7 @@ def proxy_run(listen_host: str, listen_port: int, upstream_host: str,
     proxy = TamperProxy(listen_host, listen_port, upstream_host, upstream_port, plan)
     proxy.start()
     try:
-        while shutdown is None or not shutdown.wait(timeout=0.2):
-            if shutdown is None:
-                time.sleep(0.2)
+        (shutdown or threading.Event()).wait()
     finally:
         proxy.stop()
     return proxy.report

@@ -28,7 +28,7 @@ from .errors import (
 MAGIC = b"\xa5\x5a"
 VERSION = 0x01
 HEADER_LEN = 8
-MAX_BODY = 65600
+MAX_BODY = gcm.MAX_PLAINTEXT + gcm.TAG_LEN
 READ_TIMEOUT_S = 10.0
 
 TYPE_CLIENT_HELLO = 0x01

@@ -1,5 +1,8 @@
 """End-to-end loopback sessions: honest runs, rejection paths, persistence."""
 
+import logging
+import socket
+import struct
 import threading
 
 import pytest
@@ -15,6 +18,18 @@ from vitalink.endpoints import (
     parse_alert_line,
     parse_reading_line,
     run_device,
+)
+from vitalink.handshake import ClientHandshake
+from vitalink.records import (
+    MAGIC,
+    TYPE_ABORT,
+    TYPE_CLIENT_FINISH,
+    TYPE_CLIENT_HELLO,
+    TYPE_DATA,
+    VERSION,
+    Frame,
+    frame_read,
+    frame_write,
 )
 from vitalink.telemetry import AnomalyAlert
 
@@ -123,6 +138,27 @@ def test_server_absent_is_reported_not_raised(files):
     report = run_device(device_cfg(files, 1))  # port 1: nothing listens there
     assert report.error is not None and "connection" in report.error.lower()
     assert report.sent_count == 0
+
+
+def test_oversize_record_ends_in_abort_and_one_log_line(pki, server, caplog):
+    caplog.set_level(logging.INFO, logger="vitalink")
+    sock = socket.create_connection(("127.0.0.1", server.port))
+    try:
+        hs = ClientHandshake(pki.suite, pki.device, pki.root)
+        frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
+        finish, _ = hs.finish(frame_read(sock).body)
+        frame_write(sock, Frame(TYPE_CLIENT_FINISH, finish))
+        # built by hand: Frame.encode refuses a body this large
+        body_len = 65560
+        sock.sendall(MAGIC + bytes([VERSION, TYPE_DATA]) + struct.pack(">I", body_len)
+                     + bytes(body_len))
+        assert frame_read(sock, timeout=5.0).frame_type == TYPE_ABORT
+    finally:
+        sock.close()
+    problems = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(problems) == 1
+    assert problems[0].startswith("session_fatal ")
+    assert problems[0].endswith("cause=OversizeFrame")
 
 
 def test_concurrent_devices_attributed_correctly(files, server):

@@ -1,10 +1,15 @@
 """Tamper proxy: pure fault transforms plus end-to-end fault injection."""
 
+import socket
+import threading
+import time
+
 import pytest
 
 from vitalink.endpoints import DeviceConfig, IngestionServer, ServerConfig, run_device
-from vitalink.proxy import MODES, TRUNCATE, TamperPlan, TamperProxy, apply_tamper
-from vitalink.records import TYPE_CLOSE, TYPE_DATA, Frame
+from vitalink.errors import EndOfStream
+from vitalink.proxy import MODES, TRUNCATE, Relay, TamperPlan, TamperProxy, apply_tamper
+from vitalink.records import TYPE_ABORT, TYPE_CLOSE, TYPE_DATA, Frame, frame_read, frame_write
 
 BODY = bytes(range(48))  # pretend ciphertext (32) + tag (16)
 FRAME = Frame(TYPE_DATA, BODY)
@@ -56,6 +61,28 @@ def test_modes_registry_is_complete():
         "passthrough", "flip_ciphertext_bit", "flip_tag_bit", "replay_frame",
         "reorder_pair", "drop_frame", "truncate_stream", "forge_handshake",
     }
+
+
+def test_relay_carries_a_late_abort_after_the_device_half_closes():
+    device, client = socket.socketpair()
+    upstream, server = socket.socketpair()
+    relay = threading.Thread(target=Relay(client, upstream, TamperPlan(), []).run)
+    relay.start()
+    try:
+        frame_write(device, FRAME)
+        device.shutdown(socket.SHUT_WR)
+        assert frame_read(server, timeout=2.0) == FRAME
+        with pytest.raises(EndOfStream):
+            frame_read(server, timeout=2.0)  # the half-close reached the server
+        time.sleep(0.3)
+        frame_write(server, Frame(TYPE_ABORT, b""))
+        server.close()
+        assert frame_read(device, timeout=2.0).frame_type == TYPE_ABORT
+        relay.join(timeout=5.0)
+        assert not relay.is_alive()
+    finally:
+        device.close()
+        server.close()
 
 
 # --- end to end -----------------------------------------------------------
