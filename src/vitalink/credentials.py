@@ -64,10 +64,13 @@ def _challenge(R: Point, Q: Point, msg: bytes, suite: CurveSuite) -> int:
 
 
 def schnorr_sign(
-    d: int, msg: bytes, suite: CurveSuite, rng: RandomSource = os.urandom
+    d: int, Q: Point, msg: bytes, suite: CurveSuite, rng: RandomSource = os.urandom
 ) -> SchnorrSig:
-    """s = k + e*d with e bound to the commitment, the public key, and msg."""
-    Q = curves.scalar_mul(d, suite.G, suite)
+    """s = k + e*d with e bound to the commitment, the public key, and msg.
+
+    Q must be d*G; the caller already holds it, so it is not recomputed.
+    A wrong Q gives a signature that verifies under no key.
+    """
     k, R = curves.keypair_gen(suite, rng)
     e = _challenge(R, Q, msg, suite)
     s = (k + e * d) % suite.n
@@ -178,7 +181,8 @@ def credential_issue(
         1, subject_id, role, static_pub, valid_from, valid_to, issuer_id,
         SchnorrSig(suite.G, 0),
     )
-    sig = schnorr_sign(issuer_priv, unsigned.tbs(suite), suite, rng)
+    issuer_pub = curves.scalar_mul(issuer_priv, suite.G, suite)
+    sig = schnorr_sign(issuer_priv, issuer_pub, unsigned.tbs(suite), suite, rng)
     return replace(unsigned, signature=sig)
 
 

@@ -13,8 +13,9 @@ H = E(K, 0^16) with K = 0^16 gives H = 66e94bd4ef8a2c3b884cfa59ca342b2e;
 feeding the single ciphertext block 0388dace60b6a392f328c2b971b2fe78
 into GHASH computes gf128_mul(C1, H) = 5e2ec746917062882c85b0685353deb7.
 
-Open erases any decrypted bytes before reporting a tag mismatch and the
-failure carries no plaintext and no cause detail.
+Open checks the tag before it decrypts anything, so a forged record
+produces no keystream and no plaintext; the failure carries no cause
+detail.
 """
 
 from __future__ import annotations
@@ -197,8 +198,8 @@ def seal(key: bytes, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
 
 
 def open_(key: bytes, nonce: bytes, aad: bytes, record: bytes) -> bytes:
-    """GCM decrypt-and-verify. Tag comparison is constant-time; on mismatch
-    the decrypted buffer is zeroized before the failure is raised."""
+    """GCM verify-then-decrypt. Tag comparison is constant-time, and CTR
+    runs only once the tag matches."""
     if len(nonce) != NONCE_LEN:
         raise ValueError("nonce must be 12 bytes")
     if len(record) < TAG_LEN:
@@ -211,11 +212,7 @@ def open_(key: bytes, nonce: bytes, aad: bytes, record: bytes) -> bytes:
     s = _ghash(H, aad, ct)
     ek_j0 = cipher.encrypt_block(nonce + b"\x00\x00\x00\x01")
     expect = bytes(a ^ b for a, b in zip(s, ek_j0))
-    nblocks = (len(ct) + 15) // 16
-    stream = _ctr_stream(cipher, nonce, nblocks, 2)
-    pt = bytearray(a ^ b for a, b in zip(ct, stream))
     if not _hmac.compare_digest(expect, tag):
-        for i in range(len(pt)):
-            pt[i] = 0
         raise AuthFailure()
-    return bytes(pt)
+    stream = _ctr_stream(cipher, nonce, (len(ct) + 15) // 16, 2)
+    return bytes(a ^ b for a, b in zip(ct, stream))

@@ -36,6 +36,7 @@ from .errors import (
     BadServerCredential,
     BadTranscriptSignature,
     HandshakeError,
+    InvalidPeerKey,
     MalformedFrame,
     MalformedPoint,
     ProtocolStateError,
@@ -203,7 +204,10 @@ class ClientHandshake:
         ):
             self._fail(BadTranscriptSignature("server transcript signature invalid"))
 
-        shared = curves.shared_secret(self.eph_priv, server_eph, suite)
+        try:
+            shared = curves.shared_secret(self.eph_priv, server_eph, suite)
+        except InvalidPeerKey as exc:
+            self._fail(HandshakeError(f"server ephemeral invalid: {exc}"))
         keyed_part = signed_part + _lp(sig_bytes)
         keys = derive_session_keys(
             shared, self.client_random, server_random, kdf.hash_(keyed_part)
@@ -220,7 +224,8 @@ class ClientHandshake:
             SIG_LABEL_CLIENT + bytes(self.transcript) + _lp(my_cred)
         )
         my_sig = creds.schnorr_sign(
-            self.identity.static_priv, sig_digest, suite, self.rng
+            self.identity.static_priv, self.identity.credential.static_pub,
+            sig_digest, suite, self.rng,
         ).encode(suite)
         mac_input = kdf.hash_(bytes(self.transcript) + _lp(my_cred) + _lp(my_sig))
         my_mac = kdf.hmac_sha256(keys.client_fin_key, mac_input)
@@ -289,12 +294,16 @@ class ServerHandshake:
         )
         sig_bytes = creds.schnorr_sign(
             self.identity.static_priv,
+            self.identity.credential.static_pub,
             kdf.hash_(SIG_LABEL_SERVER + signed_part),
             suite,
             self.rng,
         ).encode(suite)
 
-        shared = curves.shared_secret(self.eph_priv, client_eph, suite)
+        try:
+            shared = curves.shared_secret(self.eph_priv, client_eph, suite)
+        except InvalidPeerKey as exc:
+            self._fail(HandshakeError(f"client ephemeral invalid: {exc}"))
         keyed_part = signed_part + _lp(sig_bytes)
         self._keys = derive_session_keys(
             shared, client_random, server_random, kdf.hash_(keyed_part)

@@ -42,7 +42,7 @@ def test_sign_verify_round_trip(suite):
     for i in range(100):
         d, Q = curves.keypair_gen(suite, rng)
         msg = bytes([i]) * 17
-        sig = schnorr_sign(d, msg, suite, rng)
+        sig = schnorr_sign(d, Q, msg, suite, rng)
         assert schnorr_verify(Q, msg, sig, suite)
 
 
@@ -51,7 +51,7 @@ def test_toy_forced_nonce_matches_hand_computed_challenge():
     # directly from the hash transcript, independent of the signer.
     import hashlib
 
-    sig = schnorr_sign(1, b"msg", TOY, fixed_rng([1]))
+    sig = schnorr_sign(1, TOY.G, b"msg", TOY, fixed_rng([1]))
     assert sig.R == TOY.G
     g_enc = b"\x04" + bytes([TOY.G[0], TOY.G[1]])
     e = int.from_bytes(hashlib.sha256(g_enc + g_enc + b"msg").digest(), "big") % TOY.n
@@ -60,14 +60,14 @@ def test_toy_forced_nonce_matches_hand_computed_challenge():
 
 
 def test_fresh_entropy_gives_fresh_commitments():
-    d, _ = curves.keypair_gen(P256)
-    rs = {schnorr_sign(d, b"same message", P256).R for _ in range(20)}
+    d, Q = curves.keypair_gen(P256)
+    rs = {schnorr_sign(d, Q, b"same message", P256).R for _ in range(20)}
     assert len(rs) == 20
 
 
 def test_verify_rejects_perturbations():
     d, Q = curves.keypair_gen(P256)
-    sig = schnorr_sign(d, b"payload", P256)
+    sig = schnorr_sign(d, Q, b"payload", P256)
     assert schnorr_verify(Q, b"payload", sig, P256)
     assert not schnorr_verify(Q, b"paylobd", sig, P256)
     assert not schnorr_verify(Q, b"payload", SchnorrSig(sig.R, (sig.s + 1) % P256.n), P256)
@@ -75,9 +75,36 @@ def test_verify_rejects_perturbations():
     assert not schnorr_verify(Q, b"payload", SchnorrSig(other_R, sig.s), P256)
 
 
+@pytest.mark.parametrize("suite", [TOY, P256], ids=["toy", "p256"])
+def test_verify_keeps_every_check(suite):
+    rng = keyfiles.drbg(12)
+    d, Q = curves.keypair_gen(suite, rng)
+    sig = schnorr_sign(d, Q, b"payload", suite, rng)
+    assert schnorr_verify(Q, b"payload", sig, suite)
+    tampered_R = curves.point_add(sig.R, suite.G, suite)
+    assert not schnorr_verify(Q, b"payload", SchnorrSig(tampered_R, sig.s), suite)
+    assert not schnorr_verify(Q, b"payload", SchnorrSig(sig.R, (sig.s + 1) % suite.n), suite)
+    # s + n passes the group equation (s*G == (s + n)*G), so only the range check stops it
+    assert not schnorr_verify(Q, b"payload", SchnorrSig(sig.R, sig.s + suite.n), suite)
+    off_curve_Q = (Q[0], (Q[1] + 1) % suite.p)
+    assert not suite.is_on_curve(off_curve_Q)
+    assert not schnorr_verify(off_curve_Q, b"payload", sig, suite)
+    off_curve_R = (sig.R[0], (sig.R[1] + 1) % suite.p)
+    assert not schnorr_verify(Q, b"payload", SchnorrSig(off_curve_R, sig.s), suite)
+
+
+def test_signature_under_a_mismatched_public_key_verifies_under_neither():
+    rng = keyfiles.drbg(13)
+    d, Q = curves.keypair_gen(P256, rng)
+    _, other = curves.keypair_gen(P256, rng)
+    sig = schnorr_sign(d, other, b"payload", P256, rng)
+    assert not schnorr_verify(Q, b"payload", sig, P256)
+    assert not schnorr_verify(other, b"payload", sig, P256)
+
+
 def test_sig_encoding_round_trip_and_malformed():
-    d, _ = curves.keypair_gen(P256)
-    sig = schnorr_sign(d, b"m", P256)
+    d, Q = curves.keypair_gen(P256)
+    sig = schnorr_sign(d, Q, b"m", P256)
     enc = sig.encode(P256)
     assert sig_decode(enc, P256) == sig
     with pytest.raises(MalformedSignature):

@@ -105,8 +105,9 @@ def test_toy_addition_table_matches_oracle():
 
 
 def test_toy_scalar_mul_exhaustive():
-    for k in range(1, TOY_ORDER + 1):
-        assert scalar_mul(k, TOY.G, TOY) == oracle_mul(k, TOY.G, TOY)
+    # the fixed-base path, every k in [0, n + 1]
+    for k in range(0, TOY_ORDER + 2):
+        assert scalar_mul(k, TOY.G, TOY) == oracle_mul(k, TOY.G, TOY), k
 
 
 def test_closure_on_toy():
@@ -188,3 +189,65 @@ def test_p256_scalar_mul_spot_check_against_double_and_add_by_oracle():
         for _ in range(k):
             acc = point_add(acc, P256.G, P256)
         assert scalar_mul(k, P256.G, P256) == acc
+
+
+# ---------------------------------------------------------------------------
+# the fast paths (fixed-base table for G, wNAF for any other point) against
+# the slow methods they replace
+
+
+def double_and_add(k, P, suite):
+    """Plain affine double-and-add, least significant bit first."""
+    acc = None
+    while k:
+        if k & 1:
+            acc = point_add(acc, P, suite)
+        P = point_add(P, P, suite)
+        k >>= 1
+    return acc
+
+
+def test_toy_variable_base_every_point_and_scalar_matches_repeated_addition():
+    bases = [P for P in TOY_POINTS if P != TOY.G]
+    assert len(bases) == TOY_ORDER - 2
+    for P in bases:
+        acc = None
+        for k in range(0, TOY_ORDER + 2):
+            assert scalar_mul(k, P, TOY) == acc, (k, P)
+            acc = oracle_add(acc, P, TOY)
+
+
+P256_EDGE_SCALARS = [
+    1, 2, 15, 16, 17, 31, 32, 2**255, P256.n - 1, P256.n, P256.n + 1,
+    # all-0xF nibbles: every fixed-base digit is 15 and every wNAF digit carries
+    0xF, 0xFF, 0xFFFF, 2**128 - 1, 2**252 - 1, 2**256 - 1,
+]
+
+
+@pytest.mark.parametrize("k", P256_EDGE_SCALARS, ids=hex)
+def test_p256_edge_scalars_match_double_and_add(k):
+    Q = double_and_add(0xC0FFEE, P256.G, P256)
+    assert scalar_mul(k, P256.G, P256) == double_and_add(k, P256.G, P256)
+    assert scalar_mul(k, Q, P256) == double_and_add(k, Q, P256)
+
+
+def test_p256_random_scalars_match_double_and_add():
+    rng = random.Random(2024)
+    Q = double_and_add(rng.randrange(2, P256.n), P256.G, P256)
+    for _ in range(100):
+        k = rng.randrange(1, P256.n)
+        assert scalar_mul(k, P256.G, P256) == double_and_add(k, P256.G, P256)
+        assert scalar_mul(k, Q, P256) == double_and_add(k, Q, P256)
+
+
+def test_p256_fixed_and_variable_paths_agree():
+    rng = random.Random(7)
+    for _ in range(10):
+        a, b = rng.randrange(1, P256.n), rng.randrange(1, P256.n)
+        aG = scalar_mul(a, P256.G, P256)
+        assert scalar_mul(b, aG, P256) == scalar_mul(a * b, P256.G, P256)
+
+
+def test_negative_scalar_gives_identity():
+    assert scalar_mul(-1, P256.G, P256) is None
+    assert scalar_mul(-3, TOY_POINTS[0], TOY) is None

@@ -7,7 +7,7 @@ import threading
 
 import pytest
 
-from vitalink import keyfiles
+from vitalink import curves, keyfiles
 from vitalink.endpoints import (
     DeviceConfig,
     IngestionServer,
@@ -19,6 +19,7 @@ from vitalink.endpoints import (
     parse_reading_line,
     run_device,
 )
+from vitalink.errors import InvalidPeerKey
 from vitalink.handshake import ClientHandshake
 from vitalink.records import (
     MAGIC,
@@ -232,3 +233,22 @@ def test_store_appends_are_atomic_lines(tmp_path):
     lines = (tmp_path / "s" / "readings.log").read_text().splitlines()
     assert len(lines) == 1600
     assert all(l == rec.line() for l in lines)
+
+
+def test_invalid_peer_key_is_logged_as_a_handshake_failure(pki, server, caplog, monkeypatch):
+    def degenerate(*args):
+        raise InvalidPeerKey("shared point is the identity")
+
+    caplog.set_level(logging.INFO, logger="vitalink")
+    sock = socket.create_connection(("127.0.0.1", server.port))
+    try:
+        hs = ClientHandshake(pki.suite, pki.device, pki.root)
+        hello = hs.start()
+        monkeypatch.setattr(curves, "shared_secret", degenerate)
+        frame_write(sock, Frame(TYPE_CLIENT_HELLO, hello))
+        assert frame_read(sock, timeout=5.0).frame_type == TYPE_ABORT
+    finally:
+        sock.close()
+    problems = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(problems) == 1
+    assert problems[0].startswith("handshake_failed cause=HandshakeError")

@@ -167,3 +167,28 @@ def test_tag_flip_nonce_flip_and_aad_change_fail():
 )
 def test_round_trip_property(key, nonce, aad, pt):
     assert open_(key, nonce, aad, seal(key, nonce, aad, pt)) == pt
+
+
+def _count_block_calls(monkeypatch):
+    calls = []
+    real = gcm.Aes128.encrypt_block
+
+    def counting(self, block):
+        calls.append(block)
+        return real(self, block)
+
+    monkeypatch.setattr(gcm.Aes128, "encrypt_block", counting)
+    return calls
+
+
+def test_open_checks_the_tag_before_any_keystream(monkeypatch):
+    key, nonce = os.urandom(16), os.urandom(12)
+    record = seal(key, nonce, b"aad", bytes(19))
+    calls = _count_block_calls(monkeypatch)
+    with pytest.raises(AuthFailure):
+        open_(key, nonce, b"aad", record[:-1] + bytes([record[-1] ^ 1]))
+    # H = E(K, 0^128) and E(K, J0), no CTR block
+    assert calls == [bytes(16), nonce + b"\x00\x00\x00\x01"]
+    calls.clear()
+    assert open_(key, nonce, b"aad", record) == bytes(19)
+    assert len(calls) == 4

@@ -12,6 +12,7 @@ from vitalink.errors import (
     BadServerCredential,
     BadTranscriptSignature,
     HandshakeError,
+    InvalidPeerKey,
     ProtocolStateError,
     UnsupportedSuite,
 )
@@ -210,3 +211,27 @@ def test_derive_session_keys_deterministic_and_avalanche():
     flipped = derive_session_keys(shared, cr, sr, kdf.hash_(b"transcripu"))
     for field in ("c2s_key", "s2c_key", "c2s_salt", "s2c_salt", "client_fin_key", "server_fin_key"):
         assert getattr(a, field) != getattr(flipped, field)
+
+
+def _degenerate_shared_secret(*args):
+    raise InvalidPeerKey("shared point is the identity")
+
+
+def test_invalid_peer_key_fails_the_server_handshake(pki, monkeypatch):
+    c = ClientHandshake(pki.suite, pki.device, pki.root)
+    s = ServerHandshake(pki.server, pki.root, suite=pki.suite)
+    hello = c.start()
+    monkeypatch.setattr(curves, "shared_secret", _degenerate_shared_secret)
+    with pytest.raises(HandshakeError):
+        s.respond(hello)
+    assert s.phase is Phase.FAILED and s.eph_priv is None
+
+
+def test_invalid_peer_key_fails_the_client_handshake(pki, monkeypatch):
+    c = ClientHandshake(pki.suite, pki.device, pki.root)
+    s = ServerHandshake(pki.server, pki.root, suite=pki.suite)
+    server_hello = s.respond(c.start())
+    monkeypatch.setattr(curves, "shared_secret", _degenerate_shared_secret)
+    with pytest.raises(HandshakeError):
+        c.finish(server_hello)
+    assert c.phase is Phase.FAILED and c.eph_priv is None
