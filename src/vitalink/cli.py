@@ -20,7 +20,7 @@ from . import credentials as creds
 from .credentials import Role
 from .curves import SUITE_NAMES
 from .endpoints import DeviceConfig, ServerConfig, run_device, run_server
-from .errors import InvalidCredentialFields
+from .errors import ConfigurationError, InvalidCredentialFields
 from .proxy import MODES, TamperPlan, proxy_run
 from .telemetry import AnomalyConfig
 
@@ -233,7 +233,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:

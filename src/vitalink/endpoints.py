@@ -19,11 +19,12 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import keyfiles, records, telemetry
+from . import curves, keyfiles, records, telemetry
 from .credentials import credential_len, decode_subject
 from .curves import SUITES, CurveSuite
 from .errors import (
     AuthFailure,
+    ConfigurationError,
     ConnectionAborted,
     EndOfStream,
     FrameTimeout,
@@ -65,8 +66,13 @@ _STATUS_BY_NAME = {v: k for k, v in STATUS_NAMES.items()}
 
 
 def load_identity(key_path, cred_path, suite: CurveSuite) -> LocalIdentity:
+    """Reads a key and its credential; refuses a key whose public point is
+    not the credential's, which peers would otherwise only see as a bad
+    transcript signature."""
     d = keyfiles.read_private_key(key_path, suite)
     cred = keyfiles.read_credential(cred_path, suite)
+    if curves.scalar_mul(d, suite.G, suite) != cred.static_pub:
+        raise ConfigurationError(f"{key_path}: private key does not match {cred_path}")
     return LocalIdentity(static_priv=d, credential=cred)
 
 

@@ -5,6 +5,10 @@ class VitalinkError(Exception):
     """Base class for all protocol and crypto errors."""
 
 
+class ConfigurationError(VitalinkError):
+    """Local key material is inconsistent; raised at startup, before any peer."""
+
+
 class InvalidPeerKey(VitalinkError):
     """Peer public key is off-curve, the identity, or yields a degenerate secret."""
 

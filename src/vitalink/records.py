@@ -12,7 +12,8 @@ from __future__ import annotations
 import select
 import socket
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from time import monotonic
 
 from . import gcm
 from .errors import (
@@ -83,12 +84,17 @@ class DirectionState:
     """One direction's key, nonce salt, and sequence counter.
 
     Owned by exactly one sender or one receiver; the counter doubles as
-    send_seq or recv_seq depending on which side holds it.
+    send_seq or recv_seq depending on which side holds it. Its one
+    `gcm.GcmKey` serves every record of the direction.
     """
 
     key: bytes
     salt: bytes
     seq: int = 0
+    gcm_key: gcm.GcmKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.gcm_key = gcm.GcmKey(self.key)
 
     def _nonce(self, seq: int) -> bytes:
         return self.salt + seq.to_bytes(8, "big")
@@ -96,6 +102,7 @@ class DirectionState:
     def zeroize(self) -> None:
         self.key = b"\x00" * 16
         self.salt = b"\x00" * 4
+        self.gcm_key.zeroize()
 
 
 def _aad(frame_type: int, seq: int) -> bytes:
@@ -106,7 +113,7 @@ def record_seal(direction: DirectionState, frame_type: int, payload: bytes) -> F
     if direction.seq >= 2**64 - 1:
         raise SequenceExhausted()
     seq = direction.seq
-    body = gcm.seal(direction.key, direction._nonce(seq), _aad(frame_type, seq), payload)
+    body = gcm.seal(direction.gcm_key, direction._nonce(seq), _aad(frame_type, seq), payload)
     direction.seq += 1
     return Frame(frame_type, body)
 
@@ -122,7 +129,7 @@ def record_open(direction: DirectionState, frame: Frame) -> tuple[int, bytes]:
         raise SequenceExhausted()
     seq = direction.seq
     payload = gcm.open_(
-        direction.key,
+        direction.gcm_key,
         direction._nonce(seq),
         _aad(frame.frame_type, seq),
         frame.body,
@@ -131,25 +138,30 @@ def record_open(direction: DirectionState, frame: Frame) -> tuple[int, bytes]:
     return frame.frame_type, payload
 
 
-def _recv_exact(sock: socket.socket, n: int, timeout: float, at_boundary: bool) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        ready, _, _ = select.select([sock], [], [], timeout)
-        if not ready:
-            raise FrameTimeout(f"no data for {timeout}s")
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
+def _recv_exact(sock: socket.socket, n: int, deadline: float, at_boundary: bool) -> bytes:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        remaining = deadline - monotonic()
+        if remaining <= 0 or not select.select([sock], [], [], remaining)[0]:
+            raise FrameTimeout("frame incomplete at its deadline")
+        k = sock.recv_into(view[got:])
+        if not k:
             # both cases are a stream ending without an authenticated Close;
             # a mid-frame cut is the classic truncation attack
-            raise EndOfStream("mid-frame" if (buf or not at_boundary) else "at-boundary")
-        buf += chunk
-    return buf
+            raise EndOfStream("mid-frame" if (got or not at_boundary) else "at-boundary")
+        got += k
+    return bytes(buf)
 
 
 def frame_read(sock: socket.socket, timeout: float = READ_TIMEOUT_S) -> Frame:
-    header = _recv_exact(sock, HEADER_LEN, timeout, at_boundary=True)
+    """Reads one whole frame, which must arrive within `timeout` seconds
+    of the call: a peer trickling bytes cannot stretch it."""
+    deadline = monotonic() + timeout
+    header = _recv_exact(sock, HEADER_LEN, deadline, at_boundary=True)
     frame_type, length = parse_header(header)
-    body = _recv_exact(sock, length, timeout, at_boundary=False) if length else b""
+    body = _recv_exact(sock, length, deadline, at_boundary=False) if length else b""
     return Frame(frame_type, body)
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ from vitalink.endpoints import (
     parse_reading_line,
     run_device,
 )
-from vitalink.gcm import Aes128, open_, seal
+from vitalink.gcm import Aes128, GcmKey, open_, seal
 from vitalink.handshake import ClientHandshake, ServerHandshake
 from vitalink.proxy import TamperPlan, TamperProxy
 from vitalink.records import TYPE_DATA, DirectionState, record_seal
@@ -29,6 +30,8 @@ from vitalink.records import TYPE_DATA, DirectionState, record_seal
 from conftest import Pki
 from test_gcm import GCM_VECTORS
 from test_telemetry import oracle_alert_indices
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def report(n, text):
@@ -103,9 +106,10 @@ def test_criterion_01_crypto_known_answers():
         key, nonce, aad, pt, ct, tag = (
             bytes.fromhex(v) for v in (key, nonce, aad, pt, ct, tag)
         )
-        record = seal(key, nonce, aad, pt)
+        gk = GcmKey(key)
+        record = seal(gk, nonce, aad, pt)
         assert record == ct + tag
-        assert open_(key, nonce, aad, record) == pt
+        assert open_(gk, nonce, aad, record) == pt
     dt = time.monotonic() - t0
     assert dt < 5.0
     report(1, f"all standard crypto vectors bit-exact in {dt:.2f}s (< 5s)")
@@ -315,6 +319,7 @@ def test_criterion_10_crash_resilience(env, tmp_path):
         ],
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     try:
         deadline = time.monotonic() + 10.0

@@ -1,5 +1,10 @@
 """CLI contract: flags, exit codes, and on-disk artifacts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from vitalink import curves, keyfiles
@@ -130,3 +135,23 @@ def test_device_against_dead_port_exits_runtime(issued, capsys):
     ], capsys)
     assert code == EXIT_RUNTIME
     assert "sent_count=0" in out and "error=" in out
+
+
+def test_a_key_that_does_not_match_its_credential_exits_usage(issued, tmp_path, capsys):
+    root_dir, dev_dir = issued
+    mismatched = ["--key", str(root_dir / "key.vlk"), "--cred", str(dev_dir / "device.vlc"),
+                  "--root", str(root_dir / "root.vlc")]
+    code, out, err = run(["device", "--connect", "127.0.0.1:1", "--count", "1", *mismatched],
+                         capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and "does not match" in err
+    # serve installs signal handlers, so it runs in its own process
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "vitalink.cli", "serve", "--listen", "127.0.0.1:0",
+         "--store-dir", str(tmp_path / "store"), *mismatched],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "does not match" in proc.stderr and "listening" not in proc.stderr

@@ -1,9 +1,11 @@
 """End-to-end loopback sessions: honest runs, rejection paths, persistence."""
 
 import logging
+import select
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
@@ -15,11 +17,12 @@ from vitalink.endpoints import (
     Store,
     StoreRecord,
     detect_suite_for_credential,
+    load_identity,
     parse_alert_line,
     parse_reading_line,
     run_device,
 )
-from vitalink.errors import InvalidPeerKey
+from vitalink.errors import ConfigurationError, InvalidPeerKey
 from vitalink.handshake import ClientHandshake
 from vitalink.records import (
     MAGIC,
@@ -252,3 +255,65 @@ def test_invalid_peer_key_is_logged_as_a_handshake_failure(pki, server, caplog, 
     problems = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(problems) == 1
     assert problems[0].startswith("handshake_failed cause=HandshakeError")
+
+
+def test_a_trickling_client_is_cut_at_the_frame_deadline(pki, files, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="vitalink")
+    srv = IngestionServer(ServerConfig(
+        key_path=str(files / "server.vlk"),
+        cred_path=str(files / "server.vlc"),
+        root_path=str(files / "root.vlc"),
+        store_dir=str(tmp_path / "store"),
+        read_timeout_s=1.0,
+    ))
+    srv.start()
+    sock = socket.create_connection(("127.0.0.1", srv.port))
+    reply = None
+    try:
+        hello = Frame(TYPE_CLIENT_HELLO,
+                      ClientHandshake(pki.suite, pki.device, pki.root).start()).encode()
+        t0 = time.monotonic()
+        # one byte every 0.3 s: each byte lands well inside a per-recv timeout
+        for byte in hello:
+            if time.monotonic() - t0 > 2.0:
+                break
+            try:
+                sock.sendall(bytes([byte]))
+            except OSError:
+                break
+            if select.select([sock], [], [], 0.3)[0]:
+                reply = frame_read(sock, timeout=1.0)
+                break
+        elapsed = time.monotonic() - t0
+    finally:
+        sock.close()
+        srv.stop()
+    assert reply is not None and reply.frame_type == TYPE_ABORT
+    assert elapsed < 2.0
+    problems = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(problems) == 1
+    assert problems[0].startswith("session_fatal ")
+    assert problems[0].endswith("cause=FrameTimeout")
+
+
+@pytest.mark.parametrize("suite_name", ["toy", "p256"])
+def test_a_key_that_does_not_match_its_credential_is_refused(suite_name, tmp_path):
+    pki = Pki(curves.SUITE_NAMES[suite_name])
+    pki.write_files(tmp_path)
+    suite = pki.suite
+    good = load_identity(tmp_path / "server.vlk", tmp_path / "server.vlc", suite)
+    assert good.static_priv == pki.server.static_priv
+    wrong = pki.server.static_priv % (suite.n - 1) + 1
+    keyfiles.write_private_key(tmp_path / "wrong.vlk", wrong, suite)
+    with pytest.raises(ConfigurationError):
+        load_identity(tmp_path / "wrong.vlk", tmp_path / "server.vlc", suite)
+    with pytest.raises(ConfigurationError):
+        IngestionServer(ServerConfig(
+            key_path=str(tmp_path / "device.vlk"),
+            cred_path=str(tmp_path / "server.vlc"),
+            root_path=str(tmp_path / "root.vlc"),
+            store_dir=str(tmp_path / "store"),
+        ))
+    with pytest.raises(ConfigurationError):
+        run_device(device_cfg(tmp_path, 1, key_path=str(tmp_path / "wrong.vlk"),
+                              cred_path=str(tmp_path / "server.vlc"), suite=suite))

@@ -1,4 +1,5 @@
-"""AES-128-GCM against published known-answer vectors plus fuzzed
+"""AES-128-GCM against published known-answer vectors, a byte-wise
+reference AES and a bit-serial GF(2^128) multiply, plus fuzzed
 round-trip and tamper-detection properties."""
 
 import os
@@ -10,13 +11,125 @@ from hypothesis import strategies as st
 
 from vitalink import gcm
 from vitalink.errors import AuthFailure, PayloadTooLarge
-from vitalink.gcm import GF128_ONE, block_encrypt, gf128_mul, open_, seal
+from vitalink.gcm import GF128_ONE, GcmKey, gf128_mul, open_, seal
+
+# ---------------------------------------------------------------------------
+# Byte-wise reference AES-128 (FIPS 197 §5.1 step by step), sharing no table
+# with the module: the S-box comes from inverses found by exponentiation.
+
+
+def _gmul(a, b):
+    p = 0
+    while b:
+        if b & 1:
+            p ^= a
+        a = (a << 1) ^ (0x11B if a & 0x80 else 0)
+        b >>= 1
+    return p
+
+
+def _ref_sbox():
+    box = []
+    for x in range(256):
+        inv = 1
+        for _ in range(254):  # x^254 is x^-1 in GF(2^8), and 0 maps to 0
+            inv = _gmul(inv, x)
+        b = inv
+        for i in (1, 2, 3, 4):
+            b ^= ((inv << i) | (inv >> (8 - i))) & 0xFF
+        box.append(b ^ 0x63)
+    return box
+
+
+REF_SBOX = _ref_sbox()
+
+
+def ref_aes_encrypt(key, block):
+    words = [list(key[i : i + 4]) for i in range(0, 16, 4)]
+    rcon = 1
+    for i in range(4, 44):
+        w = list(words[i - 1])
+        if i % 4 == 0:
+            w = [REF_SBOX[b] for b in w[1:] + w[:1]]
+            w[0] ^= rcon
+            rcon = _gmul(rcon, 2)
+        words.append([a ^ b for a, b in zip(words[i - 4], w)])
+    round_keys = [sum(words[4 * r : 4 * r + 4], []) for r in range(11)]
+
+    s = [a ^ b for a, b in zip(block, round_keys[0])]  # column-major
+    for rnd in range(1, 11):
+        s = [REF_SBOX[b] for b in s]
+        s = [s[(4 * (c + r) + r) % 16] for c in range(4) for r in range(4)]
+        if rnd < 10:
+            mixed = []
+            for c in range(0, 16, 4):
+                a = s[c : c + 4]
+                for r in range(4):
+                    mixed.append(
+                        _gmul(a[r], 2) ^ _gmul(a[(r + 1) % 4], 3) ^ a[(r + 2) % 4] ^ a[(r + 3) % 4]
+                    )
+            s = mixed
+        s = [a ^ b for a, b in zip(s, round_keys[rnd])]
+    return bytes(s)
+
+
+def ref_gf128_mul(X, Y):
+    # bit-serial (SP 800-38D Algorithm 1): one bit of Y per step
+    x, y = int.from_bytes(X, "big"), int.from_bytes(Y, "big")
+    z = 0
+    for i in range(127, -1, -1):
+        if (y >> i) & 1:
+            z ^= x
+        x = (x >> 1) ^ (0xE1 << 120) if x & 1 else x >> 1
+    return z.to_bytes(16, "big")
+
+
+def ref_ghash(h, aad, ct):
+    def padded(data):
+        return data + bytes(-len(data) % 16)
+
+    data = padded(aad) + padded(ct) + (8 * len(aad)).to_bytes(8, "big") + (
+        8 * len(ct)).to_bytes(8, "big")
+    y = bytes(16)
+    for i in range(0, len(data), 16):
+        y = ref_gf128_mul(bytes(a ^ b for a, b in zip(y, data[i : i + 16])), h)
+    return y
+
+
+def key_with_table(key):
+    # one GHASH call past the bit-serial allowance makes the key build its table
+    gk = GcmKey(key)
+    gk.ghash(bytes(16 * gcm._BLOCKS_BEFORE_TABLE), b"")
+    assert gk._tables is not None
+    return gk
 
 
 def test_aes_block_fips197_known_answer():
     key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
     pt = bytes.fromhex("00112233445566778899aabbccddeeff")
-    assert block_encrypt(key, pt).hex() == "69c4e0d86a7b0430d8cdb78070b4c55a"
+    want = "69c4e0d86a7b0430d8cdb78070b4c55a"
+    assert gcm.Aes128(key).encrypt_block(pt).hex() == want
+    assert ref_aes_encrypt(key, pt).hex() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(key=st.binary(min_size=16, max_size=16), block=st.binary(min_size=16, max_size=16))
+def test_t_table_aes_matches_the_byte_wise_reference(key, block):
+    assert gcm.Aes128(key).encrypt_block(block) == ref_aes_encrypt(key, block)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    aad=st.binary(max_size=70),
+    ct=st.binary(max_size=70),
+)
+def test_ghash_matches_the_bit_serial_multiply(key, aad, ct):
+    h = ref_aes_encrypt(key, bytes(16))
+    want = ref_ghash(h, aad, ct)
+    assert key_with_table(key).ghash(aad, ct).to_bytes(16, "big") == want
+    # a fresh key hashes short inputs bit-serially and builds the table for long ones
+    assert GcmKey(key).ghash(aad, ct).to_bytes(16, "big") == want
 
 
 def test_aes_block_is_injective_per_key():
@@ -28,6 +141,12 @@ def test_aes_block_is_injective_per_key():
         b = rng.randbytes(16)
         if a != b:
             assert cipher.encrypt_block(a) != cipher.encrypt_block(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.binary(min_size=16, max_size=16), y=st.binary(min_size=16, max_size=16))
+def test_gf128_mul_matches_the_bit_serial_multiply(x, y):
+    assert gf128_mul(x, y) == ref_gf128_mul(x, y)
 
 
 def test_gf128_identity_and_zero():
@@ -96,24 +215,25 @@ GCM_VECTORS = [
 
 @pytest.mark.parametrize("key,nonce,aad,pt,ct,tag", GCM_VECTORS)
 def test_gcm_known_answer_vectors(key, nonce, aad, pt, ct, tag):
-    record = seal(
-        bytes.fromhex(key), bytes.fromhex(nonce), bytes.fromhex(aad), bytes.fromhex(pt)
-    )
-    assert record[:-16].hex() == ct
-    assert record[-16:].hex() == tag
-    assert open_(
-        bytes.fromhex(key), bytes.fromhex(nonce), bytes.fromhex(aad), record
-    ) == bytes.fromhex(pt)
+    key, nonce, aad = bytes.fromhex(key), bytes.fromhex(nonce), bytes.fromhex(aad)
+    h = ref_aes_encrypt(key, bytes(16))
+    # a fresh key seals every vector bit-serially; the other has its table
+    for gk in (GcmKey(key), key_with_table(key)):
+        record = seal(gk, nonce, aad, bytes.fromhex(pt))
+        assert record[:-16].hex() == ct
+        assert record[-16:].hex() == tag
+        assert open_(gk, nonce, aad, record) == bytes.fromhex(pt)
+        assert gk.ghash(aad, record[:-16]).to_bytes(16, "big") == ref_ghash(h, aad, record[:-16])
 
 
 def test_seal_open_round_trip():
-    key, nonce = os.urandom(16), os.urandom(12)
+    key, nonce = GcmKey(os.urandom(16)), os.urandom(12)
     pt = os.urandom(100)
     assert open_(key, nonce, b"hdr", seal(key, nonce, b"hdr", pt)) == pt
 
 
 def test_distinct_nonces_give_distinct_ciphertexts():
-    key = os.urandom(16)
+    key = GcmKey(os.urandom(16))
     pt = b"same plaintext, twice"
     a = seal(key, os.urandom(12), b"", pt)
     b = seal(key, os.urandom(12), b"", pt)
@@ -121,20 +241,20 @@ def test_distinct_nonces_give_distinct_ciphertexts():
 
 
 def test_ciphertext_length_and_tag_length():
-    key, nonce = os.urandom(16), os.urandom(12)
+    key, nonce = GcmKey(os.urandom(16)), os.urandom(12)
     for n in (0, 1, 15, 16, 17, 100):
         record = seal(key, nonce, b"", bytes(n))
         assert len(record) == n + 16
 
 
 def test_payload_cap():
-    key, nonce = os.urandom(16), os.urandom(12)
+    key, nonce = GcmKey(os.urandom(16)), os.urandom(12)
     with pytest.raises(PayloadTooLarge):
         seal(key, nonce, b"", bytes(gcm.MAX_PLAINTEXT + 1))
 
 
 def test_single_bit_flips_in_ciphertext_fail():
-    key, nonce = os.urandom(16), os.urandom(12)
+    key, nonce = GcmKey(os.urandom(16)), os.urandom(12)
     record = seal(key, nonce, b"aad", os.urandom(64))
     rng = random.Random(3)
     for _ in range(100):
@@ -146,7 +266,7 @@ def test_single_bit_flips_in_ciphertext_fail():
 
 
 def test_tag_flip_nonce_flip_and_aad_change_fail():
-    key, nonce = os.urandom(16), os.urandom(12)
+    key, nonce = GcmKey(os.urandom(16)), os.urandom(12)
     record = seal(key, nonce, b"aad", b"payload")
     bad_tag = record[:-1] + bytes([record[-1] ^ 1])
     with pytest.raises(AuthFailure):
@@ -166,7 +286,8 @@ def test_tag_flip_nonce_flip_and_aad_change_fail():
     pt=st.binary(max_size=2048),
 )
 def test_round_trip_property(key, nonce, aad, pt):
-    assert open_(key, nonce, aad, seal(key, nonce, aad, pt)) == pt
+    gk = GcmKey(key)
+    assert open_(gk, nonce, aad, seal(gk, nonce, aad, pt)) == pt
 
 
 def _count_block_calls(monkeypatch):
@@ -182,13 +303,69 @@ def _count_block_calls(monkeypatch):
 
 
 def test_open_checks_the_tag_before_any_keystream(monkeypatch):
-    key, nonce = os.urandom(16), os.urandom(12)
+    key, nonce = GcmKey(os.urandom(16)), os.urandom(12)
     record = seal(key, nonce, b"aad", bytes(19))
     calls = _count_block_calls(monkeypatch)
     with pytest.raises(AuthFailure):
         open_(key, nonce, b"aad", record[:-1] + bytes([record[-1] ^ 1]))
-    # H = E(K, 0^128) and E(K, J0), no CTR block
-    assert calls == [bytes(16), nonce + b"\x00\x00\x00\x01"]
+    # H is cached in the key, so a forgery costs only E(K, J0): no CTR block
+    assert calls == [nonce + b"\x00\x00\x00\x01"]
     calls.clear()
     assert open_(key, nonce, b"aad", record) == bytes(19)
-    assert len(calls) == 4
+    assert calls == [nonce + b"\x00\x00\x00\x01", nonce + b"\x00\x00\x00\x02",
+                     nonce + b"\x00\x00\x00\x03"]
+
+
+def test_a_zeroized_key_neither_seals_nor_opens():
+    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
+    record = seal(gk, nonce, b"", b"reading")
+    gk.zeroize()
+    assert gk.aes._rk == [0] * 44
+    with pytest.raises(ValueError):
+        seal(gk, nonce, b"", b"reading")
+    with pytest.raises(ValueError):
+        open_(gk, nonce, b"", record)
+
+
+def test_a_zeroized_key_that_never_ran_neither_seals_nor_opens():
+    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
+    gk.zeroize()
+    with pytest.raises(ValueError):
+        seal(gk, nonce, b"", b"reading")
+    with pytest.raises(ValueError):
+        open_(gk, nonce, b"", bytes(16))
+
+
+def _count_gf128_calls(monkeypatch):
+    calls = []
+    real = gcm.gf128_mul
+
+    def counting(x, y):
+        calls.append(x)
+        return real(x, y)
+
+    monkeypatch.setattr(gcm, "gf128_mul", counting)
+    return calls
+
+
+def test_the_ghash_table_is_built_once_it_pays(monkeypatch):
+    calls = _count_gf128_calls(monkeypatch)
+    aad = bytes(13)  # a record header
+    # a 19-byte reading is 4 GHASH blocks and a Close 2: 6 per-call
+    # multiplies and no table, then 10 after a second reading
+    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
+    seal(gk, nonce, aad, bytes(19))
+    seal(gk, nonce, aad, b"")
+    assert len(calls) == 6 and gk._tables is None
+    seal(gk, nonce, aad, bytes(19))
+    assert len(calls) == 10 and gk._tables is None
+    # a third reading takes the key past the allowance: the table, no gf128_mul
+    calls.clear()
+    record = seal(gk, nonce, aad, bytes(19))
+    assert calls == [] and gk._tables is not None
+    assert open_(GcmKey(gk._key), nonce, aad, record) == bytes(19)
+    # a first record too long for the allowance builds the table at once
+    calls.clear()
+    big = GcmKey(os.urandom(16))
+    seal(big, nonce, aad, bytes(4096))
+    assert calls == [] and big._tables is not None

@@ -1,6 +1,9 @@
-"""Byte-exact regression: seeded credentials, a signature and a handshake's
-session id, recorded before the fixed-base table and wNAF replaced plain
-double-and-add. Any drift in scalar multiplication shows up here."""
+"""Byte-exact regressions. Seeded credentials, a signature and a
+handshake's session id, recorded before the fixed-base table and wNAF
+replaced plain double-and-add: any drift in scalar multiplication shows
+up here. A sealed record stream, recorded before per-key GCM state,
+T-table AES and table GHASH replaced the byte-wise cipher and the
+bit-serial GHASH: any drift in the record layer shows up here."""
 
 import hashlib
 
@@ -10,6 +13,7 @@ from vitalink import credentials as creds
 from vitalink import curves, keyfiles
 from vitalink.credentials import Role
 from vitalink.handshake import ClientHandshake, LocalIdentity, ServerHandshake
+from vitalink.records import TYPE_CLOSE, TYPE_DATA, DirectionState, record_seal
 
 NOW = 1_700_000_000
 
@@ -65,3 +69,14 @@ def seeded_run(suite):
 @pytest.mark.parametrize("name", ["toy", "p256"])
 def test_seeded_run_is_byte_identical(name):
     assert seeded_run(curves.SUITE_NAMES[name]) == GOLDEN[name]
+
+
+def test_record_stream_is_byte_identical():
+    # 1000 Data records of 19 bytes, the size of one reading, then a Close
+    tx = DirectionState(bytes(range(16)), bytes.fromhex("a1b2c3d4"))
+    stream = hashlib.sha256()
+    for i in range(1000):
+        payload = hashlib.sha256(i.to_bytes(4, "big")).digest()[:19]
+        stream.update(record_seal(tx, TYPE_DATA, payload).encode())
+    stream.update(record_seal(tx, TYPE_CLOSE, b"").encode())
+    assert stream.hexdigest() == "9c1238a259440f2f725348a19bdd4fd62d608067d179b327f60256d874af7708"

@@ -1,6 +1,8 @@
 """Frame codec and record protection: framing errors, replay/reorder/drop."""
 
 import socket
+import threading
+import time
 
 import pytest
 
@@ -161,3 +163,39 @@ def test_zeroize():
     d = DirectionState(KEY, SALT)
     d.zeroize()
     assert d.key == b"\x00" * 16 and d.salt == b"\x00" * 4
+
+
+def test_a_zeroized_direction_can_no_longer_seal_or_open():
+    tx = DirectionState(KEY, SALT)
+    rx = DirectionState(KEY, SALT)
+    frame = record_seal(tx, TYPE_DATA, b"reading")
+    tx.zeroize()
+    rx.zeroize()
+    with pytest.raises(ValueError):
+        record_seal(tx, TYPE_DATA, b"reading")
+    with pytest.raises(ValueError):
+        record_open(rx, frame)
+    assert rx.seq == 0
+
+
+def test_a_trickling_peer_cannot_stretch_the_frame_deadline():
+    a, b = socket_pair()
+    raw = Frame(TYPE_DATA, b"x" * 50).encode()
+
+    def trickle():
+        try:
+            for byte in raw:
+                a.send(bytes([byte]))
+                time.sleep(0.05)
+        except OSError:
+            pass
+
+    sender = threading.Thread(target=trickle)
+    sender.start()
+    t0 = time.monotonic()
+    with pytest.raises(FrameTimeout):
+        frame_read(b, timeout=0.5)
+    assert time.monotonic() - t0 < 1.0
+    a.close(); b.close()
+    sender.join(timeout=5.0)
+    assert not sender.is_alive()
