@@ -19,7 +19,7 @@ from . import curves, keyfiles
 from . import credentials as creds
 from .credentials import Role
 from .curves import SUITE_NAMES
-from .endpoints import DeviceConfig, ServerConfig, run_device, run_server
+from .endpoints import DeviceConfig, ServerConfig, check_trust, run_device, run_server
 from .errors import ConfigurationError, InvalidCredentialFields
 from .proxy import MODES, TamperPlan, proxy_run
 from .telemetry import AnomalyConfig
@@ -134,6 +134,9 @@ def cmd_device(args) -> int:
     )
     if cfg.anomaly_script:
         _require_file(cfg.anomaly_script, "--anomaly-script")
+    # checked here, not in run_device, which runs once per session
+    check_trust(keyfiles.read_credential(cfg.cred_path, cfg.suite),
+                keyfiles.read_credential(cfg.root_path, cfg.suite), Role.DEVICE, cfg.suite)
     try:
         report = run_device(cfg)
     except ValueError as exc:

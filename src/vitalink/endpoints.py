@@ -19,8 +19,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import curves, keyfiles, records, telemetry
-from .credentials import credential_len, decode_subject
+from . import credentials, curves, keyfiles, records, telemetry
+from .credentials import Credential, Role, credential_len, decode_subject
 from .curves import SUITES, CurveSuite
 from .errors import (
     AuthFailure,
@@ -74,6 +74,19 @@ def load_identity(key_path, cred_path, suite: CurveSuite) -> LocalIdentity:
     if curves.scalar_mul(d, suite.G, suite) != cred.static_pub:
         raise ConfigurationError(f"{key_path}: private key does not match {cred_path}")
     return LocalIdentity(static_priv=d, credential=cred)
+
+
+def check_trust(cred: Credential, root: Credential, role: Role, suite: CurveSuite) -> None:
+    """Refuses a trust root that is not a valid self-signed issuer, and an
+    own credential that does not verify against it in `role`: either would
+    otherwise show only as every peer's handshake failing."""
+    now = int(time.time())
+    cause = credentials.verify_trust_root(root, now, suite)
+    if cause is not None:
+        raise ConfigurationError(f"trust root rejected: {cause}")
+    cause = credentials.credential_verify(cred, root, now, suite, expected_role=role)
+    if cause is not None:
+        raise ConfigurationError(f"own credential rejected by the trust root: {cause}")
 
 
 def detect_suite_for_credential(path) -> CurveSuite:
@@ -212,6 +225,7 @@ class IngestionServer:
         self.suite = detect_suite_for_credential(cfg.cred_path)
         self.identity = load_identity(cfg.key_path, cfg.cred_path, self.suite)
         self.trust_root = keyfiles.read_credential(cfg.root_path, self.suite)
+        check_trust(self.identity.credential, self.trust_root, Role.SERVER, self.suite)
         self.store = Store(cfg.store_dir, fsync=cfg.fsync)
         self._listener: Listener | None = None
         self.port = 0
@@ -230,13 +244,15 @@ class IngestionServer:
     def _handle(self, conn: socket.socket, addr) -> None:
         recv_dir: DirectionState | None = None
         session_hex = "-"
+        # one deadline for ClientHello and ClientFinish together
+        handshake_deadline = time.monotonic() + self.cfg.read_timeout_s
         try:
-            fr = frame_read(conn, self.cfg.read_timeout_s)
+            fr = frame_read(conn, handshake_deadline - time.monotonic())
             if fr.frame_type != TYPE_CLIENT_HELLO:
                 raise MalformedFrame("expected ClientHello")
             hs = ServerHandshake(self.identity, self.trust_root, suite=self.suite)
             frame_write(conn, Frame(TYPE_SERVER_HELLO, hs.respond(fr.body)))
-            fr = frame_read(conn, self.cfg.read_timeout_s)
+            fr = frame_read(conn, handshake_deadline - time.monotonic())
             if fr.frame_type != TYPE_CLIENT_FINISH:
                 raise MalformedFrame("expected ClientFinish")
             keys, peer_subject = hs.complete(fr.body)

@@ -8,13 +8,31 @@ than 10 blocks. A record then costs one AES block per 16 bytes of
 payload plus one for the tag, and one GF(2^128) multiply per 16 bytes of
 AAD and ciphertext plus one for the lengths block. On a 2 vCPU host
 under CPython 3.11, the key schedule and H take 0.02-0.04 ms, the table
-0.08 ms, a `gf128_mul` 0.01 ms and a table multiply 0.0035 ms; sealing
-or opening a 19-byte reading with the table takes 55-65 µs.
+0.08 ms, a `gf128_mul` 0.01 ms and a table multiply 0.0035 ms. Sealing
+or opening a 19-byte reading with the table takes 55-85 µs, two thirds
+of it in its three AES blocks, and about 21 µs once `prepare` has
+computed those blocks (0.35 ms for 64 nonces).
 
-AES rounds 1-9 use the four 256-entry T-tables (Daemen-Rijmen, *The
-Design of Rijndael*, §4.2): each output column is four table lookups
-XORed with a round-key word, fusing SubBytes, ShiftRows and MixColumns.
-The last round has no MixColumns and uses S-box bytes.
+`Aes128.encrypt_block` does rounds 1-9 with the four 256-entry T-tables
+(Daemen-Rijmen, *The Design of Rijndael*, §4.2): each output column is
+four table lookups XORed with a round-key word, fusing SubBytes,
+ShiftRows and MixColumns. The last round has no MixColumns and uses
+S-box bytes.
+
+`Aes128.encrypt_blocks` encrypts N blocks at once, byte-sliced in the
+manner of Käsper-Schwabe ("Faster and Timing-Attack Resistant AES-GCM",
+CHES 2009) but with bytes for bits. The state is one 16N-byte string
+(or the integer it encodes), position-major: 16 slices of N bytes, one
+per state byte in row-major order (row r, column c is slice 4r + c), each
+holding that byte of every block. SubBytes is one `bytes.translate` over
+all of it. ShiftRows is a fixed permutation of the 16 slices. Rotating
+every column by one row is rotating the whole integer by 4N bytes, so
+MixColumns, out_r = 2·(a_r ^ a_r+1) ^ a_r+1 ^ (a_r+2 ^ a_r+3), is a few
+big-integer shifts and XORs, with xtime as a masked shift. AddRoundKey
+XORs the integer with the round key broadcast to N bytes per slice, built
+once per key and N (0.1-0.2 ms). The cost is per batch, not per block:
+on the host above one block costs about 20 µs at N = 3 (`encrypt_block`:
+12-20 µs), about 4 µs at N = 24 and 1.2-1.8 µs at N = 192.
 
 GHASH bit ordering follows the GCM convention in which the polynomial's
 least-significant coefficient sits in the most-significant bit of the
@@ -44,9 +62,14 @@ key and data bytes, so a co-resident attacker who can observe the cache
 may learn key bits. This is a teaching implementation, not a hardened
 one.
 
-Open checks the tag before it decrypts anything, so a forged record
-produces no keystream and no plaintext; the failure carries no cause
-detail.
+`GcmKey.prepare(nonces)` runs one such batch over E(K, nonce‖1), the block
+that masks the tag, and the first two CTR blocks E(K, nonce‖2) and
+E(K, nonce‖3) of each nonce, and keeps them until a seal or open at that
+nonce takes them; anything else falls back to `encrypt_block`. Keystream
+depends only on key and nonce and may be computed before its record
+arrives; no plaintext is released before the tag check. Open compares
+the tag before it XORs any keystream into the ciphertext, and the failure
+carries no cause detail.
 """
 
 from __future__ import annotations
@@ -102,6 +125,10 @@ def _build_t_tables(sbox: bytes):
 _SBOX = _build_sbox()
 _T0, _T1, _T2, _T3 = _build_t_tables(_SBOX)
 _BLOCK = struct.Struct(">4I")
+# Byte-sliced layout: slice 4r + c holds byte 4c + r of every block, and
+# after ShiftRows it takes slice 4r + (c + r) % 4 of the SubBytes output.
+_SLICE_OFFSETS = tuple(4 * c + r for r in range(4) for c in range(4))
+_SHIFT_ROWS = tuple(4 * r + (c + r) % 4 for r in range(4) for c in range(4))
 
 
 def _sub_word(w: int) -> int:
@@ -126,6 +153,47 @@ class Aes128:
         if len(key) != 16:
             raise ValueError("AES-128 key must be 16 bytes")
         self._rk = _round_keys(key)
+        self._wide: dict[int, tuple] = {}  # batch size -> broadcast round keys
+
+    def _wide_keys(self, n: int) -> tuple:
+        # the 11 round keys with each byte repeated n times in its slice, and
+        # the masks a batch of n blocks needs
+        wide = self._wide.get(n)
+        if wide is None:
+            keys = []
+            for k in range(0, 44, 4):
+                kb = _BLOCK.pack(*self._rk[k : k + 4])
+                keys.append(int.from_bytes(
+                    b"".join([kb[p : p + 1] * n for p in _SLICE_OFFSETS]), "big"))
+            ones = int.from_bytes(b"\x01" * (16 * n), "big")
+            wide = self._wide[n] = (tuple(keys), ones * 0xFF, ones * 0x7F, ones)
+        return wide
+
+    def encrypt_blocks(self, blocks: bytes) -> bytes:
+        """Encrypts len(blocks) // 16 blocks at once, byte-sliced (see the
+        module docstring); it pays only for batches of dozens of blocks."""
+        n, rem = divmod(len(blocks), 16)
+        if rem or not n:
+            raise ValueError("blocks must be a positive multiple of 16 bytes")
+        size = 16 * n
+        keys, mask, low7, ones = self._wide_keys(n)
+        row, half, rest = 32 * n, 64 * n, 96 * n  # bits in 1, 2 and 3 rows
+        sbox = _SBOX
+        a = int.from_bytes(b"".join([blocks[p::16] for p in _SLICE_OFFSETS]), "big") ^ keys[0]
+        for k in keys[1:10]:
+            b = a.to_bytes(size, "big").translate(sbox)
+            s = int.from_bytes(b"".join([b[q * n : q * n + n] for q in _SHIFT_ROWS]), "big")
+            s1 = ((s << row) | (s >> rest)) & mask  # row r takes row r + 1
+            v = s ^ s1
+            xtime = ((v & low7) << 1) ^ ((v >> 7) & ones) * 0x1B
+            a = xtime ^ s1 ^ (((v << half) | (v >> half)) & mask) ^ k
+        b = a.to_bytes(size, "big").translate(sbox)
+        s = int.from_bytes(b"".join([b[q * n : q * n + n] for q in _SHIFT_ROWS]), "big")
+        s = (s ^ keys[10]).to_bytes(size, "big")
+        out = bytearray(size)
+        for q, p in enumerate(_SLICE_OFFSETS):
+            out[p::16] = s[q * n : q * n + n]
+        return bytes(out)
 
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != 16:
@@ -157,6 +225,7 @@ class Aes128:
         )
 
 
+_CTR_1_TO_3 = (b"\x00\x00\x00\x01", b"\x00\x00\x00\x02", b"\x00\x00\x00\x03")
 _R = 0xE1 << 120
 GF128_ONE = (1 << 127).to_bytes(16, "big")
 
@@ -220,13 +289,15 @@ _BLOCKS_BEFORE_TABLE = 10
 
 class GcmKey:
     """Everything AES-128-GCM derives from one key: the AES round keys, the
-    hash key H = E(K, 0^128) and the GHASH table. Build one per key and
-    reuse it for every record under that key; `zeroize` wipes it for good.
+    hash key H = E(K, 0^128), the GHASH table and any keystream prepared
+    ahead. Build one per key and reuse it for every record under that key;
+    `zeroize` wipes it for good.
 
     Construction only checks the key. The first seal or open builds the
     round keys and H, and GHASH builds its table once the key has hashed
     more than `_BLOCKS_BEFORE_TABLE` blocks, so a key that carries no record
-    costs nothing and one that carries a single reading builds no table."""
+    costs nothing and one that carries a single reading builds no table.
+    Keystream is computed ahead only when the caller asks, with `prepare`."""
 
     def __init__(self, key: bytes):
         if len(key) != 16:
@@ -236,6 +307,7 @@ class GcmKey:
         self._h = 0
         self._tables: tuple | None = None
         self._blocks = 0  # hashed before the table was built
+        self._prepared: dict[bytes, bytes] = {}  # nonce -> E(K, nonce‖1..3)
 
     def _ready(self) -> Aes128:
         if self._key is None:
@@ -246,14 +318,29 @@ class GcmKey:
         return self.aes
 
     def zeroize(self) -> None:
-        # Python cannot scrub bytes or int objects; this drops the key, H and
-        # the table, and overwrites the round keys in place
+        # Python cannot scrub bytes or int objects; this drops the key, H, the
+        # table, the prepared keystream and the broadcast round keys, and
+        # overwrites the round keys in place
         self._key = None
         if self.aes is not None:
             rk = self.aes._rk
             rk[:] = [0] * len(rk)
+            self.aes._wide.clear()
         self._h = 0
         self._tables = None
+        self._prepared.clear()
+
+    def prepare(self, nonces) -> None:
+        """Computes E(K, nonce‖1), E(K, nonce‖2) and E(K, nonce‖3) for every
+        nonce in one `encrypt_blocks` batch, for the seal or open at that
+        nonce to take: the tag mask and the keystream of 32 bytes."""
+        aes = self._ready()
+        if any(len(nonce) != NONCE_LEN for nonce in nonces):
+            raise ValueError("nonce must be 12 bytes")
+        stream = aes.encrypt_blocks(
+            b"".join([nonce + c for nonce in nonces for c in _CTR_1_TO_3]))
+        for i, nonce in enumerate(nonces):
+            self._prepared[nonce] = stream[48 * i : 48 * i + 48]
 
     def ghash(self, aad: bytes, ct: bytes) -> int:
         """GHASH_H(aad, ct) per SP 800-38D, as a big-endian integer."""
@@ -282,17 +369,27 @@ class GcmKey:
                 x >>= 4
         return y
 
-    def _tag(self, nonce: bytes, aad: bytes, ct: bytes) -> bytes:
-        ek_j0 = self.aes.encrypt_block(nonce + b"\x00\x00\x00\x01")
-        return (self.ghash(aad, ct) ^ int.from_bytes(ek_j0, "big")).to_bytes(16, "big")
+    def _take(self, nonce: bytes) -> tuple[int, bytes]:
+        # E(K, J0) and the CTR blocks prepared for this nonce: from the store
+        # if `prepare` ran for it, else J0 alone, computed now
+        pre = self._prepared.pop(nonce, None)
+        if pre is None:
+            return int.from_bytes(self.aes.encrypt_block(nonce + _CTR_1_TO_3[0]), "big"), b""
+        return int.from_bytes(pre[:16], "big"), pre[16:]
 
-    def _ctr(self, nonce: bytes, data: bytes) -> bytes:
-        # counter blocks start at 2; 1 is J0, which masks the tag
+    def _tag(self, ek_j0: int, aad: bytes, ct: bytes) -> bytes:
+        return (self.ghash(aad, ct) ^ ek_j0).to_bytes(16, "big")
+
+    def _ctr(self, nonce: bytes, data: bytes, stream: bytes) -> bytes:
+        # counter blocks start at 2; 1 is J0, which masks the tag. `stream`
+        # holds the leading blocks already computed, and the rest run now.
         n = len(data)
-        encrypt = self.aes.encrypt_block
-        stream = b"".join(
-            encrypt(nonce + i.to_bytes(4, "big")) for i in range(2, (n + 15) // 16 + 2)
-        )
+        if n > len(stream):
+            encrypt = self.aes.encrypt_block
+            stream += b"".join(
+                encrypt(nonce + i.to_bytes(4, "big"))
+                for i in range(2 + len(stream) // 16, (n + 15) // 16 + 2)
+            )
         return (int.from_bytes(data, "big") ^ int.from_bytes(stream[:n], "big")).to_bytes(
             n, "big"
         )
@@ -308,13 +405,14 @@ def seal(gk: GcmKey, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
         raise ValueError("nonce must be 12 bytes")
     if len(plaintext) > MAX_PLAINTEXT:
         raise PayloadTooLarge(f"plaintext exceeds {MAX_PLAINTEXT} bytes")
-    ct = gk._ctr(nonce, plaintext)
-    return ct + gk._tag(nonce, aad, ct)
+    ek_j0, stream = gk._take(nonce)
+    ct = gk._ctr(nonce, plaintext, stream)
+    return ct + gk._tag(ek_j0, aad, ct)
 
 
 def open_(gk: GcmKey, nonce: bytes, aad: bytes, record: bytes) -> bytes:
-    """GCM verify-then-decrypt. Tag comparison is constant-time, and CTR
-    runs only once the tag matches."""
+    """GCM verify-then-decrypt. Tag comparison is constant-time, and no
+    keystream is XORed into the ciphertext until the tag matches."""
     gk._ready()
     if len(nonce) != NONCE_LEN:
         raise ValueError("nonce must be 12 bytes")
@@ -323,6 +421,7 @@ def open_(gk: GcmKey, nonce: bytes, aad: bytes, record: bytes) -> bytes:
     ct, tag = record[:-TAG_LEN], record[-TAG_LEN:]
     if len(ct) > MAX_PLAINTEXT:
         raise PayloadTooLarge(f"ciphertext exceeds {MAX_PLAINTEXT} bytes")
-    if not _hmac.compare_digest(gk._tag(nonce, aad, ct), tag):
+    ek_j0, stream = gk._take(nonce)
+    if not _hmac.compare_digest(gk._tag(ek_j0, aad, ct), tag):
         raise AuthFailure()
-    return gk._ctr(nonce, ct)
+    return gk._ctr(nonce, ct, stream)

@@ -5,6 +5,14 @@ frame_type(1) || length(BE32) || body. Data and Close bodies are
 ciphertext || tag(16). Sequence numbers are implicit: never on the wire,
 but bound into the AAD, so replay, reorder, and drop all surface as a
 tag failure at the receiver. Tag failure is unconditionally fatal.
+
+Each end knows the nonces of its next records, so once a direction has
+carried `_RECORDS_BEFORE_BATCH` records it has its `gcm.GcmKey` prepare
+the AES blocks of the next `_BATCH_RECORDS` in one batch, and again each
+time those run out. A batch costs about what 5 to 10 records' AES does
+block by block (0.35 ms), so the allowance keeps it from keys of one or
+two readings, which never use it; on a long stream the AES of a record
+falls from three blocks (36-60 µs) to about 5 µs.
 """
 
 from __future__ import annotations
@@ -31,6 +39,9 @@ VERSION = 0x01
 HEADER_LEN = 8
 MAX_BODY = gcm.MAX_PLAINTEXT + gcm.TAG_LEN
 READ_TIMEOUT_S = 10.0
+_LAST_SEQ = 2**64 - 2
+_RECORDS_BEFORE_BATCH = 8
+_BATCH_RECORDS = 64
 
 TYPE_CLIENT_HELLO = 0x01
 TYPE_SERVER_HELLO = 0x02
@@ -92,12 +103,27 @@ class DirectionState:
     salt: bytes
     seq: int = 0
     gcm_key: gcm.GcmKey = field(init=False, repr=False, compare=False)
+    _prepared_to: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.gcm_key = gcm.GcmKey(self.key)
+        # records below this seq are prepared or inside the allowance
+        self._prepared_to = self.seq + _RECORDS_BEFORE_BATCH
 
     def _nonce(self, seq: int) -> bytes:
         return self.salt + seq.to_bytes(8, "big")
+
+    def _next_nonce(self) -> bytes:
+        """The nonce of the record at `seq`, after preparing the next batch
+        if this record is past what is prepared."""
+        seq = self.seq
+        if seq > _LAST_SEQ:
+            raise SequenceExhausted()
+        if seq >= self._prepared_to:
+            end = min(seq + _BATCH_RECORDS, _LAST_SEQ + 1)
+            self.gcm_key.prepare([self._nonce(s) for s in range(seq, end)])
+            self._prepared_to = end
+        return self._nonce(seq)
 
     def zeroize(self) -> None:
         self.key = b"\x00" * 16
@@ -110,10 +136,8 @@ def _aad(frame_type: int, seq: int) -> bytes:
 
 
 def record_seal(direction: DirectionState, frame_type: int, payload: bytes) -> Frame:
-    if direction.seq >= 2**64 - 1:
-        raise SequenceExhausted()
-    seq = direction.seq
-    body = gcm.seal(direction.gcm_key, direction._nonce(seq), _aad(frame_type, seq), payload)
+    nonce = direction._next_nonce()
+    body = gcm.seal(direction.gcm_key, nonce, _aad(frame_type, direction.seq), payload)
     direction.seq += 1
     return Frame(frame_type, body)
 
@@ -125,14 +149,9 @@ def record_open(direction: DirectionState, frame: Frame) -> tuple[int, bytes]:
     zeroize, and close. The counter only advances on success, so a
     tampered record can never be retried into acceptance.
     """
-    if direction.seq >= 2**64 - 1:
-        raise SequenceExhausted()
-    seq = direction.seq
+    nonce = direction._next_nonce()
     payload = gcm.open_(
-        direction.gcm_key,
-        direction._nonce(seq),
-        _aad(frame.frame_type, seq),
-        frame.body,
+        direction.gcm_key, nonce, _aad(frame.frame_type, direction.seq), frame.body
     )
     direction.seq += 1
     return frame.frame_type, payload

@@ -63,3 +63,30 @@ def pki():
 @pytest.fixture(scope="session")
 def toy_pki():
     return Pki(curves.TOY)
+
+
+# Kinds of trust root that a server or device must refuse at startup;
+# `bad_root` builds each.
+BAD_ROOTS = ("expired", "not_an_issuer", "names_another_issuer", "signed_by_another_key",
+             "foreign")
+
+
+def bad_root(pki, kind):
+    """A trust root of `kind` for `pki`'s server and device credentials."""
+    suite, rng = pki.suite, keyfiles.drbg(77)
+    if kind == "foreign":  # valid, but not the root that issued them
+        return Pki(suite, seed=999).root
+    key, sub, role = pki.root_priv, pki.root_sub, Role.ISSUER
+    valid_to, issuer = pki.now + 86400, pki.root_sub
+    if kind == "expired":
+        valid_to = pki.now - 86400
+    elif kind == "not_an_issuer":
+        role = Role.SERVER
+    elif kind == "names_another_issuer":
+        issuer = creds.encode_subject("other-root")
+    elif kind == "signed_by_another_key":
+        key = curves.keypair_gen(suite, rng)[0]
+    else:
+        raise ValueError(kind)
+    return creds.credential_issue(key, sub, role, pki.root.static_pub, pki.now - 7 * 86400,
+                                  valid_to, issuer, suite, rng)

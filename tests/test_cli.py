@@ -11,6 +11,8 @@ from vitalink import curves, keyfiles
 from vitalink.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from vitalink.credentials import Role, credential_verify, verify_trust_root
 
+from conftest import BAD_ROOTS, bad_root
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -155,3 +157,26 @@ def test_a_key_that_does_not_match_its_credential_exits_usage(issued, tmp_path, 
     )
     assert proc.returncode == EXIT_USAGE
     assert "does not match" in proc.stderr and "listening" not in proc.stderr
+
+
+@pytest.mark.parametrize("kind", BAD_ROOTS)
+def test_a_bad_trust_configuration_exits_usage(kind, pki, tmp_path, capsys):
+    pki.write_files(tmp_path)
+    keyfiles.write_credential(tmp_path / "bad-root.vlc", bad_root(pki, kind), pki.suite)
+    code, out, err = run([
+        "device", "--connect", "127.0.0.1:1", "--count", "1",
+        "--key", str(tmp_path / "device.vlk"), "--cred", str(tmp_path / "device.vlc"),
+        "--root", str(tmp_path / "bad-root.vlc"),
+    ], capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and "rejected" in err
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "vitalink.cli", "serve", "--listen", "127.0.0.1:0",
+         "--store-dir", str(tmp_path / "store"), "--key", str(tmp_path / "server.vlk"),
+         "--cred", str(tmp_path / "server.vlc"), "--root", str(tmp_path / "bad-root.vlc")],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert "rejected" in proc.stderr and "listening" not in proc.stderr

@@ -37,7 +37,7 @@ from vitalink.records import (
 )
 from vitalink.telemetry import AnomalyAlert
 
-from conftest import Pki
+from conftest import BAD_ROOTS, Pki, bad_root
 
 
 @pytest.fixture()
@@ -317,3 +317,63 @@ def test_a_key_that_does_not_match_its_credential_is_refused(suite_name, tmp_pat
     with pytest.raises(ConfigurationError):
         run_device(device_cfg(tmp_path, 1, key_path=str(tmp_path / "wrong.vlk"),
                               cred_path=str(tmp_path / "server.vlc"), suite=suite))
+
+
+@pytest.mark.parametrize("kind", BAD_ROOTS)
+def test_a_server_refuses_a_bad_trust_configuration(kind, pki, files, tmp_path):
+    keyfiles.write_credential(files / "bad-root.vlc", bad_root(pki, kind), pki.suite)
+    with pytest.raises(ConfigurationError):
+        IngestionServer(ServerConfig(
+            key_path=str(files / "server.vlk"),
+            cred_path=str(files / "server.vlc"),
+            root_path=str(files / "bad-root.vlc"),
+            store_dir=str(tmp_path / "store"),
+        ))
+    assert not (tmp_path / "store").exists()
+
+
+def test_a_server_refuses_its_credential_in_the_wrong_role(files, tmp_path):
+    # the device's own key and credential, offered as the server's
+    with pytest.raises(ConfigurationError, match="RoleMismatch"):
+        IngestionServer(ServerConfig(
+            key_path=str(files / "device.vlk"),
+            cred_path=str(files / "device.vlc"),
+            root_path=str(files / "root.vlc"),
+            store_dir=str(tmp_path / "store"),
+        ))
+
+
+def test_the_whole_handshake_shares_one_deadline(pki, files, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="vitalink")
+    srv = IngestionServer(ServerConfig(
+        key_path=str(files / "server.vlk"),
+        cred_path=str(files / "server.vlc"),
+        root_path=str(files / "root.vlc"),
+        store_dir=str(tmp_path / "store"),
+        read_timeout_s=1.0,
+    ))
+    srv.start()
+    sock = socket.create_connection(("127.0.0.1", srv.port))
+    try:
+        t0 = time.monotonic()
+        hs = ClientHandshake(pki.suite, pki.device, pki.root)
+        hello = hs.start()
+        time.sleep(0.7)
+        frame_write(sock, Frame(TYPE_CLIENT_HELLO, hello))
+        finish, _ = hs.finish(frame_read(sock, timeout=5.0).body)
+        # each frame inside read_timeout_s, both together past it
+        ready = select.select([sock], [], [], 0.7)[0]
+        elapsed = time.monotonic() - t0
+        if not ready:
+            frame_write(sock, Frame(TYPE_CLIENT_FINISH, finish))
+        reply = frame_read(sock, timeout=2.0)
+    finally:
+        sock.close()
+        srv.stop()
+    assert ready and elapsed < 1.2
+    assert reply.frame_type == TYPE_ABORT
+    problems = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(problems) == 1
+    assert problems[0].startswith("session_fatal ")
+    assert problems[0].endswith("cause=FrameTimeout")
+    assert read_store_lines(srv) == []

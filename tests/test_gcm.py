@@ -369,3 +369,107 @@ def test_the_ghash_table_is_built_once_it_pays(monkeypatch):
     big = GcmKey(os.urandom(16))
     seal(big, nonce, aad, bytes(4096))
     assert calls == [] and big._tables is not None
+
+
+# ---------------------------------------------------------------------------
+# Batch AES and keystream prepared ahead
+
+
+def test_batch_aes_fips197_known_answer():
+    key = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+    pt = bytes.fromhex("00112233445566778899aabbccddeeff")
+    want = bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a")
+    assert gcm.Aes128(key).encrypt_blocks(pt) == want
+    assert gcm.Aes128(key).encrypt_blocks(pt * 5) == want * 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(key=st.binary(min_size=16, max_size=16), n=st.integers(1, 200), seed=st.integers(0, 2**32))
+def test_batch_aes_matches_encrypt_block_and_the_reference(key, n, seed):
+    blocks = random.Random(seed).randbytes(16 * n)
+    aes = gcm.Aes128(key)
+    got = aes.encrypt_blocks(blocks)
+    assert got == b"".join(aes.encrypt_block(blocks[i : i + 16]) for i in range(0, 16 * n, 16))
+    # the reference is slow; a few blocks at the ends and the middle suffice
+    for i in {0, n // 2, n - 1}:
+        assert got[16 * i : 16 * i + 16] == ref_aes_encrypt(key, blocks[16 * i : 16 * i + 16])
+
+
+def test_batch_aes_refuses_a_partial_or_empty_batch():
+    aes = gcm.Aes128(bytes(16))
+    for bad in (b"", bytes(15), bytes(33)):
+        with pytest.raises(ValueError):
+            aes.encrypt_blocks(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    nonce=st.binary(min_size=12, max_size=12),
+    aad=st.binary(max_size=40),
+    pt=st.binary(max_size=100),
+)
+def test_a_prepared_nonce_seals_and_opens_like_an_unprepared_one(key, nonce, aad, pt):
+    plain = GcmKey(key)
+    record = seal(plain, nonce, aad, pt)
+    prepared = GcmKey(key)
+    prepared.prepare([nonce])
+    assert seal(prepared, nonce, aad, pt) == record
+    assert not prepared._prepared  # the entry is taken once
+    prepared.prepare([nonce])
+    assert open_(prepared, nonce, aad, record) == pt
+    assert open_(plain, nonce, aad, record) == pt
+
+
+def test_prepare_covers_j0_and_two_counter_blocks():
+    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
+    gk.prepare([nonce])
+    aes = gcm.Aes128(gk._key)
+    assert gk._prepared == {nonce: b"".join(
+        aes.encrypt_block(nonce + i.to_bytes(4, "big")) for i in (1, 2, 3))}
+    with pytest.raises(ValueError):
+        gk.prepare([bytes(11)])
+
+
+def test_a_prepared_record_runs_blocks_only_past_its_first_32_bytes(monkeypatch):
+    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
+    seal(gk, os.urandom(12), b"", b"")  # builds the round keys and H
+    calls = _count_block_calls(monkeypatch)
+    gk.prepare([nonce, nonce[::-1]])
+    seal(gk, nonce, b"aad", bytes(32))
+    assert calls == []
+    # counter blocks 4 and 5 are past what prepare computed
+    seal(gk, nonce[::-1], b"aad", bytes(33 + 16))
+    assert calls == [nonce[::-1] + b"\x00\x00\x00\x04", nonce[::-1] + b"\x00\x00\x00\x05"]
+
+
+def test_a_forgery_at_a_prepared_nonce_fails_before_any_keystream_xor(monkeypatch):
+    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
+    record = seal(GcmKey(gk._key), nonce, b"aad", bytes(19))
+    gk.prepare([nonce])
+    xors = []
+    real = GcmKey._ctr
+
+    def counting(self, *args):
+        xors.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(GcmKey, "_ctr", counting)
+    with pytest.raises(AuthFailure):
+        open_(gk, nonce, b"aad", record[:-1] + bytes([record[-1] ^ 1]))
+    assert xors == []
+    # the taken entry is gone; the good record still opens, block by block
+    assert open_(gk, nonce, b"aad", record) == bytes(19)
+    assert len(xors) == 1
+
+
+def test_zeroize_drops_the_prepared_keystream_and_the_broadcast_keys():
+    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
+    gk.prepare([nonce, nonce[::-1]])
+    assert gk._prepared and gk.aes._wide
+    gk.zeroize()
+    assert gk._prepared == {} and gk.aes._wide == {}
+    with pytest.raises(ValueError):
+        gk.prepare([nonce])
+    with pytest.raises(ValueError):
+        seal(gk, nonce, b"", b"reading")

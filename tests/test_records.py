@@ -199,3 +199,83 @@ def test_a_trickling_peer_cannot_stretch_the_frame_deadline():
     a.close(); b.close()
     sender.join(timeout=5.0)
     assert not sender.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# Keystream prepared ahead: when a direction batches, and how far
+
+
+def count_aes_blocks(monkeypatch):
+    """Blocks run one at a time and in batches, per `gcm.Aes128`."""
+    from vitalink import gcm
+
+    counts = {}
+    single, batch = gcm.Aes128.encrypt_block, gcm.Aes128.encrypt_blocks
+
+    def one(self, block):
+        counts.setdefault(id(self), [0, 0])[0] += 1
+        return single(self, block)
+
+    def many(self, blocks):
+        counts.setdefault(id(self), [0, 0])[1] += len(blocks) // 16
+        return batch(self, blocks)
+
+    monkeypatch.setattr(gcm.Aes128, "encrypt_block", one)
+    monkeypatch.setattr(gcm.Aes128, "encrypt_blocks", many)
+    return counts
+
+
+@pytest.mark.parametrize("readings", [1, 2, 10, 1000])
+def test_only_long_sessions_batch_and_none_leaves_a_batch_unused(readings, monkeypatch):
+    from vitalink.records import _BATCH_RECORDS, _RECORDS_BEFORE_BATCH
+
+    counts = count_aes_blocks(monkeypatch)
+    tx, rx = DirectionState(KEY, SALT), DirectionState(KEY, SALT)
+    for i in range(readings):
+        frame = record_seal(tx, TYPE_DATA, bytes([i % 256]) * 19)
+        assert record_open(rx, frame) == (TYPE_DATA, bytes([i % 256]) * 19)
+    assert record_open(rx, record_seal(tx, TYPE_CLOSE, b"")) == (TYPE_CLOSE, b"")
+    records = readings + 1
+    for d in (tx, rx):
+        single, batched = counts[id(d.gcm_key.aes)]
+        unused = len(d.gcm_key._prepared)
+        if records <= _RECORDS_BEFORE_BATCH:
+            # H, then J0 and two counter blocks per reading and J0 for the Close
+            assert (single, batched) == (1 + 3 * readings + 1, 0)
+        else:
+            # the allowance runs block by block, every later record is prepared
+            assert single == 1 + 3 * _RECORDS_BEFORE_BATCH
+            assert batched == 3 * (records - _RECORDS_BEFORE_BATCH + unused)
+            assert unused < _BATCH_RECORDS
+
+
+def test_a_direction_near_the_end_prepares_nothing_past_the_last_seq(monkeypatch):
+    from vitalink import gcm
+
+    prepared = []
+    real = gcm.GcmKey.prepare
+
+    def recording(self, nonces):
+        prepared.extend(int.from_bytes(n[4:], "big") for n in nonces)
+        return real(self, nonces)
+
+    monkeypatch.setattr(gcm.GcmKey, "prepare", recording)
+    start = 2**64 - 40
+    tx, rx = DirectionState(KEY, SALT, seq=start), DirectionState(KEY, SALT, seq=start)
+    for _ in range(39):
+        record_open(rx, record_seal(tx, TYPE_DATA, b"near the end"))
+    assert tx.seq == rx.seq == 2**64 - 1
+    assert prepared and max(prepared) == 2**64 - 2
+    with pytest.raises(SequenceExhausted):
+        record_seal(tx, TYPE_DATA, b"")
+    with pytest.raises(SequenceExhausted):
+        record_open(rx, Frame(TYPE_DATA, bytes(16)))
+
+
+def test_a_zeroized_direction_keeps_no_prepared_keystream():
+    tx = DirectionState(KEY, SALT)
+    for _ in range(20):
+        record_seal(tx, TYPE_DATA, b"reading")
+    assert tx.gcm_key._prepared and tx.gcm_key.aes._wide
+    tx.zeroize()
+    assert tx.gcm_key._prepared == {} and tx.gcm_key.aes._wide == {}
