@@ -19,7 +19,8 @@ from . import curves, keyfiles
 from . import credentials as creds
 from .credentials import Role
 from .curves import SUITE_NAMES
-from .endpoints import DeviceConfig, ServerConfig, check_trust, run_device, run_server
+from .endpoints import (DeviceConfig, ServerConfig, check_trust, detect_suite_for_credential,
+                        run_device, run_server)
 from .errors import ConfigurationError, InvalidCredentialFields
 from .proxy import MODES, TamperPlan, proxy_run
 from .telemetry import AnomalyConfig
@@ -125,7 +126,6 @@ def cmd_device(args) -> int:
         key_path=_require_file(args.key, "--key"),
         cred_path=_require_file(args.cred, "--cred"),
         root_path=_require_file(args.root, "--root"),
-        suite=_suite(args.suite),
         interval_ms=args.interval_ms,
         count=args.count,
         seed=args.seed,
@@ -134,10 +134,11 @@ def cmd_device(args) -> int:
     )
     if cfg.anomaly_script:
         _require_file(cfg.anomaly_script, "--anomaly-script")
-    # checked here, not in run_device, which runs once per session
-    check_trust(keyfiles.read_credential(cfg.cred_path, cfg.suite),
-                keyfiles.read_credential(cfg.root_path, cfg.suite), Role.DEVICE, cfg.suite)
     try:
+        cfg.suite = detect_suite_for_credential(cfg.cred_path)  # as serve does
+        # checked here, not in run_device, which runs once per session
+        check_trust(keyfiles.read_credential(cfg.cred_path, cfg.suite),
+                    keyfiles.read_credential(cfg.root_path, cfg.suite), Role.DEVICE, cfg.suite)
         report = run_device(cfg)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -204,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True)
     p.add_argument("--cred", required=True)
     p.add_argument("--root", required=True)
-    p.add_argument("--suite", default="p256")
     p.add_argument("--interval-ms", type=int, default=1000)
     p.add_argument("--count", type=int, default=10)
     p.add_argument("--seed", type=int, default=None)

@@ -7,11 +7,18 @@ a self-signed issuer (the trust root, distributed out-of-band as a file)
 and the leaves it issues. Private keys are stored as raw scalars on disk;
 there is deliberately no at-rest encryption, so key files must be kept
 out of untrusted locations.
+
+Devices reconnect to the same server again and again, so
+`credential_verify` remembers per process, by suite, trust-root bytes and
+credential bytes, each credential whose issuer signature passed (never a
+failure; at most `_VERIFIED_CAP`, oldest evicted first). A hit skips only
+the signature: issuer, validity window and role are checked on every call.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
@@ -83,9 +90,7 @@ def schnorr_verify(Q: Point, msg: bytes, sig: SchnorrSig, suite: CurveSuite) -> 
     if not 0 <= sig.s < suite.n:
         return False
     e = _challenge(sig.R, Q, msg, suite)
-    lhs = curves.scalar_mul(sig.s, suite.G, suite)
-    rhs = curves.point_add(sig.R, curves.scalar_mul(e, Q, suite), suite)
-    return lhs == rhs
+    return curves.equals_mul_sub(sig.R, sig.s, e, Q, suite)
 
 
 def encode_subject(name: str) -> bytes:
@@ -193,6 +198,10 @@ NOT_YET_VALID = "NotYetValid"
 UNKNOWN_ISSUER = "UnknownIssuer"
 ROLE_MISMATCH = "RoleMismatch"
 
+_VERIFIED_CAP = 1024  # a guess: no fleet size is known to fit it to
+_VERIFIED: dict = {}  # (suite id, root bytes, credential bytes) -> None, oldest first
+_VERIFIED_LOCK = threading.Lock()
+
 
 def credential_verify(
     cred: Credential,
@@ -208,10 +217,14 @@ def credential_verify(
     """
     if cred.issuer_id != trust_root.subject_id:
         return UNKNOWN_ISSUER
-    if not schnorr_verify(
-        trust_root.static_pub, cred.tbs(suite), cred.signature, suite
-    ):
-        return BAD_SIGNATURE
+    key = (suite.suite_id, trust_root.encode(suite), cred.encode(suite))
+    if key not in _VERIFIED:
+        if not schnorr_verify(trust_root.static_pub, cred.tbs(suite), cred.signature, suite):
+            return BAD_SIGNATURE
+        with _VERIFIED_LOCK:
+            _VERIFIED[key] = None
+            while len(_VERIFIED) > _VERIFIED_CAP:
+                del _VERIFIED[next(iter(_VERIFIED))]
     if now < cred.valid_from - CLOCK_SKEW_S:
         return NOT_YET_VALID
     if now > cred.valid_to + CLOCK_SKEW_S:

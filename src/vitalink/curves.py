@@ -10,9 +10,15 @@ base-16 digit position i it holds j * 16^i * G for j = 1..15, so a
 form of fixed-base windowing, Hankerson, Menezes, Vanstone, Guide to
 Elliptic Curve Cryptography, Alg. 3.41). For P-256 that is 64 x 15 = 960
 affine points, built once per suite on first use under a lock (about
-10 ms and 0.2 MB on a 2 vCPU machine with CPython 3.11). Any other point uses width-5 wNAF over its eight odd
-multiples P, 3P, ..., 15P (HMV Alg. 3.36), with dbl-2001-b doubling when
-a = -3 (P-256). Constant-time behavior is explicitly out of scope.
+10 ms and 0.2 MB on a 2 vCPU machine with CPython 3.11). Any other point
+uses width-5 wNAF over its eight odd multiples P, 3P, ..., 15P (HMV Alg.
+3.36), with dbl-2001-b doubling when a = -3 (P-256). A Schnorr check
+R == s*G - e*Q is one joint multiply (Straus's interleaving, HMV Alg. 3.48;
+Moeller, "Algorithms for multi-exponentiation", SAC 2001): width-7 digits of
+s over a static table G, 3G, ..., 63G (width 5 on the toy curve, where 19G
+is the identity), width-5 digits of e over the odd multiples of -Q, one
+chain of doublings for both, and R compared in Jacobian coordinates.
+Constant-time behavior is explicitly out of scope.
 
 All points are affine (x, y) tuples; the group identity is None.
 """
@@ -155,13 +161,15 @@ def _to_affine(points, p):
 
 _WINDOW = 4  # fixed-base window: digits of k in base 16
 _WNAF = 5  # variable-base wNAF width: odd multiples P, 3P, ..., 15P
+_WNAF_G = 7  # G's wNAF width in a joint multiply: G, 3G, ..., 63G
 
 _G_TABLES: dict = {}
 _G_TABLE_LOCK = threading.Lock()
 
 
-def _build_g_table(suite: CurveSuite) -> list:
-    """Row i holds the affine points j * 16^i * G at index j = 1..15."""
+def _build_g_tables(suite: CurveSuite) -> tuple:
+    """Fixed-base rows, row i holding the affine points j * 16^i * G at index
+    j = 1..15; and G's odd multiples for a joint multiply, with their width."""
     p, a = suite.p, suite.a
     table = []
     bx, by = suite.G
@@ -172,17 +180,19 @@ def _build_g_table(suite: CurveSuite) -> list:
         # one inversion per row; its 16th point is the next row's base
         *row, (bx, by) = _to_affine(row, p)
         table.append([None] + row)
-    return table
+    # a group of prime order n < 64 has the identity nG among G, 3G, ..., 63G
+    width = _WNAF_G if suite.n >> (_WNAF_G - 1) else _WNAF
+    return table, _odd_multiples(suite.G, width, suite), width
 
 
-def _g_table(suite: CurveSuite) -> list:
-    table = _G_TABLES.get(suite)
-    if table is None:
+def _g_tables(suite: CurveSuite) -> tuple:
+    tables = _G_TABLES.get(suite)
+    if tables is None:
         with _G_TABLE_LOCK:
-            table = _G_TABLES.get(suite)
-            if table is None:
-                table = _G_TABLES[suite] = _build_g_table(suite)
-    return table
+            tables = _G_TABLES.get(suite)
+            if tables is None:
+                tables = _G_TABLES[suite] = _build_g_tables(suite)
+    return tables
 
 
 def _mul_g(k: int, suite: CurveSuite):
@@ -190,7 +200,7 @@ def _mul_g(k: int, suite: CurveSuite):
     p, a = suite.p, suite.a
     mask = (1 << _WINDOW) - 1
     acc = (0, 1, 0)
-    for row in _g_table(suite):
+    for row in _g_tables(suite)[0]:
         d = k & mask
         if d:
             acc = _madd(*acc, *row[d], a, p)
@@ -198,9 +208,10 @@ def _mul_g(k: int, suite: CurveSuite):
     return acc
 
 
-def _wnaf(k: int) -> list:
-    """Width-5 NAF digits of k > 0, least significant first; each is 0 or odd in (-16, 16)."""
-    full, half = 1 << _WNAF, 1 << (_WNAF - 1)
+def _wnaf(k: int, width: int) -> list:
+    """Width-w NAF digits of k >= 0, least significant first; each is 0 or
+    odd in (-2^(w-1), 2^(w-1))."""
+    full, half = 1 << width, 1 << (width - 1)
     digits = []
     while k:
         if k & 1:
@@ -215,29 +226,54 @@ def _wnaf(k: int) -> list:
     return digits
 
 
+def _odd_multiples(P: Point, width: int, suite: CurveSuite) -> list:
+    """Affine P, 3P, ..., (2^(w-1) - 1)P, none of which may be the identity."""
+    p, a = suite.p, suite.a
+    x2, y2 = point_add(P, P, suite)
+    odd = [(P[0], P[1], 1)]
+    for _ in range((1 << (width - 2)) - 1):
+        odd.append(_madd(*odd[-1], x2, y2, a, p))
+    return _to_affine(odd, p)
+
+
+def _straus(terms, suite: CurveSuite):
+    """Sum of k*P over (k >= 0, odd multiples of P, wNAF width) terms in
+    Jacobian coordinates: one chain of doublings shared by every term and
+    one mixed addition per nonzero digit (HMV Alg. 3.48)."""
+    p, a = suite.p, suite.a
+    double = _double_a3 if a == p - 3 else _jacobian_double
+    terms = [(_wnaf(k, width), odd) for k, odd, width in terms]
+    acc = (0, 1, 0)
+    for i in range(max(len(digits) for digits, _ in terms) - 1, -1, -1):
+        acc = double(*acc, a, p)
+        for digits, odd in terms:
+            d = digits[i] if i < len(digits) else 0
+            if d > 0:
+                acc = _madd(*acc, *odd[d >> 1], a, p)
+            elif d < 0:
+                ox, oy = odd[-d >> 1]
+                acc = _madd(*acc, ox, p - oy, a, p)
+    return acc
+
+
 def _mul_var(k: int, P: Point, suite: CurveSuite):
     """k*P by width-5 wNAF over affine odd multiples of P.
 
     Both suites have prime order above 15, so no odd multiple up to 15P
     is the identity.
     """
-    p, a = suite.p, suite.a
-    double = _double_a3 if a == p - 3 else _jacobian_double
-    x2, y2 = point_add(P, P, suite)
-    odd = [(P[0], P[1], 1)]
-    for _ in range((1 << (_WNAF - 2)) - 1):
-        odd.append(_madd(*odd[-1], x2, y2, a, p))
-    odd = _to_affine(odd, p)
-    digits = _wnaf(k)
-    acc = (*odd[digits.pop() >> 1], 1)  # the top digit is positive
-    for d in reversed(digits):
-        acc = double(*acc, a, p)
-        if d > 0:
-            acc = _madd(*acc, *odd[d >> 1], a, p)
-        elif d < 0:
-            ox, oy = odd[-d >> 1]
-            acc = _madd(*acc, ox, p - oy, a, p)
-    return acc
+    return _straus([(k, _odd_multiples(P, _WNAF, suite), _WNAF)], suite)
+
+
+def equals_mul_sub(R: Point, s: int, e: int, Q: Point, suite: CurveSuite) -> bool:
+    """R == s*G - e*Q for s, e >= 0 and affine R, Q other than the identity,
+    compared in Jacobian coordinates: no inversion but the two for -Q's table."""
+    _, odd_g, width = _g_tables(suite)
+    X, Y, Z = _straus([(s, odd_g, width),
+                       (e, _odd_multiples(negate(Q, suite), _WNAF, suite), _WNAF)], suite)
+    p = suite.p
+    z2 = Z * Z % p
+    return Z != 0 and (X - R[0] * z2) % p == 0 and (Y - R[1] * z2 * Z) % p == 0
 
 
 def scalar_mul(k: int, P: Point, suite: CurveSuite) -> Point:

@@ -267,7 +267,9 @@ class IngestionServer:
             while True:
                 fr = frame_read(conn, self.cfg.read_timeout_s)
                 if fr.frame_type == TYPE_ABORT:
-                    log.warning("peer_abort session=%s", session_hex[:16])
+                    # plaintext: rewriting one type byte on the path forges it
+                    log.warning("peer_abort session=%s cause=unauthenticated", session_hex[:16])
+                    self._abort(conn)
                     break
                 if fr.frame_type not in (TYPE_DATA, TYPE_CLOSE):
                     raise MalformedFrame("unexpected frame type mid-session")
@@ -306,10 +308,12 @@ class IngestionServer:
                       type(exc).__name__)
             self._abort(conn)
         except HandshakeError as exc:
-            log.error("handshake_failed cause=%s detail=%s", type(exc).__name__, exc)
+            log.error("handshake_failed cause=%s detail=%s peer=%s:%s",
+                      type(exc).__name__, exc, *addr[:2])
             self._abort(conn)
         except OSError as exc:
-            log.error("connection_error session=%s cause=%s", session_hex[:16], exc)
+            log.error("connection_error session=%s cause=%s peer=%s:%s", session_hex[:16],
+                      exc, *addr[:2])
         except VitalinkError as exc:
             log.error("session_fatal session=%s cause=%s", session_hex[:16],
                       type(exc).__name__)

@@ -55,6 +55,28 @@ class Pki:
         keyfiles.write_credential(directory / "device.vlc", self.device_cred, suite)
 
 
+@pytest.fixture(autouse=True)
+def cold_credential_memo():
+    """Every test starts with no verified credential remembered, so that
+    counts of signature checks do not depend on the order tests run in."""
+    creds._VERIFIED.clear()
+
+
+@pytest.fixture()
+def verifies(monkeypatch):
+    """The arguments of every Schnorr check made through `credentials`, which
+    is where both `credential_verify` and the handshake call it."""
+    calls = []
+    real = creds.schnorr_verify
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(creds, "schnorr_verify", counting)
+    return calls
+
+
 @pytest.fixture(scope="session")
 def pki():
     return Pki(curves.P256)

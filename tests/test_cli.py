@@ -180,3 +180,26 @@ def test_a_bad_trust_configuration_exits_usage(kind, pki, tmp_path, capsys):
     )
     assert proc.returncode == EXIT_USAGE
     assert "rejected" in proc.stderr and "listening" not in proc.stderr
+
+
+def test_device_detects_the_suite_from_its_credential(toy_pki, tmp_path, capsys):
+    from vitalink.endpoints import IngestionServer, ServerConfig
+
+    toy_pki.write_files(tmp_path)
+    srv = IngestionServer(ServerConfig(
+        key_path=str(tmp_path / "server.vlk"), cred_path=str(tmp_path / "server.vlc"),
+        root_path=str(tmp_path / "root.vlc"), store_dir=str(tmp_path / "store"),
+    ))
+    srv.start()
+    argv = ["device", "--connect", f"127.0.0.1:{srv.port}", "--count", "2",
+            "--interval-ms", "100", "--key", str(tmp_path / "device.vlk"),
+            "--cred", str(tmp_path / "device.vlc"), "--root", str(tmp_path / "root.vlc")]
+    try:
+        code, out, _ = run(argv, capsys)
+    finally:
+        srv.stop()
+    assert code == EXIT_OK and "sent_count=2 " in out and "error=none" in out
+    with pytest.raises(SystemExit) as exc:  # one rule: no flag to disagree with the files
+        main([*argv, "--suite", "toy"])
+    assert exc.value.code == EXIT_USAGE
+    capsys.readouterr()

@@ -1,5 +1,9 @@
 """Schnorr signatures and the two-level credential chain."""
 
+import sys
+import threading
+from dataclasses import replace
+
 import pytest
 
 from vitalink import credentials as creds
@@ -238,3 +242,114 @@ def test_subject_encoding():
         creds.encode_subject("")
     with pytest.raises(InvalidCredentialFields):
         creds.encode_subject("x" * 17)
+
+
+# ---------------------------------------------------------------------------
+# the verified-credential memo: it skips the issuer signature and nothing else
+
+
+def _leaf(root_d, root, suite, rng, name="watch", role=Role.DEVICE):
+    _, q = curves.keypair_gen(suite, rng)
+    return credential_issue(root_d, creds.encode_subject(name), role, q,
+                            NOW - 10, NOW + 1000, root.subject_id, suite, rng)
+
+
+def test_a_remembered_credential_still_has_its_window_and_role_checked(verifies):
+    rng = keyfiles.drbg(30)
+    root_d, root = _root(P256, rng)
+    leaf = _leaf(root_d, root, P256, rng)
+    assert credential_verify(leaf, root, NOW, P256, expected_role=Role.DEVICE) is None
+    assert len(verifies) == 1
+    late = leaf.valid_to + creds.CLOCK_SKEW_S + 1
+    assert credential_verify(leaf, root, late, P256, expected_role=Role.DEVICE) == EXPIRED
+    early = leaf.valid_from - creds.CLOCK_SKEW_S - 1
+    assert credential_verify(leaf, root, early, P256, expected_role=Role.DEVICE) == NOT_YET_VALID
+    assert credential_verify(leaf, root, NOW, P256, expected_role=Role.SERVER) == ROLE_MISMATCH
+    assert credential_verify(leaf, root, NOW, P256, expected_role=Role.DEVICE) is None
+    assert len(verifies) == 1  # every call after the first was a hit
+
+
+def test_one_flipped_byte_of_a_remembered_credential_is_checked_afresh(verifies):
+    rng = keyfiles.drbg(31)
+    root_d, root = _root(P256, rng)
+    leaf = _leaf(root_d, root, P256, rng)
+    assert credential_verify(leaf, root, NOW, P256) is None
+    raw = leaf.encode(P256)
+    tbs_len = len(leaf.tbs(P256))
+    flipped = {"tbs": 0, "signature": 0}
+    for i in range(len(raw)):
+        try:
+            other = credential_decode(raw[:i] + bytes([raw[i] ^ 0x01]) + raw[i + 1:], P256)
+        except MalformedCredential:
+            continue  # not a credential: the handshake rejects it before any check
+        want = UNKNOWN_ISSUER if other.issuer_id != root.subject_id else BAD_SIGNATURE
+        assert credential_verify(other, root, NOW, P256) == want, i
+        flipped["tbs" if i < tbs_len else "signature"] += 1
+    assert flipped["tbs"] > 0 and flipped["signature"] > 0
+    assert credential_verify(leaf, root, NOW, P256) is None
+
+
+def test_the_same_leaf_under_another_root_of_the_same_name_is_checked_afresh(verifies):
+    rng = keyfiles.drbg(32)
+    root_d, root = _root(P256, rng)
+    _, impostor = _root(P256, keyfiles.drbg(33))
+    assert impostor.subject_id == root.subject_id
+    leaf = _leaf(root_d, root, P256, rng)
+    assert credential_verify(leaf, root, NOW, P256) is None
+    assert credential_verify(leaf, impostor, NOW, P256) == BAD_SIGNATURE
+    assert len(verifies) == 2
+
+
+def test_a_bad_signature_is_never_remembered(verifies):
+    rng = keyfiles.drbg(34)
+    root_d, root = _root(P256, rng)
+    leaf = _leaf(root_d, root, P256, rng)
+    bad = replace(leaf, signature=SchnorrSig(leaf.signature.R,
+                                             (leaf.signature.s + 1) % P256.n))
+    for attempt in range(1, 4):
+        assert credential_verify(bad, root, NOW, P256) == BAD_SIGNATURE
+        assert len(verifies) == attempt
+
+
+def test_the_memo_never_grows_past_its_cap(verifies, monkeypatch):
+    monkeypatch.setattr(creds, "_VERIFIED_CAP", 4)
+    rng = keyfiles.drbg(35)
+    root_d, root = _root(TOY, rng)
+    leaves = [_leaf(root_d, root, TOY, rng, name=f"watch-{i}") for i in range(10)]
+    for leaf in leaves:
+        assert credential_verify(leaf, root, NOW, TOY) is None
+        assert len(creds._VERIFIED) <= 4
+    assert len(creds._VERIFIED) == 4 and len(verifies) == 10
+    # oldest out first: the newest are hits, the first must be checked again
+    assert credential_verify(leaves[-1], root, NOW, TOY) is None
+    assert len(verifies) == 10
+    assert credential_verify(leaves[0], root, NOW, TOY) is None
+    assert len(verifies) == 11 and len(creds._VERIFIED) == 4
+
+
+def test_the_memo_holds_under_concurrent_sessions(monkeypatch):
+    monkeypatch.setattr(creds, "_VERIFIED_CAP", 8)
+    rng = keyfiles.drbg(36)
+    root_d, root = _root(TOY, rng)
+    leaves = [_leaf(root_d, root, TOY, rng, name=f"watch-{i}") for i in range(24)]
+    results, errors = [], []
+
+    def worker(offset):
+        try:
+            for i in range(1500):
+                results.append(credential_verify(leaves[(i + offset) % 24], root, NOW, TOY))
+        except Exception as exc:  # a lost race shows as KeyError or RuntimeError
+            errors.append(exc)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(7 * t,)) for t in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert results == [None] * 9000 and len(creds._VERIFIED) <= 8

@@ -196,14 +196,19 @@ def test_p256_scalar_mul_spot_check_against_double_and_add_by_oracle():
 # the slow methods they replace
 
 
+_DOUBLINGS: dict = {}
+
+
 def double_and_add(k, P, suite):
-    """Plain affine double-and-add, least significant bit first."""
+    """Plain affine double-and-add, least significant bit first. The chain
+    P, 2P, 4P, ... does not depend on k, so it is kept per base point."""
+    chain = _DOUBLINGS.setdefault((suite.suite_id, P), [P])
     acc = None
-    while k:
-        if k & 1:
-            acc = point_add(acc, P, suite)
-        P = point_add(P, P, suite)
-        k >>= 1
+    for i in range(k.bit_length()):
+        if i == len(chain):
+            chain.append(point_add(chain[-1], chain[-1], suite))
+        if k >> i & 1:
+            acc = point_add(acc, chain[i], suite)
     return acc
 
 
@@ -251,3 +256,57 @@ def test_p256_fixed_and_variable_paths_agree():
 def test_negative_scalar_gives_identity():
     assert scalar_mul(-1, P256.G, P256) is None
     assert scalar_mul(-3, TOY_POINTS[0], TOY) is None
+
+
+# ---------------------------------------------------------------------------
+# the joint multiply behind Schnorr verification: R == s*G - e*Q
+
+
+def oracle_negate(P, suite):
+    return None if P is None else (P[0], (-P[1]) % suite.p)
+
+
+def test_toy_joint_multiply_every_point_and_scalar_matches_the_oracle():
+    scalars = range(0, TOY_ORDER + 2)
+    g_mults = [oracle_mul(k, TOY.G, TOY) for k in scalars]
+    for Q in TOY_POINTS:
+        q_mults = [oracle_mul(k, Q, TOY) for k in scalars]
+        for s in scalars:
+            for e in scalars:
+                want = oracle_add(g_mults[s], oracle_negate(q_mults[e], TOY), TOY)
+                for R in TOY_POINTS:
+                    assert curves.equals_mul_sub(R, s, e, Q, TOY) == (R == want), (R, s, e, Q)
+
+
+def check_joint_multiply_on_p256(s, e, Q):
+    want = point_add(double_and_add(s, P256.G, P256),
+                     oracle_negate(double_and_add(e, Q, P256), P256), P256)
+    if want is None:
+        assert not curves.equals_mul_sub(P256.G, s, e, Q, P256)
+        return
+    assert curves.equals_mul_sub(want, s, e, Q, P256)
+    assert not curves.equals_mul_sub(oracle_negate(want, P256), s, e, Q, P256)
+    assert not curves.equals_mul_sub(point_add(want, want, P256), s, e, Q, P256)
+
+
+@pytest.mark.parametrize("k", P256_EDGE_SCALARS, ids=hex)
+def test_p256_joint_multiply_edge_scalars_match_double_and_add(k):
+    Q = double_and_add(0xC0FFEE, P256.G, P256)
+    # each edge scalar as s and as e, paired with the next one in the list
+    other = P256_EDGE_SCALARS[(P256_EDGE_SCALARS.index(k) + 1) % len(P256_EDGE_SCALARS)]
+    check_joint_multiply_on_p256(k, other, Q)
+    check_joint_multiply_on_p256(other, k, Q)
+
+
+def test_p256_joint_multiply_random_scalars_match_double_and_add():
+    rng = random.Random(2025)
+    Q = double_and_add(rng.randrange(2, P256.n), P256.G, P256)
+    for _ in range(100):
+        check_joint_multiply_on_p256(rng.randrange(0, P256.n), rng.randrange(0, P256.n), Q)
+
+
+def test_p256_joint_multiply_meets_the_identity_and_a_doubling():
+    Q = double_and_add(5, P256.G, P256)
+    assert not curves.equals_mul_sub(P256.G, 25, 5, Q, P256)  # 25G - 5Q = O
+    check_joint_multiply_on_p256(25, 5, Q)
+    check_joint_multiply_on_p256(15, 1, Q)  # 15G - 5G = 10G = 2 * (5G)

@@ -250,11 +250,13 @@ def test_invalid_peer_key_is_logged_as_a_handshake_failure(pki, server, caplog, 
         monkeypatch.setattr(curves, "shared_secret", degenerate)
         frame_write(sock, Frame(TYPE_CLIENT_HELLO, hello))
         assert frame_read(sock, timeout=5.0).frame_type == TYPE_ABORT
+        peer = "%s:%d" % sock.getsockname()
     finally:
         sock.close()
     problems = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(problems) == 1
-    assert problems[0].startswith("handshake_failed cause=HandshakeError")
+    assert problems[0].startswith("handshake_failed cause=HandshakeError detail=")
+    assert problems[0].endswith(f" peer={peer}")
 
 
 def test_a_trickling_client_is_cut_at_the_frame_deadline(pki, files, tmp_path, caplog):

@@ -235,3 +235,20 @@ def test_invalid_peer_key_fails_the_client_handshake(pki, monkeypatch):
     with pytest.raises(HandshakeError):
         c.finish(server_hello)
     assert c.phase is Phase.FAILED and c.eph_priv is None
+
+
+def test_a_second_handshake_checks_one_signature_per_side(pki, verifies):
+    per_side = []
+    for _ in range(2):
+        c = ClientHandshake(pki.suite, pki.device, pki.root)
+        s = ServerHandshake(pki.server, pki.root, suite=pki.suite)
+        sh = s.respond(c.start())
+        del verifies[:]
+        cf, ck = c.finish(sh)
+        client = len(verifies)
+        sk, _ = s.complete(cf)
+        per_side.append((client, len(verifies) - client))
+        assert ck == sk
+    # the first time each side checks the peer's credential and its transcript
+    # signature; the second time the credential is remembered
+    assert per_side == [(2, 2), (1, 1)]

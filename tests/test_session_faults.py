@@ -1,13 +1,15 @@
-"""One mutated Data or Close frame, fed to `IngestionServer._handle` over a
-socketpair after a live handshake on the toy suite. Whatever the mutation,
-the session must end in exactly one classified outcome: the readings before
-the mutated frame persisted and none after, an Abort back to the device,
-one log line naming the cause, and no exception out of the handler."""
+"""One mutated frame, fed to `IngestionServer._handle` over a socketpair on the
+toy suite: a ClientHello or ClientFinish, or a Data or Close frame after a
+live handshake. Whatever the mutation, the session must end in exactly one
+classified outcome: the readings before the mutated frame persisted and none
+after, an Abort back to the device, one log line naming the cause, and no
+exception out of the handler."""
 
 import logging
 import socket
 import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +33,8 @@ from vitalink.records import (
 from vitalink.telemetry import SensorSim, reading_encode
 
 CLASSIFIED = ("record_auth_failure ", "session_fatal ", "suspicious_termination ")
+# a handshake frame may also fail the handshake; a record frame never can
+HANDSHAKE_CLASSIFIED = CLASSIFIED + ("handshake_failed ",)
 MUTATIONS = ("flip", "truncate", "swap_type", "drop")
 
 
@@ -41,6 +45,80 @@ class Lines(logging.Handler):
 
     def emit(self, record):
         self.records.append(record)
+
+    def problems(self):
+        return [r.getMessage() for r in self.records if r.levelno >= logging.WARNING]
+
+
+@pytest.fixture()
+def server(toy_pki, tmp_path):
+    toy_pki.write_files(tmp_path)
+    srv = IngestionServer(ServerConfig(
+        key_path=str(tmp_path / "server.vlk"),
+        cred_path=str(tmp_path / "server.vlc"),
+        root_path=str(tmp_path / "root.vlc"),
+        store_dir=str(tmp_path / "store"),
+        read_timeout_s=5.0,
+    ))
+    yield srv
+    srv.stop()
+
+
+@pytest.fixture()
+def lines():
+    handler = Lines()
+    logger = logging.getLogger("vitalink")
+    logger.addHandler(handler)
+    old_level = logger.level
+    logger.setLevel(logging.INFO)
+    yield handler
+    logger.removeHandler(handler)
+    logger.setLevel(old_level)
+
+
+def persisted(server, session_hex=None) -> list:
+    path = server.store.dir / "readings.log"
+    recs = map(parse_reading_line, path.read_text().splitlines()) if path.exists() else []
+    return [r for r in recs if session_hex is None or r.session_id == session_hex]
+
+
+def serve_one(server, device_side):
+    """Runs `device_side(sock)` against `server._handle` on the other end of a
+    socketpair; returns what it returns once the handler has finished, and
+    fails if an exception escaped the handler."""
+    device, server_end = socket.socketpair()
+    escaped = []
+
+    def handle():
+        try:
+            server._handle(server_end, ("socketpair", 0))
+        except Exception as exc:  # the property: nothing gets here
+            escaped.append(exc)
+
+    handler = threading.Thread(target=handle)
+    handler.start()
+    try:
+        result = device_side(device)
+    finally:
+        device.close()
+        handler.join(timeout=10.0)
+    assert not handler.is_alive() and escaped == []
+    return result
+
+
+def send_and_hang_up(sock, data: bytes) -> None:
+    try:
+        sock.sendall(data)
+        sock.shutdown(socket.SHUT_WR)
+    except OSError:  # the server may have hung up already
+        pass
+
+
+def replies_until_abort(sock) -> list:
+    types = []
+    while TYPE_ABORT not in types:
+        types.append(frame_read(sock, timeout=5.0).frame_type)
+    return types
 
 
 def mutate(raw: bytes, mutation: str, draw) -> list[bytes]:
@@ -53,28 +131,30 @@ def mutate(raw: bytes, mutation: str, draw) -> list[bytes]:
     if mutation == "truncate":
         return [raw[: draw(st.integers(0, len(raw) - 1))]]
     if mutation == "swap_type":
-        # an injected Abort is a peer abort, not a forgery: the server ends the
-        # session without answering, so it is left out here
+        # an injected Abort has its own test below
         other = sorted(FRAME_TYPES - {raw[3], TYPE_ABORT})
         return [raw[:3] + bytes([draw(st.sampled_from(other))]) + raw[4:]]
     return []  # dropped
 
 
-def test_one_mutated_record_ends_in_one_classified_outcome(toy_pki, tmp_path):
-    toy_pki.write_files(tmp_path)
-    server = IngestionServer(ServerConfig(
-        key_path=str(tmp_path / "server.vlk"),
-        cred_path=str(tmp_path / "server.vlc"),
-        root_path=str(tmp_path / "root.vlc"),
-        store_dir=str(tmp_path / "store"),
-        read_timeout_s=5.0,
-    ))
-    lines = Lines()
-    logger = logging.getLogger("vitalink")
-    logger.addHandler(lines)
-    old_level = logger.level
-    logger.setLevel(logging.INFO)
+def handshake(sock, pki, seed):
+    hs = ClientHandshake(pki.suite, pki.device, pki.root, rng=keyfiles.drbg(seed))
+    frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
+    finish, keys = hs.finish(frame_read(sock, timeout=5.0).body)
+    frame_write(sock, Frame(TYPE_CLIENT_FINISH, finish))
+    return keys
 
+
+def sealed_session(keys, pki, seed, readings) -> list[bytes]:
+    """`readings` Data frames and a Close, as they go on the wire."""
+    tx = DirectionState(keys.c2s_key, keys.c2s_salt)
+    sim = SensorSim(pki.device_cred.subject_id[:8], seed=seed)
+    wire = [record_seal(tx, TYPE_DATA, reading_encode(sim.next_reading(1000 * i))).encode()
+            for i in range(readings)]
+    return wire + [record_seal(tx, TYPE_CLOSE, b"").encode()]
+
+
+def test_one_mutated_record_ends_in_one_classified_outcome(toy_pki, server, lines):
     @settings(max_examples=80, deadline=None)
     @given(
         readings=st.integers(_RECORDS_BEFORE_BATCH + 1, 3 * _RECORDS_BEFORE_BATCH),
@@ -85,52 +165,73 @@ def test_one_mutated_record_ends_in_one_classified_outcome(toy_pki, tmp_path):
     def session(readings, mutation, seed, data):
         target = data.draw(st.integers(0, readings), label="target")  # readings: the Close
         lines.records.clear()
-        device, server_end = socket.socketpair()
-        escaped = []
 
-        def handle():
-            try:
-                server._handle(server_end, ("socketpair", 0))
-            except Exception as exc:  # the property: nothing gets here
-                escaped.append(exc)
+        def device_side(sock):
+            keys = handshake(sock, toy_pki, seed)
+            wire = sealed_session(keys, toy_pki, seed, readings)
+            wire[target : target + 1] = mutate(wire[target], mutation, data.draw)
+            send_and_hang_up(sock, b"".join(wire))
+            return keys, frame_read(sock, timeout=5.0)
 
-        handler = threading.Thread(target=handle)
-        handler.start()
-        try:
+        keys, reply = serve_one(server, device_side)
+        assert reply.frame_type == TYPE_ABORT
+        problems = lines.problems()
+        assert len(problems) == 1 and problems[0].startswith(CLASSIFIED), problems
+        assert len(persisted(server, keys.session_id.hex())) == target
+
+    session()
+
+
+def test_one_mutated_handshake_frame_ends_in_one_classified_outcome(toy_pki, server, lines):
+    # one good session first, so that both credentials are remembered and a
+    # mutated credential or signature meets a warm memo
+    def good(sock):
+        keys = handshake(sock, toy_pki, 0)
+        send_and_hang_up(sock, b"".join(sealed_session(keys, toy_pki, 0, 2)))
+        return keys
+
+    keys = serve_one(server, good)
+    assert lines.problems() == [] and len(persisted(server, keys.session_id.hex())) == 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        frame=st.sampled_from(("ClientHello", "ClientFinish")),
+        mutation=st.sampled_from(MUTATIONS),
+        seed=st.integers(1, 2**32),
+        data=st.data(),
+    )
+    def session(frame, mutation, seed, data):
+        lines.records.clear()
+
+        def device_side(sock):
             hs = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root,
                                  rng=keyfiles.drbg(seed))
-            frame_write(device, Frame(TYPE_CLIENT_HELLO, hs.start()))
-            finish, keys = hs.finish(frame_read(device, timeout=5.0).body)
-            frame_write(device, Frame(TYPE_CLIENT_FINISH, finish))
-            tx = DirectionState(keys.c2s_key, keys.c2s_salt)
-            sim = SensorSim(toy_pki.device_cred.subject_id[:8], seed=seed)
-            wire = [record_seal(tx, TYPE_DATA, reading_encode(sim.next_reading(1000 * i)))
-                    .encode() for i in range(readings)]
-            wire.append(record_seal(tx, TYPE_CLOSE, b"").encode())
-            wire[target : target + 1] = mutate(wire[target], mutation, data.draw)
-            try:
-                device.sendall(b"".join(wire))
-                device.shutdown(socket.SHUT_WR)
-            except OSError:  # the server may have hung up already
-                pass
-            reply = frame_read(device, timeout=5.0)
-        finally:
-            device.close()
-            handler.join(timeout=10.0)
-        assert not handler.is_alive() and escaped == []
-        assert reply.frame_type == TYPE_ABORT
-        problems = [r.getMessage() for r in lines.records if r.levelno >= logging.WARNING]
-        assert len(problems) == 1 and problems[0].startswith(CLASSIFIED), problems
-        session_hex = keys.session_id.hex()
-        persisted = [rec for rec in map(parse_reading_line,
-                                        (tmp_path / "store" / "readings.log").read_text()
-                                        .splitlines())
-                     if rec.session_id == session_hex]
-        assert len(persisted) == target
+            raw = Frame(TYPE_CLIENT_HELLO, hs.start()).encode()
+            if frame == "ClientFinish":
+                sock.sendall(raw)
+                finish, _ = hs.finish(frame_read(sock, timeout=5.0).body)
+                raw = Frame(TYPE_CLIENT_FINISH, finish).encode()
+            send_and_hang_up(sock, b"".join(mutate(raw, mutation, data.draw)))
+            return replies_until_abort(sock)
 
-    try:
-        session()
-    finally:
-        logger.removeHandler(lines)
-        logger.setLevel(old_level)
-        server.stop()
+        serve_one(server, device_side)
+        problems = lines.problems()
+        assert len(problems) == 1 and problems[0].startswith(HANDSHAKE_CLASSIFIED), problems
+        assert len(persisted(server)) == 2
+
+    session()
+
+
+def test_a_plaintext_abort_mid_session_is_logged_as_possible_tampering(toy_pki, server, lines):
+    def device_side(sock):
+        keys = handshake(sock, toy_pki, 5)
+        wire = sealed_session(keys, toy_pki, 5, 5)
+        wire[2] = wire[2][:3] + bytes([TYPE_ABORT]) + wire[2][4:]  # an on-path rewrite
+        send_and_hang_up(sock, b"".join(wire))
+        return keys, replies_until_abort(sock)
+
+    keys, replies = serve_one(server, device_side)
+    assert replies == [TYPE_ABORT]
+    session_hex = keys.session_id.hex()
+    assert lines.problems() == [f"peer_abort session={session_hex[:16]} cause=unauthenticated"]
+    assert len(persisted(server, session_hex)) == 2
