@@ -45,6 +45,7 @@ from .records import (
     TYPE_SERVER_HELLO,
     DirectionState,
     Frame,
+    FrameReader,
     frame_read,
     frame_write,
     record_open,
@@ -63,6 +64,15 @@ from .telemetry import (
 log = logging.getLogger("vitalink")
 
 _STATUS_BY_NAME = {v: k for k, v in STATUS_NAMES.items()}
+
+
+def log_value(value) -> str:
+    """`value` as one `key=value` field: bare if it is one word, else
+    double-quoted with backslash escapes, so a line splits with `shlex`."""
+    text = str(value)
+    if text and not any(c.isspace() or c in "\"'=\\" for c in text):
+        return text
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def load_identity(key_path, cred_path, suite: CurveSuite) -> LocalIdentity:
@@ -246,13 +256,16 @@ class IngestionServer:
         session_hex = "-"
         # one deadline for ClientHello and ClientFinish together
         handshake_deadline = time.monotonic() + self.cfg.read_timeout_s
+        # one reader for the whole connection: a ClientFinish and the first
+        # records may arrive in one segment
+        reader = FrameReader(conn)
         try:
-            fr = frame_read(conn, handshake_deadline - time.monotonic())
+            fr = frame_read(reader, handshake_deadline - time.monotonic())
             if fr.frame_type != TYPE_CLIENT_HELLO:
                 raise MalformedFrame("expected ClientHello")
             hs = ServerHandshake(self.identity, self.trust_root, suite=self.suite)
             frame_write(conn, Frame(TYPE_SERVER_HELLO, hs.respond(fr.body)))
-            fr = frame_read(conn, handshake_deadline - time.monotonic())
+            fr = frame_read(reader, handshake_deadline - time.monotonic())
             if fr.frame_type != TYPE_CLIENT_FINISH:
                 raise MalformedFrame("expected ClientFinish")
             keys, peer_subject = hs.complete(fr.body)
@@ -265,7 +278,7 @@ class IngestionServer:
             last_ts = -1
             clean_close = False
             while True:
-                fr = frame_read(conn, self.cfg.read_timeout_s)
+                fr = frame_read(reader, self.cfg.read_timeout_s)
                 if fr.frame_type == TYPE_ABORT:
                     # plaintext: rewriting one type byte on the path forges it
                     log.warning("peer_abort session=%s cause=unauthenticated", session_hex[:16])
@@ -309,11 +322,11 @@ class IngestionServer:
             self._abort(conn)
         except HandshakeError as exc:
             log.error("handshake_failed cause=%s detail=%s peer=%s:%s",
-                      type(exc).__name__, exc, *addr[:2])
+                      type(exc).__name__, log_value(exc), *addr[:2])
             self._abort(conn)
         except OSError as exc:
-            log.error("connection_error session=%s cause=%s peer=%s:%s", session_hex[:16],
-                      exc, *addr[:2])
+            log.error("connection_error session=%s cause=%s detail=%s peer=%s:%s",
+                      session_hex[:16], type(exc).__name__, log_value(exc), *addr[:2])
         except VitalinkError as exc:
             log.error("session_fatal session=%s cause=%s", session_hex[:16],
                       type(exc).__name__)
@@ -386,12 +399,12 @@ class DeviceReport:
     error: str | None = None
 
 
-def _check_for_abort(sock: socket.socket) -> bool:
-    ready, _, _ = select.select([sock], [], [], 0)
-    if not ready:
+def _check_for_abort(reader: FrameReader) -> bool:
+    # a frame may already sit in the buffer, where select cannot see it
+    if not reader.buffered() and not select.select([reader.sock], [], [], 0)[0]:
         return False
     try:
-        fr = frame_read(sock, timeout=1.0)
+        fr = frame_read(reader, timeout=1.0)
     except VitalinkError:
         return True
     return fr.frame_type == TYPE_ABORT
@@ -434,10 +447,11 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
         return report
     sock.settimeout(None)
     send_dir: DirectionState | None = None
+    reader = FrameReader(sock)
     try:
         hs = ClientHandshake(suite, identity, trust_root, rng)
         frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
-        fr = frame_read(sock)
+        fr = frame_read(reader)
         if fr.frame_type == TYPE_ABORT:
             raise ConnectionAborted("server aborted during handshake")
         if fr.frame_type != TYPE_SERVER_HELLO:
@@ -455,7 +469,7 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
             frame_write(sock, record_seal(send_dir, TYPE_DATA, reading_encode(reading)))
             report.sent.append((reading.timestamp_ms, reading.bpm))
             report.sent_count += 1
-            if _check_for_abort(sock):
+            if _check_for_abort(reader):
                 raise ConnectionAborted("server aborted mid-stream")
             if cfg.realtime:
                 time.sleep(cfg.interval_ms / 1000.0)
@@ -464,7 +478,7 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
         sock.shutdown(socket.SHUT_WR)
         try:
             while True:
-                fr = frame_read(sock, timeout=2.0)
+                fr = frame_read(reader, timeout=2.0)
                 if fr.frame_type == TYPE_ABORT:
                     raise ConnectionAborted("server aborted the session")
         except (EndOfStream, FrameTimeout, MalformedFrame, OSError):

@@ -30,7 +30,7 @@ from .records import (
     TYPE_DATA,
     TYPE_SERVER_HELLO,
     Frame,
-    frame_read,
+    FrameReader,
     frame_write,
 )
 
@@ -143,9 +143,10 @@ class Relay:
     def _pump(self, src: socket.socket, dst: socket.socket, direction: str) -> None:
         plan = self.plan
         data_index = 0
+        reader = FrameReader(src)
         try:
             while True:
-                frame = frame_read(src, timeout=10.0)
+                frame = reader.read(timeout=10.0)
                 fault = "none"
 
                 if plan.mode == "forge_handshake":

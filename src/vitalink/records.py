@@ -1,10 +1,24 @@
-"""Post-handshake framing and per-direction record protection.
+"""Post-handshake framing, frame I/O, and per-direction record protection.
 
 Frame layout (bit-exact): magic(2, A5 5A) || version(1, 01) ||
 frame_type(1) || length(BE32) || body. Data and Close bodies are
 ciphertext || tag(16). Sequence numbers are implicit: never on the wire,
 but bound into the AAD, so replay, reorder, and drop all surface as a
 tag failure at the receiver. Tag failure is unconditionally fatal.
+
+Frame I/O: each connection reads through one `FrameReader`, kept from its
+first frame to its last, since a peer may send a ClientFinish and the
+first records in one segment. While a whole frame is buffered, `read`
+returns it with no syscall; otherwise it waits with `select` and takes
+what has arrived, up to `READ_CHUNK`, with one `recv_into` into a buffer
+it reuses, so a burst of 43-byte readings costs one `select` and one
+`recv_into` instead of two of each per frame. A header is checked (magic,
+version, type, length bound) as soon as its 8 bytes are buffered, before
+any body is awaited. Every read has an absolute deadline from its call,
+so a peer trickling bytes cannot stretch it. A stream that ends with
+nothing buffered ends "at-boundary"; one that ends inside a frame ends
+"mid-frame", the classic truncation. `frame_read` on a bare socket reads
+exactly one frame and nothing past it.
 
 Each end knows the nonces of its next records, so once a direction has
 carried `_RECORDS_BEFORE_BATCH` records it has its `gcm.GcmKey` prepare
@@ -39,6 +53,9 @@ VERSION = 0x01
 HEADER_LEN = 8
 MAX_BODY = gcm.MAX_PLAINTEXT + gcm.TAG_LEN
 READ_TIMEOUT_S = 10.0
+# about 95 readings; 64 KiB read no faster per frame and raised the server's
+# peak RSS by about 11% on the benchmark's reject_mix workload
+READ_CHUNK = 4 * 1024
 _LAST_SEQ = 2**64 - 2
 _RECORDS_BEFORE_BATCH = 8
 _BATCH_RECORDS = 64
@@ -157,31 +174,62 @@ def record_open(direction: DirectionState, frame: Frame) -> tuple[int, bytes]:
     return frame.frame_type, payload
 
 
-def _recv_exact(sock: socket.socket, n: int, deadline: float, at_boundary: bool) -> bytes:
-    buf = bytearray(n)
-    view = memoryview(buf)
-    got = 0
-    while got < n:
+class FrameReader:
+    """One connection's inbound frames (see the module docstring).
+
+    It receives into one reused buffer of `chunk` bytes, so it holds at
+    most one chunk beyond a partial frame: under `chunk` + MAX_BODY + 8
+    bytes. With `chunk=0` it asks the socket for exactly the missing bytes
+    and never consumes past the frame it returns.
+    """
+
+    def __init__(self, sock: socket.socket, chunk: int = READ_CHUNK):
+        self.sock = sock
+        self._buf = bytearray()
+        self._chunk = memoryview(bytearray(chunk)) if chunk else None
+
+    def buffered(self) -> int:
+        """Bytes received and not yet returned as a frame."""
+        return len(self._buf)
+
+    def read(self, timeout: float = READ_TIMEOUT_S) -> Frame:
+        """The next frame, which must be whole within `timeout` seconds of
+        the call: a peer trickling bytes cannot stretch it."""
+        deadline = monotonic() + timeout
+        buf = self._buf
+        while True:
+            end = HEADER_LEN
+            if len(buf) >= HEADER_LEN:
+                # refuses a bad header before any of its body is awaited
+                frame_type, length = parse_header(buf[:HEADER_LEN])
+                end += length
+                if len(buf) >= end:
+                    body = bytes(buf[HEADER_LEN:end])
+                    del buf[:end]
+                    return Frame(frame_type, body)
+            self._fill(end - len(buf), deadline)
+
+    def _fill(self, missing: int, deadline: float) -> None:
         remaining = deadline - monotonic()
-        if remaining <= 0 or not select.select([sock], [], [], remaining)[0]:
+        if remaining <= 0 or not select.select([self.sock], [], [], remaining)[0]:
             raise FrameTimeout("frame incomplete at its deadline")
-        k = sock.recv_into(view[got:])
-        if not k:
+        if self._chunk is None:
+            data = self.sock.recv(missing)
+        else:
+            data = self._chunk[: self.sock.recv_into(self._chunk)]
+        if not data:
             # both cases are a stream ending without an authenticated Close;
             # a mid-frame cut is the classic truncation attack
-            raise EndOfStream("mid-frame" if (got or not at_boundary) else "at-boundary")
-        got += k
-    return bytes(buf)
+            raise EndOfStream("mid-frame" if self._buf else "at-boundary")
+        self._buf += data
 
 
-def frame_read(sock: socket.socket, timeout: float = READ_TIMEOUT_S) -> Frame:
-    """Reads one whole frame, which must arrive within `timeout` seconds
-    of the call: a peer trickling bytes cannot stretch it."""
-    deadline = monotonic() + timeout
-    header = _recv_exact(sock, HEADER_LEN, deadline, at_boundary=True)
-    frame_type, length = parse_header(header)
-    body = _recv_exact(sock, length, deadline, at_boundary=False) if length else b""
-    return Frame(frame_type, body)
+def frame_read(src: FrameReader | socket.socket, timeout: float = READ_TIMEOUT_S) -> Frame:
+    """Reads one whole frame from a connection's reader, or from a bare
+    socket without reading past the frame."""
+    if not isinstance(src, FrameReader):
+        src = FrameReader(src, chunk=0)
+    return src.read(timeout)
 
 
 def frame_write(sock: socket.socket, frame: Frame) -> None:

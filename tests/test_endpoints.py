@@ -23,13 +23,14 @@ from vitalink.endpoints import (
     run_device,
 )
 from vitalink.errors import ConfigurationError, InvalidPeerKey
-from vitalink.handshake import ClientHandshake
+from vitalink.handshake import ClientHandshake, ServerHandshake
 from vitalink.records import (
     MAGIC,
     TYPE_ABORT,
     TYPE_CLIENT_FINISH,
     TYPE_CLIENT_HELLO,
     TYPE_DATA,
+    TYPE_SERVER_HELLO,
     VERSION,
     Frame,
     frame_read,
@@ -379,3 +380,33 @@ def test_the_whole_handshake_shares_one_deadline(pki, files, tmp_path, caplog):
     assert problems[0].startswith("session_fatal ")
     assert problems[0].endswith("cause=FrameTimeout")
     assert read_store_lines(srv) == []
+
+
+def test_the_device_sees_an_abort_that_came_with_the_server_hello(pki, files):
+    """Both frames land in the device's buffer in one read; the abort check
+    must find the second there, where `select` on the socket cannot."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    served = []
+
+    def fake_server():
+        conn, _ = listener.accept()
+        with conn:
+            hs = ServerHandshake(pki.server, pki.root, suite=pki.suite)
+            hello = hs.respond(frame_read(conn, timeout=5.0).body)
+            conn.sendall(Frame(TYPE_SERVER_HELLO, hello).encode()
+                         + Frame(TYPE_ABORT, b"").encode())
+            conn.settimeout(10.0)
+            while conn.recv(4096):  # keep the socket open until the device leaves
+                pass
+        served.append(True)
+
+    server = threading.Thread(target=fake_server)
+    server.start()
+    try:
+        report = run_device(device_cfg(files, listener.getsockname()[1], count=5))
+    finally:
+        server.join(timeout=15.0)
+        listener.close()
+    assert not server.is_alive() and served
+    assert report.error == "ConnectionAborted: server aborted mid-stream"
+    assert report.sent_count == 1

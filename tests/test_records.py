@@ -19,10 +19,12 @@ from vitalink.errors import (
 from vitalink.records import (
     HEADER_LEN,
     MAX_BODY,
+    READ_CHUNK,
     TYPE_CLOSE,
     TYPE_DATA,
     DirectionState,
     Frame,
+    FrameReader,
     frame_read,
     frame_write,
     parse_header,
@@ -195,6 +197,185 @@ def test_a_trickling_peer_cannot_stretch_the_frame_deadline():
     t0 = time.monotonic()
     with pytest.raises(FrameTimeout):
         frame_read(b, timeout=0.5)
+    assert time.monotonic() - t0 < 1.0
+    a.close(); b.close()
+    sender.join(timeout=5.0)
+    assert not sender.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# One buffered reader per connection
+
+
+class CountingSocket:
+    """A real socket that counts the receive calls made on it."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.recvs = 0
+
+    def fileno(self):
+        return self.sock.fileno()
+
+    def recv_into(self, buf, nbytes=0):
+        self.recvs += 1
+        return self.sock.recv_into(buf, nbytes)
+
+
+class Segments:
+    """Delivers `segments` one per receive call, then EOF; `select` always
+    sees it readable, so each read shows exactly which bytes were buffered."""
+
+    def __init__(self, segments):
+        self.segments = list(segments)
+        self.recvs = 0
+        self._ready, self._other = socket.socketpair()
+        self._other.send(b"!")
+
+    def fileno(self):
+        return self._ready.fileno()
+
+    def recv_into(self, buf, nbytes=0):
+        self.recvs += 1
+        seg = self.segments.pop(0) if self.segments else b""
+        buf[: len(seg)] = seg
+        return len(seg)
+
+    def close(self):
+        self._ready.close(); self._other.close()
+
+
+FRAMES = [Frame(TYPE_DATA, bytes([i]) * (19 + 16)) for i in range(5)] + [Frame(TYPE_CLOSE, b"")]
+WIRE = b"".join(f.encode() for f in FRAMES)
+
+
+def test_frames_arriving_in_one_segment_cost_one_recv_and_one_select(monkeypatch):
+    import select as select_module
+
+    selects = []
+    real_select = select_module.select
+
+    def counting_select(*args):
+        selects.append(args)
+        return real_select(*args)
+
+    a, b = socket_pair()
+    a.sendall(WIRE)
+    counted = CountingSocket(b)
+    reader = FrameReader(counted)
+    monkeypatch.setattr(select_module, "select", counting_select)
+    assert [reader.read(timeout=2.0) for _ in FRAMES] == FRAMES
+    assert counted.recvs == 1 and len(selects) == 1
+    assert reader.buffered() == 0
+    a.close(); b.close()
+
+
+def test_a_stream_split_at_any_byte_decodes_the_same():
+    wire = FRAMES[0].encode() + FRAMES[-1].encode()
+    for cut in range(len(wire) + 1):
+        src = Segments([wire[:cut], wire[cut:]] if 0 < cut < len(wire) else [wire])
+        reader = FrameReader(src)
+        assert [reader.read(timeout=1.0), reader.read(timeout=1.0)] == [FRAMES[0], FRAMES[-1]]
+        with pytest.raises(EndOfStream, match="at-boundary"):
+            reader.read(timeout=1.0)
+        src.close()
+
+
+@pytest.mark.parametrize("kept", [1, HEADER_LEN - 1, HEADER_LEN, HEADER_LEN + 5])
+def test_eof_is_at_boundary_only_with_nothing_buffered(kept):
+    src = Segments([WIRE])
+    reader = FrameReader(src)
+    assert [reader.read(timeout=1.0) for _ in FRAMES] == FRAMES
+    with pytest.raises(EndOfStream, match="at-boundary"):
+        reader.read(timeout=1.0)
+    src.close()
+
+    partial = FRAMES[1].encode()[:kept]
+    src = Segments([FRAMES[0].encode() + partial])
+    reader = FrameReader(src)
+    assert reader.read(timeout=1.0) == FRAMES[0]
+    with pytest.raises(EndOfStream, match="mid-frame"):
+        reader.read(timeout=1.0)
+    src.close()
+
+
+@pytest.mark.parametrize("header, error", [
+    (b"\xa5\x5a\x01\x10" + (MAX_BODY + 1).to_bytes(4, "big"), OversizeFrame),
+    (b"\x00\x00\x01\x10\x00\x00\x00\x05", BadMagic),
+    (b"\xa5\x5a\x02\x10\x00\x00\x00\x05", BadVersion),
+    (b"\xa5\x5a\x01\x77\x00\x00\x00\x05", MalformedFrame),
+])
+def test_a_bad_header_is_refused_before_its_body_arrives(header, error):
+    # behind a good frame in the same segment: no further receive is made
+    src = Segments([FRAMES[0].encode() + header])
+    reader = FrameReader(src)
+    assert reader.read(timeout=1.0) == FRAMES[0]
+    with pytest.raises(error):
+        reader.read(timeout=1.0)
+    assert src.recvs == 1
+    src.close()
+
+    a, b = socket_pair()
+    a.sendall(header)  # and no body ever follows
+    t0 = time.monotonic()
+    with pytest.raises(error):
+        FrameReader(b).read(timeout=5.0)
+    assert time.monotonic() - t0 < 1.0
+    a.close(); b.close()
+
+
+def test_frame_read_on_a_bare_socket_leaves_the_next_frame_unread():
+    a, b = socket_pair()
+    a.sendall(WIRE)
+    assert frame_read(b, timeout=2.0) == FRAMES[0]
+    rest = b""
+    while len(rest) < len(WIRE) - len(FRAMES[0].encode()):
+        rest += b.recv(4096)
+    assert rest == WIRE[len(FRAMES[0].encode()):]
+    a.close(); b.close()
+
+
+def test_a_reader_holds_one_chunk_beyond_a_partial_frame():
+    big = Frame(TYPE_DATA, bytes(MAX_BODY)).encode()
+    a, b = socket_pair()
+    sender = threading.Thread(target=a.sendall, args=(big * 2,))
+    sender.start()
+    reader = FrameReader(b)
+    sizes = []
+    real_fill = reader._fill
+
+    def fill(missing, deadline):
+        real_fill(missing, deadline)
+        sizes.append(reader.buffered())
+
+    reader._fill = fill
+    assert [reader.read(timeout=5.0).body for _ in range(2)] == [bytes(MAX_BODY)] * 2
+    assert max(sizes) <= len(big) - 1 + READ_CHUNK
+    sender.join(timeout=5.0)
+    assert not sender.is_alive()
+    a.close(); b.close()
+
+
+def test_a_trickling_peer_cannot_stretch_a_readers_deadline():
+    a, b = socket_pair()
+    first, second = FRAMES[0].encode(), FRAMES[1].encode()
+
+    def trickle():
+        try:
+            a.sendall(first + second[:1])
+            for byte in second[1:]:
+                time.sleep(0.05)
+                a.send(bytes([byte]))
+        except OSError:
+            pass
+
+    sender = threading.Thread(target=trickle)
+    sender.start()
+    reader = FrameReader(b)
+    assert reader.read(timeout=0.5) == FRAMES[0]
+    t0 = time.monotonic()
+    with pytest.raises(FrameTimeout):
+        reader.read(timeout=0.5)
     assert time.monotonic() - t0 < 1.0
     a.close(); b.close()
     sender.join(timeout=5.0)

@@ -6,6 +6,7 @@ after, an Abort back to the device, one log line naming the cause, and no
 exception out of the handler."""
 
 import logging
+import shlex
 import socket
 import threading
 
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vitalink import keyfiles
-from vitalink.endpoints import IngestionServer, ServerConfig, parse_reading_line
+from vitalink import endpoints, keyfiles
+from vitalink.endpoints import IngestionServer, ServerConfig, log_value, parse_reading_line
+from vitalink.errors import EndOfStream
 from vitalink.handshake import ClientHandshake
 from vitalink.records import (
     FRAME_TYPES,
@@ -235,3 +237,90 @@ def test_a_plaintext_abort_mid_session_is_logged_as_possible_tampering(toy_pki, 
     session_hex = keys.session_id.hex()
     assert lines.problems() == [f"peer_abort session={session_hex[:16]} cause=unauthenticated"]
     assert len(persisted(server, session_hex)) == 2
+
+
+def fields(line: str) -> tuple[str, dict]:
+    """The event name and `key=value` fields of one log line."""
+    event, *pairs = shlex.split(line)
+    assert all("=" in p for p in pairs), line
+    return event, dict(p.split("=", 1) for p in pairs)
+
+
+def test_a_client_finish_and_records_in_one_segment_are_all_read(toy_pki, server, lines):
+    # one reader spans the handshake and the record loop
+    def device_side(sock):
+        hs = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root,
+                             rng=keyfiles.drbg(11))
+        frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
+        finish, keys = hs.finish(frame_read(sock, timeout=5.0).body)
+        wire = [Frame(TYPE_CLIENT_FINISH, finish).encode()]
+        send_and_hang_up(sock, b"".join(wire + sealed_session(keys, toy_pki, 11, 1)))
+        with pytest.raises(EndOfStream, match="at-boundary"):
+            frame_read(sock, timeout=5.0)
+        return keys
+
+    keys = serve_one(server, device_side)
+    session_hex = keys.session_id.hex()
+    assert lines.problems() == []
+    assert [r.getMessage() for r in lines.records][-1] == f"session_closed session={session_hex[:16]}"
+    assert len(persisted(server, session_hex)) == 1
+
+
+@pytest.mark.parametrize("value, logged", [
+    ("UnknownIssuer", "UnknownIssuer"),
+    ("two words", '"two words"'),
+    ('say "hi"', '"say \\"hi\\""'),
+    ("a=b", '"a=b"'),
+    ("back\\slash", '"back\\\\slash"'),
+    ("", '""'),
+])
+def test_a_log_value_is_one_field(value, logged):
+    assert log_value(value) == logged
+    assert fields(f"event key={log_value(value)} next=1")[1] == {"key": value, "next": "1"}
+
+
+def test_a_handshake_failure_line_quotes_a_multi_word_detail(toy_pki, server, lines):
+    def device_side(sock):
+        hs = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root,
+                             rng=keyfiles.drbg(12))
+        frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
+        finish, _ = hs.finish(frame_read(sock, timeout=5.0).body)
+        # flip the low bit of the signature point's y: off the curve
+        cred_len = int.from_bytes(finish[:2], "big")
+        y_end = 2 + cred_len + 2 + 1 + 2 * toy_pki.suite.field_len
+        finish = bytearray(finish)
+        finish[y_end - 1] ^= 1
+        frame_write(sock, Frame(TYPE_CLIENT_FINISH, bytes(finish)))
+        return replies_until_abort(sock)
+
+    assert serve_one(server, device_side) == [TYPE_ABORT]
+    [line] = lines.problems()
+    assert 'detail="malformed ClientFinish: coordinates not on curve"' in line
+    assert fields(line) == ("handshake_failed", {
+        "cause": "BadClientCredential",
+        "detail": "malformed ClientFinish: coordinates not on curve",
+        "peer": "socketpair:0",
+    })
+
+
+def test_a_connection_error_line_names_the_error_type(toy_pki, server, lines, monkeypatch):
+    def reset(sock, frame):
+        raise ConnectionResetError(104, "Connection reset by peer")
+
+    monkeypatch.setattr(endpoints, "frame_write", reset)
+
+    def device_side(sock):
+        hs = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root,
+                             rng=keyfiles.drbg(13))
+        frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
+        with pytest.raises(EndOfStream):
+            frame_read(sock, timeout=5.0)
+
+    serve_one(server, device_side)
+    [line] = lines.problems()
+    assert fields(line) == ("connection_error", {
+        "session": "-",
+        "cause": "ConnectionResetError",
+        "detail": "[Errno 104] Connection reset by peer",
+        "peer": "socketpair:0",
+    })
