@@ -52,7 +52,7 @@ class SchnorrSig:
 
 
 def sig_decode(data: bytes, suite: CurveSuite) -> SchnorrSig:
-    plen = 1 + 2 * suite.field_len
+    plen = suite.point_len
     if len(data) != plen + suite.scalar_len:
         raise MalformedSignature("bad signature length")
     try:
@@ -133,12 +133,12 @@ class Credential:
 
 def credential_len(suite: CurveSuite) -> int:
     """Wire length of a credential; distinct per suite."""
-    plen = 1 + 2 * suite.field_len
+    plen = suite.point_len
     return 1 + SUBJECT_LEN + 1 + plen + 8 + 8 + SUBJECT_LEN + plen + suite.scalar_len
 
 
 def credential_decode(data: bytes, suite: CurveSuite) -> Credential:
-    plen = 1 + 2 * suite.field_len
+    plen = suite.point_len
     want = credential_len(suite)
     if len(data) != want:
         raise MalformedCredential(f"credential length {len(data)}, expected {want}")

@@ -57,6 +57,11 @@ class CurveSuite:
         return (self.p.bit_length() + 7) // 8
 
     @property
+    def point_len(self) -> int:
+        """Uncompressed point on the wire: 0x04 || x || y."""
+        return 1 + 2 * self.field_len
+
+    @property
     def scalar_len(self) -> int:
         return (self.n.bit_length() + 7) // 8
 
@@ -330,7 +335,7 @@ def point_encode(P: Point, suite: CurveSuite) -> bytes:
 
 def point_decode(data: bytes, suite: CurveSuite) -> Point:
     fl = suite.field_len
-    if len(data) != 1 + 2 * fl:
+    if len(data) != suite.point_len:
         raise MalformedPoint("bad encoding length")
     if data[0] != 0x04:
         raise MalformedPoint("bad encoding prefix")

@@ -31,7 +31,6 @@ from .errors import (
     HandshakeError,
     MalformedFrame,
     MalformedReading,
-    SequenceExhausted,
     VitalinkError,
 )
 from .handshake import ClientHandshake, LocalIdentity, ServerHandshake
@@ -271,7 +270,8 @@ class IngestionServer:
             keys, peer_subject = hs.complete(fr.body)
             session_hex = keys.session_id.hex()
             subject = decode_subject(peer_subject)
-            log.info("session_established peer=%s session=%s", subject, session_hex[:16])
+            log.info("session_established session=%s subject=%s peer=%s:%s",
+                     session_hex[:16], log_value(subject), *addr[:2])
 
             recv_dir = DirectionState(keys.c2s_key, keys.c2s_salt)
             detector = AnomalyDetector(self.cfg.anomaly)
@@ -315,10 +315,6 @@ class IngestionServer:
             self._abort(conn)
         except AuthFailure:
             log.error("record_auth_failure session=%s action=abort", session_hex[:16])
-            self._abort(conn)
-        except (MalformedFrame, FrameTimeout, MalformedReading, SequenceExhausted) as exc:
-            log.error("session_fatal session=%s cause=%s", session_hex[:16],
-                      type(exc).__name__)
             self._abort(conn)
         except HandshakeError as exc:
             log.error("handshake_failed cause=%s detail=%s peer=%s:%s",
@@ -380,10 +376,6 @@ class DeviceConfig:
     interval_ms: int = 1000
     count: int = 10
     seed: int | None = None
-    baseline: float = 75.0
-    amplitude: float = 5.0
-    period_s: float = 60.0
-    sigma: float = 3.0
     anomaly_script: str | None = None
     realtime: bool = False
     start_ms: int | None = None
@@ -428,15 +420,7 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
     script = None
     if cfg.anomaly_script:
         script = telemetry.parse_anomaly_script(Path(cfg.anomaly_script).read_text())
-    sim = SensorSim(
-        device_id,
-        seed=cfg.seed or 0,
-        baseline=cfg.baseline,
-        amplitude=cfg.amplitude,
-        period_s=cfg.period_s,
-        sigma=cfg.sigma,
-        script=script,
-    )
+    sim = SensorSim(device_id, seed=cfg.seed or 0, script=script)
 
     report = DeviceReport()
     t0 = time.monotonic()

@@ -15,6 +15,13 @@ directional finished keys, proving both sides derived the same schedule.
 Session keys are bound to the transcript through the expand labels, so
 any in-path mutation of any handshake byte diverges the two schedules
 and fails a signature or finished-MAC check before Establishment.
+
+Each side runs the same SIGMA steps on its own half, written once in
+`_Side`: prove (sign its label || transcript || lp(own credential)),
+check the peer (credential in the peer's role against the trust root,
+then the peer's signature), ECDH, and check the peer's finished MAC.
+`ClientHandshake` and `ServerHandshake` add only their frame parsing
+and where in the key schedule each step falls.
 """
 
 from __future__ import annotations
@@ -123,136 +130,26 @@ class _Reader:
             raise MalformedFrame("trailing bytes in handshake body")
 
 
-class ClientHandshake:
+class _Side:
+    """The steps both roles share, each written once. A role names its own
+    signature label and the peer's label, role, credential error and name;
+    it adds only its frame parsing and key schedule."""
+
     def __init__(
         self,
-        suite: CurveSuite,
         identity: LocalIdentity,
         trust_root: Credential,
+        suite: CurveSuite,
         rng: RandomSource = os.urandom,
         now: int | None = None,
     ):
+        self.identity = identity
+        self.trust_root = trust_root
         self.suite = suite
-        self.identity = identity
-        self.trust_root = trust_root
         self.rng = rng
         self.now = now
         self.phase = Phase.START
         self.transcript = bytearray()
-        self.eph_priv: int | None = None
-        self.client_random = b""
-        self.peer_identity: bytes | None = None
-
-    def _fail(self, exc: HandshakeError):
-        self.phase = Phase.FAILED
-        self.eph_priv = None
-        raise exc
-
-    def start(self) -> bytes:
-        if self.phase is not Phase.START:
-            raise ProtocolStateError(f"start() in phase {self.phase}")
-        self.client_random = self.rng(RANDOM_LEN)
-        self.eph_priv, eph_pub = curves.keypair_gen(self.suite, self.rng)
-        body = (
-            struct.pack(">H", self.suite.suite_id)
-            + self.client_random
-            + _lp(curves.point_encode(eph_pub, self.suite))
-        )
-        self.transcript += body
-        self.phase = Phase.AWAIT_SERVER_HELLO
-        return body
-
-    def finish(self, server_hello: bytes) -> tuple[bytes, SessionKeys]:
-        if self.phase is not Phase.AWAIT_SERVER_HELLO:
-            raise ProtocolStateError(f"finish() in phase {self.phase}")
-        suite = self.suite
-        try:
-            r = _Reader(server_hello)
-            server_random = r.take(RANDOM_LEN)
-            eph_pub_bytes = r.take_lp()
-            cred_bytes = r.take_lp()
-            sig_bytes = r.take_lp()
-            fin_mac = r.take(32)
-            r.done()
-            server_eph = curves.point_decode(eph_pub_bytes, suite)
-        except (MalformedFrame, MalformedPoint) as exc:
-            self._fail(BadTranscriptSignature(f"malformed ServerHello: {exc}"))
-        try:
-            server_cred = creds.credential_decode(cred_bytes, suite)
-            sig = creds.sig_decode(sig_bytes, suite)
-        except (creds.MalformedCredential, creds.MalformedSignature) as exc:
-            self._fail(BadServerCredential(str(exc)))
-
-        now = self.now if self.now is not None else _now()
-        reason = creds.credential_verify(
-            server_cred, self.trust_root, now, suite, expected_role=Role.SERVER
-        )
-        if reason is not None:
-            self._fail(BadServerCredential(reason))
-
-        signed_part = (
-            bytes(self.transcript)
-            + server_random
-            + _lp(eph_pub_bytes)
-            + _lp(cred_bytes)
-        )
-        if not creds.schnorr_verify(
-            server_cred.static_pub,
-            kdf.hash_(SIG_LABEL_SERVER + signed_part),
-            sig,
-            suite,
-        ):
-            self._fail(BadTranscriptSignature("server transcript signature invalid"))
-
-        try:
-            shared = curves.shared_secret(self.eph_priv, server_eph, suite)
-        except InvalidPeerKey as exc:
-            self._fail(HandshakeError(f"server ephemeral invalid: {exc}"))
-        keyed_part = signed_part + _lp(sig_bytes)
-        keys = derive_session_keys(
-            shared, self.client_random, server_random, kdf.hash_(keyed_part)
-        )
-        expected = kdf.hmac_sha256(keys.server_fin_key, kdf.hash_(keyed_part))
-        if not hmac.compare_digest(expected, fin_mac):
-            self._fail(BadFinishedMac("server finished MAC mismatch"))
-
-        self.transcript += server_hello
-        self.peer_identity = server_cred.subject_id
-
-        my_cred = self.identity.credential.encode(suite)
-        sig_digest = kdf.hash_(
-            SIG_LABEL_CLIENT + bytes(self.transcript) + _lp(my_cred)
-        )
-        my_sig = creds.schnorr_sign(
-            self.identity.static_priv, self.identity.credential.static_pub,
-            sig_digest, suite, self.rng,
-        ).encode(suite)
-        mac_input = kdf.hash_(bytes(self.transcript) + _lp(my_cred) + _lp(my_sig))
-        my_mac = kdf.hmac_sha256(keys.client_fin_key, mac_input)
-        body = _lp(my_cred) + _lp(my_sig) + my_mac
-        self.transcript += body
-        keys.session_id = kdf.hash_(bytes(self.transcript))
-        self.eph_priv = None
-        self.phase = Phase.ESTABLISHED
-        return body, keys
-
-
-class ServerHandshake:
-    def __init__(
-        self,
-        identity: LocalIdentity,
-        trust_root: Credential,
-        suite: CurveSuite,
-        rng: RandomSource = os.urandom,
-        now: int | None = None,
-    ):
-        self.identity = identity
-        self.trust_root = trust_root
-        self.rng = rng
-        self.now = now
-        self.phase = Phase.START
-        self.transcript = bytearray()
-        self.suite: CurveSuite = suite
         self.eph_priv: int | None = None
         self._keys: SessionKeys | None = None
         self.peer_identity: bytes | None = None
@@ -263,9 +160,110 @@ class ServerHandshake:
         self._keys = None
         raise exc
 
+    def _expect(self, phase: Phase, step: str) -> None:
+        if self.phase is not phase:
+            raise ProtocolStateError(f"{step}() in phase {self.phase}")
+
+    def _prove(self, prefix: bytes) -> bytes:
+        """lp(credential) || lp(signature over LABEL || prefix || lp(credential))."""
+        identity = self.identity
+        cred = _lp(identity.credential.encode(self.suite))
+        sig = creds.schnorr_sign(
+            identity.static_priv, identity.credential.static_pub,
+            kdf.hash_(self.LABEL + prefix + cred), self.suite, self.rng,
+        )
+        return cred + _lp(sig.encode(self.suite))
+
+    def _check_peer(self, cred: Credential, sig: creds.SchnorrSig, signed: bytes) -> None:
+        """The peer's credential in its role, then its signature over
+        PEER_LABEL || signed, where signed ends in lp(credential)."""
+        now = self.now if self.now is not None else int(time.time())
+        reason = creds.credential_verify(
+            cred, self.trust_root, now, self.suite, expected_role=self.PEER_ROLE
+        )
+        if reason is not None:
+            self._fail(self.BadPeerCredential(reason))
+        digest = kdf.hash_(self.PEER_LABEL + signed)
+        if not creds.schnorr_verify(cred.static_pub, digest, sig, self.suite):
+            self._fail(BadTranscriptSignature(f"{self.PEER} transcript signature invalid"))
+
+    def _shared_secret(self, peer_eph) -> bytes:
+        try:
+            return curves.shared_secret(self.eph_priv, peer_eph, self.suite)
+        except InvalidPeerKey as exc:
+            self._fail(HandshakeError(f"{self.PEER} ephemeral invalid: {exc}"))
+
+    def _check_finished(self, key: bytes, digest: bytes, mac: bytes) -> None:
+        if not hmac.compare_digest(kdf.hmac_sha256(key, digest), mac):
+            self._fail(BadFinishedMac(f"{self.PEER} finished MAC mismatch"))
+
+    def _establish(self, frame: bytes, keys: SessionKeys, peer: Credential) -> SessionKeys:
+        self.transcript += frame
+        keys.session_id = kdf.hash_(bytes(self.transcript))
+        self.peer_identity = peer.subject_id
+        self.eph_priv = None
+        self.phase = Phase.ESTABLISHED
+        return keys
+
+
+class ClientHandshake(_Side):
+    LABEL, PEER_LABEL = SIG_LABEL_CLIENT, SIG_LABEL_SERVER
+    PEER_ROLE, BadPeerCredential, PEER = Role.SERVER, BadServerCredential, "server"
+
+    def __init__(self, suite: CurveSuite, identity: LocalIdentity, trust_root: Credential,
+                 rng: RandomSource = os.urandom, now: int | None = None):
+        super().__init__(identity, trust_root, suite, rng, now)
+        self.client_random = b""
+
+    def start(self) -> bytes:
+        self._expect(Phase.START, "start")
+        self.client_random = self.rng(RANDOM_LEN)
+        self.eph_priv, eph_pub = curves.keypair_gen(self.suite, self.rng)
+        eph_bytes = curves.point_encode(eph_pub, self.suite)
+        body = struct.pack(">H", self.suite.suite_id) + self.client_random + _lp(eph_bytes)
+        self.transcript += body
+        self.phase = Phase.AWAIT_SERVER_HELLO
+        return body
+
+    def finish(self, server_hello: bytes) -> tuple[bytes, SessionKeys]:
+        self._expect(Phase.AWAIT_SERVER_HELLO, "finish")
+        try:
+            r = _Reader(server_hello)
+            server_random = r.take(RANDOM_LEN)
+            eph_pub_bytes = r.take_lp()
+            cred_bytes = r.take_lp()
+            sig_bytes = r.take_lp()
+            fin_mac = r.take(32)
+            r.done()
+            server_eph = curves.point_decode(eph_pub_bytes, self.suite)
+        except (MalformedFrame, MalformedPoint) as exc:
+            self._fail(BadTranscriptSignature(f"malformed ServerHello: {exc}"))
+        try:
+            server_cred = creds.credential_decode(cred_bytes, self.suite)
+            sig = creds.sig_decode(sig_bytes, self.suite)
+        except (creds.MalformedCredential, creds.MalformedSignature) as exc:
+            self._fail(BadServerCredential(str(exc)))
+
+        signed = bytes(self.transcript) + server_random + _lp(eph_pub_bytes) + _lp(cred_bytes)
+        self._check_peer(server_cred, sig, signed)
+        shared = self._shared_secret(server_eph)
+        th = kdf.hash_(signed + _lp(sig_bytes))
+        keys = derive_session_keys(shared, self.client_random, server_random, th)
+        self._check_finished(keys.server_fin_key, th, fin_mac)
+
+        self.transcript += server_hello
+        prefix = bytes(self.transcript)
+        proof = self._prove(prefix)
+        body = proof + kdf.hmac_sha256(keys.client_fin_key, kdf.hash_(prefix + proof))
+        return body, self._establish(body, keys, server_cred)
+
+
+class ServerHandshake(_Side):
+    LABEL, PEER_LABEL = SIG_LABEL_SERVER, SIG_LABEL_CLIENT
+    PEER_ROLE, BadPeerCredential, PEER = Role.DEVICE, BadClientCredential, "client"
+
     def respond(self, client_hello: bytes) -> bytes:
-        if self.phase is not Phase.START:
-            raise ProtocolStateError(f"respond() in phase {self.phase}")
+        self._expect(Phase.START, "respond")
         try:
             r = _Reader(client_hello)
             (suite_id,) = struct.unpack(">H", r.take(2))
@@ -286,78 +284,36 @@ class ServerHandshake:
         self.transcript += client_hello
         server_random = self.rng(RANDOM_LEN)
         self.eph_priv, eph_pub = curves.keypair_gen(suite, self.rng)
-        eph_bytes = curves.point_encode(eph_pub, suite)
-        cred_bytes = self.identity.credential.encode(suite)
+        hello = server_random + _lp(curves.point_encode(eph_pub, suite))
+        prefix = bytes(self.transcript) + hello
+        proof = self._prove(prefix)
+        shared = self._shared_secret(client_eph)
+        th = kdf.hash_(prefix + proof)
+        self._keys = derive_session_keys(shared, client_random, server_random, th)
 
-        signed_part = (
-            bytes(self.transcript) + server_random + _lp(eph_bytes) + _lp(cred_bytes)
-        )
-        sig_bytes = creds.schnorr_sign(
-            self.identity.static_priv,
-            self.identity.credential.static_pub,
-            kdf.hash_(SIG_LABEL_SERVER + signed_part),
-            suite,
-            self.rng,
-        ).encode(suite)
-
-        try:
-            shared = curves.shared_secret(self.eph_priv, client_eph, suite)
-        except InvalidPeerKey as exc:
-            self._fail(HandshakeError(f"client ephemeral invalid: {exc}"))
-        keyed_part = signed_part + _lp(sig_bytes)
-        self._keys = derive_session_keys(
-            shared, client_random, server_random, kdf.hash_(keyed_part)
-        )
-        fin_mac = kdf.hmac_sha256(self._keys.server_fin_key, kdf.hash_(keyed_part))
-
-        body = server_random + _lp(eph_bytes) + _lp(cred_bytes) + _lp(sig_bytes) + fin_mac
+        body = hello + proof + kdf.hmac_sha256(self._keys.server_fin_key, th)
         self.transcript += body
         self.eph_priv = None
         self.phase = Phase.AWAIT_CLIENT_FINISH
         return body
 
     def complete(self, client_finish: bytes) -> tuple[SessionKeys, bytes]:
-        if self.phase is not Phase.AWAIT_CLIENT_FINISH:
-            raise ProtocolStateError(f"complete() in phase {self.phase}")
-        suite = self.suite
+        self._expect(Phase.AWAIT_CLIENT_FINISH, "complete")
         try:
             r = _Reader(client_finish)
             cred_bytes = r.take_lp()
             sig_bytes = r.take_lp()
             fin_mac = r.take(32)
             r.done()
-            client_cred = creds.credential_decode(cred_bytes, suite)
-            sig = creds.sig_decode(sig_bytes, suite)
+            client_cred = creds.credential_decode(cred_bytes, self.suite)
+            sig = creds.sig_decode(sig_bytes, self.suite)
         except (MalformedFrame, creds.MalformedCredential, creds.MalformedSignature) as exc:
             self._fail(BadClientCredential(f"malformed ClientFinish: {exc}"))
 
-        now = self.now if self.now is not None else _now()
-        reason = creds.credential_verify(
-            client_cred, self.trust_root, now, suite, expected_role=Role.DEVICE
+        signed = bytes(self.transcript) + _lp(cred_bytes)
+        self._check_peer(client_cred, sig, signed)
+        self._check_finished(
+            self._keys.client_fin_key, kdf.hash_(signed + _lp(sig_bytes)), fin_mac
         )
-        if reason is not None:
-            self._fail(BadClientCredential(reason))
-
-        sig_digest = kdf.hash_(
-            SIG_LABEL_CLIENT + bytes(self.transcript) + _lp(cred_bytes)
-        )
-        if not creds.schnorr_verify(client_cred.static_pub, sig_digest, sig, suite):
-            self._fail(BadTranscriptSignature("client transcript signature invalid"))
-
-        mac_input = kdf.hash_(
-            bytes(self.transcript) + _lp(cred_bytes) + _lp(sig_bytes)
-        )
-        expected = kdf.hmac_sha256(self._keys.client_fin_key, mac_input)
-        if not hmac.compare_digest(expected, fin_mac):
-            self._fail(BadFinishedMac("client finished MAC mismatch"))
-
-        self.transcript += client_finish
-        keys = self._keys
-        keys.session_id = kdf.hash_(bytes(self.transcript))
-        self.peer_identity = client_cred.subject_id
-        self.phase = Phase.ESTABLISHED
+        keys = self._establish(client_finish, self._keys, client_cred)
         return keys, client_cred.subject_id
-
-
-def _now() -> int:
-    return int(time.time())

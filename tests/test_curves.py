@@ -80,6 +80,7 @@ def test_generator_on_curve(suite):
     assert suite.is_on_curve(suite.G)
     assert scalar_mul(suite.n, suite.G, suite) is None
     assert suite.field_len == (suite.p.bit_length() + 7) // 8
+    assert suite.point_len == len(point_encode(suite.G, suite)) == 1 + 2 * suite.field_len
 
 
 def test_toy_order_matches_brute_force():

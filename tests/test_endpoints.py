@@ -2,6 +2,7 @@
 
 import logging
 import select
+import shlex
 import socket
 import struct
 import threading
@@ -22,19 +23,22 @@ from vitalink.endpoints import (
     parse_reading_line,
     run_device,
 )
-from vitalink.errors import ConfigurationError, InvalidPeerKey
+from vitalink.errors import ConfigurationError, EndOfStream, InvalidPeerKey
 from vitalink.handshake import ClientHandshake, ServerHandshake
 from vitalink.records import (
     MAGIC,
     TYPE_ABORT,
     TYPE_CLIENT_FINISH,
     TYPE_CLIENT_HELLO,
+    TYPE_CLOSE,
     TYPE_DATA,
     TYPE_SERVER_HELLO,
     VERSION,
+    DirectionState,
     Frame,
     frame_read,
     frame_write,
+    record_seal,
 )
 from vitalink.telemetry import AnomalyAlert
 
@@ -258,6 +262,33 @@ def test_invalid_peer_key_is_logged_as_a_handshake_failure(pki, server, caplog, 
     assert len(problems) == 1
     assert problems[0].startswith("handshake_failed cause=HandshakeError detail=")
     assert problems[0].endswith(f" peer={peer}")
+
+
+def test_the_session_established_line_names_the_subject_and_the_socket_address(
+        pki, server, caplog):
+    caplog.set_level(logging.INFO, logger="vitalink")
+    device = pki.issue_device("ward 3 watch", keyfiles.drbg(21))
+    sock = socket.create_connection(("127.0.0.1", server.port))
+    try:
+        hs = ClientHandshake(pki.suite, device, pki.root)
+        frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
+        finish, keys = hs.finish(frame_read(sock, timeout=5.0).body)
+        frame_write(sock, Frame(TYPE_CLIENT_FINISH, finish))
+        send_dir = DirectionState(keys.c2s_key, keys.c2s_salt)
+        frame_write(sock, record_seal(send_dir, TYPE_CLOSE, b""))
+        with pytest.raises(EndOfStream):  # the server hangs up after the Close
+            frame_read(sock, timeout=5.0)
+        peer = "%s:%d" % sock.getsockname()
+    finally:
+        sock.close()
+    [line] = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("session_established ")]
+    event, *pairs = shlex.split(line)
+    assert dict(p.split("=", 1) for p in pairs) == {
+        "session": keys.session_id.hex()[:16],
+        "subject": "ward 3 watch",
+        "peer": peer,
+    }
 
 
 def test_a_trickling_client_is_cut_at_the_frame_deadline(pki, files, tmp_path, caplog):

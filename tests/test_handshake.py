@@ -8,6 +8,7 @@ from vitalink import credentials as creds
 from vitalink import curves, kdf, keyfiles
 from vitalink.curves import P256
 from vitalink.errors import (
+    BadClientCredential,
     BadFinishedMac,
     BadServerCredential,
     BadTranscriptSignature,
@@ -18,6 +19,7 @@ from vitalink.errors import (
 )
 from vitalink.handshake import (
     ClientHandshake,
+    LocalIdentity,
     Phase,
     ServerHandshake,
     derive_session_keys,
@@ -173,8 +175,6 @@ def test_device_credential_with_server_role_rejected(pki):
         pki.root_priv, creds.encode_subject("imposter"), creds.Role.SERVER, dq,
         pki.now - 10, pki.now + 1000, pki.root_sub, pki.suite, rng,
     )
-    from vitalink.handshake import LocalIdentity
-
     c = ClientHandshake(pki.suite, LocalIdentity(dd, cred), pki.root)
     s = ServerHandshake(pki.server, pki.root, suite=pki.suite)
     sh = s.respond(c.start())
@@ -252,3 +252,52 @@ def test_a_second_handshake_checks_one_signature_per_side(pki, verifies):
     # the first time each side checks the peer's credential and its transcript
     # signature; the second time the credential is remembered
     assert per_side == [(2, 2), (1, 1)]
+
+
+REJECTION_CAUSES = ("UnknownIssuer", "BadSignature", "NotYetValid", "Expired", "RoleMismatch")
+
+
+def rejected_identity(pki, cause, role):
+    """An identity in `role` whose credential `pki.root` rejects for `cause`."""
+    rng = keyfiles.drbg(41)
+    d, q = curves.keypair_gen(pki.suite, rng)
+    key, issuer = pki.root_priv, pki.root_sub
+    valid_from, valid_to = pki.now - 3600, pki.now + 3600
+    if cause == "UnknownIssuer":
+        issuer = creds.encode_subject("other-root")
+    elif cause == "BadSignature":
+        key = curves.keypair_gen(pki.suite, rng)[0]
+    elif cause == "NotYetValid":
+        valid_from, valid_to = pki.now + 86400, pki.now + 2 * 86400
+    elif cause == "Expired":
+        valid_from, valid_to = pki.now - 2 * 86400, pki.now - 86400
+    elif cause == "RoleMismatch":
+        role = creds.Role.SERVER if role is creds.Role.DEVICE else creds.Role.DEVICE
+    cred = creds.credential_issue(key, creds.encode_subject("rogue"), role, q,
+                                  valid_from, valid_to, issuer, pki.suite, rng)
+    return LocalIdentity(d, cred)
+
+
+@pytest.mark.parametrize("cause", REJECTION_CAUSES)
+def test_a_rejected_device_credential_is_reported_as_its_cause(pki, cause):
+    device = rejected_identity(pki, cause, creds.Role.DEVICE)
+    c = ClientHandshake(pki.suite, device, pki.root)
+    s = ServerHandshake(pki.server, pki.root, suite=pki.suite)
+    finish, _ = c.finish(s.respond(c.start()))
+    with pytest.raises(BadClientCredential) as info:
+        s.complete(finish)
+    # the server logs it as detail=<cause>, one bare word
+    assert type(info.value) is BadClientCredential and str(info.value) == cause
+    assert s.phase is Phase.FAILED and s.peer_identity is None
+
+
+@pytest.mark.parametrize("cause", REJECTION_CAUSES)
+def test_a_rejected_server_credential_is_reported_as_its_cause(pki, cause):
+    server = rejected_identity(pki, cause, creds.Role.SERVER)
+    c = ClientHandshake(pki.suite, pki.device, pki.root)
+    s = ServerHandshake(server, pki.root, suite=pki.suite)
+    hello = s.respond(c.start())
+    with pytest.raises(BadServerCredential) as info:
+        c.finish(hello)
+    assert type(info.value) is BadServerCredential and str(info.value) == cause
+    assert c.phase is Phase.FAILED and c.eph_priv is None
