@@ -19,10 +19,10 @@ from . import curves, keyfiles
 from . import credentials as creds
 from .credentials import Role
 from .curves import SUITE_NAMES
-from .endpoints import (DeviceConfig, ServerConfig, check_trust, detect_suite_for_credential,
-                        run_device, run_server)
+from .endpoints import (DeviceConfig, IngestionServer, ServerConfig, check_trust,
+                        detect_suite_for_credential, run_device)
 from .errors import ConfigurationError, InvalidCredentialFields
-from .proxy import MODES, TamperPlan, proxy_run
+from .proxy import MODES, TamperPlan, TamperProxy
 from .telemetry import AnomalyConfig
 
 EXIT_OK = 0
@@ -49,6 +49,19 @@ def _require_file(path: str, flag: str) -> str:
 
 def _rng(seed):
     return keyfiles.drbg(seed) if seed is not None else os.urandom
+
+
+def _run_until_signalled(service) -> int:
+    """Starts a server or proxy, serves until SIGINT or SIGTERM, then stops it."""
+    shutdown = threading.Event()
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, lambda *_: shutdown.set())
+    service.start()
+    try:
+        shutdown.wait()
+    finally:
+        service.stop()
+    return EXIT_OK
 
 
 def cmd_keygen(args) -> int:
@@ -111,11 +124,7 @@ def cmd_serve(args) -> int:
             low=args.hr_low, high=args.hr_high, consecutive=args.hr_consecutive
         ),
     )
-    shutdown = threading.Event()
-    signal.signal(signal.SIGINT, lambda *_: shutdown.set())
-    signal.signal(signal.SIGTERM, lambda *_: shutdown.set())
-    run_server(cfg, shutdown)
-    return EXIT_OK
+    return _run_until_signalled(IngestionServer(cfg))
 
 
 def cmd_device(args) -> int:
@@ -153,17 +162,9 @@ def cmd_device(args) -> int:
 def cmd_proxy(args) -> int:
     lhost, lport = args.listen.rsplit(":", 1)
     uhost, uport = args.upstream.rsplit(":", 1)
-    plan = TamperPlan(
-        mode=args.mode,
-        target_index=args.target_index,
-        direction=args.direction,
-        bit_offset=args.bit_offset,
-    )
-    shutdown = threading.Event()
-    signal.signal(signal.SIGINT, lambda *_: shutdown.set())
-    signal.signal(signal.SIGTERM, lambda *_: shutdown.set())
-    proxy_run(lhost, int(lport), uhost, int(uport), plan, shutdown)
-    return EXIT_OK
+    plan = TamperPlan(mode=args.mode, target_index=args.target_index,
+                      bit_offset=args.bit_offset)
+    return _run_until_signalled(TamperProxy(lhost, int(lport), uhost, int(uport), plan))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upstream", required=True)
     p.add_argument("--mode", choices=MODES, required=True)
     p.add_argument("--target-index", type=int, default=0)
-    p.add_argument("--direction", choices=("c2s", "s2c"), default="c2s")
     p.add_argument("--bit-offset", type=int, default=0)
     p.set_defaults(func=cmd_proxy)
 

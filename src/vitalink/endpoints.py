@@ -351,16 +351,6 @@ class IngestionServer:
         self.store.close()
 
 
-def run_server(cfg: ServerConfig, shutdown: threading.Event | None = None) -> None:
-    """Blocks until the shutdown event fires (or forever)."""
-    server = IngestionServer(cfg)
-    server.start()
-    try:
-        (shutdown or threading.Event()).wait()
-    finally:
-        server.stop()
-
-
 # ---------------------------------------------------------------------------
 # device
 

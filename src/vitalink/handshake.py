@@ -16,6 +16,15 @@ Session keys are bound to the transcript through the expand labels, so
 any in-path mutation of any handshake byte diverges the two schedules
 and fails a signature or finished-MAC check before Establishment.
 
+The schedule expands four values: the two finished keys and one record
+key and nonce salt, for device-to-server (c2s) records. Records flow
+only that way; the server sends just its ServerHello and, on failure, a
+plaintext Abort. Sealing that Abort would gain nothing: an on-path
+attacker who could forge it could as easily cut the stream, which both
+ends classify. A hello that does not parse fails with
+`HandshakeError("malformed …Hello: …")`, and an ephemeral key off the
+curve with `HandshakeError("<peer> ephemeral invalid: …")`.
+
 Each side runs the same SIGMA steps on its own half, written once in
 `_Side`: prove (sign its label || transcript || lp(own credential)),
 check the peer (credential in the peer's role against the trust root,
@@ -66,9 +75,7 @@ class Phase(enum.Enum):
 @dataclass
 class SessionKeys:
     c2s_key: bytes
-    s2c_key: bytes
     c2s_salt: bytes
-    s2c_salt: bytes
     client_fin_key: bytes
     server_fin_key: bytes
     session_id: bytes = b""
@@ -90,17 +97,12 @@ def derive_session_keys(
     def expand(label: bytes, length: int) -> bytes:
         return kdf.hkdf_expand(prk, label + transcript_hash, length)
 
-    keys = SessionKeys(
+    return SessionKeys(
         c2s_key=expand(kdf.LABEL_C2S_KEY, 16),
-        s2c_key=expand(kdf.LABEL_S2C_KEY, 16),
         c2s_salt=expand(kdf.LABEL_C2S_SALT, 4),
-        s2c_salt=expand(kdf.LABEL_S2C_SALT, 4),
         client_fin_key=expand(kdf.LABEL_C_FIN, 32),
         server_fin_key=expand(kdf.LABEL_S_FIN, 32),
     )
-    if keys.c2s_key == keys.s2c_key:
-        raise HandshakeError("directional keys collided")
-    return keys
 
 
 def _lp(data: bytes) -> bytes:
@@ -187,6 +189,12 @@ class _Side:
         if not creds.schnorr_verify(cred.static_pub, digest, sig, self.suite):
             self._fail(BadTranscriptSignature(f"{self.PEER} transcript signature invalid"))
 
+    def _decode_ephemeral(self, data: bytes):
+        try:
+            return curves.point_decode(data, self.suite)
+        except MalformedPoint as exc:
+            self._fail(HandshakeError(f"{self.PEER} ephemeral invalid: {exc}"))
+
     def _shared_secret(self, peer_eph) -> bytes:
         try:
             return curves.shared_secret(self.eph_priv, peer_eph, self.suite)
@@ -235,9 +243,9 @@ class ClientHandshake(_Side):
             sig_bytes = r.take_lp()
             fin_mac = r.take(32)
             r.done()
-            server_eph = curves.point_decode(eph_pub_bytes, self.suite)
-        except (MalformedFrame, MalformedPoint) as exc:
-            self._fail(BadTranscriptSignature(f"malformed ServerHello: {exc}"))
+        except MalformedFrame as exc:
+            self._fail(HandshakeError(f"malformed ServerHello: {exc}"))
+        server_eph = self._decode_ephemeral(eph_pub_bytes)
         try:
             server_cred = creds.credential_decode(cred_bytes, self.suite)
             sig = creds.sig_decode(sig_bytes, self.suite)
@@ -271,15 +279,12 @@ class ServerHandshake(_Side):
             eph_pub_bytes = r.take_lp()
             r.done()
         except MalformedFrame as exc:
-            self._fail(UnsupportedSuite(f"malformed ClientHello: {exc}"))
+            self._fail(HandshakeError(f"malformed ClientHello: {exc}"))
         suite = SUITES.get(suite_id)
         if suite is None or suite is not self.suite:
             # the server's identity lives on exactly one curve
             self._fail(UnsupportedSuite(f"suite_id 0x{suite_id:04x}"))
-        try:
-            client_eph = curves.point_decode(eph_pub_bytes, suite)
-        except MalformedPoint as exc:
-            self._fail(HandshakeError(f"client ephemeral invalid: {exc}"))
+        client_eph = self._decode_ephemeral(eph_pub_bytes)
 
         self.transcript += client_hello
         server_random = self.rng(RANDOM_LEN)

@@ -11,11 +11,10 @@ from .errors import InvalidLength
 
 HASH_LEN = 32
 
-# Directional key-schedule labels; arbitrary strings, frozen for interop.
+# Key-schedule labels; arbitrary strings, frozen for interop. Only
+# device-to-server records are sealed, so only c2s has a key and a salt.
 LABEL_C2S_KEY = b"vl c2s key"
-LABEL_S2C_KEY = b"vl s2c key"
 LABEL_C2S_SALT = b"vl c2s salt"
-LABEL_S2C_SALT = b"vl s2c salt"
 LABEL_C_FIN = b"vl c fin"
 LABEL_S_FIN = b"vl s fin"
 

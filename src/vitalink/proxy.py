@@ -1,6 +1,12 @@
 """In-path tamper proxy: relays frames between device and server while
 injecting one configured fault per run.
 
+Only device-to-server (c2s) traffic is protected: the server sends a
+ServerHello and at most a plaintext Abort, and the handshake derives no
+keys for anything else. So every mode but forge_handshake acts on the
+`target_index`-th c2s Data frame, and server-to-device frames pass
+untouched.
+
 The proxy parses frame headers only (to count and split frames); bodies
 are opaque ciphertext. It holds no credentials and no session keys — a
 network attacker who can read, mutate, drop, and inject bytes but cannot
@@ -8,6 +14,9 @@ break the crypto. The forge_handshake mode is the exception that proves
 the rule: the proxy answers the ClientHello itself with a rogue,
 self-issued server identity, which a device holding the real trust root
 must refuse.
+
+Each relayed frame is logged as `frame dir=… type=0x.. len=… fault=…`
+on the `vitalink.proxy` logger and kept in `TamperProxy.report`.
 """
 
 from __future__ import annotations
@@ -22,39 +31,37 @@ from . import credentials as creds
 from . import curves
 from .credentials import Role
 from .curves import SUITES
-from .errors import EndOfStream, VitalinkError
+from .errors import VitalinkError
+from .gcm import TAG_LEN
 from .handshake import LocalIdentity, ServerHandshake
 from .listener import Listener
 from .records import (
+    HEADER_LEN,
     TYPE_CLIENT_HELLO,
     TYPE_DATA,
     TYPE_SERVER_HELLO,
     Frame,
     FrameReader,
-    frame_write,
 )
 
 log = logging.getLogger("vitalink.proxy")
 
-MODES = (
-    "passthrough",
+# the modes that act on the target c2s Data frame
+DATA_MODES = (
     "flip_ciphertext_bit",
     "flip_tag_bit",
     "replay_frame",
     "reorder_pair",
     "drop_frame",
     "truncate_stream",
-    "forge_handshake",
 )
-
-TRUNCATE = object()  # sentinel: emit accumulated bytes, then cut the stream
+MODES = ("passthrough", *DATA_MODES, "forge_handshake")
 
 
 @dataclass(frozen=True)
 class TamperPlan:
     mode: str = "passthrough"
-    target_index: int = 0  # which Data frame, 0-based, counted per direction
-    direction: str = "c2s"
+    target_index: int = 0  # which c2s Data frame, 0-based
     bit_offset: int = 0
 
     def __post_init__(self):
@@ -62,64 +69,52 @@ class TamperPlan:
             raise ValueError(f"unknown tamper mode {self.mode!r}")
         if self.target_index < 0:
             raise ValueError("target_index must be >= 0")
-        if self.direction not in ("c2s", "s2c"):
-            raise ValueError("direction must be c2s or s2c")
 
 
 def _flip_bit(data: bytes, bit: int) -> bytes:
-    byte, mask = bit // 8, 0x80 >> (bit % 8)
     out = bytearray(data)
-    out[byte % len(out)] ^= mask
+    out[bit // 8 % len(out)] ^= 0x80 >> (bit % 8)
     return bytes(out)
 
 
-def apply_tamper(plan: TamperPlan, frame: Frame, index: int, direction: str):
-    """Pure per-frame transformation for the single-frame fault modes.
-
-    Returns a list of frames to emit, possibly ending with the TRUNCATE
-    sentinel. Stateful modes (reorder) and forge_handshake are sequenced
-    by the relay, which calls this for the matching frame only.
-    """
-    if (
-        plan.mode == "passthrough"
-        or direction != plan.direction
-        or frame.frame_type != TYPE_DATA
-        or index != plan.target_index
-    ):
-        return [frame]
-    if plan.mode == "flip_ciphertext_bit":
-        ct_bits = max(8 * (len(frame.body) - 16), 8)
-        return [Frame(frame.frame_type, _flip_bit(frame.body, plan.bit_offset % ct_bits))]
-    if plan.mode == "flip_tag_bit":
-        tag_start = 8 * (len(frame.body) - 16)
-        return [Frame(frame.frame_type, _flip_bit(frame.body, tag_start + plan.bit_offset % 128))]
-    if plan.mode == "replay_frame":
-        return [frame, frame]
-    if plan.mode == "drop_frame":
-        return []
-    if plan.mode == "truncate_stream":
-        return [TRUNCATE]
-    return [frame]
+def apply_tamper(plan: TamperPlan, frame: Frame) -> bytes:
+    """The bytes to send in place of the target Data frame. The relay ends
+    the stream after truncate_stream's, and sends reorder_pair's frame
+    after the next one."""
+    body, mode = frame.body, plan.mode
+    ct_bits = 8 * (len(body) - TAG_LEN)
+    if mode == "flip_ciphertext_bit":
+        return Frame(TYPE_DATA, _flip_bit(body, plan.bit_offset % max(ct_bits, 8))).encode()
+    if mode == "flip_tag_bit":
+        bit = ct_bits + plan.bit_offset % (8 * TAG_LEN)
+        return Frame(TYPE_DATA, _flip_bit(body, bit)).encode()
+    if mode == "replay_frame":
+        return frame.encode() * 2
+    if mode == "truncate_stream":
+        return frame.encode()[: HEADER_LEN + len(body) // 2]
+    if mode in ("drop_frame", "reorder_pair"):
+        return b""
+    return frame.encode()
 
 
-class _RogueServer:
-    """Self-issued identity used only by forge_handshake."""
-
-    def __init__(self, suite):
-        self.suite = suite
-        now = int(time.time())
-        d, Q = curves.keypair_gen(suite)
-        subject = creds.encode_subject("rogue-server")
-        cred = creds.credential_issue(
-            d, subject, Role.SERVER, Q, now - 60, now + 3600, subject, suite
-        )
-        self.identity = LocalIdentity(static_priv=d, credential=cred)
-        # any credential works as "trust root" here; the rogue trusts itself
-        self.trust_root = cred
+def _rogue_server_hello(client_hello: Frame | None) -> bytes | None:
+    """A ServerHello from a self-issued server identity that trusts only
+    itself, on the ClientHello's suite; None without a ClientHello naming
+    a known suite."""
+    suite = client_hello and SUITES.get(int.from_bytes(client_hello.body[:2], "big"))
+    if suite is None:
+        return None
+    now = int(time.time())
+    d, Q = curves.keypair_gen(suite)
+    subject = creds.encode_subject("rogue-server")
+    cred = creds.credential_issue(d, subject, Role.SERVER, Q, now - 60, now + 3600, subject,
+                                  suite)
+    hs = ServerHandshake(LocalIdentity(static_priv=d, credential=cred), cred, suite=suite)
+    return Frame(TYPE_SERVER_HELLO, hs.respond(client_hello.body)).encode()
 
 
 class Relay:
-    """One proxied connection: two directional pumps over parsed frames."""
+    """One proxied connection: a pump per direction over parsed frames."""
 
     def __init__(self, client: socket.socket, upstream: socket.socket, plan: TamperPlan,
                  report: list):
@@ -128,69 +123,40 @@ class Relay:
         self.plan = plan
         self.report = report
         self._lock = threading.Lock()
-        self._captured_client_hello: Frame | None = None
-        self._pending_reorder: Frame | None = None
+        self._client_hello: Frame | None = None
 
     def _note(self, direction: str, frame: Frame, fault: str) -> None:
-        line = (
-            f"frame dir={direction} type=0x{frame.frame_type:02x} "
-            f"len={len(frame.body)} fault={fault}"
-        )
+        line = (f"frame dir={direction} type=0x{frame.frame_type:02x} "
+                f"len={len(frame.body)} fault={fault}")
         with self._lock:
             self.report.append(line)
-        print(line, flush=True)
+        log.info("%s", line)
 
     def _pump(self, src: socket.socket, dst: socket.socket, direction: str) -> None:
         plan = self.plan
         data_index = 0
+        held = b""  # reorder_pair's target, sent after the frame that follows it
         reader = FrameReader(src)
         try:
             while True:
                 frame = reader.read(timeout=10.0)
-                fault = "none"
-
-                if plan.mode == "forge_handshake":
-                    if direction == "c2s" and frame.frame_type == TYPE_CLIENT_HELLO:
-                        self._captured_client_hello = frame
-                    if direction == "s2c" and frame.frame_type == TYPE_SERVER_HELLO:
-                        frame = self._forge_server_hello(frame)
-                        fault = "forge_handshake"
-
-                is_target_data = (
-                    frame.frame_type == TYPE_DATA
-                    and direction == plan.direction
-                    and data_index == plan.target_index
-                )
-
-                if plan.mode == "reorder_pair" and direction == plan.direction:
-                    if self._pending_reorder is not None:
-                        # emit the newer frame first, then the held one
-                        self._note(direction, frame, "reorder_pair")
-                        frame_write(dst, frame)
-                        frame_write(dst, self._pending_reorder)
-                        self._pending_reorder = None
-                        if frame.frame_type == TYPE_DATA:
-                            data_index += 1
-                        continue
-                    if is_target_data:
-                        self._pending_reorder = frame
-                        self._note(direction, frame, "reorder_hold")
-                        data_index += 1
-                        continue
-
-                out = apply_tamper(plan, frame, data_index, direction)
-                if frame.frame_type == TYPE_DATA:
+                out, fault = frame.encode(), "none"
+                if held:
+                    out, held, fault = out + held, b"", "reorder_pair"
+                elif frame.frame_type == TYPE_CLIENT_HELLO:
+                    self._client_hello = frame
+                elif frame.frame_type == TYPE_SERVER_HELLO and plan.mode == "forge_handshake":
+                    out, fault = _rogue_server_hello(self._client_hello) or out, plan.mode
+                elif frame.frame_type == TYPE_DATA and direction == "c2s":
+                    if data_index == plan.target_index and plan.mode in DATA_MODES:
+                        out, fault = apply_tamper(plan, frame), plan.mode
+                        if plan.mode == "reorder_pair":
+                            held, fault = frame.encode(), "reorder_hold"
                     data_index += 1
-                if is_target_data and plan.mode != "passthrough":
-                    fault = plan.mode
                 self._note(direction, frame, fault)
-                for item in out:
-                    if item is TRUNCATE:
-                        # cut mid-body: send the header plus half the body
-                        raw = frame.encode()
-                        dst.sendall(raw[: 8 + len(frame.body) // 2])
-                        raise EndOfStream()
-                    frame_write(dst, item)
+                dst.sendall(out)
+                if fault == "truncate_stream":
+                    break
         except (VitalinkError, OSError):
             pass
         finally:
@@ -199,18 +165,6 @@ class Relay:
                 dst.shutdown(socket.SHUT_WR)
             except OSError:
                 pass
-
-    def _forge_server_hello(self, original: Frame) -> Frame:
-        ch = self._captured_client_hello
-        if ch is None:
-            return original
-        suite_id = int.from_bytes(ch.body[:2], "big")
-        suite = SUITES.get(suite_id)
-        if suite is None:
-            return original
-        rogue = _RogueServer(suite)
-        hs = ServerHandshake(rogue.identity, rogue.trust_root, suite=suite)
-        return Frame(TYPE_SERVER_HELLO, hs.respond(ch.body))
 
     def run(self) -> None:
         c2s = threading.Thread(target=self._pump, args=(self.client, self.upstream, "c2s"),
@@ -249,15 +203,3 @@ class TamperProxy:
     def stop(self) -> None:
         if self._listener is not None:
             self._listener.stop()
-
-
-def proxy_run(listen_host: str, listen_port: int, upstream_host: str,
-              upstream_port: int, plan: TamperPlan,
-              shutdown: threading.Event | None = None) -> list[str]:
-    proxy = TamperProxy(listen_host, listen_port, upstream_host, upstream_port, plan)
-    proxy.start()
-    try:
-        (shutdown or threading.Event()).wait()
-    finally:
-        proxy.stop()
-    return proxy.report

@@ -264,6 +264,28 @@ def test_invalid_peer_key_is_logged_as_a_handshake_failure(pki, server, caplog, 
     assert problems[0].endswith(f" peer={peer}")
 
 
+def test_a_truncated_client_hello_is_logged_as_a_handshake_error(toy_pki, tmp_path, caplog):
+    toy_pki.write_files(tmp_path)
+    srv = IngestionServer(ServerConfig(
+        key_path=str(tmp_path / "server.vlk"), cred_path=str(tmp_path / "server.vlc"),
+        root_path=str(tmp_path / "root.vlc"), store_dir=str(tmp_path / "store"),
+    ))
+    srv.start()
+    caplog.set_level(logging.INFO, logger="vitalink")
+    sock = socket.create_connection(("127.0.0.1", srv.port))
+    try:
+        hello = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root).start()
+        frame_write(sock, Frame(TYPE_CLIENT_HELLO, hello[:-1]))
+        assert frame_read(sock, timeout=5.0).frame_type == TYPE_ABORT
+    finally:
+        sock.close()
+        srv.stop()
+    problems = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(problems) == 1
+    assert problems[0].startswith(
+        'handshake_failed cause=HandshakeError detail="malformed ClientHello: ')
+
+
 def test_the_session_established_line_names_the_subject_and_the_socket_address(
         pki, server, caplog):
     caplog.set_level(logging.INFO, logger="vitalink")

@@ -50,11 +50,10 @@ def test_honest_flow_both_sides_agree(pki):
 
 def test_key_schedule_field_lengths(pki):
     _, _, ck, _, _ = run_handshake(pki)
-    assert len(ck.c2s_key) == 16 and len(ck.s2c_key) == 16
-    assert len(ck.c2s_salt) == 4 and len(ck.s2c_salt) == 4
+    assert len(ck.c2s_key) == 16
+    assert len(ck.c2s_salt) == 4
     assert len(ck.client_fin_key) == 32 and len(ck.server_fin_key) == 32
     assert len(ck.session_id) == 32
-    assert ck.c2s_key != ck.s2c_key
 
 
 def test_client_hello_shape(pki):
@@ -97,6 +96,43 @@ def test_unsupported_suite_rejected(pki):
     with pytest.raises(UnsupportedSuite):
         s.respond(bytes(body))
     assert s.phase is Phase.FAILED
+
+
+def test_an_unknown_suite_on_the_toy_server_is_still_unsupported(toy_pki):
+    body = bytearray(ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root).start())
+    struct.pack_into(">H", body, 0, 0xFFFF)
+    s = ServerHandshake(toy_pki.server, toy_pki.root, suite=toy_pki.suite)
+    with pytest.raises(UnsupportedSuite):
+        s.respond(bytes(body))
+
+
+def test_a_truncated_client_hello_is_malformed_not_an_unsupported_suite(toy_pki):
+    hello = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root).start()
+    s = ServerHandshake(toy_pki.server, toy_pki.root, suite=toy_pki.suite)
+    with pytest.raises(HandshakeError, match="^malformed ClientHello: ") as err:
+        s.respond(hello[:-1])
+    assert type(err.value) is HandshakeError
+    assert s.phase is Phase.FAILED
+
+
+def test_a_truncated_server_hello_is_malformed_not_a_bad_signature(toy_pki):
+    c = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root)
+    s = ServerHandshake(toy_pki.server, toy_pki.root, suite=toy_pki.suite)
+    server_hello = s.respond(c.start())
+    with pytest.raises(HandshakeError, match="^malformed ServerHello: ") as err:
+        c.finish(server_hello[:-1])
+    assert type(err.value) is HandshakeError
+    assert c.phase is Phase.FAILED
+
+
+def test_a_bad_server_ephemeral_is_reported_as_such(toy_pki):
+    c = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root)
+    s = ServerHandshake(toy_pki.server, toy_pki.root, suite=toy_pki.suite)
+    server_hello = bytearray(s.respond(c.start()))
+    server_hello[32 + 2] = 0x05  # the point's 0x04 prefix, after random(32) and its length
+    with pytest.raises(HandshakeError, match="^server ephemeral invalid: ") as err:
+        c.finish(bytes(server_hello))
+    assert type(err.value) is HandshakeError
 
 
 def test_server_sig_verifiable_by_independent_checker(pki):
@@ -207,10 +243,27 @@ def test_derive_session_keys_deterministic_and_avalanche():
     cr, sr, th = b"\x02" * 32, b"\x03" * 32, kdf.hash_(b"transcript")
     a = derive_session_keys(shared, cr, sr, th)
     b = derive_session_keys(shared, cr, sr, th)
-    assert (a.c2s_key, a.s2c_key, a.c2s_salt) == (b.c2s_key, b.s2c_key, b.c2s_salt)
+    assert (a.c2s_key, a.c2s_salt) == (b.c2s_key, b.c2s_salt)
     flipped = derive_session_keys(shared, cr, sr, kdf.hash_(b"transcripu"))
-    for field in ("c2s_key", "s2c_key", "c2s_salt", "s2c_salt", "client_fin_key", "server_fin_key"):
+    for field in ("c2s_key", "c2s_salt", "client_fin_key", "server_fin_key"):
         assert getattr(a, field) != getattr(flipped, field)
+
+
+def test_the_key_schedule_expands_four_values_unchanged_by_the_removed_s2c_keys(monkeypatch):
+    """Recorded while the schedule still expanded an s2c key and salt: the
+    labels and PRK are unchanged, so the remaining values are too."""
+    expands = []
+    real = kdf.hkdf_expand
+    monkeypatch.setattr(kdf, "hkdf_expand", lambda *a: expands.append(a) or real(*a))
+    keys = derive_session_keys(b"\x01" * 32, b"\x02" * 32, b"\x03" * 32,
+                               kdf.hash_(b"transcript"))
+    assert len(expands) == 4
+    assert keys.c2s_key.hex() == "610e11238bac4fae56bf4a91aa03761d"
+    assert keys.c2s_salt.hex() == "ec0f94ed"
+    assert keys.client_fin_key.hex() == (
+        "41eb10ba24ff0c746118f1549c9531e2f129f738262cac2f3ca7fb019ce0b592")
+    assert keys.server_fin_key.hex() == (
+        "e5967063fca4c1c85ad0168d69ebf00a219fb999ec11ab087a188f0adcf2d143")
 
 
 def _degenerate_shared_secret(*args):

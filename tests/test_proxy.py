@@ -1,5 +1,6 @@
 """Tamper proxy: pure fault transforms plus end-to-end fault injection."""
 
+import logging
 import socket
 import threading
 import time
@@ -8,8 +9,9 @@ import pytest
 
 from vitalink.endpoints import DeviceConfig, IngestionServer, ServerConfig, run_device
 from vitalink.errors import EndOfStream
-from vitalink.proxy import MODES, TRUNCATE, Relay, TamperPlan, TamperProxy, apply_tamper
-from vitalink.records import TYPE_ABORT, TYPE_CLOSE, TYPE_DATA, Frame, frame_read, frame_write
+from vitalink.proxy import MODES, Relay, TamperPlan, TamperProxy, apply_tamper
+from vitalink.records import (TYPE_ABORT, TYPE_CLIENT_FINISH, TYPE_CLIENT_HELLO, TYPE_CLOSE,
+                              TYPE_DATA, TYPE_SERVER_HELLO, Frame, frame_read, frame_write)
 
 BODY = bytes(range(48))  # pretend ciphertext (32) + tag (16)
 FRAME = Frame(TYPE_DATA, BODY)
@@ -21,39 +23,38 @@ def test_plan_validation():
         TamperPlan("explode")
     with pytest.raises(ValueError):
         TamperPlan("drop_frame", target_index=-1)
-    with pytest.raises(ValueError):
-        TamperPlan("drop_frame", direction="up")
 
 
-def test_passthrough_and_non_target_frames_are_identity():
-    plan = TamperPlan("flip_tag_bit", target_index=3)
-    assert apply_tamper(TamperPlan("passthrough"), FRAME, 3, "c2s") == [FRAME]
-    assert apply_tamper(plan, FRAME, 2, "c2s") == [FRAME]  # wrong index
-    assert apply_tamper(plan, FRAME, 3, "s2c") == [FRAME]  # wrong direction
-    close = Frame(TYPE_CLOSE, BODY)
-    assert apply_tamper(plan, close, 3, "c2s") == [close]  # wrong type
+def test_passthrough_sends_the_frame_as_it_came():
+    assert apply_tamper(TamperPlan("passthrough"), FRAME) == FRAME.encode()
+
+
+def _body_sent(plan):
+    out = apply_tamper(plan, FRAME)
+    assert out[:8] == FRAME.encode()[:8]  # the header is untouched
+    return out[8:]
 
 
 def test_flip_ciphertext_bit_changes_exactly_one_bit_in_ct():
-    plan = TamperPlan("flip_ciphertext_bit", target_index=0, bit_offset=13)
-    (out,) = apply_tamper(plan, FRAME, 0, "c2s")
-    diff = [i for i in range(len(BODY)) if out.body[i] != BODY[i]]
+    body = _body_sent(TamperPlan("flip_ciphertext_bit", target_index=0, bit_offset=13))
+    diff = [i for i in range(len(BODY)) if body[i] != BODY[i]]
     assert len(diff) == 1 and diff[0] < len(BODY) - 16
-    assert bin(out.body[diff[0]] ^ BODY[diff[0]]).count("1") == 1
+    assert bin(body[diff[0]] ^ BODY[diff[0]]).count("1") == 1
 
 
 def test_flip_tag_bit_lands_in_tag():
     for off in (0, 64, 127, 500):
-        plan = TamperPlan("flip_tag_bit", target_index=0, bit_offset=off)
-        (out,) = apply_tamper(plan, FRAME, 0, "c2s")
-        diff = [i for i in range(len(BODY)) if out.body[i] != BODY[i]]
+        body = _body_sent(TamperPlan("flip_tag_bit", target_index=0, bit_offset=off))
+        diff = [i for i in range(len(BODY)) if body[i] != BODY[i]]
         assert len(diff) == 1 and diff[0] >= len(BODY) - 16
 
 
-def test_replay_drop_truncate_outputs():
-    assert apply_tamper(TamperPlan("replay_frame"), FRAME, 0, "c2s") == [FRAME, FRAME]
-    assert apply_tamper(TamperPlan("drop_frame"), FRAME, 0, "c2s") == []
-    assert apply_tamper(TamperPlan("truncate_stream"), FRAME, 0, "c2s") == [TRUNCATE]
+def test_replay_drop_reorder_truncate_outputs():
+    raw = FRAME.encode()
+    assert apply_tamper(TamperPlan("replay_frame"), FRAME) == raw + raw
+    assert apply_tamper(TamperPlan("drop_frame"), FRAME) == b""
+    assert apply_tamper(TamperPlan("reorder_pair"), FRAME) == b""  # the relay holds it
+    assert apply_tamper(TamperPlan("truncate_stream"), FRAME) == raw[: 8 + len(BODY) // 2]
 
 
 def test_modes_registry_is_complete():
@@ -83,6 +84,106 @@ def test_relay_carries_a_late_abort_after_the_device_half_closes():
     finally:
         device.close()
         server.close()
+
+
+# --- the relay's output, frame by frame --------------------------------------
+
+HELLO = Frame(TYPE_CLIENT_HELLO, b"client hello")
+FINISH = Frame(TYPE_CLIENT_FINISH, b"client finish")
+# 19 B of "ciphertext" and a 16 B "tag", distinct per frame
+DATA = [Frame(TYPE_DATA, bytes([i]) * 19 + bytes([0x80 | i]) * 16) for i in range(8)]
+CLOSE = Frame(TYPE_CLOSE, b"\xcc" * 16)
+S2C = [Frame(TYPE_SERVER_HELLO, b"server hello"), Frame(TYPE_ABORT, b"")]
+
+
+def _xor_byte(frame, at, mask):
+    body = bytearray(frame.body)
+    body[at] ^= mask
+    return Frame(frame.frame_type, bytes(body))
+
+
+def _wire(frames):
+    return b"".join(f.encode() for f in frames)
+
+
+def _expected_upstream(mode, idx):
+    """The bytes the server must see for a c2s plan, written out per mode."""
+    frames = [HELLO, FINISH, *DATA, CLOSE]
+    at, target = 2 + idx, DATA[idx]
+    if mode == "flip_ciphertext_bit":  # bit 13: byte 1, mask 0x04
+        frames[at] = _xor_byte(target, 1, 0x04)
+    elif mode == "flip_tag_bit":  # bit 13 of the 16 B tag
+        frames[at] = _xor_byte(target, len(target.body) - 16 + 1, 0x04)
+    elif mode == "replay_frame":
+        frames.insert(at, target)
+    elif mode == "drop_frame":
+        del frames[at]
+    elif mode == "reorder_pair":  # after the last Data frame, the Close goes first
+        frames[at], frames[at + 1] = frames[at + 1], target
+    elif mode == "truncate_stream":  # the header and half the body, then EOF
+        return _wire(frames[:at]) + target.encode()[: 8 + len(target.body) // 2]
+    return _wire(frames)
+
+
+def _recv_all(sock):
+    sock.settimeout(5.0)
+    out = bytearray()
+    while chunk := sock.recv(4096):
+        out += chunk
+    return bytes(out)
+
+
+C2S_MODES = [m for m in MODES if m != "forge_handshake"]
+
+
+@pytest.mark.parametrize("idx", (0, 1, 7))
+@pytest.mark.parametrize("mode", C2S_MODES)
+def test_the_relay_sends_upstream_exactly_the_planned_frames(mode, idx):
+    device, client = socket.socketpair()
+    upstream, server = socket.socketpair()
+    relay = threading.Thread(
+        target=Relay(client, upstream, TamperPlan(mode, target_index=idx, bit_offset=13),
+                     []).run)
+    relay.start()
+    try:
+        device.sendall(_wire([HELLO, FINISH, *DATA, CLOSE]))
+        device.shutdown(socket.SHUT_WR)
+        server.sendall(_wire(S2C))
+        server.shutdown(socket.SHUT_WR)
+        assert _recv_all(server) == _expected_upstream(mode, idx)
+        assert _recv_all(device) == _wire(S2C)  # s2c frames pass untouched
+        relay.join(timeout=5.0)
+        assert not relay.is_alive()
+    finally:
+        device.close()
+        server.close()
+
+
+def test_frame_lines_go_to_the_proxy_logger_not_stdout(caplog, capsys):
+    caplog.set_level(logging.INFO, logger="vitalink.proxy")
+    device, client = socket.socketpair()
+    upstream, server = socket.socketpair()
+    report = []
+    relay = threading.Thread(
+        target=Relay(client, upstream, TamperPlan("drop_frame", target_index=1), report).run)
+    relay.start()
+    try:
+        device.sendall(_wire([HELLO, *DATA[:2]]))
+        device.shutdown(socket.SHUT_WR)
+        server.shutdown(socket.SHUT_WR)
+        _recv_all(server)
+        relay.join(timeout=5.0)
+        assert not relay.is_alive()
+    finally:
+        device.close()
+        server.close()
+    lines = [r.getMessage() for r in caplog.records if r.name == "vitalink.proxy"]
+    assert lines == report == [
+        "frame dir=c2s type=0x01 len=12 fault=none",
+        "frame dir=c2s type=0x10 len=35 fault=none",
+        "frame dir=c2s type=0x10 len=35 fault=drop_frame",
+    ]
+    assert capsys.readouterr().out == ""
 
 
 # --- end to end -----------------------------------------------------------
@@ -137,7 +238,7 @@ def test_passthrough_proxy_preserves_fidelity(stack):
 
 def test_tag_flip_detected_and_stream_cut(stack):
     srv, files = stack
-    plan = TamperPlan("flip_tag_bit", target_index=3, direction="c2s")
+    plan = TamperPlan("flip_tag_bit", target_index=3)
     report, notes = run_through_proxy(srv, files, plan)
     # the server must detect the flip: only the pre-fault frames persist
     # (whether the device observes the Abort in time is a race we don't pin)
