@@ -8,10 +8,11 @@ than 10 blocks. A record then costs one AES block per 16 bytes of
 payload plus one for the tag, and one GF(2^128) multiply per 16 bytes of
 AAD and ciphertext plus one for the lengths block. On a 2 vCPU host
 under CPython 3.11, the key schedule and H take 0.02-0.04 ms, the table
-0.08 ms, a `gf128_mul` 0.01 ms and a table multiply 0.0035 ms. Sealing
-or opening a 19-byte reading with the table takes 55-85 µs, two thirds
-of it in its three AES blocks, and about 21 µs once `prepare` has
-computed those blocks (0.35 ms for 64 nonces).
+0.3-0.4 ms and about 0.2 MB (kept for the life of the key), a
+`gf128_mul` 0.01 ms and a table multiply 0.0015-0.002 ms. Sealing or
+opening a 19-byte reading with the table takes 50-80 µs, most of it in
+its three AES blocks, and about 12 µs once `prepare` has computed those
+blocks (0.35 ms for 64 nonces); its GHASH is 6-9 µs of that.
 
 `Aes128.encrypt_block` does rounds 1-9 with the four 256-entry T-tables
 (Daemen-Rijmen, *The Design of Rijndael*, §4.2): each output column is
@@ -50,17 +51,21 @@ into GHASH computes gf128_mul(C1, H) = 5e2ec746917062882c85b0685353deb7.
 Mode of Operation", §4.1): it builds the 16 multiples n · Y of one
 operand, then runs Horner's rule over the other's 32 nibbles, each step
 a multiply by x^4 (a 4-bit shift whose carry-out is reduced through a
-16-entry table) and one lookup. The per-key GHASH table takes the
-method one step further: 32 tables, one per nibble position p of the
-128-bit block read as a big-endian integer, of 16 entries each,
-table[p][v] = (v << 4p) · H. Multiplying X by H is then 32 lookups
-XORed together, with no shifts or reductions. The top table is the 16
-multiples of H, and each one below is the one above times x^4.
+16-entry table) and one lookup. The per-key GHASH table is the 8-bit
+variant of the same method (ibid.): 16 tables, one per byte position j
+of the block, of 256 entries each, table[j][v] = (the block with byte j
+= v and every other byte 0) · H. Multiplying X by H is then 16 lookups,
+one per byte of X, XORed together, with no shifts or reductions. The
+build goes through the nibble-position multiples: the 16 multiples of
+H, then 31 rows each the one before times x^4; entry v of byte table j
+XORs the entries of v's two nibbles. That is 4096 entries of 128 bits,
+about 0.2 MB per key.
 
-None of the table lookups is constant time: which entry is read depends on
-key and data bytes, so a co-resident attacker who can observe the cache
-may learn key bits. This is a teaching implementation, not a hardened
-one.
+None of the table lookups is constant time: which entry of the 256-entry
+AES T-tables or of the key-dependent 256-entry GHASH tables is read
+depends on key and data bytes, so a co-resident attacker who can observe
+the cache may learn key bits. This is a teaching implementation, not a
+hardened one.
 
 `GcmKey.prepare(nonces)` runs one such batch over E(K, nonce‖1), the block
 that masks the tag, and the first two CTR blocks E(K, nonce‖2) and
@@ -266,24 +271,31 @@ def gf128_mul(X: bytes, Y: bytes) -> bytes:
 
 
 def _ghash_tables(h: int) -> tuple:
-    # tables[31] multiplies the top nibble (x^0..x^3) by H; each table below
-    # it is the one above times x^4
+    # rows[i][n] = n · H · x^4i multiplies nibble n at x^4i..x^4i+3, the
+    # (i+1)-th nibble from the top of the block: rows[0] is the 16
+    # multiples of H and each row is the one before times x^4. Byte j of
+    # the block is the nibbles of rows 2j and 2j + 1, so its table XORs them.
     row = _nibble_row(h)
-    tables = [tuple(row)]
+    rows = [row]
     for _ in range(31):
         row = [(e >> 4) ^ _RED[e & 15] for e in row]
-        tables.append(tuple(row))
-    tables.reverse()
-    return tuple(tables)
+        rows.append(row)
+    return tuple(
+        tuple([a ^ b for a in hi for b in lo]) for hi, lo in zip(rows[::2], rows[1::2])
+    )
 
 
 # GHASH multiplies with gf128_mul while a key's running total of hashed
 # blocks stays within this, and builds the table on the first call that
-# would pass it. The table costs about as much as 8 gf128_mul calls
-# (0.08 vs 0.01 ms) and saves about 0.0065 ms on each later block, so it
-# pays for itself after 10 to 12 blocks. Sessions of one or two readings
-# and a Close (6 or 10 blocks) never build it; a long one does at its
-# third reading, and a first record over 10 blocks builds it at once.
+# would pass it. Sessions of one or two readings and a Close (6 or 10
+# blocks) never build it; a long one does at its third reading, and a
+# first record over 10 blocks builds it at once. The table costs
+# 0.27-0.37 ms and saves about 0.0095 ms on each later block (a block
+# through gf128_mul 0.012 ms, through the table 0.002 ms), so it pays for
+# itself only after 30 to 40 blocks, around a key's tenth reading: later
+# than it is built. A session of 3 to 9 readings loses up to 0.3 ms by
+# that, and one of 1000 saves about 9 ms. No workload measures sessions
+# that short, so the value is not tuned to them.
 _BLOCKS_BEFORE_TABLE = 10
 
 
@@ -361,12 +373,12 @@ class GcmKey:
                     y = int.from_bytes(gf128_mul((y ^ block).to_bytes(16, "big"), h), "big")
                 return y
             tables = self._tables = _ghash_tables(self._h)
+        t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = tables
         for block in blocks:
-            x = y ^ block
-            y = 0
-            for t in tables:
-                y ^= t[x & 15]
-                x >>= 4
+            b = (y ^ block).to_bytes(16, "big")
+            y = (t0[b[0]] ^ t1[b[1]] ^ t2[b[2]] ^ t3[b[3]] ^ t4[b[4]] ^ t5[b[5]]
+                 ^ t6[b[6]] ^ t7[b[7]] ^ t8[b[8]] ^ t9[b[9]] ^ t10[b[10]] ^ t11[b[11]]
+                 ^ t12[b[12]] ^ t13[b[13]] ^ t14[b[14]] ^ t15[b[15]])
         return y
 
     def _take(self, nonce: bytes) -> tuple[int, bytes]:

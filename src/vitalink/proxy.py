@@ -72,6 +72,8 @@ class TamperPlan:
 
 
 def _flip_bit(data: bytes, bit: int) -> bytes:
+    if not data:
+        return data  # the receiver rejects a body shorter than a tag anyway
     out = bytearray(data)
     out[bit // 8 % len(out)] ^= 0x80 >> (bit % 8)
     return bytes(out)

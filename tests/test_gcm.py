@@ -4,6 +4,7 @@ round-trip and tamper-detection properties."""
 
 import os
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -369,6 +370,30 @@ def test_the_ghash_table_is_built_once_it_pays(monkeypatch):
     big = GcmKey(os.urandom(16))
     seal(big, nonce, aad, bytes(4096))
     assert calls == [] and big._tables is not None
+
+
+def test_every_ghash_table_entry_is_its_block_times_h():
+    h = os.urandom(16)
+    tables = gcm._ghash_tables(int.from_bytes(h, "big"))
+    assert len(tables) == 16 and all(len(t) == 256 for t in tables)
+    for j, table in enumerate(tables):
+        for v, entry in enumerate(table):
+            block = bytes(j) + bytes([v]) + bytes(15 - j)
+            assert entry.to_bytes(16, "big") == gf128_mul(block, h)
+
+
+def test_one_ghash_table_build_allocates_under_256_kb():
+    # every long-lived key pays this, so a wider table shows here first
+    h = int.from_bytes(os.urandom(16), "big")
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        gcm._ghash_tables(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 256 * 1024
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,13 @@ def test_flip_tag_bit_lands_in_tag():
         assert len(diff) == 1 and diff[0] >= len(BODY) - 16
 
 
+@pytest.mark.parametrize("mode", ["flip_ciphertext_bit", "flip_tag_bit"])
+def test_a_bit_flip_relays_an_empty_data_body_unchanged(mode):
+    # nothing to flip; the receiver rejects a body shorter than a tag
+    empty = Frame(TYPE_DATA, b"")
+    assert apply_tamper(TamperPlan(mode, bit_offset=13), empty) == empty.encode()
+
+
 def test_replay_drop_reorder_truncate_outputs():
     raw = FRAME.encode()
     assert apply_tamper(TamperPlan("replay_frame"), FRAME) == raw + raw
