@@ -2,9 +2,11 @@
 and ships heart-rate readings, and the ingestion server that terminates
 the secure channel, persists readings, and raises anomaly alerts.
 
-Persistence is append-only line-delimited text. Each line is written in
-a single unbuffered write so concurrent sessions never interleave within
-a line and a crash never leaves a torn line behind.
+Persistence is append-only line-delimited text. The server opens, checks
+and formats every reading already buffered on a connection, then writes
+the burst's lines in one unbuffered write under the store's lock, so
+concurrent sessions never interleave within a burst and a crash never
+leaves a torn line behind.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import logging
 import os
 import select
 import socket
-import sys
 import threading
 import time
 from dataclasses import dataclass, field
@@ -54,6 +55,7 @@ from .telemetry import (
     AnomalyAlert,
     AnomalyConfig,
     AnomalyDetector,
+    HeartRateReading,
     SensorSim,
     STATUS_NAMES,
     reading_decode,
@@ -114,6 +116,8 @@ def detect_suite_for_credential(path) -> CurveSuite:
 
 @dataclass(frozen=True)
 class StoreRecord:
+    """One parsed readings line."""
+
     session_id: str  # hex of the transcript digest
     subject_id: str
     device_id: str  # hex
@@ -122,18 +126,12 @@ class StoreRecord:
     status: str
     received_at_ms: int
 
-    def line(self) -> str:
-        return "\t".join(
-            [
-                self.session_id,
-                self.subject_id,
-                self.device_id,
-                str(self.timestamp_ms),
-                str(self.bpm),
-                self.status,
-                str(self.received_at_ms),
-            ]
-        )
+
+def reading_line(session_id: str, subject_id: str, r: HeartRateReading,
+                 received_at_ms: int) -> str:
+    """The readings line of `r`, without its newline."""
+    return (f"{session_id}\t{subject_id}\t{r.device_id.hex()}\t{r.timestamp_ms}\t"
+            f"{r.bpm}\t{STATUS_NAMES[r.status]}\t{received_at_ms}")
 
 
 def parse_reading_line(line: str) -> StoreRecord:
@@ -179,28 +177,33 @@ def parse_alert_line(line: str) -> AnomalyAlert:
 
 
 class Store:
-    """Append-only readings and alerts logs, safe for concurrent sessions."""
+    """Append-only readings and alerts logs, safe for concurrent sessions.
 
-    def __init__(self, directory, fsync: bool = False):
+    Each call is one unbuffered write under one lock, so the lines of one
+    call never interleave with another's. The server writes each burst of
+    readings in one call (`IngestionServer._ingest`), so a crash loses at
+    most the unwritten part of one burst; the protocol has no Ack, so
+    none of those readings was promised stored. Nothing is fsynced.
+    """
+
+    def __init__(self, directory):
         self.dir = Path(directory)
         self.dir.mkdir(parents=True, exist_ok=True)
-        self.fsync = fsync
         self._lock = threading.Lock()
         self._readings = open(self.dir / "readings.log", "ab", buffering=0)
         self._alerts = open(self.dir / "alerts.log", "ab", buffering=0)
 
-    def append_reading(self, rec: StoreRecord) -> None:
-        self._append(self._readings, rec.line())
+    def append_reading(self, lines: list[str]) -> None:
+        """Appends a burst of `reading_line`s in one write."""
+        self._append(self._readings, lines)
 
     def append_alert(self, a: AnomalyAlert) -> None:
-        self._append(self._alerts, alert_line(a))
+        self._append(self._alerts, [alert_line(a)])
 
-    def _append(self, fh, line: str) -> None:
-        data = (line + "\n").encode("utf-8")
+    def _append(self, fh, lines: list[str]) -> None:
+        data = ("\n".join(lines) + "\n").encode("utf-8")
         with self._lock:
             fh.write(data)
-            if self.fsync:
-                os.fsync(fh.fileno())
 
     def close(self) -> None:
         with self._lock:
@@ -221,7 +224,6 @@ class ServerConfig:
     root_path: str = ""
     store_dir: str = "store"
     anomaly: AnomalyConfig = field(default_factory=AnomalyConfig)
-    fsync: bool = False
     read_timeout_s: float = records.READ_TIMEOUT_S
 
 
@@ -235,7 +237,7 @@ class IngestionServer:
         self.identity = load_identity(cfg.key_path, cfg.cred_path, self.suite)
         self.trust_root = keyfiles.read_credential(cfg.root_path, self.suite)
         check_trust(self.identity.credential, self.trust_root, Role.SERVER, self.suite)
-        self.store = Store(cfg.store_dir, fsync=cfg.fsync)
+        self.store = Store(cfg.store_dir)
         self._listener: Listener | None = None
         self.port = 0
 
@@ -274,41 +276,12 @@ class IngestionServer:
                      session_hex[:16], log_value(subject), *addr[:2])
 
             recv_dir = DirectionState(keys.c2s_key, keys.c2s_salt)
-            detector = AnomalyDetector(self.cfg.anomaly)
-            last_ts = -1
-            clean_close = False
-            while True:
-                fr = frame_read(reader, self.cfg.read_timeout_s)
-                if fr.frame_type == TYPE_ABORT:
-                    # plaintext: rewriting one type byte on the path forges it
-                    log.warning("peer_abort session=%s cause=unauthenticated", session_hex[:16])
-                    self._abort(conn)
-                    break
-                if fr.frame_type not in (TYPE_DATA, TYPE_CLOSE):
-                    raise MalformedFrame("unexpected frame type mid-session")
-                ftype, payload = record_open(recv_dir, fr)
-                if ftype == TYPE_CLOSE:
-                    clean_close = True
-                    log.info("session_closed session=%s", session_hex[:16])
-                    break
-                reading = reading_decode(payload)
-                if reading.timestamp_ms < last_ts:
-                    raise MalformedReading("timestamps went backwards")
-                last_ts = reading.timestamp_ms
-                self.store.append_reading(
-                    StoreRecord(
-                        session_id=session_hex,
-                        subject_id=subject,
-                        device_id=reading.device_id.hex(),
-                        timestamp_ms=reading.timestamp_ms,
-                        bpm=reading.bpm,
-                        status=STATUS_NAMES[reading.status],
-                        received_at_ms=int(time.time() * 1000),
-                    )
-                )
-                alert = detector.check(reading)
-                if alert is not None:
-                    self.raise_alert(alert)
+            if self._ingest(reader, recv_dir, session_hex, subject) == TYPE_ABORT:
+                # plaintext: rewriting one type byte on the path forges it
+                log.warning("peer_abort session=%s cause=unauthenticated", session_hex[:16])
+                self._abort(conn)
+            else:
+                log.info("session_closed session=%s", session_hex[:16])
         except EndOfStream:
             log.warning("suspicious_termination session=%s cause=no_authenticated_close",
                         session_hex[:16])
@@ -335,15 +308,53 @@ class IngestionServer:
             except OSError:
                 pass
 
-    def raise_alert(self, alert: AnomalyAlert) -> None:
+    def _ingest(self, reader: FrameReader, recv_dir: DirectionState, session_hex: str,
+                subject: str) -> int:
+        """Reads one session's records up to its Close (returns TYPE_CLOSE) or a
+        plaintext Abort (returns TYPE_ABORT); raises on any fault.
+
+        While the reader holds whole frames it opens, decodes and checks
+        each and formats its line; the lines go to the store in one write
+        before the reader waits on the socket, before an alert is stored,
+        and however the session ends. So a fault in the k-th record of a
+        burst still persists the k readings before it, and none after."""
+        detector = AnomalyDetector(self.cfg.anomaly)
+        last_ts = -1
+        pending: list[str] = []
+        try:
+            while True:
+                if pending and not reader.has_frame():
+                    self.store.append_reading(pending)
+                    pending = []
+                fr = frame_read(reader, self.cfg.read_timeout_s)
+                if fr.frame_type == TYPE_ABORT:
+                    return TYPE_ABORT
+                if fr.frame_type not in (TYPE_DATA, TYPE_CLOSE):
+                    raise MalformedFrame("unexpected frame type mid-session")
+                ftype, payload = record_open(recv_dir, fr)
+                if ftype == TYPE_CLOSE:
+                    return TYPE_CLOSE
+                reading = reading_decode(payload)
+                if reading.timestamp_ms < last_ts:
+                    raise MalformedReading("timestamps went backwards")
+                last_ts = reading.timestamp_ms
+                pending.append(reading_line(session_hex, subject, reading,
+                                            int(time.time() * 1000)))
+                alert = detector.check(reading)
+                if alert is not None:
+                    self.store.append_reading(pending)
+                    pending = []
+                    self.raise_alert(alert, session_hex)
+        finally:
+            if pending:
+                self.store.append_reading(pending)
+
+    def raise_alert(self, alert: AnomalyAlert, session_hex: str) -> None:
         self.store.append_alert(alert)
-        print(
-            f"ALERT device={alert.device_id.hex()} rule={alert.rule} "
-            f"bpm={','.join(str(b) for b in alert.observed_bpm)} "
-            f"window={alert.window_start_ms}..{alert.window_end_ms}",
-            file=sys.stderr,
-            flush=True,
-        )
+        log.warning("alert session=%s device=%s rule=%s bpm=%s window=%d..%d",
+                    session_hex[:16], alert.device_id.hex(), alert.rule,
+                    ",".join(str(b) for b in alert.observed_bpm),
+                    alert.window_start_ms, alert.window_end_ms)
 
     def stop(self) -> None:
         if self._listener is not None:

@@ -232,7 +232,6 @@ class Aes128:
 
 _CTR_1_TO_3 = (b"\x00\x00\x00\x01", b"\x00\x00\x00\x02", b"\x00\x00\x00\x03")
 _R = 0xE1 << 120
-GF128_ONE = (1 << 127).to_bytes(16, "big")
 
 
 def _nibble_row(y: int) -> list[int]:

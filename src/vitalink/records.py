@@ -192,6 +192,11 @@ class FrameReader:
         """Bytes received and not yet returned as a frame."""
         return len(self._buf)
 
+    def has_frame(self) -> bool:
+        """Whether a whole frame is buffered, so that `read` makes no syscall."""
+        buf = self._buf
+        return len(buf) >= HEADER_LEN and len(buf) >= HEADER_LEN + int.from_bytes(buf[4:8], "big")
+
     def read(self, timeout: float = READ_TIMEOUT_S) -> Frame:
         """The next frame, which must be whole within `timeout` seconds of
         the call: a peer trickling bytes cannot stretch it."""

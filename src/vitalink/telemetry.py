@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedReading
 
@@ -22,8 +24,7 @@ STATUS_LOW_CONFIDENCE = 2
 STATUS_NAMES = {STATUS_OK: "ok", STATUS_OFF_BODY: "off_body", STATUS_LOW_CONFIDENCE: "low_confidence"}
 
 
-@dataclass(frozen=True)
-class HeartRateReading:
+class HeartRateReading(NamedTuple):
     device_id: bytes
     timestamp_ms: int
     bpm: int
@@ -54,12 +55,7 @@ def reading_decode(data: bytes) -> HeartRateReading:
     status = data[18]
     if status not in STATUS_NAMES:
         raise MalformedReading(f"unknown status {status}")
-    return HeartRateReading(
-        device_id=data[:8],
-        timestamp_ms=int.from_bytes(data[8:16], "big"),
-        bpm=bpm,
-        status=status,
-    )
+    return HeartRateReading(data[:8], int.from_bytes(data[8:16], "big"), bpm, status)
 
 
 @dataclass
@@ -144,36 +140,43 @@ class AnomalyDetector:
     """Fires once per breach episode when the last N ok-status readings all
     sit below the low threshold or all above the high one. A reading back
     inside the normal band re-arms the detector; off-body and
-    low-confidence readings are ignored entirely."""
+    low-confidence readings are ignored entirely.
+
+    O(1) per reading: it counts the run of consecutive ok-readings above
+    the high threshold and the run below the low one, and keeps the last N
+    ok-readings only to name the alert's window."""
 
     def __init__(self, cfg: AnomalyConfig):
         self.cfg = cfg
-        self.window: list[HeartRateReading] = []
+        self.window: deque[HeartRateReading] = deque(maxlen=cfg.consecutive)
+        self.high_run = 0
+        self.low_run = 0
         self.armed = True
 
     def check(self, r: HeartRateReading) -> AnomalyAlert | None:
         if r.status != STATUS_OK:
             return None
         cfg = self.cfg
-        if cfg.low <= r.bpm <= cfg.high:
-            self.armed = True
         self.window.append(r)
-        if len(self.window) > cfg.consecutive:
-            self.window.pop(0)
-        if len(self.window) < cfg.consecutive or not self.armed:
-            return None
-        bpms = [w.bpm for w in self.window]
-        if all(b > cfg.high for b in bpms):
-            rule = "high_hr"
-        elif all(b < cfg.low for b in bpms):
-            rule = "low_hr"
+        if r.bpm > cfg.high:
+            self.high_run += 1
+            self.low_run = 0
+            run, rule = self.high_run, "high_hr"
+        elif r.bpm < cfg.low:
+            self.low_run += 1
+            self.high_run = 0
+            run, rule = self.low_run, "low_hr"
         else:
+            self.high_run = self.low_run = 0
+            self.armed = True
+            return None
+        if run < cfg.consecutive or not self.armed:
             return None
         self.armed = False
         return AnomalyAlert(
             device_id=r.device_id,
             window_start_ms=self.window[0].timestamp_ms,
-            window_end_ms=self.window[-1].timestamp_ms,
-            observed_bpm=tuple(bpms),
+            window_end_ms=r.timestamp_ms,
+            observed_bpm=tuple(w.bpm for w in self.window),
             rule=rule,
         )

@@ -5,6 +5,7 @@ import select
 import shlex
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -21,6 +22,7 @@ from vitalink.endpoints import (
     load_identity,
     parse_alert_line,
     parse_reading_line,
+    reading_line,
     run_device,
 )
 from vitalink.errors import ConfigurationError, EndOfStream, InvalidPeerKey
@@ -40,7 +42,7 @@ from vitalink.records import (
     frame_write,
     record_seal,
 )
-from vitalink.telemetry import AnomalyAlert
+from vitalink.telemetry import STATUS_OK, AnomalyAlert, HeartRateReading
 
 from conftest import BAD_ROOTS, Pki, bad_root
 
@@ -109,12 +111,14 @@ def test_honest_session_persists_every_reading(files, server):
 
 
 def test_reading_line_round_trip():
+    reading = HeartRateReading(b"\xcc" * 8, 123, 72, STATUS_OK)
+    line = reading_line("ab" * 32, "watch-1", reading, 456)
     rec = StoreRecord("ab" * 32, "watch-1", "cc" * 8, 123, 72, "ok", 456)
-    assert parse_reading_line(rec.line() + "\n") == rec
+    assert parse_reading_line(line + "\n") == rec
     with pytest.raises(ValueError):
         parse_reading_line("only\tthree\tfields")
     with pytest.raises(ValueError):
-        parse_reading_line(rec.line().replace("\tok\t", "\twat\t"))
+        parse_reading_line(line.replace("\tok\t", "\twat\t"))
 
 
 def test_alert_line_round_trip():
@@ -225,22 +229,44 @@ def test_scripted_anomaly_produces_alert(files, server, tmp_path):
 
 
 def test_store_appends_are_atomic_lines(tmp_path):
+    # 8 writers append bursts of 1..60 lines; each burst must land whole,
+    # its lines adjacent and in order, never interleaved with another's
     store = Store(tmp_path / "s")
-    rec = StoreRecord("aa", "w", "bb", 1, 70, "ok", 2)
 
-    def writer():
-        for _ in range(200):
-            store.append_reading(rec)
+    def burst(writer, k):
+        return [reading_line(f"{writer:02x}", f"w{k}",
+                             HeartRateReading(b"\xbb" * 8, j, 70, STATUS_OK), k)
+                for j in range(1 + (writer * 7 + k) % 60)]
 
-    threads = [threading.Thread(target=writer) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    def writer(w):
+        for k in range(100):
+            store.append_reading(burst(w, k))
+
+    threads = [threading.Thread(target=writer, args=(w,)) for w in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     store.close()
     lines = (tmp_path / "s" / "readings.log").read_text().splitlines()
-    assert len(lines) == 1600
-    assert all(l == rec.line() for l in lines)
+    assert len(lines) == sum(len(burst(w, k)) for w in range(8) for k in range(100))
+    seen = {w: 0 for w in range(8)}
+    i = 0
+    while i < len(lines):
+        rec = parse_reading_line(lines[i])
+        w, k = int(rec.session_id, 16), int(rec.subject_id[1:])
+        assert k == seen[w]  # each writer's bursts in its own order
+        want = burst(w, k)
+        assert lines[i : i + len(want)] == want
+        seen[w] += 1
+        i += len(want)
+    assert seen == {w: 100 for w in range(8)}
 
 
 def test_invalid_peer_key_is_logged_as_a_handshake_failure(pki, server, caplog, monkeypatch):

@@ -12,7 +12,10 @@ from hypothesis import strategies as st
 
 from vitalink import gcm
 from vitalink.errors import AuthFailure, PayloadTooLarge
-from vitalink.gcm import GF128_ONE, GcmKey, gf128_mul, open_, seal
+from vitalink.gcm import GcmKey, gf128_mul, open_, seal
+
+# the multiplicative identity of GF(2^128) in GCM's bit order
+GF128_ONE = (1 << 127).to_bytes(16, "big")
 
 # ---------------------------------------------------------------------------
 # Byte-wise reference AES-128 (FIPS 197 §5.1 step by step), sharing no table

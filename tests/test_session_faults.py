@@ -6,20 +6,23 @@ after, an Abort back to the device, one log line naming the cause, and no
 exception out of the handler."""
 
 import logging
+import math
 import shlex
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vitalink import endpoints, keyfiles
-from vitalink.endpoints import IngestionServer, ServerConfig, log_value, parse_reading_line
+from vitalink.endpoints import IngestionServer, ServerConfig, Store, log_value, parse_reading_line
 from vitalink.errors import EndOfStream
 from vitalink.handshake import ClientHandshake
 from vitalink.records import (
     FRAME_TYPES,
+    READ_CHUNK,
     TYPE_ABORT,
     TYPE_CLIENT_FINISH,
     TYPE_CLIENT_HELLO,
@@ -32,7 +35,7 @@ from vitalink.records import (
     frame_write,
     record_seal,
 )
-from vitalink.telemetry import SensorSim, reading_encode
+from vitalink.telemetry import STATUS_NAMES, ScriptSegment, SensorSim, reading_encode
 
 CLASSIFIED = ("record_auth_failure ", "session_fatal ", "suspicious_termination ")
 # a handshake frame may also fail the handshake; a record frame never can
@@ -147,12 +150,16 @@ def handshake(sock, pki, seed):
     return keys
 
 
-def sealed_session(keys, pki, seed, readings) -> list[bytes]:
+def sensor_readings(pki, seed, readings, script=None) -> list:
+    sim = SensorSim(pki.device_cred.subject_id[:8], seed=seed, script=script)
+    return [sim.next_reading(1000 * i) for i in range(readings)]
+
+
+def sealed_session(keys, pki, seed, readings, script=None) -> list[bytes]:
     """`readings` Data frames and a Close, as they go on the wire."""
     tx = DirectionState(keys.c2s_key, keys.c2s_salt)
-    sim = SensorSim(pki.device_cred.subject_id[:8], seed=seed)
-    wire = [record_seal(tx, TYPE_DATA, reading_encode(sim.next_reading(1000 * i))).encode()
-            for i in range(readings)]
+    wire = [record_seal(tx, TYPE_DATA, reading_encode(r)).encode()
+            for r in sensor_readings(pki, seed, readings, script)]
     return wire + [record_seal(tx, TYPE_CLOSE, b"").encode()]
 
 
@@ -324,3 +331,117 @@ def test_a_connection_error_line_names_the_error_type(toy_pki, server, lines, mo
         "detail": "[Errno 104] Connection reset by peer",
         "peer": "socketpair:0",
     })
+
+
+# ---------------------------------------------------------------------------
+# burst ingest: the readings buffered on a connection go to the store in one
+# write, before the server waits again, stores an alert, or ends the session
+
+
+def as_rows(readings) -> list:
+    return [(r.timestamp_ms, r.bpm, STATUS_NAMES[r.status]) for r in readings]
+
+
+def stored_rows(server, session_hex=None) -> list:
+    return [(r.timestamp_ms, r.bpm, r.status) for r in persisted(server, session_hex)]
+
+
+@pytest.mark.parametrize("readings", [1, 95, 200])
+def test_a_burst_is_persisted_in_order_in_one_write_per_chunk(toy_pki, server, lines,
+                                                               monkeypatch, readings):
+    bursts = []
+    append = Store.append_reading
+
+    def spy(store, lines):
+        bursts.append(len(lines))
+        append(store, lines)
+
+    monkeypatch.setattr(Store, "append_reading", spy)
+
+    def device_side(sock):
+        keys = handshake(sock, toy_pki, 21)
+        send_and_hang_up(sock, b"".join(sealed_session(keys, toy_pki, 21, readings)))
+        with pytest.raises(EndOfStream):
+            frame_read(sock, timeout=5.0)
+        return keys
+
+    keys = serve_one(server, device_side)
+    assert lines.problems() == []
+    assert stored_rows(server, keys.session_id.hex()) == as_rows(
+        sensor_readings(toy_pki, 21, readings))
+    assert sum(bursts) == readings
+    # a Data frame is 43 bytes on the wire
+    assert len(bursts) <= math.ceil(readings * 43 / READ_CHUNK) + 1, bursts
+
+
+def test_buffered_readings_are_on_disk_before_the_server_waits_again(toy_pki, server, lines):
+    def device_side(sock):
+        keys = handshake(sock, toy_pki, 24)
+        wire = sealed_session(keys, toy_pki, 24, 5)
+        sock.sendall(b"".join(wire[:5]))
+        deadline = time.monotonic() + 5.0
+        while len(persisted(server, keys.session_id.hex())) < 5 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        on_disk = len(persisted(server, keys.session_id.hex()))
+        send_and_hang_up(sock, wire[5])
+        return on_disk
+
+    assert serve_one(server, device_side) == 5
+    assert lines.problems() == []
+
+
+@pytest.mark.parametrize("fault", ["tag", "backwards"])
+@pytest.mark.parametrize("k", [2, 17, 39])
+def test_a_fault_at_position_k_of_a_burst_persists_the_k_readings_before_it(
+        toy_pki, server, lines, fault, k):
+    sent = sensor_readings(toy_pki, 22, 40)
+    if fault == "backwards":
+        sent[k] = sent[k]._replace(timestamp_ms=sent[k - 1].timestamp_ms - 1)
+
+    def device_side(sock):
+        keys = handshake(sock, toy_pki, 22)
+        tx = DirectionState(keys.c2s_key, keys.c2s_salt)
+        wire = [bytearray(record_seal(tx, TYPE_DATA, reading_encode(r)).encode()) for r in sent]
+        if fault == "tag":
+            wire[k][-1] ^= 1
+        wire.append(record_seal(tx, TYPE_CLOSE, b"").encode())
+        send_and_hang_up(sock, b"".join(wire))
+        return keys, replies_until_abort(sock)
+
+    keys, replies = serve_one(server, device_side)
+    assert replies == [TYPE_ABORT]
+    [problem] = lines.problems()
+    assert problem.startswith("record_auth_failure " if fault == "tag" else "session_fatal ")
+    assert stored_rows(server, keys.session_id.hex()) == as_rows(sent[:k])
+
+
+def test_a_reading_is_on_disk_before_its_alert_is_stored(toy_pki, server, lines, monkeypatch):
+    script = [ScriptSegment(5, 9, 180)]  # alerts at index 7, once 5, 6 and 7 are high
+    on_disk_at_alert = []
+    append_alert = Store.append_alert
+
+    def spy(store, alert):
+        on_disk_at_alert.append((alert.window_end_ms, [ts for ts, _, _ in stored_rows(server)]))
+        append_alert(store, alert)
+
+    monkeypatch.setattr(Store, "append_alert", spy)
+
+    def device_side(sock):
+        keys = handshake(sock, toy_pki, 23)
+        send_and_hang_up(sock, b"".join(sealed_session(keys, toy_pki, 23, 20, script)))
+        with pytest.raises(EndOfStream):
+            frame_read(sock, timeout=5.0)
+        return keys
+
+    keys = serve_one(server, device_side)
+    assert on_disk_at_alert == [(7000, [1000 * i for i in range(8)])]
+    assert stored_rows(server, keys.session_id.hex()) == as_rows(
+        sensor_readings(toy_pki, 23, 20, script))
+    alert_lines = [r.getMessage() for r in lines.records if r.getMessage().startswith("alert ")]
+    assert [fields(l) for l in alert_lines] == [("alert", {
+        "session": keys.session_id.hex()[:16],
+        "device": toy_pki.device_cred.subject_id[:8].hex(),
+        "rule": "high_hr",
+        "bpm": "180,180,180",
+        "window": "5000..7000",
+    })]

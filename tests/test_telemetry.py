@@ -116,23 +116,37 @@ def run_detector(bpms, cfg=AnomalyConfig(low=40, high=150, consecutive=3), statu
     return alerts
 
 
-def oracle_alert_indices(bpms, low=40, high=150, consecutive=3):
+def oracle_alerts(bpms, statuses=None, low=40, high=150, consecutive=3):
     """Brute-force scan: an alert fires at index i when the last
-    `consecutive` readings all breach the same bound and no alert has
-    fired since the last in-band reading."""
+    `consecutive` ok-status readings all breach the same bound and no alert
+    has fired since the last in-band ok-status reading. Returns (index,
+    rule, indices of the window) per alert."""
     alerts = []
     armed = True
+    ok = []  # indices of the ok-status readings so far
     for i in range(len(bpms)):
+        if statuses and statuses[i] != STATUS_OK:
+            continue
+        ok.append(i)
         if low <= bpms[i] <= high:
             armed = True
-        if i + 1 < consecutive:
+        if len(ok) < consecutive:
             continue
-        window = bpms[i - consecutive + 1 : i + 1]
-        breach = all(b > high for b in window) or all(b < low for b in window)
-        if breach and armed:
-            alerts.append(i)
+        window = ok[-consecutive:]
+        if all(bpms[j] > high for j in window):
+            rule = "high_hr"
+        elif all(bpms[j] < low for j in window):
+            rule = "low_hr"
+        else:
+            continue
+        if armed:
+            alerts.append((i, rule, window))
             armed = False
     return alerts
+
+
+def oracle_alert_indices(bpms, low=40, high=150, consecutive=3):
+    return [i for i, _, _ in oracle_alerts(bpms, None, low, high, consecutive)]
 
 
 def test_normal_trace_no_alert():
@@ -173,8 +187,20 @@ def test_one_alert_per_episode_then_rearm():
     assert [i for i, _ in alerts] == [2, 7]
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from([30, 35, 80, 100, 151, 160, 200]), max_size=40))
-def test_detector_matches_brute_force_oracle(bpms):
-    got = [i for i, _ in run_detector(bpms)]
-    assert got == oracle_alert_indices(bpms)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from([30, 35, 40, 80, 100, 150, 151, 160, 200]),
+                       st.sampled_from([STATUS_OK] * 4 + [STATUS_OFF_BODY,
+                                                          STATUS_LOW_CONFIDENCE])),
+             max_size=40),
+    st.integers(1, 5),
+)
+def test_detector_matches_brute_force_oracle(trace, consecutive):
+    bpms = [b for b, _ in trace]
+    statuses = [s for _, s in trace]
+    cfg = AnomalyConfig(low=40, high=150, consecutive=consecutive)
+    got = [(i, a.rule, a.observed_bpm, a.window_start_ms, a.window_end_ms)
+           for i, a in run_detector(bpms, cfg, statuses)]
+    want = [(i, rule, tuple(bpms[j] for j in window), window[0] * 1000, window[-1] * 1000)
+            for i, rule, window in oracle_alerts(bpms, statuses, 40, 150, consecutive)]
+    assert got == want
