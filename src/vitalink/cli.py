@@ -113,6 +113,11 @@ def cmd_credgen(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    try:
+        anomaly = AnomalyConfig(low=args.hr_low, high=args.hr_high,
+                                consecutive=args.hr_consecutive)
+    except ValueError as exc:
+        raise UsageError(f"--hr-consecutive: {exc}")
     cfg = ServerConfig(
         listen_host=args.listen.rsplit(":", 1)[0],
         listen_port=int(args.listen.rsplit(":", 1)[1]),
@@ -120,9 +125,7 @@ def cmd_serve(args) -> int:
         cred_path=_require_file(args.cred, "--cred"),
         root_path=_require_file(args.root, "--root"),
         store_dir=args.store_dir,
-        anomaly=AnomalyConfig(
-            low=args.hr_low, high=args.hr_high, consecutive=args.hr_consecutive
-        ),
+        anomaly=anomaly,
     )
     return _run_until_signalled(IngestionServer(cfg))
 

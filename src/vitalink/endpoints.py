@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import credentials, curves, keyfiles, records, telemetry
+from . import credentials, curves, gcm, keyfiles, records, telemetry
 from .credentials import Credential, Role, credential_len, decode_subject
 from .curves import SUITES, CurveSuite
 from .errors import (
@@ -65,6 +65,8 @@ from .telemetry import (
 log = logging.getLogger("vitalink")
 
 _STATUS_BY_NAME = {v: k for k, v in STATUS_NAMES.items()}
+# the only records a device sends: one sealed reading, and an empty Close
+_RECORD_BODY_LEN = {TYPE_DATA: telemetry.READING_LEN + gcm.TAG_LEN, TYPE_CLOSE: gcm.TAG_LEN}
 
 
 def log_value(value) -> str:
@@ -329,8 +331,9 @@ class IngestionServer:
                 fr = frame_read(reader, self.cfg.read_timeout_s)
                 if fr.frame_type == TYPE_ABORT:
                     return TYPE_ABORT
-                if fr.frame_type not in (TYPE_DATA, TYPE_CLOSE):
-                    raise MalformedFrame("unexpected frame type mid-session")
+                if len(fr.body) != _RECORD_BODY_LEN.get(fr.frame_type):
+                    # refused before any GCM work on it
+                    raise MalformedFrame(f"{len(fr.body)}-byte record of type {fr.frame_type}")
                 ftype, payload = record_open(recv_dir, fr)
                 if ftype == TYPE_CLOSE:
                     return TYPE_CLOSE

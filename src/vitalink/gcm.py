@@ -3,16 +3,19 @@ the GF(2^128) multiplier behind the authentication tag, and seal/open.
 
 Per-key work happens once per `GcmKey(key)`: the AES-128 key schedule
 (44 32-bit words, FIPS 197 §5.2) and the hash key H = E(K, 0^128) at the
-first seal or open, and the GHASH table once the key has hashed more
-than 10 blocks. A record then costs one AES block per 16 bytes of
-payload plus one for the tag, and one GF(2^128) multiply per 16 bytes of
-AAD and ciphertext plus one for the lengths block. On a 2 vCPU host
-under CPython 3.11, the key schedule and H take 0.02-0.04 ms, the table
-0.3-0.4 ms and about 0.2 MB (kept for the life of the key), a
-`gf128_mul` 0.01 ms and a table multiply 0.0015-0.002 ms. Sealing or
-opening a 19-byte reading with the table takes 50-80 µs, most of it in
-its three AES blocks, and about 12 µs once `prepare` has computed those
-blocks (0.35 ms for 64 nonces); its GHASH is 6-9 µs of that.
+first seal or open, and the GHASH table at the first `prepare`, which
+the caller makes only for a key it knows to be long-lived
+(`records.DirectionState` decides that, once per direction). A record
+then costs one AES block per 16 bytes of payload plus one for the tag,
+and one GF(2^128) multiply per 16 bytes of AAD and ciphertext plus one
+for the lengths block. On a 2 vCPU host under CPython 3.11, the key
+schedule and H take 0.02-0.04 ms, the table 0.3-0.4 ms and about 0.2 MB
+(kept for the life of the key), a `gf128_mul` 0.01 ms and a table
+multiply 0.0015-0.002 ms. Sealing or opening a 19-byte reading of an
+unprepared key takes 80-120 µs, about half of it in its three AES
+blocks and half in its four `gf128_mul`, and about 12 µs once `prepare`
+has computed those blocks (0.35 ms for 64 nonces) and the table; its
+GHASH is 6-9 µs of that.
 
 `Aes128.encrypt_block` does rounds 1-9 with the four 256-entry T-tables
 (Daemen-Rijmen, *The Design of Rijndael*, §4.2): each output column is
@@ -284,20 +287,6 @@ def _ghash_tables(h: int) -> tuple:
     )
 
 
-# GHASH multiplies with gf128_mul while a key's running total of hashed
-# blocks stays within this, and builds the table on the first call that
-# would pass it. Sessions of one or two readings and a Close (6 or 10
-# blocks) never build it; a long one does at its third reading, and a
-# first record over 10 blocks builds it at once. The table costs
-# 0.27-0.37 ms and saves about 0.0095 ms on each later block (a block
-# through gf128_mul 0.012 ms, through the table 0.002 ms), so it pays for
-# itself only after 30 to 40 blocks, around a key's tenth reading: later
-# than it is built. A session of 3 to 9 readings loses up to 0.3 ms by
-# that, and one of 1000 saves about 9 ms. No workload measures sessions
-# that short, so the value is not tuned to them.
-_BLOCKS_BEFORE_TABLE = 10
-
-
 class GcmKey:
     """Everything AES-128-GCM derives from one key: the AES round keys, the
     hash key H = E(K, 0^128), the GHASH table and any keystream prepared
@@ -305,10 +294,11 @@ class GcmKey:
     `zeroize` wipes it for good.
 
     Construction only checks the key. The first seal or open builds the
-    round keys and H, and GHASH builds its table once the key has hashed
-    more than `_BLOCKS_BEFORE_TABLE` blocks, so a key that carries no record
-    costs nothing and one that carries a single reading builds no table.
-    Keystream is computed ahead only when the caller asks, with `prepare`."""
+    round keys and H, and GHASH multiplies with `gf128_mul`, so a key that
+    carries no record costs nothing and one that carries a few readings
+    builds no table. `prepare`, which the caller makes only for a
+    long-lived key, computes keystream ahead and builds the GHASH table
+    that every later record then uses."""
 
     def __init__(self, key: bytes):
         if len(key) != 16:
@@ -317,7 +307,6 @@ class GcmKey:
         self.aes: Aes128 | None = None
         self._h = 0
         self._tables: tuple | None = None
-        self._blocks = 0  # hashed before the table was built
         self._prepared: dict[bytes, bytes] = {}  # nonce -> E(K, nonce‖1..3)
 
     def _ready(self) -> Aes128:
@@ -344,10 +333,13 @@ class GcmKey:
     def prepare(self, nonces) -> None:
         """Computes E(K, nonce‖1), E(K, nonce‖2) and E(K, nonce‖3) for every
         nonce in one `encrypt_blocks` batch, for the seal or open at that
-        nonce to take: the tag mask and the keystream of 32 bytes."""
+        nonce to take: the tag mask and the keystream of 32 bytes. The
+        first call also builds the GHASH table."""
         aes = self._ready()
         if any(len(nonce) != NONCE_LEN for nonce in nonces):
             raise ValueError("nonce must be 12 bytes")
+        if self._tables is None:
+            self._tables = _ghash_tables(self._h)
         stream = aes.encrypt_blocks(
             b"".join([nonce + c for nonce in nonces for c in _CTR_1_TO_3]))
         for i, nonce in enumerate(nonces):
@@ -365,13 +357,10 @@ class GcmKey:
         y = 0
         tables = self._tables
         if tables is None:
-            if self._blocks + len(blocks) <= _BLOCKS_BEFORE_TABLE:
-                self._blocks += len(blocks)
-                h = self._h.to_bytes(16, "big")
-                for block in blocks:
-                    y = int.from_bytes(gf128_mul((y ^ block).to_bytes(16, "big"), h), "big")
-                return y
-            tables = self._tables = _ghash_tables(self._h)
+            h = self._h.to_bytes(16, "big")
+            for block in blocks:
+                y = int.from_bytes(gf128_mul((y ^ block).to_bytes(16, "big"), h), "big")
+            return y
         t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = tables
         for block in blocks:
             b = (y ^ block).to_bytes(16, "big")

@@ -17,16 +17,17 @@ version, type, length bound) as soon as its 8 bytes are buffered, before
 any body is awaited. Every read has an absolute deadline from its call,
 so a peer trickling bytes cannot stretch it. A stream that ends with
 nothing buffered ends "at-boundary"; one that ends inside a frame ends
-"mid-frame", the classic truncation. `frame_read` on a bare socket reads
-exactly one frame and nothing past it.
+"mid-frame", the classic truncation.
 
-Each end knows the nonces of its next records, so once a direction has
-carried `_RECORDS_BEFORE_BATCH` records it has its `gcm.GcmKey` prepare
-the AES blocks of the next `_BATCH_RECORDS` in one batch, and again each
-time those run out. A batch costs about what 5 to 10 records' AES does
-block by block (0.35 ms), so the allowance keeps it from keys of one or
-two readings, which never use it; on a long stream the AES of a record
-falls from three blocks (36-60 µs) to about 5 µs.
+One rule decides when a key is long-lived: once a direction has carried
+`_RECORDS_BEFORE_BATCH` records, it has its `gcm.GcmKey` prepare the AES
+blocks of the next `_BATCH_RECORDS` in one batch, and again each time
+those run out, and the first batch also builds the key's GHASH table.
+The batch and the table cost about what 5 to 10 records' AES and GHASH
+do block by block (0.35 ms and 0.3 ms), so the allowance keeps them from
+keys of a few readings; on a long stream the AES of a record falls from
+three blocks (36-60 µs) to about 5 µs, and its GHASH from about 45 µs to
+6-9 µs.
 """
 
 from __future__ import annotations
@@ -177,16 +178,15 @@ def record_open(direction: DirectionState, frame: Frame) -> tuple[int, bytes]:
 class FrameReader:
     """One connection's inbound frames (see the module docstring).
 
-    It receives into one reused buffer of `chunk` bytes, so it holds at
-    most one chunk beyond a partial frame: under `chunk` + MAX_BODY + 8
-    bytes. With `chunk=0` it asks the socket for exactly the missing bytes
-    and never consumes past the frame it returns.
+    It receives into one reused buffer of `READ_CHUNK` bytes, so it holds
+    at most one chunk beyond a partial frame: under `READ_CHUNK` +
+    MAX_BODY + 8 bytes.
     """
 
-    def __init__(self, sock: socket.socket, chunk: int = READ_CHUNK):
+    def __init__(self, sock: socket.socket):
         self.sock = sock
         self._buf = bytearray()
-        self._chunk = memoryview(bytearray(chunk)) if chunk else None
+        self._chunk = memoryview(bytearray(READ_CHUNK))
 
     def buffered(self) -> int:
         """Bytes received and not yet returned as a frame."""
@@ -212,16 +212,13 @@ class FrameReader:
                     body = bytes(buf[HEADER_LEN:end])
                     del buf[:end]
                     return Frame(frame_type, body)
-            self._fill(end - len(buf), deadline)
+            self._fill(deadline)
 
-    def _fill(self, missing: int, deadline: float) -> None:
+    def _fill(self, deadline: float) -> None:
         remaining = deadline - monotonic()
         if remaining <= 0 or not select.select([self.sock], [], [], remaining)[0]:
             raise FrameTimeout("frame incomplete at its deadline")
-        if self._chunk is None:
-            data = self.sock.recv(missing)
-        else:
-            data = self._chunk[: self.sock.recv_into(self._chunk)]
+        data = self._chunk[: self.sock.recv_into(self._chunk)]
         if not data:
             # both cases are a stream ending without an authenticated Close;
             # a mid-frame cut is the classic truncation attack
@@ -229,12 +226,11 @@ class FrameReader:
         self._buf += data
 
 
-def frame_read(src: FrameReader | socket.socket, timeout: float = READ_TIMEOUT_S) -> Frame:
-    """Reads one whole frame from a connection's reader, or from a bare
-    socket without reading past the frame."""
-    if not isinstance(src, FrameReader):
-        src = FrameReader(src, chunk=0)
-    return src.read(timeout)
+# a module function, not only `FrameReader.read`, so that bench/tracing.py
+# can wrap it where `endpoints` calls it by name and time the wait
+def frame_read(reader: FrameReader, timeout: float = READ_TIMEOUT_S) -> Frame:
+    """Reads one whole frame from a connection's reader."""
+    return reader.read(timeout)
 
 
 def frame_write(sock: socket.socket, frame: Frame) -> None:

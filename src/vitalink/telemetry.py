@@ -126,6 +126,10 @@ class AnomalyConfig:
     high: int = 150
     consecutive: int = 3
 
+    def __post_init__(self):
+        if self.consecutive < 1:
+            raise ValueError(f"consecutive must be at least 1, not {self.consecutive}")
+
 
 @dataclass(frozen=True)
 class AnomalyAlert:

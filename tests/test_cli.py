@@ -119,6 +119,20 @@ def test_unknown_suite_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE and "suite" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_serve_refuses_hr_consecutive_below_one(value, tmp_path, capsys):
+    # checked before the key files are read, so none need exist
+    code, _, err = run([
+        "serve", "--key", str(tmp_path / "k.vlk"), "--cred", str(tmp_path / "c.vlc"),
+        "--root", str(tmp_path / "r.vlc"), "--store-dir", str(tmp_path / "store"),
+        "--hr-consecutive", value,
+    ], capsys)
+    assert code == EXIT_USAGE
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: --hr-consecutive: consecutive must be at least 1, not {value}"]
+    assert not (tmp_path / "store").exists()
+
+
 def test_invalid_proxy_mode_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["proxy", "--listen", "a:1", "--upstream", "b:2", "--mode", "explode"])

@@ -38,6 +38,7 @@ from vitalink.records import (
     VERSION,
     DirectionState,
     Frame,
+    FrameReader,
     frame_read,
     frame_write,
     record_seal,
@@ -156,16 +157,17 @@ def test_server_absent_is_reported_not_raised(files):
 def test_oversize_record_ends_in_abort_and_one_log_line(pki, server, caplog):
     caplog.set_level(logging.INFO, logger="vitalink")
     sock = socket.create_connection(("127.0.0.1", server.port))
+    reader = FrameReader(sock)
     try:
         hs = ClientHandshake(pki.suite, pki.device, pki.root)
         frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
-        finish, _ = hs.finish(frame_read(sock).body)
+        finish, _ = hs.finish(frame_read(reader).body)
         frame_write(sock, Frame(TYPE_CLIENT_FINISH, finish))
         # built by hand: Frame.encode refuses a body this large
         body_len = 65560
         sock.sendall(MAGIC + bytes([VERSION, TYPE_DATA]) + struct.pack(">I", body_len)
                      + bytes(body_len))
-        assert frame_read(sock, timeout=5.0).frame_type == TYPE_ABORT
+        assert frame_read(reader, timeout=5.0).frame_type == TYPE_ABORT
     finally:
         sock.close()
     problems = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
@@ -275,12 +277,13 @@ def test_invalid_peer_key_is_logged_as_a_handshake_failure(pki, server, caplog, 
 
     caplog.set_level(logging.INFO, logger="vitalink")
     sock = socket.create_connection(("127.0.0.1", server.port))
+    reader = FrameReader(sock)
     try:
         hs = ClientHandshake(pki.suite, pki.device, pki.root)
         hello = hs.start()
         monkeypatch.setattr(curves, "shared_secret", degenerate)
         frame_write(sock, Frame(TYPE_CLIENT_HELLO, hello))
-        assert frame_read(sock, timeout=5.0).frame_type == TYPE_ABORT
+        assert frame_read(reader, timeout=5.0).frame_type == TYPE_ABORT
         peer = "%s:%d" % sock.getsockname()
     finally:
         sock.close()
@@ -299,10 +302,11 @@ def test_a_truncated_client_hello_is_logged_as_a_handshake_error(toy_pki, tmp_pa
     srv.start()
     caplog.set_level(logging.INFO, logger="vitalink")
     sock = socket.create_connection(("127.0.0.1", srv.port))
+    reader = FrameReader(sock)
     try:
         hello = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root).start()
         frame_write(sock, Frame(TYPE_CLIENT_HELLO, hello[:-1]))
-        assert frame_read(sock, timeout=5.0).frame_type == TYPE_ABORT
+        assert frame_read(reader, timeout=5.0).frame_type == TYPE_ABORT
     finally:
         sock.close()
         srv.stop()
@@ -317,15 +321,16 @@ def test_the_session_established_line_names_the_subject_and_the_socket_address(
     caplog.set_level(logging.INFO, logger="vitalink")
     device = pki.issue_device("ward 3 watch", keyfiles.drbg(21))
     sock = socket.create_connection(("127.0.0.1", server.port))
+    reader = FrameReader(sock)
     try:
         hs = ClientHandshake(pki.suite, device, pki.root)
         frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
-        finish, keys = hs.finish(frame_read(sock, timeout=5.0).body)
+        finish, keys = hs.finish(frame_read(reader, timeout=5.0).body)
         frame_write(sock, Frame(TYPE_CLIENT_FINISH, finish))
         send_dir = DirectionState(keys.c2s_key, keys.c2s_salt)
         frame_write(sock, record_seal(send_dir, TYPE_CLOSE, b""))
         with pytest.raises(EndOfStream):  # the server hangs up after the Close
-            frame_read(sock, timeout=5.0)
+            frame_read(reader, timeout=5.0)
         peer = "%s:%d" % sock.getsockname()
     finally:
         sock.close()
@@ -350,6 +355,7 @@ def test_a_trickling_client_is_cut_at_the_frame_deadline(pki, files, tmp_path, c
     ))
     srv.start()
     sock = socket.create_connection(("127.0.0.1", srv.port))
+    reader = FrameReader(sock)
     reply = None
     try:
         hello = Frame(TYPE_CLIENT_HELLO,
@@ -364,7 +370,7 @@ def test_a_trickling_client_is_cut_at_the_frame_deadline(pki, files, tmp_path, c
             except OSError:
                 break
             if select.select([sock], [], [], 0.3)[0]:
-                reply = frame_read(sock, timeout=1.0)
+                reply = frame_read(reader, timeout=1.0)
                 break
         elapsed = time.monotonic() - t0
     finally:
@@ -436,19 +442,20 @@ def test_the_whole_handshake_shares_one_deadline(pki, files, tmp_path, caplog):
     ))
     srv.start()
     sock = socket.create_connection(("127.0.0.1", srv.port))
+    reader = FrameReader(sock)
     try:
         t0 = time.monotonic()
         hs = ClientHandshake(pki.suite, pki.device, pki.root)
         hello = hs.start()
         time.sleep(0.7)
         frame_write(sock, Frame(TYPE_CLIENT_HELLO, hello))
-        finish, _ = hs.finish(frame_read(sock, timeout=5.0).body)
+        finish, _ = hs.finish(frame_read(reader, timeout=5.0).body)
         # each frame inside read_timeout_s, both together past it
         ready = select.select([sock], [], [], 0.7)[0]
         elapsed = time.monotonic() - t0
         if not ready:
             frame_write(sock, Frame(TYPE_CLIENT_FINISH, finish))
-        reply = frame_read(sock, timeout=2.0)
+        reply = frame_read(reader, timeout=2.0)
     finally:
         sock.close()
         srv.stop()
@@ -471,7 +478,7 @@ def test_the_device_sees_an_abort_that_came_with_the_server_hello(pki, files):
         conn, _ = listener.accept()
         with conn:
             hs = ServerHandshake(pki.server, pki.root, suite=pki.suite)
-            hello = hs.respond(frame_read(conn, timeout=5.0).body)
+            hello = hs.respond(frame_read(FrameReader(conn), timeout=5.0).body)
             conn.sendall(Frame(TYPE_SERVER_HELLO, hello).encode()
                          + Frame(TYPE_ABORT, b"").encode())
             conn.settimeout(10.0)

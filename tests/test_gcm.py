@@ -100,10 +100,10 @@ def ref_ghash(h, aad, ct):
     return y
 
 
-def key_with_table(key):
-    # one GHASH call past the bit-serial allowance makes the key build its table
+def prepared_key(key):
+    # `prepare` builds the key's GHASH table, so every later record uses it
     gk = GcmKey(key)
-    gk.ghash(bytes(16 * gcm._BLOCKS_BEFORE_TABLE), b"")
+    gk.prepare([bytes(12)])
     assert gk._tables is not None
     return gk
 
@@ -131,8 +131,8 @@ def test_t_table_aes_matches_the_byte_wise_reference(key, block):
 def test_ghash_matches_the_bit_serial_multiply(key, aad, ct):
     h = ref_aes_encrypt(key, bytes(16))
     want = ref_ghash(h, aad, ct)
-    assert key_with_table(key).ghash(aad, ct).to_bytes(16, "big") == want
-    # a fresh key hashes short inputs bit-serially and builds the table for long ones
+    assert prepared_key(key).ghash(aad, ct).to_bytes(16, "big") == want
+    # a key that was never prepared multiplies with gf128_mul
     assert GcmKey(key).ghash(aad, ct).to_bytes(16, "big") == want
 
 
@@ -221,8 +221,8 @@ GCM_VECTORS = [
 def test_gcm_known_answer_vectors(key, nonce, aad, pt, ct, tag):
     key, nonce, aad = bytes.fromhex(key), bytes.fromhex(nonce), bytes.fromhex(aad)
     h = ref_aes_encrypt(key, bytes(16))
-    # a fresh key seals every vector bit-serially; the other has its table
-    for gk in (GcmKey(key), key_with_table(key)):
+    # a fresh key seals every vector with gf128_mul; a prepared one with its table
+    for gk in (GcmKey(key), prepared_key(key)):
         record = seal(gk, nonce, aad, bytes.fromhex(pt))
         assert record[:-16].hex() == ct
         assert record[-16:].hex() == tag
@@ -352,27 +352,17 @@ def _count_gf128_calls(monkeypatch):
     return calls
 
 
-def test_the_ghash_table_is_built_once_it_pays(monkeypatch):
+def test_a_key_that_is_never_prepared_never_builds_a_ghash_table(monkeypatch):
     calls = _count_gf128_calls(monkeypatch)
-    aad = bytes(13)  # a record header
-    # a 19-byte reading is 4 GHASH blocks and a Close 2: 6 per-call
-    # multiplies and no table, then 10 after a second reading
-    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
-    seal(gk, nonce, aad, bytes(19))
-    seal(gk, nonce, aad, b"")
-    assert len(calls) == 6 and gk._tables is None
-    seal(gk, nonce, aad, bytes(19))
-    assert len(calls) == 10 and gk._tables is None
-    # a third reading takes the key past the allowance: the table, no gf128_mul
-    calls.clear()
-    record = seal(gk, nonce, aad, bytes(19))
-    assert calls == [] and gk._tables is not None
-    assert open_(GcmKey(gk._key), nonce, aad, record) == bytes(19)
-    # a first record too long for the allowance builds the table at once
-    calls.clear()
-    big = GcmKey(os.urandom(16))
-    seal(big, nonce, aad, bytes(4096))
-    assert calls == [] and big._tables is not None
+    gk, aad = GcmKey(os.urandom(16)), bytes(12)  # a record header
+    for n in (0, 19, 4096, 19):
+        calls.clear()
+        nonce = os.urandom(12)
+        record = seal(gk, nonce, aad, bytes(n))
+        assert open_(gk, nonce, aad, record) == bytes(n)
+        # the AAD block, the ciphertext's blocks and the lengths block, twice
+        assert len(calls) == 2 * (1 + (n + 15) // 16 + 1)
+        assert gk._tables is None
 
 
 def test_every_ghash_table_entry_is_its_block_times_h():

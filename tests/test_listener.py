@@ -15,7 +15,8 @@ import pytest
 
 from vitalink.endpoints import IngestionServer, ServerConfig
 from vitalink.handshake import ClientHandshake
-from vitalink.records import TYPE_CLIENT_HELLO, TYPE_SERVER_HELLO, Frame, frame_read, frame_write
+from vitalink.records import (TYPE_CLIENT_HELLO, TYPE_SERVER_HELLO, Frame, FrameReader, frame_read,
+                              frame_write)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -88,7 +89,7 @@ def test_serve_exits_promptly_on_sigterm_with_a_peer_mid_handshake(pki, tmp_path
         # a ServerHello proves a handler owns the connection; it now waits idle
         frame_write(peer, Frame(TYPE_CLIENT_HELLO,
                                 ClientHandshake(pki.suite, pki.device, pki.root).start()))
-        assert frame_read(peer, timeout=30.0).frame_type == TYPE_SERVER_HELLO
+        assert frame_read(FrameReader(peer), timeout=30.0).frame_type == TYPE_SERVER_HELLO
         t0 = time.monotonic()
         proc.send_signal(signal.SIGTERM)
         code = proc.wait(timeout=30.0)

@@ -11,7 +11,8 @@ from vitalink.endpoints import DeviceConfig, IngestionServer, ServerConfig, run_
 from vitalink.errors import EndOfStream
 from vitalink.proxy import MODES, Relay, TamperPlan, TamperProxy, apply_tamper
 from vitalink.records import (TYPE_ABORT, TYPE_CLIENT_FINISH, TYPE_CLIENT_HELLO, TYPE_CLOSE,
-                              TYPE_DATA, TYPE_SERVER_HELLO, Frame, frame_read, frame_write)
+                              TYPE_DATA, TYPE_SERVER_HELLO, Frame, FrameReader, frame_read,
+                              frame_write)
 
 BODY = bytes(range(48))  # pretend ciphertext (32) + tag (16)
 FRAME = Frame(TYPE_DATA, BODY)
@@ -79,13 +80,14 @@ def test_relay_carries_a_late_abort_after_the_device_half_closes():
     try:
         frame_write(device, FRAME)
         device.shutdown(socket.SHUT_WR)
-        assert frame_read(server, timeout=2.0) == FRAME
+        from_device = FrameReader(server)
+        assert frame_read(from_device, timeout=2.0) == FRAME
         with pytest.raises(EndOfStream):
-            frame_read(server, timeout=2.0)  # the half-close reached the server
+            frame_read(from_device, timeout=2.0)  # the half-close reached the server
         time.sleep(0.3)
         frame_write(server, Frame(TYPE_ABORT, b""))
         server.close()
-        assert frame_read(device, timeout=2.0).frame_type == TYPE_ABORT
+        assert frame_read(FrameReader(device), timeout=2.0).frame_type == TYPE_ABORT
         relay.join(timeout=5.0)
         assert not relay.is_alive()
     finally:

@@ -5,7 +5,10 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vitalink import gcm
 from vitalink.errors import (
     AuthFailure,
     BadMagic,
@@ -18,10 +21,13 @@ from vitalink.errors import (
 )
 from vitalink.records import (
     HEADER_LEN,
+    MAGIC,
     MAX_BODY,
     READ_CHUNK,
     TYPE_CLOSE,
     TYPE_DATA,
+    VERSION,
+    _RECORDS_BEFORE_BATCH,
     DirectionState,
     Frame,
     FrameReader,
@@ -44,7 +50,7 @@ def socket_pair():
 def test_frame_write_read_round_trip():
     a, b = socket_pair()
     frame_write(a, Frame(TYPE_DATA, b"hello frame"))
-    got = frame_read(b, timeout=2.0)
+    got = frame_read(FrameReader(b), timeout=2.0)
     assert got == Frame(TYPE_DATA, b"hello frame")
     a.close(); b.close()
 
@@ -68,11 +74,11 @@ def test_eof_and_timeout():
     a, b = socket_pair()
     a.close()
     with pytest.raises(EndOfStream):
-        frame_read(b, timeout=1.0)
+        frame_read(FrameReader(b), timeout=1.0)
     b.close()
     a, b = socket_pair()
     with pytest.raises(FrameTimeout):
-        frame_read(b, timeout=0.1)
+        frame_read(FrameReader(b), timeout=0.1)
     a.close(); b.close()
 
 
@@ -82,7 +88,7 @@ def test_mid_frame_eof_is_truncation():
     a.sendall(raw[: HEADER_LEN + 10])
     a.close()
     with pytest.raises(EndOfStream):
-        frame_read(b, timeout=1.0)
+        frame_read(FrameReader(b), timeout=1.0)
     b.close()
 
 
@@ -196,7 +202,7 @@ def test_a_trickling_peer_cannot_stretch_the_frame_deadline():
     sender.start()
     t0 = time.monotonic()
     with pytest.raises(FrameTimeout):
-        frame_read(b, timeout=0.5)
+        frame_read(FrameReader(b), timeout=0.5)
     assert time.monotonic() - t0 < 1.0
     a.close(); b.close()
     sender.join(timeout=5.0)
@@ -324,17 +330,6 @@ def test_a_bad_header_is_refused_before_its_body_arrives(header, error):
     a.close(); b.close()
 
 
-def test_frame_read_on_a_bare_socket_leaves_the_next_frame_unread():
-    a, b = socket_pair()
-    a.sendall(WIRE)
-    assert frame_read(b, timeout=2.0) == FRAMES[0]
-    rest = b""
-    while len(rest) < len(WIRE) - len(FRAMES[0].encode()):
-        rest += b.recv(4096)
-    assert rest == WIRE[len(FRAMES[0].encode()):]
-    a.close(); b.close()
-
-
 def test_a_reader_holds_one_chunk_beyond_a_partial_frame():
     big = Frame(TYPE_DATA, bytes(MAX_BODY)).encode()
     a, b = socket_pair()
@@ -344,8 +339,8 @@ def test_a_reader_holds_one_chunk_beyond_a_partial_frame():
     sizes = []
     real_fill = reader._fill
 
-    def fill(missing, deadline):
-        real_fill(missing, deadline)
+    def fill(deadline):
+        real_fill(deadline)
         sizes.append(reader.buffered())
 
     reader._fill = fill
@@ -430,6 +425,64 @@ def test_only_long_sessions_batch_and_none_leaves_a_batch_unused(readings, monke
             assert unused < _BATCH_RECORDS
 
 
+def test_a_direction_builds_its_ghash_table_with_its_first_batch(monkeypatch):
+    muls, builds, prepares = [], [], []
+    real_mul, real_build, real_prepare = gcm.gf128_mul, gcm._ghash_tables, gcm.GcmKey.prepare
+
+    def mul(x, y):
+        muls.append(x)
+        return real_mul(x, y)
+
+    def build(h):
+        builds.append(h)
+        return real_build(h)
+
+    def prepare(self, nonces):
+        prepares.append(len(nonces))
+        real_prepare(self, nonces)
+
+    monkeypatch.setattr(gcm, "gf128_mul", mul)
+    monkeypatch.setattr(gcm, "_ghash_tables", build)
+    monkeypatch.setattr(gcm.GcmKey, "prepare", prepare)
+    tx, rx = DirectionState(KEY, SALT), DirectionState(KEY, SALT)
+    # a reading's GHASH is 4 blocks (its AAD, 2 of ciphertext and the
+    # lengths), one gf128_mul each, on both sides
+    for i in range(_RECORDS_BEFORE_BATCH):
+        muls.clear()
+        assert record_open(rx, record_seal(tx, TYPE_DATA, bytes([i]) * 19))[1] == bytes([i]) * 19
+        assert len(muls) == 2 * 4
+        assert builds == prepares == []
+        assert tx.gcm_key._tables is None and rx.gcm_key._tables is None
+    # the next record prepares a batch and builds the table on each side, and
+    # every later one, past further batches, uses that table
+    muls.clear()
+    for i in range(200):
+        assert record_open(rx, record_seal(tx, TYPE_DATA, bytes([i]) * 19))[1] == bytes([i]) * 19
+        if i == 0:
+            assert len(builds) == len(prepares) == 2
+    assert muls == [] and len(builds) == 2 and len(prepares) > 2
+    assert tx.gcm_key._tables is not None and rx.gcm_key._tables is not None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    salt=st.binary(min_size=4, max_size=4),
+    records=st.lists(st.tuples(st.sampled_from([TYPE_DATA, TYPE_CLOSE]), st.binary(max_size=50)),
+                     min_size=1, max_size=3 * _RECORDS_BEFORE_BATCH),
+)
+def test_a_direction_seals_what_a_fresh_unprepared_key_per_record_seals(key, salt, records):
+    # the oracle is the slow path: no batch, no table
+    tx, rx = DirectionState(key, salt), DirectionState(key, salt)
+    for seq, (frame_type, payload) in enumerate(records):
+        frame = record_seal(tx, frame_type, payload)
+        oracle = gcm.GcmKey(key)
+        aad = MAGIC + bytes([VERSION, frame_type]) + seq.to_bytes(8, "big")
+        assert frame.body == gcm.seal(oracle, salt + seq.to_bytes(8, "big"), aad, payload)
+        assert oracle._tables is None and oracle._prepared == {}
+        assert record_open(rx, frame) == (frame_type, payload)
+
+
 def test_a_direction_near_the_end_prepares_nothing_past_the_last_seq(monkeypatch):
     from vitalink import gcm
 
@@ -460,3 +513,4 @@ def test_a_zeroized_direction_keeps_no_prepared_keystream():
     assert tx.gcm_key._prepared and tx.gcm_key.aes._wide
     tx.zeroize()
     assert tx.gcm_key._prepared == {} and tx.gcm_key.aes._wide == {}
+    assert tx.gcm_key._tables is None

@@ -16,12 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vitalink import endpoints, keyfiles
+from vitalink import endpoints, gcm, keyfiles
 from vitalink.endpoints import IngestionServer, ServerConfig, Store, log_value, parse_reading_line
 from vitalink.errors import EndOfStream
 from vitalink.handshake import ClientHandshake
 from vitalink.records import (
     FRAME_TYPES,
+    MAX_BODY,
     READ_CHUNK,
     TYPE_ABORT,
     TYPE_CLIENT_FINISH,
@@ -30,6 +31,7 @@ from vitalink.records import (
     TYPE_DATA,
     DirectionState,
     Frame,
+    FrameReader,
     _RECORDS_BEFORE_BATCH,
     frame_read,
     frame_write,
@@ -88,9 +90,10 @@ def persisted(server, session_hex=None) -> list:
 
 
 def serve_one(server, device_side):
-    """Runs `device_side(sock)` against `server._handle` on the other end of a
-    socketpair; returns what it returns once the handler has finished, and
-    fails if an exception escaped the handler."""
+    """Runs `device_side(reader)` against `server._handle` on the other end of a
+    socketpair, with one `FrameReader` over the device's end for its whole
+    life; returns what it returns once the handler has finished, and fails
+    if an exception escaped the handler."""
     device, server_end = socket.socketpair()
     escaped = []
 
@@ -103,7 +106,7 @@ def serve_one(server, device_side):
     handler = threading.Thread(target=handle)
     handler.start()
     try:
-        result = device_side(device)
+        result = device_side(FrameReader(device))
     finally:
         device.close()
         handler.join(timeout=10.0)
@@ -119,10 +122,10 @@ def send_and_hang_up(sock, data: bytes) -> None:
         pass
 
 
-def replies_until_abort(sock) -> list:
+def replies_until_abort(reader) -> list:
     types = []
     while TYPE_ABORT not in types:
-        types.append(frame_read(sock, timeout=5.0).frame_type)
+        types.append(frame_read(reader, timeout=5.0).frame_type)
     return types
 
 
@@ -142,11 +145,11 @@ def mutate(raw: bytes, mutation: str, draw) -> list[bytes]:
     return []  # dropped
 
 
-def handshake(sock, pki, seed):
+def handshake(reader, pki, seed):
     hs = ClientHandshake(pki.suite, pki.device, pki.root, rng=keyfiles.drbg(seed))
-    frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
-    finish, keys = hs.finish(frame_read(sock, timeout=5.0).body)
-    frame_write(sock, Frame(TYPE_CLIENT_FINISH, finish))
+    frame_write(reader.sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
+    finish, keys = hs.finish(frame_read(reader, timeout=5.0).body)
+    frame_write(reader.sock, Frame(TYPE_CLIENT_FINISH, finish))
     return keys
 
 
@@ -175,12 +178,12 @@ def test_one_mutated_record_ends_in_one_classified_outcome(toy_pki, server, line
         target = data.draw(st.integers(0, readings), label="target")  # readings: the Close
         lines.records.clear()
 
-        def device_side(sock):
-            keys = handshake(sock, toy_pki, seed)
+        def device_side(reader):
+            keys = handshake(reader, toy_pki, seed)
             wire = sealed_session(keys, toy_pki, seed, readings)
             wire[target : target + 1] = mutate(wire[target], mutation, data.draw)
-            send_and_hang_up(sock, b"".join(wire))
-            return keys, frame_read(sock, timeout=5.0)
+            send_and_hang_up(reader.sock, b"".join(wire))
+            return keys, frame_read(reader, timeout=5.0)
 
         keys, reply = serve_one(server, device_side)
         assert reply.frame_type == TYPE_ABORT
@@ -194,9 +197,9 @@ def test_one_mutated_record_ends_in_one_classified_outcome(toy_pki, server, line
 def test_one_mutated_handshake_frame_ends_in_one_classified_outcome(toy_pki, server, lines):
     # one good session first, so that both credentials are remembered and a
     # mutated credential or signature meets a warm memo
-    def good(sock):
-        keys = handshake(sock, toy_pki, 0)
-        send_and_hang_up(sock, b"".join(sealed_session(keys, toy_pki, 0, 2)))
+    def good(reader):
+        keys = handshake(reader, toy_pki, 0)
+        send_and_hang_up(reader.sock, b"".join(sealed_session(keys, toy_pki, 0, 2)))
         return keys
 
     keys = serve_one(server, good)
@@ -212,16 +215,16 @@ def test_one_mutated_handshake_frame_ends_in_one_classified_outcome(toy_pki, ser
     def session(frame, mutation, seed, data):
         lines.records.clear()
 
-        def device_side(sock):
+        def device_side(reader):
             hs = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root,
                                  rng=keyfiles.drbg(seed))
             raw = Frame(TYPE_CLIENT_HELLO, hs.start()).encode()
             if frame == "ClientFinish":
-                sock.sendall(raw)
-                finish, _ = hs.finish(frame_read(sock, timeout=5.0).body)
+                reader.sock.sendall(raw)
+                finish, _ = hs.finish(frame_read(reader, timeout=5.0).body)
                 raw = Frame(TYPE_CLIENT_FINISH, finish).encode()
-            send_and_hang_up(sock, b"".join(mutate(raw, mutation, data.draw)))
-            return replies_until_abort(sock)
+            send_and_hang_up(reader.sock, b"".join(mutate(raw, mutation, data.draw)))
+            return replies_until_abort(reader)
 
         serve_one(server, device_side)
         problems = lines.problems()
@@ -232,12 +235,12 @@ def test_one_mutated_handshake_frame_ends_in_one_classified_outcome(toy_pki, ser
 
 
 def test_a_plaintext_abort_mid_session_is_logged_as_possible_tampering(toy_pki, server, lines):
-    def device_side(sock):
-        keys = handshake(sock, toy_pki, 5)
+    def device_side(reader):
+        keys = handshake(reader, toy_pki, 5)
         wire = sealed_session(keys, toy_pki, 5, 5)
         wire[2] = wire[2][:3] + bytes([TYPE_ABORT]) + wire[2][4:]  # an on-path rewrite
-        send_and_hang_up(sock, b"".join(wire))
-        return keys, replies_until_abort(sock)
+        send_and_hang_up(reader.sock, b"".join(wire))
+        return keys, replies_until_abort(reader)
 
     keys, replies = serve_one(server, device_side)
     assert replies == [TYPE_ABORT]
@@ -255,15 +258,15 @@ def fields(line: str) -> tuple[str, dict]:
 
 def test_a_client_finish_and_records_in_one_segment_are_all_read(toy_pki, server, lines):
     # one reader spans the handshake and the record loop
-    def device_side(sock):
+    def device_side(reader):
         hs = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root,
                              rng=keyfiles.drbg(11))
-        frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
-        finish, keys = hs.finish(frame_read(sock, timeout=5.0).body)
+        frame_write(reader.sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
+        finish, keys = hs.finish(frame_read(reader, timeout=5.0).body)
         wire = [Frame(TYPE_CLIENT_FINISH, finish).encode()]
-        send_and_hang_up(sock, b"".join(wire + sealed_session(keys, toy_pki, 11, 1)))
+        send_and_hang_up(reader.sock, b"".join(wire + sealed_session(keys, toy_pki, 11, 1)))
         with pytest.raises(EndOfStream, match="at-boundary"):
-            frame_read(sock, timeout=5.0)
+            frame_read(reader, timeout=5.0)
         return keys
 
     keys = serve_one(server, device_side)
@@ -287,18 +290,18 @@ def test_a_log_value_is_one_field(value, logged):
 
 
 def test_a_handshake_failure_line_quotes_a_multi_word_detail(toy_pki, server, lines):
-    def device_side(sock):
+    def device_side(reader):
         hs = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root,
                              rng=keyfiles.drbg(12))
-        frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
-        finish, _ = hs.finish(frame_read(sock, timeout=5.0).body)
+        frame_write(reader.sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
+        finish, _ = hs.finish(frame_read(reader, timeout=5.0).body)
         # flip the low bit of the signature point's y: off the curve
         cred_len = int.from_bytes(finish[:2], "big")
         y_end = 2 + cred_len + 2 + 1 + 2 * toy_pki.suite.field_len
         finish = bytearray(finish)
         finish[y_end - 1] ^= 1
-        frame_write(sock, Frame(TYPE_CLIENT_FINISH, bytes(finish)))
-        return replies_until_abort(sock)
+        frame_write(reader.sock, Frame(TYPE_CLIENT_FINISH, bytes(finish)))
+        return replies_until_abort(reader)
 
     assert serve_one(server, device_side) == [TYPE_ABORT]
     [line] = lines.problems()
@@ -316,12 +319,12 @@ def test_a_connection_error_line_names_the_error_type(toy_pki, server, lines, mo
 
     monkeypatch.setattr(endpoints, "frame_write", reset)
 
-    def device_side(sock):
+    def device_side(reader):
         hs = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root,
                              rng=keyfiles.drbg(13))
-        frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
+        frame_write(reader.sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
         with pytest.raises(EndOfStream):
-            frame_read(sock, timeout=5.0)
+            frame_read(reader, timeout=5.0)
 
     serve_one(server, device_side)
     [line] = lines.problems()
@@ -358,11 +361,11 @@ def test_a_burst_is_persisted_in_order_in_one_write_per_chunk(toy_pki, server, l
 
     monkeypatch.setattr(Store, "append_reading", spy)
 
-    def device_side(sock):
-        keys = handshake(sock, toy_pki, 21)
-        send_and_hang_up(sock, b"".join(sealed_session(keys, toy_pki, 21, readings)))
+    def device_side(reader):
+        keys = handshake(reader, toy_pki, 21)
+        send_and_hang_up(reader.sock, b"".join(sealed_session(keys, toy_pki, 21, readings)))
         with pytest.raises(EndOfStream):
-            frame_read(sock, timeout=5.0)
+            frame_read(reader, timeout=5.0)
         return keys
 
     keys = serve_one(server, device_side)
@@ -375,44 +378,56 @@ def test_a_burst_is_persisted_in_order_in_one_write_per_chunk(toy_pki, server, l
 
 
 def test_buffered_readings_are_on_disk_before_the_server_waits_again(toy_pki, server, lines):
-    def device_side(sock):
-        keys = handshake(sock, toy_pki, 24)
+    def device_side(reader):
+        keys = handshake(reader, toy_pki, 24)
         wire = sealed_session(keys, toy_pki, 24, 5)
-        sock.sendall(b"".join(wire[:5]))
+        reader.sock.sendall(b"".join(wire[:5]))
         deadline = time.monotonic() + 5.0
         while len(persisted(server, keys.session_id.hex())) < 5 and time.monotonic() < deadline:
             time.sleep(0.01)
         on_disk = len(persisted(server, keys.session_id.hex()))
-        send_and_hang_up(sock, wire[5])
+        send_and_hang_up(reader.sock, wire[5])
         return on_disk
 
     assert serve_one(server, device_side) == 5
     assert lines.problems() == []
 
 
-@pytest.mark.parametrize("fault", ["tag", "backwards"])
+@pytest.mark.parametrize("fault", ["tag", "backwards", "oversize"])
 @pytest.mark.parametrize("k", [2, 17, 39])
 def test_a_fault_at_position_k_of_a_burst_persists_the_k_readings_before_it(
-        toy_pki, server, lines, fault, k):
+        toy_pki, server, lines, monkeypatch, fault, k):
     sent = sensor_readings(toy_pki, 22, 40)
     if fault == "backwards":
         sent[k] = sent[k]._replace(timestamp_ms=sent[k - 1].timestamp_ms - 1)
+    opened = []
+    real_open = gcm.open_
 
-    def device_side(sock):
-        keys = handshake(sock, toy_pki, 22)
+    def spy(gk, nonce, aad, record):
+        opened.append(len(record))
+        return real_open(gk, nonce, aad, record)
+
+    monkeypatch.setattr(gcm, "open_", spy)
+
+    def device_side(reader):
+        keys = handshake(reader, toy_pki, 22)
         tx = DirectionState(keys.c2s_key, keys.c2s_salt)
         wire = [bytearray(record_seal(tx, TYPE_DATA, reading_encode(r)).encode()) for r in sent]
         if fault == "tag":
             wire[k][-1] ^= 1
+        if fault == "oversize":  # a Data record no device sends, under any key
+            wire[k] = Frame(TYPE_DATA, bytes(MAX_BODY)).encode()
         wire.append(record_seal(tx, TYPE_CLOSE, b"").encode())
-        send_and_hang_up(sock, b"".join(wire))
-        return keys, replies_until_abort(sock)
+        send_and_hang_up(reader.sock, b"".join(wire))
+        return keys, replies_until_abort(reader)
 
     keys, replies = serve_one(server, device_side)
     assert replies == [TYPE_ABORT]
     [problem] = lines.problems()
     assert problem.startswith("record_auth_failure " if fault == "tag" else "session_fatal ")
     assert stored_rows(server, keys.session_id.hex()) == as_rows(sent[:k])
+    # only sealed readings reach GCM: an oversize record is refused before it
+    assert opened == [19 + 16] * (k if fault == "oversize" else k + 1)
 
 
 def test_a_reading_is_on_disk_before_its_alert_is_stored(toy_pki, server, lines, monkeypatch):
@@ -426,11 +441,11 @@ def test_a_reading_is_on_disk_before_its_alert_is_stored(toy_pki, server, lines,
 
     monkeypatch.setattr(Store, "append_alert", spy)
 
-    def device_side(sock):
-        keys = handshake(sock, toy_pki, 23)
-        send_and_hang_up(sock, b"".join(sealed_session(keys, toy_pki, 23, 20, script)))
+    def device_side(reader):
+        keys = handshake(reader, toy_pki, 23)
+        send_and_hang_up(reader.sock, b"".join(sealed_session(keys, toy_pki, 23, 20, script)))
         with pytest.raises(EndOfStream):
-            frame_read(sock, timeout=5.0)
+            frame_read(reader, timeout=5.0)
         return keys
 
     keys = serve_one(server, device_side)

@@ -204,3 +204,12 @@ def test_detector_matches_brute_force_oracle(trace, consecutive):
     want = [(i, rule, tuple(bpms[j] for j in window), window[0] * 1000, window[-1] * 1000)
             for i, rule, window in oracle_alerts(bpms, statuses, 40, 150, consecutive)]
     assert got == want
+
+
+@pytest.mark.parametrize("consecutive", [0, -1])
+def test_an_anomaly_config_needs_a_window_of_at_least_one_reading(consecutive):
+    with pytest.raises(ValueError, match="at least 1"):
+        AnomalyConfig(consecutive=consecutive)
+    # the smallest window alerts on one out-of-band reading
+    alert = AnomalyDetector(AnomalyConfig(consecutive=1)).check(HeartRateReading(DEV, 5, 200))
+    assert alert is not None and alert.observed_bpm == (200,) and alert.rule == "high_hr"
