@@ -47,6 +47,14 @@ def _require_file(path: str, flag: str) -> str:
     return path
 
 
+def _host_port(value: str, flag: str) -> tuple[str, int]:
+    """HOST:PORT split at its last colon, with a port in 0-65535."""
+    host, sep, port = value.rpartition(":")
+    if not (sep and host and port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise UsageError(f"{flag}: expected HOST:PORT with a port in 0-65535, got {value!r}")
+    return host, int(port)
+
+
 def _rng(seed):
     return keyfiles.drbg(seed) if seed is not None else os.urandom
 
@@ -118,9 +126,10 @@ def cmd_serve(args) -> int:
                                 consecutive=args.hr_consecutive)
     except ValueError as exc:
         raise UsageError(f"--hr-consecutive: {exc}")
+    listen_host, listen_port = _host_port(args.listen, "--listen")
     cfg = ServerConfig(
-        listen_host=args.listen.rsplit(":", 1)[0],
-        listen_port=int(args.listen.rsplit(":", 1)[1]),
+        listen_host=listen_host,
+        listen_port=listen_port,
         key_path=_require_file(args.key, "--key"),
         cred_path=_require_file(args.cred, "--cred"),
         root_path=_require_file(args.root, "--root"),
@@ -131,10 +140,10 @@ def cmd_serve(args) -> int:
 
 
 def cmd_device(args) -> int:
-    host, port = args.connect.rsplit(":", 1)
+    host, port = _host_port(args.connect, "--connect")
     cfg = DeviceConfig(
         server_host=host,
-        server_port=int(port),
+        server_port=port,
         key_path=_require_file(args.key, "--key"),
         cred_path=_require_file(args.cred, "--cred"),
         root_path=_require_file(args.root, "--root"),
@@ -163,11 +172,11 @@ def cmd_device(args) -> int:
 
 
 def cmd_proxy(args) -> int:
-    lhost, lport = args.listen.rsplit(":", 1)
-    uhost, uport = args.upstream.rsplit(":", 1)
+    listen = _host_port(args.listen, "--listen")
+    upstream = _host_port(args.upstream, "--upstream")
     plan = TamperPlan(mode=args.mode, target_index=args.target_index,
                       bit_offset=args.bit_offset)
-    return _run_until_signalled(TamperProxy(lhost, int(lport), uhost, int(uport), plan))
+    return _run_until_signalled(TamperProxy(*listen, *upstream, plan))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -225,11 +225,19 @@ def credential_verify(
             _VERIFIED[key] = None
             while len(_VERIFIED) > _VERIFIED_CAP:
                 del _VERIFIED[next(iter(_VERIFIED))]
-    if now < cred.valid_from - CLOCK_SKEW_S:
+    return check_window_and_role(cred.valid_from, cred.valid_to, cred.role, now,
+                                 expected_role)
+
+
+def check_window_and_role(valid_from: int, valid_to: int, role: Role, now: int,
+                          expected_role: Role | None):
+    """The checks of `credential_verify` after the signature's, on the
+    fields alone: a resumed session re-checks them from its ticket."""
+    if now < valid_from - CLOCK_SKEW_S:
         return NOT_YET_VALID
-    if now > cred.valid_to + CLOCK_SKEW_S:
+    if now > valid_to + CLOCK_SKEW_S:
         return EXPIRED
-    if expected_role is not None and cred.role != expected_role:
+    if expected_role is not None and role != expected_role:
         return ROLE_MISMATCH
     return None
 

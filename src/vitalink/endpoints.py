@@ -7,6 +7,14 @@ and formats every reading already buffered on a connection, then writes
 the burst's lines in one unbuffered write under the store's lock, so
 concurrent sessions never interleave within a burst and a crash never
 leaves a torn line behind.
+
+Every established session ends its handshake with a NewTicket from the
+server, sealed under a ticket key made when the server starts and never
+stored. `run_device` keeps the last ticket per server address, own
+credential and trust root in a process-wide cache and offers it once,
+on its next session there, to skip both transcript signatures (see
+`handshake`). A refused ticket costs one `resumption_refused` INFO line
+and a full handshake on the same connection.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .errors import (
     MalformedReading,
     VitalinkError,
 )
-from .handshake import ClientHandshake, LocalIdentity, ServerHandshake
+from .handshake import ClientHandshake, LocalIdentity, Resumption, ServerHandshake
 from .listener import Listener
 from .records import (
     TYPE_ABORT,
@@ -42,6 +50,7 @@ from .records import (
     TYPE_CLIENT_HELLO,
     TYPE_CLOSE,
     TYPE_DATA,
+    TYPE_NEW_TICKET,
     TYPE_SERVER_HELLO,
     DirectionState,
     Frame,
@@ -239,6 +248,12 @@ class IngestionServer:
         self.identity = load_identity(cfg.key_path, cfg.cred_path, self.suite)
         self.trust_root = keyfiles.read_credential(cfg.root_path, self.suite)
         check_trust(self.identity.credential, self.trust_root, Role.SERVER, self.suite)
+        # this process's tickets only; the GHASH table is built now, since
+        # every session seals one ticket and nearly every one opens one. Every
+        # handler shares the key: past this point a seal or open changes
+        # nothing in it but the cache of broadcast round keys.
+        self.ticket_key = gcm.GcmKey(os.urandom(16))
+        self.ticket_key.prepare([])
         self.store = Store(cfg.store_dir)
         self._listener: Listener | None = None
         self.port = 0
@@ -266,8 +281,12 @@ class IngestionServer:
             fr = frame_read(reader, handshake_deadline - time.monotonic())
             if fr.frame_type != TYPE_CLIENT_HELLO:
                 raise MalformedFrame("expected ClientHello")
-            hs = ServerHandshake(self.identity, self.trust_root, suite=self.suite)
-            frame_write(conn, Frame(TYPE_SERVER_HELLO, hs.respond(fr.body)))
+            hs = ServerHandshake(self.identity, self.trust_root, suite=self.suite,
+                                 ticket_key=self.ticket_key)
+            server_hello = hs.respond(fr.body)
+            if hs.refusal is not None:
+                log.info("resumption_refused cause=%s peer=%s:%s", hs.refusal, *addr[:2])
+            frame_write(conn, Frame(TYPE_SERVER_HELLO, server_hello))
             fr = frame_read(reader, handshake_deadline - time.monotonic())
             if fr.frame_type != TYPE_CLIENT_FINISH:
                 raise MalformedFrame("expected ClientFinish")
@@ -276,6 +295,10 @@ class IngestionServer:
             subject = decode_subject(peer_subject)
             log.info("session_established session=%s subject=%s peer=%s:%s",
                      session_hex[:16], log_value(subject), *addr[:2])
+            try:
+                frame_write(conn, Frame(TYPE_NEW_TICKET, hs.new_ticket()))
+            except OSError:
+                pass  # a device that sent its records and left loses only its ticket
 
             recv_dir = DirectionState(keys.c2s_key, keys.c2s_salt)
             if self._ingest(reader, recv_dir, session_hex, subject) == TYPE_ABORT:
@@ -362,6 +385,7 @@ class IngestionServer:
     def stop(self) -> None:
         if self._listener is not None:
             self._listener.stop()
+        self.ticket_key.zeroize()
         self.store.close()
 
 
@@ -395,7 +419,13 @@ class DeviceReport:
     error: str | None = None
 
 
-def _check_for_abort(reader: FrameReader) -> bool:
+# (server host, port, own credential bytes, trust-root bytes) -> the ticket
+# of the last session there, taken by the next
+_TICKETS: dict[tuple, Resumption] = {}
+_TICKETS_LOCK = threading.Lock()
+
+
+def _check_for_abort(reader: FrameReader, keep_ticket) -> bool:
     # a frame may already sit in the buffer, where select cannot see it
     if not reader.buffered() and not select.select([reader.sock], [], [], 0)[0]:
         return False
@@ -403,6 +433,8 @@ def _check_for_abort(reader: FrameReader) -> bool:
         fr = frame_read(reader, timeout=1.0)
     except VitalinkError:
         return True
+    if fr.frame_type == TYPE_NEW_TICKET:
+        keep_ticket(fr.body)
     return fr.frame_type == TYPE_ABORT
 
 
@@ -426,6 +458,11 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
         script = telemetry.parse_anomaly_script(Path(cfg.anomaly_script).read_text())
     sim = SensorSim(device_id, seed=cfg.seed or 0, script=script)
 
+    cache_key = (cfg.server_host, cfg.server_port, identity.credential.encode(suite),
+                 trust_root.encode(suite))
+    with _TICKETS_LOCK:
+        resumption = _TICKETS.pop(cache_key, None)  # each ticket is offered once
+
     report = DeviceReport()
     t0 = time.monotonic()
     try:
@@ -436,8 +473,13 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
     sock.settimeout(None)
     send_dir: DirectionState | None = None
     reader = FrameReader(sock)
+    hs = ClientHandshake(suite, identity, trust_root, rng, resumption=resumption)
+
+    def keep_ticket(ticket: bytes) -> None:
+        with _TICKETS_LOCK:
+            _TICKETS[cache_key] = hs.resumption_for(ticket)
+
     try:
-        hs = ClientHandshake(suite, identity, trust_root, rng)
         frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
         fr = frame_read(reader)
         if fr.frame_type == TYPE_ABORT:
@@ -457,7 +499,7 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
             frame_write(sock, record_seal(send_dir, TYPE_DATA, reading_encode(reading)))
             report.sent.append((reading.timestamp_ms, reading.bpm))
             report.sent_count += 1
-            if _check_for_abort(reader):
+            if _check_for_abort(reader, keep_ticket):
                 raise ConnectionAborted("server aborted mid-stream")
             if cfg.realtime:
                 time.sleep(cfg.interval_ms / 1000.0)
@@ -469,6 +511,8 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
                 fr = frame_read(reader, timeout=2.0)
                 if fr.frame_type == TYPE_ABORT:
                     raise ConnectionAborted("server aborted the session")
+                if fr.frame_type == TYPE_NEW_TICKET:
+                    keep_ticket(fr.body)
         except (EndOfStream, FrameTimeout, MalformedFrame, OSError):
             pass
     except (VitalinkError, OSError) as exc:

@@ -1,11 +1,13 @@
-"""Mutually authenticated three-message handshake.
+"""Mutually authenticated three-message handshake, with PSK-DHE resumption.
 
 Pattern: sign-then-MAC over the running transcript (SIGMA-I style).
 
     ClientHello   = suite_id(2) || client_random(32) || lp(eph_pub)
+                    [ || lp(ticket) || binder(32) ]
     ServerHello   = server_random(32) || lp(eph_pub) || lp(credential)
                     || lp(sig) || fin_mac(32)
     ClientFinish  = lp(credential) || lp(sig) || fin_mac(32)
+    NewTicket     = nonce(12) || sealed ticket (server to device, plaintext)
 
 lp(x) is a 16-bit big-endian length prefix followed by x. The server
 signs sha256("vl srv" || transcript-before-its-signature); the client
@@ -16,9 +18,11 @@ Session keys are bound to the transcript through the expand labels, so
 any in-path mutation of any handshake byte diverges the two schedules
 and fails a signature or finished-MAC check before Establishment.
 
-The schedule expands four values: the two finished keys and one record
-key and nonce salt, for device-to-server (c2s) records. Records flow
-only that way; the server sends just its ServerHello and, on failure, a
+The schedule extracts a PRK from shared || psk under the two randoms
+(psk is empty in a full handshake, so its bytes are unchanged) and
+expands four values: the two finished keys and one record key and nonce
+salt, for device-to-server (c2s) records. Records flow only that way;
+the server sends its ServerHello, one NewTicket and, on failure, a
 plaintext Abort. Sealing that Abort would gain nothing: an on-path
 attacker who could forge it could as easily cut the stream, which both
 ends classify. A hello that does not parse fails with
@@ -31,6 +35,28 @@ check the peer (credential in the peer's role against the trust root,
 then the peer's signature), ECDH, and check the peer's finished MAC.
 `ClientHandshake` and `ServerHandshake` add only their frame parsing
 and where in the key schedule each step falls.
+
+Resumption (RFC 8446 psk_dhe_ke, §2.2, §4.2.11 and §4.6.1, with the
+stateless tickets of RFC 5077). Once established, each side expands a
+resumption secret from the PRK over the session id. After ClientFinish
+checks out, the server sends a NewTicket: that secret, the issue time and
+the device credential's subject, issuer, role and validity window, sealed
+with AES-GCM under a ticket key that never leaves the server process. The
+frame can stay plaintext: the ticket is useless without the secret, and
+dropping or swapping it only costs the device a full handshake. The
+device keeps (ticket, secret, server credential) and offers the ticket
+once, appending lp(ticket) and a binder, HMAC(hkdf_expand(secret,
+"vl binder"), hello before the binder), to an otherwise full ClientHello.
+The server resumes if the ticket opens, is at most `TICKET_LIFETIME_S`
+old, its credential fields still pass the issuer, validity window and
+device-role checks against the trust root, and the binder matches. A
+resumed ServerHello and ClientFinish keep the layout with an empty
+lp(credential) and lp(sig): no signature is made or checked, and the
+secret goes into the extract, so each finished MAC proves it. A fresh
+ECDH on both sides keeps forward secrecy. Any refusal leaves `refusal`
+naming its cause (`BadTicket`, `TicketExpired`, `BadBinder`, or the
+credential cause) and answers with a full ServerHello on the same
+connection; the device, seeing a credential, runs the full handshake.
 """
 
 from __future__ import annotations
@@ -40,13 +66,14 @@ import hmac
 import os
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import credentials as creds
-from . import curves, kdf
+from . import curves, gcm, kdf
 from .credentials import Credential, Role
 from .curves import SUITES, CurveSuite, RandomSource
 from .errors import (
+    AuthFailure,
     BadClientCredential,
     BadFinishedMac,
     BadServerCredential,
@@ -62,6 +89,13 @@ from .errors import (
 RANDOM_LEN = 32
 SIG_LABEL_SERVER = b"vl srv"
 SIG_LABEL_CLIENT = b"vl cli"
+# How long a ticket resumes a session after it was issued; a device that
+# comes back later runs a full handshake.
+TICKET_LIFETIME_S = 24 * 3600
+# A ticket seals the resumption secret, the issue time, then the device
+# credential's subject, issuer, role, valid_from and valid_to: 89 bytes.
+_TICKET = struct.Struct(">32sQ16s16sBQQ")
+_TICKET_LEN = gcm.NONCE_LEN + _TICKET.size + gcm.TAG_LEN
 
 
 class Phase(enum.Enum):
@@ -79,6 +113,8 @@ class SessionKeys:
     client_fin_key: bytes
     server_fin_key: bytes
     session_id: bytes = b""
+    resumption_secret: bytes = b""
+    prk: bytes = field(default=b"", repr=False)  # kept only until establishment
 
 
 @dataclass(frozen=True)
@@ -89,10 +125,22 @@ class LocalIdentity:
     credential: Credential
 
 
+@dataclass(frozen=True)
+class Resumption:
+    """What a device keeps from one session to resume its next with the same
+    server: the NewTicket body (opaque to it), that session's resumption
+    secret, and the server credential it checked then."""
+
+    ticket: bytes
+    secret: bytes
+    server: Credential
+
+
 def derive_session_keys(
-    shared: bytes, client_random: bytes, server_random: bytes, transcript_hash: bytes
+    shared: bytes, client_random: bytes, server_random: bytes, transcript_hash: bytes,
+    psk: bytes = b"",
 ) -> SessionKeys:
-    prk = kdf.hkdf_extract(client_random + server_random, shared)
+    prk = kdf.hkdf_extract(client_random + server_random, shared + psk)
 
     def expand(label: bytes, length: int) -> bytes:
         return kdf.hkdf_expand(prk, label + transcript_hash, length)
@@ -102,6 +150,7 @@ def derive_session_keys(
         c2s_salt=expand(kdf.LABEL_C2S_SALT, 4),
         client_fin_key=expand(kdf.LABEL_C_FIN, 32),
         server_fin_key=expand(kdf.LABEL_S_FIN, 32),
+        prk=prk,
     )
 
 
@@ -109,6 +158,15 @@ def _lp(data: bytes) -> bytes:
     if len(data) > 0xFFFF:
         raise ValueError("field too long for 16-bit prefix")
     return struct.pack(">H", len(data)) + data
+
+
+# a resumed side's lp(credential) || lp(sig)
+_NO_PROOF = _lp(b"") + _lp(b"")
+
+
+def _binder(secret: bytes, hello: bytes) -> bytes:
+    """The binder of a resumed ClientHello that reads `hello` before it."""
+    return kdf.hmac_sha256(kdf.hkdf_expand(secret, kdf.LABEL_BINDER, kdf.HASH_LEN), hello)
 
 
 class _Reader:
@@ -126,6 +184,9 @@ class _Reader:
     def take_lp(self) -> bytes:
         (n,) = struct.unpack(">H", self.take(2))
         return self.take(n)
+
+    def more(self) -> bool:
+        return self.off < len(self.data)
 
     def done(self) -> None:
         if self.off != len(self.data):
@@ -155,6 +216,10 @@ class _Side:
         self.eph_priv: int | None = None
         self._keys: SessionKeys | None = None
         self.peer_identity: bytes | None = None
+        self.resumed = False
+
+    def _now(self) -> int:
+        return self.now if self.now is not None else int(time.time())
 
     def _fail(self, exc: HandshakeError):
         self.phase = Phase.FAILED
@@ -179,9 +244,8 @@ class _Side:
     def _check_peer(self, cred: Credential, sig: creds.SchnorrSig, signed: bytes) -> None:
         """The peer's credential in its role, then its signature over
         PEER_LABEL || signed, where signed ends in lp(credential)."""
-        now = self.now if self.now is not None else int(time.time())
         reason = creds.credential_verify(
-            cred, self.trust_root, now, self.suite, expected_role=self.PEER_ROLE
+            cred, self.trust_root, self._now(), self.suite, expected_role=self.PEER_ROLE
         )
         if reason is not None:
             self._fail(self.BadPeerCredential(reason))
@@ -205,10 +269,14 @@ class _Side:
         if not hmac.compare_digest(kdf.hmac_sha256(key, digest), mac):
             self._fail(BadFinishedMac(f"{self.PEER} finished MAC mismatch"))
 
-    def _establish(self, frame: bytes, keys: SessionKeys, peer: Credential) -> SessionKeys:
+    def _establish(self, frame: bytes, keys: SessionKeys, peer_subject: bytes) -> SessionKeys:
         self.transcript += frame
         keys.session_id = kdf.hash_(bytes(self.transcript))
-        self.peer_identity = peer.subject_id
+        keys.resumption_secret = kdf.hkdf_expand(
+            keys.prk, kdf.LABEL_RESUMPTION + keys.session_id, kdf.HASH_LEN)
+        keys.prk = b""
+        self._keys = keys
+        self.peer_identity = peer_subject
         self.eph_priv = None
         self.phase = Phase.ESTABLISHED
         return keys
@@ -219,9 +287,12 @@ class ClientHandshake(_Side):
     PEER_ROLE, BadPeerCredential, PEER = Role.SERVER, BadServerCredential, "server"
 
     def __init__(self, suite: CurveSuite, identity: LocalIdentity, trust_root: Credential,
-                 rng: RandomSource = os.urandom, now: int | None = None):
+                 rng: RandomSource = os.urandom, now: int | None = None,
+                 resumption: Resumption | None = None):
         super().__init__(identity, trust_root, suite, rng, now)
         self.client_random = b""
+        self.resumption = resumption  # offered in the ClientHello when given
+        self.server_credential: Credential | None = None
 
     def start(self) -> bytes:
         self._expect(Phase.START, "start")
@@ -229,6 +300,9 @@ class ClientHandshake(_Side):
         self.eph_priv, eph_pub = curves.keypair_gen(self.suite, self.rng)
         eph_bytes = curves.point_encode(eph_pub, self.suite)
         body = struct.pack(">H", self.suite.suite_id) + self.client_random + _lp(eph_bytes)
+        if self.resumption is not None:
+            body += _lp(self.resumption.ticket)
+            body += _binder(self.resumption.secret, body)
         self.transcript += body
         self.phase = Phase.AWAIT_SERVER_HELLO
         return body
@@ -246,29 +320,49 @@ class ClientHandshake(_Side):
         except MalformedFrame as exc:
             self._fail(HandshakeError(f"malformed ServerHello: {exc}"))
         server_eph = self._decode_ephemeral(eph_pub_bytes)
-        try:
-            server_cred = creds.credential_decode(cred_bytes, self.suite)
-            sig = creds.sig_decode(sig_bytes, self.suite)
-        except (creds.MalformedCredential, creds.MalformedSignature) as exc:
-            self._fail(BadServerCredential(str(exc)))
-
         signed = bytes(self.transcript) + server_random + _lp(eph_pub_bytes) + _lp(cred_bytes)
-        self._check_peer(server_cred, sig, signed)
+        # an offered ticket is accepted by a ServerHello that proves nothing
+        resumed = self.resumption is not None and not cred_bytes and not sig_bytes
+        if resumed:
+            server_cred, psk = self.resumption.server, self.resumption.secret
+        else:
+            try:
+                server_cred = creds.credential_decode(cred_bytes, self.suite)
+                sig = creds.sig_decode(sig_bytes, self.suite)
+            except (creds.MalformedCredential, creds.MalformedSignature) as exc:
+                self._fail(BadServerCredential(str(exc)))
+            self._check_peer(server_cred, sig, signed)
+            psk = b""
         shared = self._shared_secret(server_eph)
         th = kdf.hash_(signed + _lp(sig_bytes))
-        keys = derive_session_keys(shared, self.client_random, server_random, th)
+        keys = derive_session_keys(shared, self.client_random, server_random, th, psk)
         self._check_finished(keys.server_fin_key, th, fin_mac)
 
         self.transcript += server_hello
         prefix = bytes(self.transcript)
-        proof = self._prove(prefix)
+        proof = _NO_PROOF if resumed else self._prove(prefix)
         body = proof + kdf.hmac_sha256(keys.client_fin_key, kdf.hash_(prefix + proof))
-        return body, self._establish(body, keys, server_cred)
+        self.resumed, self.server_credential = resumed, server_cred
+        return body, self._establish(body, keys, server_cred.subject_id)
+
+    def resumption_for(self, ticket: bytes) -> Resumption:
+        """What to keep from the NewTicket body `ticket` of this session."""
+        self._expect(Phase.ESTABLISHED, "resumption_for")
+        return Resumption(ticket, self._keys.resumption_secret, self.server_credential)
 
 
 class ServerHandshake(_Side):
     LABEL, PEER_LABEL = SIG_LABEL_SERVER, SIG_LABEL_CLIENT
     PEER_ROLE, BadPeerCredential, PEER = Role.DEVICE, BadClientCredential, "client"
+
+    def __init__(self, identity: LocalIdentity, trust_root: Credential, suite: CurveSuite,
+                 rng: RandomSource = os.urandom, now: int | None = None,
+                 ticket_key: gcm.GcmKey | None = None):
+        super().__init__(identity, trust_root, suite, rng, now)
+        self.ticket_key = ticket_key  # seals and opens tickets; without one none resumes
+        self.refusal: str | None = None  # why an offered ticket did not resume
+        # the device credential's subject, issuer, role, valid_from and valid_to
+        self._claims: tuple | None = None
 
     def respond(self, client_hello: bytes) -> bytes:
         self._expect(Phase.START, "respond")
@@ -277,6 +371,7 @@ class ServerHandshake(_Side):
             (suite_id,) = struct.unpack(">H", r.take(2))
             client_random = r.take(RANDOM_LEN)
             eph_pub_bytes = r.take_lp()
+            offer = (r.take_lp(), r.take(kdf.HASH_LEN)) if r.more() else None
             r.done()
         except MalformedFrame as exc:
             self._fail(HandshakeError(f"malformed ClientHello: {exc}"))
@@ -285,22 +380,58 @@ class ServerHandshake(_Side):
             # the server's identity lives on exactly one curve
             self._fail(UnsupportedSuite(f"suite_id 0x{suite_id:04x}"))
         client_eph = self._decode_ephemeral(eph_pub_bytes)
+        psk = b"" if offer is None else self._resume(client_hello, *offer)
+        self.resumed = bool(psk)
 
         self.transcript += client_hello
         server_random = self.rng(RANDOM_LEN)
         self.eph_priv, eph_pub = curves.keypair_gen(suite, self.rng)
         hello = server_random + _lp(curves.point_encode(eph_pub, suite))
         prefix = bytes(self.transcript) + hello
-        proof = self._prove(prefix)
+        proof = _NO_PROOF if self.resumed else self._prove(prefix)
         shared = self._shared_secret(client_eph)
         th = kdf.hash_(prefix + proof)
-        self._keys = derive_session_keys(shared, client_random, server_random, th)
+        self._keys = derive_session_keys(shared, client_random, server_random, th, psk)
 
         body = hello + proof + kdf.hmac_sha256(self._keys.server_fin_key, th)
         self.transcript += body
         self.eph_priv = None
         self.phase = Phase.AWAIT_CLIENT_FINISH
         return body
+
+    def _resume(self, client_hello: bytes, ticket: bytes, binder: bytes) -> bytes:
+        """The secret of an offered ticket that resumes, or b"" with `refusal`
+        naming why it does not."""
+        fields = self._open_ticket(ticket)
+        if fields is None:
+            self.refusal = "BadTicket"
+            return b""
+        secret, issued, subject, issuer, role, valid_from, valid_to = fields
+        now = self._now()
+        if not 0 <= now - issued <= TICKET_LIFETIME_S:
+            self.refusal = "TicketExpired"
+        elif issuer != self.trust_root.subject_id:
+            self.refusal = creds.UNKNOWN_ISSUER
+        else:
+            self.refusal = creds.check_window_and_role(valid_from, valid_to, role, now,
+                                                       self.PEER_ROLE)
+        if self.refusal is None and not hmac.compare_digest(
+                _binder(secret, client_hello[: -kdf.HASH_LEN]), binder):
+            self.refusal = "BadBinder"
+        if self.refusal is not None:
+            return b""
+        self._claims = (subject, issuer, role, valid_from, valid_to)
+        return secret
+
+    def _open_ticket(self, ticket: bytes) -> tuple | None:
+        if self.ticket_key is None or len(ticket) != _TICKET_LEN:
+            return None
+        try:
+            plain = gcm.open_(self.ticket_key, ticket[: gcm.NONCE_LEN], b"",
+                              ticket[gcm.NONCE_LEN :])
+        except AuthFailure:
+            return None
+        return _TICKET.unpack(plain)
 
     def complete(self, client_finish: bytes) -> tuple[SessionKeys, bytes]:
         self._expect(Phase.AWAIT_CLIENT_FINISH, "complete")
@@ -310,15 +441,30 @@ class ServerHandshake(_Side):
             sig_bytes = r.take_lp()
             fin_mac = r.take(32)
             r.done()
-            client_cred = creds.credential_decode(cred_bytes, self.suite)
-            sig = creds.sig_decode(sig_bytes, self.suite)
+            if self.resumed:
+                if cred_bytes or sig_bytes:
+                    raise MalformedFrame("a proof in a resumed session")
+            else:
+                client_cred = creds.credential_decode(cred_bytes, self.suite)
+                sig = creds.sig_decode(sig_bytes, self.suite)
         except (MalformedFrame, creds.MalformedCredential, creds.MalformedSignature) as exc:
             self._fail(BadClientCredential(f"malformed ClientFinish: {exc}"))
 
         signed = bytes(self.transcript) + _lp(cred_bytes)
-        self._check_peer(client_cred, sig, signed)
+        if not self.resumed:
+            self._check_peer(client_cred, sig, signed)
+            self._claims = (client_cred.subject_id, client_cred.issuer_id, client_cred.role,
+                            client_cred.valid_from, client_cred.valid_to)
         self._check_finished(
             self._keys.client_fin_key, kdf.hash_(signed + _lp(sig_bytes)), fin_mac
         )
-        keys = self._establish(client_finish, self._keys, client_cred)
-        return keys, client_cred.subject_id
+        subject = self._claims[0]
+        return self._establish(client_finish, self._keys, subject), subject
+
+    def new_ticket(self) -> bytes:
+        """The NewTicket body of this established session, sealed under the
+        ticket key with a fresh nonce."""
+        self._expect(Phase.ESTABLISHED, "new_ticket")
+        nonce = self.rng(gcm.NONCE_LEN)
+        plain = _TICKET.pack(self._keys.resumption_secret, self._now(), *self._claims)
+        return nonce + gcm.seal(self.ticket_key, nonce, b"", plain)

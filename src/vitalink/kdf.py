@@ -17,6 +17,11 @@ LABEL_C2S_KEY = b"vl c2s key"
 LABEL_C2S_SALT = b"vl c2s salt"
 LABEL_C_FIN = b"vl c fin"
 LABEL_S_FIN = b"vl s fin"
+# Resumption: the secret a NewTicket carries, expanded from a session's PRK
+# over its session id, and the key of a resumed ClientHello's binder,
+# expanded from that secret.
+LABEL_RESUMPTION = b"vl resumption"
+LABEL_BINDER = b"vl binder"
 
 
 def hash_(msg: bytes) -> bytes:

@@ -20,9 +20,12 @@ nothing buffered ends "at-boundary"; one that ends inside a frame ends
 "mid-frame", the classic truncation.
 
 One rule decides when a key is long-lived: once a direction has carried
-`_RECORDS_BEFORE_BATCH` records, it has its `gcm.GcmKey` prepare the AES
-blocks of the next `_BATCH_RECORDS` in one batch, and again each time
-those run out, and the first batch also builds the key's GHASH table.
+`_RECORDS_BEFORE_BATCH` records, its next Data record has its
+`gcm.GcmKey` prepare the AES blocks of the next `_BATCH_RECORDS` in one
+batch, and again each time those run out, and the first batch also
+builds the key's GHASH table. A Close, always a direction's last record,
+never prepares, so a session of exactly `_RECORDS_BEFORE_BATCH` readings
+builds neither.
 The batch and the table cost about what 5 to 10 records' AES and GHASH
 do block by block (0.35 ms and 0.3 ms), so the allowance keeps them from
 keys of a few readings; on a long stream the AES of a record falls from
@@ -64,6 +67,7 @@ _BATCH_RECORDS = 64
 TYPE_CLIENT_HELLO = 0x01
 TYPE_SERVER_HELLO = 0x02
 TYPE_CLIENT_FINISH = 0x03
+TYPE_NEW_TICKET = 0x04
 TYPE_DATA = 0x10
 TYPE_CLOSE = 0x11
 TYPE_ABORT = 0x1F
@@ -72,6 +76,7 @@ FRAME_TYPES = {
     TYPE_CLIENT_HELLO,
     TYPE_SERVER_HELLO,
     TYPE_CLIENT_FINISH,
+    TYPE_NEW_TICKET,
     TYPE_DATA,
     TYPE_CLOSE,
     TYPE_ABORT,
@@ -131,13 +136,14 @@ class DirectionState:
     def _nonce(self, seq: int) -> bytes:
         return self.salt + seq.to_bytes(8, "big")
 
-    def _next_nonce(self) -> bytes:
+    def _next_nonce(self, frame_type: int) -> bytes:
         """The nonce of the record at `seq`, after preparing the next batch
-        if this record is past what is prepared."""
+        if this record is past what is prepared. A Close never prepares: it
+        is the direction's last record."""
         seq = self.seq
         if seq > _LAST_SEQ:
             raise SequenceExhausted()
-        if seq >= self._prepared_to:
+        if seq >= self._prepared_to and frame_type != TYPE_CLOSE:
             end = min(seq + _BATCH_RECORDS, _LAST_SEQ + 1)
             self.gcm_key.prepare([self._nonce(s) for s in range(seq, end)])
             self._prepared_to = end
@@ -154,7 +160,7 @@ def _aad(frame_type: int, seq: int) -> bytes:
 
 
 def record_seal(direction: DirectionState, frame_type: int, payload: bytes) -> Frame:
-    nonce = direction._next_nonce()
+    nonce = direction._next_nonce(frame_type)
     body = gcm.seal(direction.gcm_key, nonce, _aad(frame_type, direction.seq), payload)
     direction.seq += 1
     return Frame(frame_type, body)
@@ -167,7 +173,7 @@ def record_open(direction: DirectionState, frame: Frame) -> tuple[int, bytes]:
     zeroize, and close. The counter only advances on success, so a
     tampered record can never be retried into acceptance.
     """
-    nonce = direction._next_nonce()
+    nonce = direction._next_nonce(frame.frame_type)
     payload = gcm.open_(
         direction.gcm_key, nonce, _aad(frame.frame_type, direction.seq), frame.body
     )

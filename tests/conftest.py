@@ -1,9 +1,10 @@
+import os
 import time
 
 import pytest
 
 from vitalink import credentials as creds
-from vitalink import curves, keyfiles
+from vitalink import curves, endpoints, gcm, handshake, keyfiles
 from vitalink.credentials import Role
 from vitalink.handshake import LocalIdentity
 
@@ -62,6 +63,13 @@ def cold_credential_memo():
     creds._VERIFIED.clear()
 
 
+@pytest.fixture(autouse=True)
+def no_device_tickets():
+    """Every test starts with no ticket kept by `run_device`, so that whether
+    a session resumes does not depend on the order tests run in."""
+    endpoints._TICKETS.clear()
+
+
 @pytest.fixture()
 def verifies(monkeypatch):
     """The arguments of every Schnorr check made through `credentials`, which
@@ -112,3 +120,25 @@ def bad_root(pki, kind):
         raise ValueError(kind)
     return creds.credential_issue(key, sub, role, pki.root.static_pub, pki.now - 7 * 86400,
                                   valid_to, issuer, suite, rng)
+
+
+def forged_ticket(key, secret, pki, cause, now) -> bytes:
+    """A ticket for `pki`'s device sealed under `key`, a server's own ticket
+    key, whose fields fail `cause` at `now` (none for any other cause)."""
+    cred = pki.device_cred
+    issued, issuer, role = now, cred.issuer_id, int(cred.role)
+    valid_from, valid_to = cred.valid_from, cred.valid_to
+    if cause == "TicketExpired":
+        issued = now - handshake.TICKET_LIFETIME_S - 1
+    elif cause == "Expired":
+        valid_from, valid_to = now - 2 * 86400, now - 86400
+    elif cause == "NotYetValid":
+        valid_from, valid_to = now + 86400, now + 2 * 86400
+    elif cause == "RoleMismatch":
+        role = int(creds.Role.SERVER)
+    elif cause == "UnknownIssuer":
+        issuer = creds.encode_subject("other-root")
+    plain = handshake._TICKET.pack(secret, issued, cred.subject_id, issuer, role,
+                                   valid_from, valid_to)
+    nonce = os.urandom(12)
+    return nonce + gcm.seal(key, nonce, b"", plain)

@@ -217,3 +217,32 @@ def test_device_detects_the_suite_from_its_credential(toy_pki, tmp_path, capsys)
         main([*argv, "--suite", "toy"])
     assert exc.value.code == EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("serve", "--listen", "127.0.0.1"),
+    ("serve", "--listen", "127.0.0.1:abc"),
+    ("serve", "--listen", "127.0.0.1:65536"),
+    ("serve", "--listen", ":7700"),
+    ("device", "--connect", "localhost"),
+    ("device", "--connect", "localhost:-1"),
+    ("proxy", "--listen", "127.0.0.1:99999"),
+    ("proxy", "--upstream", "7700"),
+])
+def test_a_malformed_host_port_is_a_usage_error(command, flag, value, tmp_path, capsys):
+    # checked before any file is read, so none need exist
+    files = ["--key", str(tmp_path / "k.vlk"), "--cred", str(tmp_path / "c.vlc"),
+             "--root", str(tmp_path / "r.vlc")]
+    argv = {
+        "serve": ["serve", "--listen", "127.0.0.1:0", *files,
+                  "--store-dir", str(tmp_path / "store")],
+        "device": ["device", "--connect", "127.0.0.1:7700", *files],
+        "proxy": ["proxy", "--listen", "127.0.0.1:0", "--upstream", "127.0.0.1:7700",
+                  "--mode", "passthrough"],
+    }[command]
+    argv[argv.index(flag) + 1] = value
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_USAGE
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {flag}: expected HOST:PORT with a port in 0-65535, got {value!r}"]
+    assert not (tmp_path / "store").exists()

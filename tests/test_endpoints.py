@@ -8,10 +8,12 @@ import struct
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
-from vitalink import curves, keyfiles
+from vitalink import credentials as creds
+from vitalink import curves, endpoints, handshake, keyfiles
 from vitalink.endpoints import (
     DeviceConfig,
     IngestionServer,
@@ -26,7 +28,7 @@ from vitalink.endpoints import (
     run_device,
 )
 from vitalink.errors import ConfigurationError, EndOfStream, InvalidPeerKey
-from vitalink.handshake import ClientHandshake, ServerHandshake
+from vitalink.handshake import TICKET_LIFETIME_S, ClientHandshake, Resumption, ServerHandshake
 from vitalink.records import (
     MAGIC,
     TYPE_ABORT,
@@ -34,6 +36,7 @@ from vitalink.records import (
     TYPE_CLIENT_HELLO,
     TYPE_CLOSE,
     TYPE_DATA,
+    TYPE_NEW_TICKET,
     TYPE_SERVER_HELLO,
     VERSION,
     DirectionState,
@@ -45,7 +48,7 @@ from vitalink.records import (
 )
 from vitalink.telemetry import STATUS_OK, AnomalyAlert, HeartRateReading
 
-from conftest import BAD_ROOTS, Pki, bad_root
+from conftest import BAD_ROOTS, Pki, bad_root, forged_ticket
 
 
 @pytest.fixture()
@@ -163,6 +166,7 @@ def test_oversize_record_ends_in_abort_and_one_log_line(pki, server, caplog):
         frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
         finish, _ = hs.finish(frame_read(reader).body)
         frame_write(sock, Frame(TYPE_CLIENT_FINISH, finish))
+        assert frame_read(reader, timeout=5.0).frame_type == TYPE_NEW_TICKET
         # built by hand: Frame.encode refuses a body this large
         body_len = 65560
         sock.sendall(MAGIC + bytes([VERSION, TYPE_DATA]) + struct.pack(">I", body_len)
@@ -329,6 +333,7 @@ def test_the_session_established_line_names_the_subject_and_the_socket_address(
         frame_write(sock, Frame(TYPE_CLIENT_FINISH, finish))
         send_dir = DirectionState(keys.c2s_key, keys.c2s_salt)
         frame_write(sock, record_seal(send_dir, TYPE_CLOSE, b""))
+        assert frame_read(reader, timeout=5.0).frame_type == TYPE_NEW_TICKET
         with pytest.raises(EndOfStream):  # the server hangs up after the Close
             frame_read(reader, timeout=5.0)
         peer = "%s:%d" % sock.getsockname()
@@ -496,3 +501,155 @@ def test_the_device_sees_an_abort_that_came_with_the_server_hello(pki, files):
     assert not server.is_alive() and served
     assert report.error == "ConnectionAborted: server aborted mid-stream"
     assert report.sent_count == 1
+
+
+# ---------------------------------------------------------------------------
+# resumption
+
+
+def spy_on_the_curve(monkeypatch) -> dict:
+    """Counts per side of the curve and Schnorr work made through the
+    modules: the device runs on this thread, the server on its own."""
+    counts = {}
+    main = threading.current_thread()
+
+    def count(name):
+        side = "device" if threading.current_thread() is main else "server"
+        counts.setdefault(side, {}).setdefault(name, 0)
+        counts[side][name] += 1
+
+    real_mul = curves.scalar_mul
+
+    def scalar_mul(k, P, suite):
+        count("mul_G" if P == suite.G else "ecdh")
+        return real_mul(k, P, suite)
+
+    monkeypatch.setattr(curves, "scalar_mul", scalar_mul)
+    for fn in ("schnorr_sign", "schnorr_verify"):
+        real = getattr(creds, fn)
+        monkeypatch.setattr(creds, fn, lambda *a, _fn=fn, _real=real: count(_fn) or _real(*a))
+    return counts
+
+
+def test_a_second_session_to_the_same_server_resumes(files, tmp_path, monkeypatch):
+    srv = IngestionServer(ServerConfig(
+        key_path=str(files / "server.vlk"), cred_path=str(files / "server.vlc"),
+        root_path=str(files / "root.vlc"), store_dir=str(tmp_path / "store"),
+    ))
+    srv.start()
+    try:
+        first = run_device(device_cfg(files, srv.port, count=2))
+        counts = spy_on_the_curve(monkeypatch)
+        second = run_device(device_cfg(files, srv.port, count=3, seed=8, start_ms=2_000_000))
+    finally:
+        srv.stop()  # joins the handler, so the server's counts are final
+    assert first.error is None and second.error is None
+    # no Schnorr work; one multiply by G for the ephemeral key and one ECDH,
+    # and the device's own key check in load_identity
+    assert counts == {"server": {"mul_G": 1, "ecdh": 1},
+                      "device": {"mul_G": 2, "ecdh": 1}}
+    assert second.session_id != first.session_id
+    recs = [parse_reading_line(l) for l in read_store_lines(srv)]
+    assert [(r.timestamp_ms, r.bpm) for r in recs if r.session_id == second.session_id] \
+        == second.sent
+    assert {r.subject_id for r in recs} == {"watch-1"}
+
+
+def refusal_lines(caplog) -> list:
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith(("resumption_refused ", "handshake_failed "))]
+
+
+@pytest.mark.parametrize("case", ["another_server", "bad_binder", "over_age", "Expired",
+                                  "RoleMismatch", "UnknownIssuer"])
+def test_a_refused_ticket_costs_one_line_and_a_full_handshake(case, pki, files, server,
+                                                              tmp_path, caplog, monkeypatch):
+    caplog.set_level(logging.INFO, logger="vitalink")
+    other = None
+    if case == "another_server":
+        other = IngestionServer(ServerConfig(
+            key_path=str(files / "server.vlk"), cred_path=str(files / "server.vlc"),
+            root_path=str(files / "root.vlc"), store_dir=str(tmp_path / "other-store"),
+        ))
+        other.start()
+    try:
+        assert run_device(device_cfg(files, (other or server).port, count=1)).error is None
+        [(key, kept)] = endpoints._TICKETS.items()
+        now = int(time.time())
+        if case == "bad_binder":
+            kept = Resumption(kept.ticket, bytes(32), kept.server)
+        elif case == "over_age":
+            later = time.time() + TICKET_LIFETIME_S + 1
+            monkeypatch.setattr(handshake, "time", SimpleNamespace(time=lambda: later))
+        elif case != "another_server":  # sealed under the server's own ticket key
+            kept = Resumption(forged_ticket(server.ticket_key, kept.secret, pki, case, now),
+                              kept.secret, kept.server)
+        endpoints._TICKETS.clear()
+        endpoints._TICKETS[(key[0], server.port, *key[2:])] = kept
+        caplog.clear()
+        report = run_device(device_cfg(files, server.port, count=2, seed=9))
+    finally:
+        if other is not None:
+            other.stop()
+    assert report.error is None and report.sent_count == 2
+    cause = {"another_server": "BadTicket", "bad_binder": "BadBinder",
+             "over_age": "TicketExpired"}.get(case, case)
+    peer = [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("session_established ")][0].rsplit("peer=", 1)[1]
+    assert refusal_lines(caplog) == [f"resumption_refused cause={cause} peer={peer}"]
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+    recs = [parse_reading_line(l) for l in read_store_lines(server)]
+    assert [(r.timestamp_ms, r.bpm) for r in recs if r.session_id == report.session_id] \
+        == report.sent
+
+
+def test_concurrent_devices_each_resume_with_their_own_ticket(toy_pki, tmp_path, monkeypatch):
+    # more devices than cores and a short switch interval: a ticket kept
+    # under another device's key, or a race on the server's shared ticket
+    # key, shows as a refusal or as readings stored under another subject
+    toy_pki.write_files(tmp_path)
+    srv = IngestionServer(ServerConfig(
+        key_path=str(tmp_path / "server.vlk"), cred_path=str(tmp_path / "server.vlc"),
+        root_path=str(tmp_path / "root.vlc"), store_dir=str(tmp_path / "store"),
+    ))
+    resumed = []
+    respond = ServerHandshake.respond
+
+    def spy(hs, hello):
+        body = respond(hs, hello)
+        resumed.append((hs.resumed, hs.refusal))
+        return body
+
+    monkeypatch.setattr(ServerHandshake, "respond", spy)
+    names = [f"watch-{i}" for i in range(4)]
+    for i, name in enumerate(names):
+        device = toy_pki.issue_device(name, keyfiles.drbg(60 + i))
+        keyfiles.write_private_key(tmp_path / f"{name}.vlk", device.static_priv, toy_pki.suite)
+        keyfiles.write_credential(tmp_path / f"{name}.vlc", device.credential, toy_pki.suite)
+    reports = {}
+
+    def sessions(i, name):
+        reports[name] = [run_device(DeviceConfig(
+            server_port=srv.port, key_path=str(tmp_path / f"{name}.vlk"),
+            cred_path=str(tmp_path / f"{name}.vlc"), root_path=str(tmp_path / "root.vlc"),
+            count=2, seed=100 * i + k, start_ms=1_000_000 * (k + 1))) for k in range(3)]
+
+    srv.start()
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=sessions, args=(i, n)) for i, n in enumerate(names)]
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(old)
+        srv.stop()
+    assert not any(t.is_alive() for t in threads)
+    assert all(r.error is None for rs in reports.values() for r in rs)
+    # each device's first session is full and its next two resume
+    assert sorted(resumed) == [(False, None)] * 4 + [(True, None)] * 8
+    subjects = {parse_reading_line(l).session_id: parse_reading_line(l).subject_id
+                for l in read_store_lines(srv)}
+    assert subjects == {r.session_id: name for name, rs in reports.items() for r in rs}

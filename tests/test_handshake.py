@@ -1,12 +1,15 @@
 """Handshake state machine: honest flows, negative paths, key schedule."""
 
+import hashlib
+import os
 import struct
 
 import pytest
 
 from vitalink import credentials as creds
-from vitalink import curves, kdf, keyfiles
+from vitalink import curves, gcm, handshake, kdf, keyfiles
 from vitalink.curves import P256
+from vitalink.gcm import GcmKey
 from vitalink.errors import (
     BadClientCredential,
     BadFinishedMac,
@@ -25,7 +28,7 @@ from vitalink.handshake import (
     derive_session_keys,
 )
 
-from conftest import Pki
+from conftest import Pki, forged_ticket
 
 
 def run_handshake(pki, client_rng=None, server_rng=None):
@@ -354,3 +357,161 @@ def test_a_rejected_server_credential_is_reported_as_its_cause(pki, cause):
         c.finish(hello)
     assert type(info.value) is BadServerCredential and str(info.value) == cause
     assert c.phase is Phase.FAILED and c.eph_priv is None
+
+
+# ---------------------------------------------------------------------------
+# resumption
+
+
+def resumed_pair(pki, ticket_key, now=None):
+    """A client offering the ticket of one full session with a server under
+    `ticket_key`, and a fresh server with the same key."""
+    c, s, _, _, _ = run_handshake(pki)
+    s.ticket_key = ticket_key
+    resumption = c.resumption_for(s.new_ticket())
+    client = ClientHandshake(pki.suite, pki.device, pki.root, now=now, resumption=resumption)
+    server = ServerHandshake(pki.server, pki.root, suite=pki.suite, now=now,
+                             ticket_key=ticket_key)
+    return client, server
+
+
+def test_a_resumed_session_agrees_on_new_keys_without_a_signature(pki, monkeypatch):
+    client, server = resumed_pair(pki, GcmKey(os.urandom(16)))
+    calls = []
+    for fn in ("schnorr_sign", "schnorr_verify", "credential_verify"):
+        real = getattr(creds, fn)
+        monkeypatch.setattr(creds, fn, lambda *a, _fn=fn, _real=real, **k:
+                            calls.append(_fn) or _real(*a, **k))
+    finish, ck = client.finish(server.respond(client.start()))
+    sk, peer = server.complete(finish)
+    assert calls == []
+    assert ck == sk and client.resumed and server.resumed and server.refusal is None
+    assert peer == pki.device_cred.subject_id
+    assert client.peer_identity == pki.server_cred.subject_id
+    assert len(finish) == 2 + 2 + 32  # empty credential and signature, then the MAC
+    assert client.eph_priv is None and server.eph_priv is None
+
+
+def test_a_resumed_session_issues_a_ticket_that_resumes_again(toy_pki):
+    key = GcmKey(os.urandom(16))
+    client, server = resumed_pair(toy_pki, key)
+    finish, ck = client.finish(server.respond(client.start()))
+    server.complete(finish)
+    again = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root,
+                            resumption=client.resumption_for(server.new_ticket()))
+    third = ServerHandshake(toy_pki.server, toy_pki.root, suite=toy_pki.suite, ticket_key=key)
+    finish, ck3 = again.finish(third.respond(again.start()))
+    sk3, peer = third.complete(finish)
+    assert ck3 == sk3 and third.resumed and peer == toy_pki.device_cred.subject_id
+    assert ck3.session_id != ck.session_id and ck3.c2s_key != ck.c2s_key
+
+
+def test_a_resumed_client_finish_that_carries_a_credential_is_malformed(toy_pki):
+    client, server = resumed_pair(toy_pki, GcmKey(os.urandom(16)))
+    finish, _ = client.finish(server.respond(client.start()))
+    cred = handshake._lp(toy_pki.device_cred.encode(toy_pki.suite))
+    with pytest.raises(BadClientCredential, match="^malformed ClientFinish: "):
+        server.complete(cred + finish[2:])
+    assert server.phase is Phase.FAILED
+
+
+def test_an_empty_server_proof_is_refused_when_no_ticket_was_offered(toy_pki):
+    client, server = resumed_pair(toy_pki, GcmKey(os.urandom(16)))
+    resumed_hello = server.respond(client.start())
+    plain = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root)
+    plain.start()
+    with pytest.raises(BadServerCredential):
+        plain.finish(resumed_hello)
+
+
+def test_a_resumed_server_hello_without_the_secret_fails_its_mac(toy_pki):
+    client, _ = resumed_pair(toy_pki, GcmKey(os.urandom(16)))
+    # a server that answers the offer as resumed but does not hold the
+    # secret: it mixes another into its extract
+    impostor = ServerHandshake(toy_pki.server, toy_pki.root, suite=toy_pki.suite)
+    impostor._resume = lambda *offer: os.urandom(32)
+    hello = impostor.respond(client.start())
+    assert impostor.resumed
+    with pytest.raises(BadFinishedMac):
+        client.finish(hello)
+    assert client.phase is Phase.FAILED
+
+
+REFUSALS = ("BadTicket", "BadBinder", "TicketExpired", "Expired", "RoleMismatch",
+            "UnknownIssuer", "NotYetValid")
+
+
+@pytest.mark.parametrize("cause", REFUSALS)
+def test_a_refused_ticket_falls_back_to_a_full_handshake(toy_pki, cause):
+    key = GcmKey(os.urandom(16))
+    client, server = resumed_pair(toy_pki, key, now=toy_pki.now)
+    r = client.resumption
+    if cause == "BadTicket":  # another server's key
+        ticket = forged_ticket(GcmKey(os.urandom(16)), r.secret, toy_pki, None, toy_pki.now)
+    else:
+        ticket = forged_ticket(key, r.secret, toy_pki, cause, toy_pki.now)
+    secret = os.urandom(32) if cause == "BadBinder" else r.secret
+    client.resumption = handshake.Resumption(ticket, secret, r.server)
+    finish, ck = client.finish(server.respond(client.start()))
+    sk, peer = server.complete(finish)
+    assert server.refusal == cause and not server.resumed and not client.resumed
+    assert ck == sk and peer == toy_pki.device_cred.subject_id
+
+
+# SHA-256 of each value of a seeded full session's ticket under a fixed ticket
+# key and of the session resumed from it, recorded when resumption was added:
+# any drift in the resumed layouts, the binder or the PSK schedule shows here.
+RESUMED = {
+    "toy": {
+        "ticket": "ed4467849b65d24291bbb69bb3cbc4fff75f269d4dfd6518fe1b0d18d772001d",
+        "hello": "a4228d4e2627cce4068416d55c789fe729ff1bf747cacae5f08442d46c521e11",
+        "server_hello": "e465306d5ca9fa10b6cc3a8566a3ffc3ff43a283ee76c50093951a981550491e",
+        "finish": "b5e95555c544ce7072b8d0c83c15481d05078e752c569b49c3f118a05ce81716",
+        "session_id": "02766a8cb63d203d73f60d20a679840847706cd09b400aaacbbbcb0f9965f5dd",
+    },
+    "p256": {
+        "ticket": "bc521088bdd0c40d98909e6778d5bfefed0bf88c3197b22f2bb24ee193c0fb4a",
+        "hello": "481f9d94cc37e4b7d411ad984d667c498d7df784ea22e3c619c06ea8e29dc9fe",
+        "server_hello": "44c8539b95f3627d7023579a04bd4a13dfd333c394201ddf84ad7914349a8c78",
+        "finish": "a01cc4ee8305ab936373534b5d2425d6ce8b23c6f20d9cfb8cf9fe7a0112d701",
+        "session_id": "5af5a4d9075a9ad97206c558e7e8c9d695a01222bb568bb7280be47a775ad262",
+    },
+}
+
+
+def seeded_resumed_run(suite) -> dict:
+    rng = keyfiles.drbg(2024)
+    now = 1_700_000_000
+    root_d, root_q = curves.keypair_gen(suite, rng)
+    root_sub = creds.encode_subject("root")
+    root = creds.credential_issue(root_d, root_sub, creds.Role.ISSUER, root_q, now - 3600,
+                                  now + 86400, root_sub, suite, rng)
+    ids = {}
+    for name, role in (("server-1", creds.Role.SERVER), ("watch-1", creds.Role.DEVICE)):
+        d, q = curves.keypair_gen(suite, rng)
+        cred = creds.credential_issue(root_d, creds.encode_subject(name), role, q, now - 3600,
+                                      now + 86400, root_sub, suite, rng)
+        ids[role] = LocalIdentity(d, cred)
+    key = GcmKey(bytes(range(16)))
+    client = ClientHandshake(suite, ids[creds.Role.DEVICE], root, rng=keyfiles.drbg(7), now=now)
+    server = ServerHandshake(ids[creds.Role.SERVER], root, suite, rng=keyfiles.drbg(8), now=now,
+                             ticket_key=key)
+    finish, _ = client.finish(server.respond(client.start()))
+    server.complete(finish)
+    ticket = server.new_ticket()
+    client = ClientHandshake(suite, ids[creds.Role.DEVICE], root, rng=keyfiles.drbg(9),
+                             now=now + 60, resumption=client.resumption_for(ticket))
+    server = ServerHandshake(ids[creds.Role.SERVER], root, suite, rng=keyfiles.drbg(10),
+                             now=now + 60, ticket_key=key)
+    out = {"ticket": ticket, "hello": client.start()}
+    out["server_hello"] = server.respond(out["hello"])
+    out["finish"], client_keys = client.finish(out["server_hello"])
+    server_keys, _ = server.complete(out["finish"])
+    assert client_keys == server_keys and server.resumed and client.resumed
+    out["session_id"] = client_keys.session_id
+    return {k: hashlib.sha256(v).hexdigest() for k, v in out.items()}
+
+
+@pytest.mark.parametrize("name", ["toy", "p256"])
+def test_a_seeded_resumed_exchange_is_byte_identical(name):
+    assert seeded_resumed_run(curves.SUITE_NAMES[name]) == RESUMED[name]

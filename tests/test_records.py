@@ -464,6 +464,34 @@ def test_a_direction_builds_its_ghash_table_with_its_first_batch(monkeypatch):
     assert tx.gcm_key._tables is not None and rx.gcm_key._tables is not None
 
 
+@pytest.mark.parametrize("readings, prepared_at", [(_RECORDS_BEFORE_BATCH, []),
+                                                    (_RECORDS_BEFORE_BATCH + 1, [8])])
+def test_a_close_never_prepares_a_batch(readings, prepared_at, monkeypatch):
+    # the Close is a direction's last record: a batch and a table for it
+    # alone would be spent on one record
+    prepares, builds = [], []
+    real_prepare, real_build = gcm.GcmKey.prepare, gcm._ghash_tables
+
+    def prepare(self, nonces):
+        prepares.append((id(self), int.from_bytes(nonces[0][4:], "big")))
+        real_prepare(self, nonces)
+
+    def build(h):
+        builds.append(h)
+        return real_build(h)
+
+    monkeypatch.setattr(gcm.GcmKey, "prepare", prepare)
+    monkeypatch.setattr(gcm, "_ghash_tables", build)
+    tx, rx = DirectionState(KEY, SALT), DirectionState(KEY, SALT)
+    for i in range(readings):
+        assert record_open(rx, record_seal(tx, TYPE_DATA, bytes([i]) * 19))[1] == bytes([i]) * 19
+    assert record_open(rx, record_seal(tx, TYPE_CLOSE, b"")) == (TYPE_CLOSE, b"")
+    for d in (tx, rx):
+        assert [seq for key, seq in prepares if key == id(d.gcm_key)] == prepared_at
+        assert (d.gcm_key._tables is not None) == bool(prepared_at)
+    assert len(builds) == 2 * len(prepared_at)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     key=st.binary(min_size=16, max_size=16),

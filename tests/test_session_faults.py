@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from vitalink import endpoints, gcm, keyfiles
 from vitalink.endpoints import IngestionServer, ServerConfig, Store, log_value, parse_reading_line
-from vitalink.errors import EndOfStream
-from vitalink.handshake import ClientHandshake
+from vitalink.errors import EndOfStream, HandshakeError
+from vitalink.handshake import ClientHandshake, Resumption
 from vitalink.records import (
     FRAME_TYPES,
     MAX_BODY,
@@ -29,6 +29,8 @@ from vitalink.records import (
     TYPE_CLIENT_HELLO,
     TYPE_CLOSE,
     TYPE_DATA,
+    TYPE_NEW_TICKET,
+    TYPE_SERVER_HELLO,
     DirectionState,
     Frame,
     FrameReader,
@@ -150,6 +152,7 @@ def handshake(reader, pki, seed):
     frame_write(reader.sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
     finish, keys = hs.finish(frame_read(reader, timeout=5.0).body)
     frame_write(reader.sock, Frame(TYPE_CLIENT_FINISH, finish))
+    assert frame_read(reader, timeout=5.0).frame_type == TYPE_NEW_TICKET
     return keys
 
 
@@ -265,6 +268,7 @@ def test_a_client_finish_and_records_in_one_segment_are_all_read(toy_pki, server
         finish, keys = hs.finish(frame_read(reader, timeout=5.0).body)
         wire = [Frame(TYPE_CLIENT_FINISH, finish).encode()]
         send_and_hang_up(reader.sock, b"".join(wire + sealed_session(keys, toy_pki, 11, 1)))
+        assert frame_read(reader, timeout=5.0).frame_type == TYPE_NEW_TICKET
         with pytest.raises(EndOfStream, match="at-boundary"):
             frame_read(reader, timeout=5.0)
         return keys
@@ -460,3 +464,82 @@ def test_a_reading_is_on_disk_before_its_alert_is_stored(toy_pki, server, lines,
         "bpm": "180,180,180",
         "window": "5000..7000",
     })]
+
+
+# ---------------------------------------------------------------------------
+# resumption: a mutated resumed ClientHello or NewTicket body never resumes
+
+
+def server_hello_proves(body: bytes) -> bool:
+    """Whether a ServerHello carries a credential: a full handshake's does,
+    a resumed one's is empty."""
+    eph_len = int.from_bytes(body[32:34], "big")
+    return int.from_bytes(body[34 + eph_len : 36 + eph_len], "big") > 0
+
+
+def test_a_mutated_resumed_hello_or_ticket_never_resumes(toy_pki, server, lines):
+    def first(reader):
+        hs = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root,
+                             rng=keyfiles.drbg(30))
+        frame_write(reader.sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
+        finish, keys = hs.finish(frame_read(reader, timeout=5.0).body)
+        frame_write(reader.sock, Frame(TYPE_CLIENT_FINISH, finish))
+        ticket = frame_read(reader, timeout=5.0)
+        assert ticket.frame_type == TYPE_NEW_TICKET
+        send_and_hang_up(reader.sock, b"".join(sealed_session(keys, toy_pki, 30, 1)))
+        return hs.resumption_for(ticket.body)
+
+    resumption = serve_one(server, first)
+
+    def flip(data: bytes, draw) -> bytes:
+        out = bytearray(data)
+        out[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(out)
+
+    @settings(max_examples=80, deadline=None)
+    @given(target=st.sampled_from(("ClientHello", "NewTicket")), seed=st.integers(1, 2**32),
+           data=st.data())
+    def session(target, seed, data):
+        lines.records.clear()
+        offered = resumption
+        if target == "NewTicket":
+            offered = Resumption(flip(resumption.ticket, data.draw), resumption.secret,
+                                 resumption.server)
+
+        def device_side(reader):
+            hs = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root,
+                                 rng=keyfiles.drbg(seed), resumption=offered)
+            hello = hs.start()
+            if target == "ClientHello":
+                hello = flip(hello, data.draw)
+            frame_write(reader.sock, Frame(TYPE_CLIENT_HELLO, hello))
+            reply = frame_read(reader, timeout=5.0)
+            if reply.frame_type == TYPE_ABORT:
+                return "rejected"
+            assert reply.frame_type == TYPE_SERVER_HELLO and server_hello_proves(reply.body)
+            try:
+                finish, keys = hs.finish(reply.body)
+            except HandshakeError:  # the server read another hello than was sent
+                send_and_hang_up(reader.sock, b"")
+                replies_until_abort(reader)
+                return "refused by the device"
+            assert not hs.resumed
+            frame_write(reader.sock, Frame(TYPE_CLIENT_FINISH, finish))
+            assert frame_read(reader, timeout=5.0).frame_type == TYPE_NEW_TICKET
+            send_and_hang_up(reader.sock, b"".join(sealed_session(keys, toy_pki, seed, 1)))
+            return "full"
+
+        outcome = serve_one(server, device_side)
+        messages = [r.getMessage() for r in lines.records]
+        refusals = [m for m in messages if m.startswith("resumption_refused ")]
+        assert len(refusals) <= 1
+        if target == "NewTicket":
+            assert outcome == "full" and lines.problems() == []
+            assert [fields(m)[1]["cause"] for m in refusals] == ["BadTicket"]
+        else:
+            assert outcome in ("rejected", "refused by the device")
+            assert not any(m.startswith("session_established ") for m in messages)
+            problems = lines.problems()
+            assert len(problems) == 1 and problems[0].startswith(HANDSHAKE_CLASSIFIED), problems
+
+    session()
