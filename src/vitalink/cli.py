@@ -101,20 +101,17 @@ def cmd_credgen(args) -> int:
     else:
         issuer_id = subject  # self-signed
     now = int(time.time())
-    try:
-        cred = creds.credential_issue(
-            issuer_key,
-            subject,
-            role_names[args.role],
-            pub,
-            now,
-            now + args.valid_days * 86400,
-            issuer_id,
-            suite,
-            _rng(args.seed),
-        )
-    except InvalidCredentialFields as exc:
-        raise UsageError(str(exc))
+    cred = creds.credential_issue(
+        issuer_key,
+        subject,
+        role_names[args.role],
+        pub,
+        now,
+        now + args.valid_days * 86400,
+        issuer_id,
+        suite,
+        _rng(args.seed),
+    )
     keyfiles.write_credential(args.out, cred, suite)
     print(f"credential={args.out} subject={args.subject} role={args.role}")
     return EXIT_OK
@@ -248,7 +245,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ConfigurationError) as exc:
+    except (UsageError, ConfigurationError, InvalidCredentialFields) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:

@@ -93,11 +93,22 @@ def schnorr_verify(Q: Point, msg: bytes, sig: SchnorrSig, suite: CurveSuite) -> 
     return curves.equals_mul_sub(sig.R, sig.s, e, Q, suite)
 
 
+def _subject_name(raw: bytes) -> str | None:
+    """The name in a subject field, or None unless it is 1..16 bytes of printable
+    UTF-8 (no tab or line break to split a store line) padded with NUL."""
+    try:
+        name = raw.rstrip(b"\x00").decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    return name if name and name.isprintable() and len(raw) == SUBJECT_LEN else None
+
+
 def encode_subject(name: str) -> bytes:
-    raw = name.encode("utf-8")
-    if not raw or len(raw) > SUBJECT_LEN:
-        raise InvalidCredentialFields(f"subject must be 1..{SUBJECT_LEN} UTF-8 bytes")
-    return raw.ljust(SUBJECT_LEN, b"\x00")
+    raw = name.encode("utf-8", "surrogatepass").ljust(SUBJECT_LEN, b"\x00")
+    if _subject_name(raw) != name:
+        raise InvalidCredentialFields(
+            f"subject must be 1..{SUBJECT_LEN} bytes of printable UTF-8")
+    return raw
 
 
 def decode_subject(raw: bytes) -> str:
@@ -145,6 +156,8 @@ def credential_decode(data: bytes, suite: CurveSuite) -> Credential:
     off = 0
     version = data[off]; off += 1
     subject = data[off : off + SUBJECT_LEN]; off += SUBJECT_LEN
+    if _subject_name(subject) is None:
+        raise MalformedCredential("subject is not 1..16 bytes of printable UTF-8")
     try:
         role = Role(data[off])
     except ValueError as exc:
@@ -180,6 +193,8 @@ def credential_issue(
         raise InvalidCredentialFields("valid_from must precede valid_to")
     if len(subject_id) != SUBJECT_LEN or len(issuer_id) != SUBJECT_LEN:
         raise InvalidCredentialFields("identifier fields must be 16 bytes")
+    if _subject_name(subject_id) is None:
+        raise InvalidCredentialFields("subject is not 1..16 bytes of printable UTF-8")
     if static_pub is None or not suite.is_on_curve(static_pub):
         raise InvalidCredentialFields("static public key not on curve")
     unsigned = Credential(
@@ -201,6 +216,11 @@ ROLE_MISMATCH = "RoleMismatch"
 _VERIFIED_CAP = 1024  # a guess: no fleet size is known to fit it to
 _VERIFIED: dict = {}  # (suite id, root bytes, credential bytes) -> None, oldest first
 _VERIFIED_LOCK = threading.Lock()
+
+
+def expired(valid_to: int, now: int) -> bool:
+    """The one expiry rule, for a full handshake and a resumed one."""
+    return now > valid_to + CLOCK_SKEW_S
 
 
 def credential_verify(
@@ -225,19 +245,11 @@ def credential_verify(
             _VERIFIED[key] = None
             while len(_VERIFIED) > _VERIFIED_CAP:
                 del _VERIFIED[next(iter(_VERIFIED))]
-    return check_window_and_role(cred.valid_from, cred.valid_to, cred.role, now,
-                                 expected_role)
-
-
-def check_window_and_role(valid_from: int, valid_to: int, role: Role, now: int,
-                          expected_role: Role | None):
-    """The checks of `credential_verify` after the signature's, on the
-    fields alone: a resumed session re-checks them from its ticket."""
-    if now < valid_from - CLOCK_SKEW_S:
+    if now < cred.valid_from - CLOCK_SKEW_S:
         return NOT_YET_VALID
-    if now > valid_to + CLOCK_SKEW_S:
+    if expired(cred.valid_to, now):
         return EXPIRED
-    if expected_role is not None and role != expected_role:
+    if expected_role is not None and cred.role != expected_role:
         return ROLE_MISMATCH
     return None
 

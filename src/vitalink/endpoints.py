@@ -118,7 +118,7 @@ def detect_suite_for_credential(path) -> CurveSuite:
     for suite in SUITES.values():
         if size == credential_len(suite):
             return suite
-    raise ValueError(f"{path}: not a credential for any known suite")
+    raise ConfigurationError(f"credential file {path}: not a credential for any known suite")
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +199,14 @@ class Store:
 
     def __init__(self, directory):
         self.dir = Path(directory)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._readings = open(self.dir / "readings.log", "ab", buffering=0)
-        self._alerts = open(self.dir / "alerts.log", "ab", buffering=0)
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+            self._readings = open(self.dir / "readings.log", "ab", buffering=0)
+            self._alerts = open(self.dir / "alerts.log", "ab", buffering=0)
+        except OSError as exc:
+            raise ConfigurationError(
+                f"store directory {self.dir}: {exc.strerror or exc}") from exc
 
     def append_reading(self, lines: list[str]) -> None:
         """Appends a burst of `reading_line`s in one write."""

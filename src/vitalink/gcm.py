@@ -73,11 +73,11 @@ hardened one.
 `GcmKey.prepare(nonces)` runs one such batch over E(K, nonce‖1), the block
 that masks the tag, and the first two CTR blocks E(K, nonce‖2) and
 E(K, nonce‖3) of each nonce, and keeps them until a seal or open at that
-nonce takes them. An unprepared J0 runs through `encrypt_block`, and so do
-up to three counter blocks past what was prepared; four or more run as
-one batch. Keystream depends only on key and nonce and may be computed before its record
-arrives; no plaintext is released before the tag check. Open compares
-the tag before it XORs any keystream into the ciphertext, and the failure
+nonce takes them. An unprepared J0 and any counter block past those run
+one at a time through `encrypt_block` (a reading needs 2, a ticket 4). Keystream
+depends only on key and nonce and may be computed before its record
+arrives; no plaintext is released before the tag check. Open compares the
+tag before it XORs any keystream into the ciphertext, and the failure
 carries no cause detail.
 """
 
@@ -235,12 +235,6 @@ class Aes128:
 
 
 _CTR_1_TO_3 = (b"\x00\x00\x00\x01", b"\x00\x00\x00\x02", b"\x00\x00\x00\x03")
-# Counter blocks past the prepared ones run in one `encrypt_blocks` batch from
-# 4 on (on a 2 vCPU host, 20 µs a block at 4, 6-8 at 6 to 16, about 1 at 256;
-# `encrypt_block` takes 15-25), in batches of at most 256 blocks, whose
-# broadcast round keys hold about 57 KB.
-_CTR_BATCH_MIN = 4
-_CTR_BATCH_MAX = 256
 _R = 0xE1 << 120
 
 
@@ -393,24 +387,11 @@ class GcmKey:
 
     def _ctr(self, nonce: bytes, data: bytes, stream: bytes) -> bytes:
         # counter blocks start at 2; 1 is J0, which masks the tag. `stream`
-        # holds the leading blocks already computed, and the rest run now:
-        # fewer than _CTR_BATCH_MIN one at a time, else in batches of at most
-        # _CTR_BATCH_MAX, each rounded up to a power of two so that the
-        # broadcast round keys are kept for a few batch sizes, not one per
-        # record length. The blocks past the data are never used.
+        # holds the leading blocks already computed, and the rest run now
         n = len(data)
-        first, end = 2 + len(stream) // 16, (n + 15) // 16 + 2
-        counters = range(first, end)
-        if len(counters) >= _CTR_BATCH_MIN:
-            parts = [stream]
-            for start in range(first, end, _CTR_BATCH_MAX):
-                size = 1 << (min(end - start, _CTR_BATCH_MAX) - 1).bit_length()
-                parts.append(self.aes.encrypt_blocks(b"".join(
-                    [nonce + i.to_bytes(4, "big") for i in range(start, start + size)])))
-            stream = b"".join(parts)
-        elif counters:
-            encrypt = self.aes.encrypt_block
-            stream += b"".join([encrypt(nonce + i.to_bytes(4, "big")) for i in counters])
+        encrypt = self.aes.encrypt_block
+        stream += b"".join([encrypt(nonce + i.to_bytes(4, "big"))
+                            for i in range(2 + len(stream) // 16, (n + 15) // 16 + 2)])
         return (int.from_bytes(data, "big") ^ int.from_bytes(stream[:n], "big")).to_bytes(
             n, "big"
         )

@@ -40,23 +40,28 @@ Resumption (RFC 8446 psk_dhe_ke, §2.2, §4.2.11 and §4.6.1, with the
 stateless tickets of RFC 5077). Once established, each side expands a
 resumption secret from the PRK over the session id. After ClientFinish
 checks out, the server sends a NewTicket: that secret, the issue time and
-the device credential's subject, issuer, role and validity window, sealed
-with AES-GCM under a ticket key that never leaves the server process. The
+the device credential's subject and valid_to, 64 bytes sealed with
+AES-GCM under a ticket key that never leaves the server process. The
 frame can stay plaintext: the ticket is useless without the secret, and
 dropping or swapping it only costs the device a full handshake. The
 device keeps (ticket, secret, server credential) and offers the ticket
 once, appending lp(ticket) and a binder, HMAC(hkdf_expand(secret,
 "vl binder"), hello before the binder), to an otherwise full ClientHello.
 The server resumes if the ticket opens, is at most `TICKET_LIFETIME_S`
-old, its credential fields still pass the issuer, validity window and
-device-role checks against the trust root, and the binder matches. A
-resumed ServerHello and ClientFinish keep the layout with an empty
-lp(credential) and lp(sig): no signature is made or checked, and the
-secret goes into the extract, so each finished MAC proves it. A fresh
-ECDH on both sides keeps forward secrecy. Any refusal leaves `refusal`
-naming its cause (`BadTicket`, `TicketExpired`, `BadBinder`, or the
-credential cause) and answers with a full ServerHello on the same
-connection; the device, seeing a credential, runs the full handshake.
+old, the credential has not expired (`credentials.expired`, as in a full
+handshake) and the binder matches. No other check can fail on a ticket
+that opens: only this process, whose ticket key is random and never
+stored, seals one, after `complete` has checked issuer, signature,
+window and device role against a trust root fixed for the process's
+life, and whoever could seal under the key could write fields that pass.
+The window's start passed before the issue time, before which a ticket
+is refused. A resumed ServerHello and ClientFinish keep the layout with
+an empty lp(credential) and lp(sig): no signature is made or checked,
+and the secret goes into the extract, so each finished MAC proves it. A
+fresh ECDH on both sides keeps forward secrecy. Any refusal leaves
+`refusal` naming its cause (`BadTicket`, `TicketExpired`, `Expired` or
+`BadBinder`) and answers with a full ServerHello on the same connection;
+the device, seeing a credential, runs the full handshake.
 """
 
 from __future__ import annotations
@@ -93,8 +98,8 @@ SIG_LABEL_CLIENT = b"vl cli"
 # comes back later runs a full handshake.
 TICKET_LIFETIME_S = 24 * 3600
 # A ticket seals the resumption secret, the issue time, then the device
-# credential's subject, issuer, role, valid_from and valid_to: 89 bytes.
-_TICKET = struct.Struct(">32sQ16s16sBQQ")
+# credential's subject and valid_to: 64 bytes.
+_TICKET = struct.Struct(">32sQ16sQ")
 _TICKET_LEN = gcm.NONCE_LEN + _TICKET.size + gcm.TAG_LEN
 
 
@@ -361,8 +366,7 @@ class ServerHandshake(_Side):
         super().__init__(identity, trust_root, suite, rng, now)
         self.ticket_key = ticket_key  # seals and opens tickets; without one none resumes
         self.refusal: str | None = None  # why an offered ticket did not resume
-        # the device credential's subject, issuer, role, valid_from and valid_to
-        self._claims: tuple | None = None
+        self._claims: tuple | None = None  # the device credential's subject and valid_to
 
     def respond(self, client_hello: bytes) -> bytes:
         self._expect(Phase.START, "respond")
@@ -402,36 +406,25 @@ class ServerHandshake(_Side):
     def _resume(self, client_hello: bytes, ticket: bytes, binder: bytes) -> bytes:
         """The secret of an offered ticket that resumes, or b"" with `refusal`
         naming why it does not."""
-        fields = self._open_ticket(ticket)
-        if fields is None:
+        try:
+            if self.ticket_key is None or len(ticket) != _TICKET_LEN:
+                raise AuthFailure()  # no other ticket opens
+            secret, issued, subject, valid_to = _TICKET.unpack(gcm.open_(
+                self.ticket_key, ticket[: gcm.NONCE_LEN], b"", ticket[gcm.NONCE_LEN :]))
+        except AuthFailure:
             self.refusal = "BadTicket"
             return b""
-        secret, issued, subject, issuer, role, valid_from, valid_to = fields
         now = self._now()
         if not 0 <= now - issued <= TICKET_LIFETIME_S:
             self.refusal = "TicketExpired"
-        elif issuer != self.trust_root.subject_id:
-            self.refusal = creds.UNKNOWN_ISSUER
-        else:
-            self.refusal = creds.check_window_and_role(valid_from, valid_to, role, now,
-                                                       self.PEER_ROLE)
-        if self.refusal is None and not hmac.compare_digest(
-                _binder(secret, client_hello[: -kdf.HASH_LEN]), binder):
+        elif creds.expired(valid_to, now):
+            self.refusal = creds.EXPIRED
+        elif not hmac.compare_digest(_binder(secret, client_hello[: -kdf.HASH_LEN]), binder):
             self.refusal = "BadBinder"
-        if self.refusal is not None:
-            return b""
-        self._claims = (subject, issuer, role, valid_from, valid_to)
-        return secret
-
-    def _open_ticket(self, ticket: bytes) -> tuple | None:
-        if self.ticket_key is None or len(ticket) != _TICKET_LEN:
-            return None
-        try:
-            plain = gcm.open_(self.ticket_key, ticket[: gcm.NONCE_LEN], b"",
-                              ticket[gcm.NONCE_LEN :])
-        except AuthFailure:
-            return None
-        return _TICKET.unpack(plain)
+        else:
+            self._claims = (subject, valid_to)
+            return secret
+        return b""
 
     def complete(self, client_finish: bytes) -> tuple[SessionKeys, bytes]:
         self._expect(Phase.AWAIT_CLIENT_FINISH, "complete")
@@ -453,8 +446,7 @@ class ServerHandshake(_Side):
         signed = bytes(self.transcript) + _lp(cred_bytes)
         if not self.resumed:
             self._check_peer(client_cred, sig, signed)
-            self._claims = (client_cred.subject_id, client_cred.issuer_id, client_cred.role,
-                            client_cred.valid_from, client_cred.valid_to)
+            self._claims = (client_cred.subject_id, client_cred.valid_to)
         self._check_finished(
             self._keys.client_fin_key, kdf.hash_(signed + _lp(sig_bytes)), fin_mac
         )

@@ -4,6 +4,9 @@
       of untrusted locations)
 .vlp  uncompressed public point encoding
 .vlc  credential in its exact wire encoding
+
+A file that does not parse raises `ConfigurationError` naming it, so the
+CLI reports it as a configuration error (exit 2).
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from pathlib import Path
 from . import curves
 from .credentials import Credential, credential_decode
 from .curves import CurveSuite, Point
+from .errors import ConfigurationError, MalformedCredential, MalformedPoint
 
 
 def drbg(seed: int):
@@ -39,10 +43,10 @@ def write_private_key(path: str | Path, d: int, suite: CurveSuite) -> None:
 def read_private_key(path: str | Path, suite: CurveSuite) -> int:
     data = Path(path).read_bytes()
     if len(data) != suite.scalar_len:
-        raise ValueError(f"private key file {path}: wrong length for suite")
+        raise ConfigurationError(f"private key file {path}: wrong length for suite")
     d = int.from_bytes(data, "big")
     if not 1 <= d <= suite.n - 1:
-        raise ValueError(f"private key file {path}: scalar out of range")
+        raise ConfigurationError(f"private key file {path}: scalar out of range")
     return d
 
 
@@ -51,7 +55,10 @@ def write_public_point(path: str | Path, Q: Point, suite: CurveSuite) -> None:
 
 
 def read_public_point(path: str | Path, suite: CurveSuite) -> Point:
-    return curves.point_decode(Path(path).read_bytes(), suite)
+    try:
+        return curves.point_decode(Path(path).read_bytes(), suite)
+    except MalformedPoint as exc:
+        raise ConfigurationError(f"public key file {path}: {exc}") from exc
 
 
 def write_credential(path: str | Path, cred: Credential, suite: CurveSuite) -> None:
@@ -59,7 +66,10 @@ def write_credential(path: str | Path, cred: Credential, suite: CurveSuite) -> N
 
 
 def read_credential(path: str | Path, suite: CurveSuite) -> Credential:
-    return credential_decode(Path(path).read_bytes(), suite)
+    try:
+        return credential_decode(Path(path).read_bytes(), suite)
+    except MalformedCredential as exc:
+        raise ConfigurationError(f"credential file {path}: {exc}") from exc
 
 
 def fingerprint(Q: Point, suite: CurveSuite) -> str:

@@ -1,5 +1,6 @@
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -46,6 +47,15 @@ class Pki:
             self.now - 3600, self.now + 7 * 86400, self.root_sub, self.suite, rng,
         )
         return LocalIdentity(dd, cred)
+
+    def device_with_raw_subject(self, raw):
+        """A device identity signed by the root whose subject field is `raw`
+        padded with NUL, past the checks `credential_issue` makes."""
+        device = self.issue_device("placeholder", keyfiles.drbg(88))
+        cred = replace(device.credential, subject_id=raw.ljust(creds.SUBJECT_LEN, b"\x00"))
+        sig = creds.schnorr_sign(self.root_priv, self.root.static_pub, cred.tbs(self.suite),
+                                 self.suite, keyfiles.drbg(89))
+        return LocalIdentity(device.static_priv, replace(cred, signature=sig))
 
     def write_files(self, directory):
         suite = self.suite
@@ -126,19 +136,11 @@ def forged_ticket(key, secret, pki, cause, now) -> bytes:
     """A ticket for `pki`'s device sealed under `key`, a server's own ticket
     key, whose fields fail `cause` at `now` (none for any other cause)."""
     cred = pki.device_cred
-    issued, issuer, role = now, cred.issuer_id, int(cred.role)
-    valid_from, valid_to = cred.valid_from, cred.valid_to
+    issued, valid_to = now, cred.valid_to
     if cause == "TicketExpired":
         issued = now - handshake.TICKET_LIFETIME_S - 1
     elif cause == "Expired":
-        valid_from, valid_to = now - 2 * 86400, now - 86400
-    elif cause == "NotYetValid":
-        valid_from, valid_to = now + 86400, now + 2 * 86400
-    elif cause == "RoleMismatch":
-        role = int(creds.Role.SERVER)
-    elif cause == "UnknownIssuer":
-        issuer = creds.encode_subject("other-root")
-    plain = handshake._TICKET.pack(secret, issued, cred.subject_id, issuer, role,
-                                   valid_from, valid_to)
+        valid_to = now - 86400
+    plain = handshake._TICKET.pack(secret, issued, cred.subject_id, valid_to)
     nonce = os.urandom(12)
     return nonce + gcm.seal(key, nonce, b"", plain)

@@ -219,6 +219,39 @@ def test_device_detects_the_suite_from_its_credential(toy_pki, tmp_path, capsys)
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, flag, fault", [
+    ("serve", "--key", "short"),
+    ("device", "--key", "short"),
+    ("serve", "--cred", "short"),
+    ("serve", "--root", "truncated"),
+    ("device", "--root", "truncated"),
+    ("serve", "--store-dir", "under_a_file"),
+])
+def test_malformed_key_material_is_a_configuration_error(command, flag, fault, toy_pki,
+                                                         tmp_path, capsys):
+    toy_pki.write_files(tmp_path)
+    bad = tmp_path / "bad"
+    if fault == "short":  # a 2-byte key, a 5-byte credential
+        bad.write_bytes(b"\x01" * (2 if flag == "--key" else 5))
+    elif fault == "truncated":
+        bad.write_bytes((tmp_path / "root.vlc").read_bytes()[:-1])
+    else:  # a store directory that cannot be made: its parent is a file
+        bad.write_bytes(b"")
+        bad = bad / "store"
+    role = "server" if command == "serve" else "device"
+    files = {"--key": str(tmp_path / f"{role}.vlk"), "--cred": str(tmp_path / f"{role}.vlc"),
+             "--root": str(tmp_path / "root.vlc"), flag: str(bad)}
+    argv = {
+        "serve": ["serve", "--listen", "127.0.0.1:0", "--store-dir",
+                  files.pop("--store-dir", str(tmp_path / "store"))],
+        "device": ["device", "--connect", "127.0.0.1:1", "--count", "1"],
+    }[command]
+    code, out, err = run([*argv, *[a for pair in files.items() for a in pair]], capsys)
+    assert code == EXIT_USAGE and out == ""
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert str(bad) in line
+
+
 @pytest.mark.parametrize("command, flag, value", [
     ("serve", "--listen", "127.0.0.1"),
     ("serve", "--listen", "127.0.0.1:abc"),

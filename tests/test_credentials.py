@@ -238,10 +238,30 @@ def test_tbs_changes_break_verification():
 def test_subject_encoding():
     assert creds.encode_subject("watch-1") == b"watch-1" + b"\x00" * 9
     assert creds.decode_subject(creds.encode_subject("watch-1")) == "watch-1"
+    assert creds.encode_subject("ward 3 ♥") == "ward 3 ♥".encode() + b"\x00" * 6
     with pytest.raises(InvalidCredentialFields):
         creds.encode_subject("")
     with pytest.raises(InvalidCredentialFields):
         creds.encode_subject("x" * 17)
+
+
+# subject fields that are not 1..16 bytes of printable UTF-8 padded with NUL
+BAD_SUBJECTS = {"tab": b"a\tb", "not_utf8": b"\xff\xfe", "newline": b"a\nb",
+                "line_separator": "a\u2028b".encode(), "inner_nul": b"a\x00b",
+                "leading_nul": b"\x00ab", "empty": b""}
+
+
+@pytest.mark.parametrize("raw", BAD_SUBJECTS.values(), ids=BAD_SUBJECTS.keys())
+def test_a_subject_that_is_not_printable_utf8_is_refused_at_every_door(toy_pki, raw):
+    field = raw.ljust(creds.SUBJECT_LEN, b"\x00")
+    with pytest.raises(InvalidCredentialFields):
+        creds.encode_subject(raw.decode("utf-8", "surrogateescape"))
+    cred = toy_pki.device_with_raw_subject(raw).credential
+    with pytest.raises(MalformedCredential, match="subject"):
+        credential_decode(cred.encode(toy_pki.suite), toy_pki.suite)
+    with pytest.raises(InvalidCredentialFields):
+        credential_issue(toy_pki.root_priv, field, Role.DEVICE, cred.static_pub, NOW,
+                         NOW + 1, toy_pki.root_sub, toy_pki.suite, keyfiles.drbg(30))
 
 
 # ---------------------------------------------------------------------------

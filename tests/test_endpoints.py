@@ -98,7 +98,7 @@ def test_suite_detection_from_credential_file(files):
     assert detect_suite_for_credential(files / "device.vlc") is P256
     bogus = files / "junk.vlc"
     bogus.write_bytes(b"\x00" * 33)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="junk.vlc"):
         detect_suite_for_credential(bogus)
 
 
@@ -560,8 +560,7 @@ def refusal_lines(caplog) -> list:
             if r.getMessage().startswith(("resumption_refused ", "handshake_failed "))]
 
 
-@pytest.mark.parametrize("case", ["another_server", "bad_binder", "over_age", "Expired",
-                                  "RoleMismatch", "UnknownIssuer"])
+@pytest.mark.parametrize("case", ["another_server", "bad_binder", "over_age", "Expired"])
 def test_a_refused_ticket_costs_one_line_and_a_full_handshake(case, pki, files, server,
                                                               tmp_path, caplog, monkeypatch):
     caplog.set_level(logging.INFO, logger="vitalink")

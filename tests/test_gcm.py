@@ -494,7 +494,7 @@ def test_zeroize_drops_the_prepared_keystream_and_the_broadcast_keys():
 
 
 # ---------------------------------------------------------------------------
-# Counter blocks past the prepared ones, batched
+# Counter blocks: the first two prepared in a batch, the rest one at a time
 
 
 def _ctr_block_by_block(key: bytes, nonce: bytes, data: bytes) -> bytes:
@@ -520,30 +520,3 @@ def test_batched_counter_blocks_match_block_by_block_ctr(key, nonce, n, prepared
     record = seal(gk, nonce, b"aad", pt)
     assert record[:-gcm.TAG_LEN] == _ctr_block_by_block(key, nonce, pt)
     assert open_(GcmKey(key), nonce, b"aad", record) == pt
-
-
-def test_four_or_more_counter_blocks_run_as_one_batch(monkeypatch):
-    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
-    seal(gk, os.urandom(12), b"", b"")  # builds the round keys and H
-    singles, batches = _count_block_calls(monkeypatch), []
-    real = gcm.Aes128.encrypt_blocks
-
-    def counting(self, blocks):
-        batches.append(len(blocks) // 16)
-        return real(self, blocks)
-
-    monkeypatch.setattr(gcm.Aes128, "encrypt_blocks", counting)
-    seal(gk, nonce, b"", bytes(3 * 16))  # three blocks: one at a time
-    assert len(singles) == 1 + 3 and batches == []
-    singles.clear()
-    seal(gk, nonce[::-1], b"", bytes(89))  # a ticket: J0, then 6 blocks as 8
-    assert singles == [nonce[::-1] + b"\x00\x00\x00\x01"] and batches == [8]
-
-
-def test_batched_counter_blocks_keep_round_keys_for_a_few_batch_sizes():
-    gk = GcmKey(os.urandom(16))
-    for n in [*range(301), 4096, 65536]:
-        seal(gk, os.urandom(12), b"", bytes(n))
-    # batches of up to 19 blocks, and 256 for 4 KiB and 64 KiB: one entry per
-    # power of two used, not one per record length
-    assert set(gk.aes._wide) == {4, 8, 16, 32, 256}

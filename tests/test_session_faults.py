@@ -317,6 +317,29 @@ def test_a_handshake_failure_line_quotes_a_multi_word_detail(toy_pki, server, li
     })
 
 
+@pytest.mark.parametrize("subject", [b"a\tb", b"\xff\xfe"], ids=["tab", "not_utf8"])
+def test_a_root_signed_subject_that_is_not_printable_utf8_is_refused(toy_pki, server, lines,
+                                                                      subject):
+    # a tab would split the readings line; bytes that are not UTF-8 would
+    # raise out of the handler when the subject is decoded
+    device = toy_pki.device_with_raw_subject(subject)
+
+    def device_side(reader):
+        hs = ClientHandshake(toy_pki.suite, device, toy_pki.root, rng=keyfiles.drbg(13))
+        frame_write(reader.sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
+        finish, keys = hs.finish(frame_read(reader, timeout=5.0).body)
+        frame_write(reader.sock, Frame(TYPE_CLIENT_FINISH, finish))
+        send_and_hang_up(reader.sock, b"".join(sealed_session(keys, toy_pki, 13, 1)))
+        return replies_until_abort(reader)
+
+    assert serve_one(server, device_side) == [TYPE_ABORT]
+    [line] = lines.problems()
+    event, pairs = fields(line)
+    assert event == "handshake_failed" and pairs["cause"] == "BadClientCredential"
+    assert pairs["detail"].startswith("malformed ClientFinish: subject ")
+    assert persisted(server) == []
+
+
 def test_a_connection_error_line_names_the_error_type(toy_pki, server, lines, monkeypatch):
     def reset(sock, frame):
         raise ConnectionResetError(104, "Connection reset by peer")
