@@ -4,9 +4,8 @@ the secure channel, persists readings, and raises anomaly alerts.
 
 Persistence is append-only line-delimited text. The server opens, checks
 and formats every reading already buffered on a connection, then writes
-the burst's lines in one unbuffered write under the store's lock, so
-concurrent sessions never interleave within a burst and a crash never
-leaves a torn line behind.
+the burst's lines under the store's lock until all are on disk, so
+concurrent sessions never interleave within a burst.
 
 Every established session ends its handshake with a NewTicket from the
 server, sealed under a ticket key made when the server starts and never
@@ -14,7 +13,16 @@ stored. `run_device` keeps the last ticket per server address, own
 credential and trust root in a process-wide cache and offers it once,
 on its next session there, to skip both transcript signatures (see
 `handshake`). A refused ticket costs one `resumption_refused` INFO line
-and a full handshake on the same connection.
+and a full handshake on the same connection. A resumed session's ticket
+keeps the issue time of the one it resumed, so resumptions end
+`TICKET_LIFETIME_S` after the last full handshake.
+
+After its ServerHello the server sends only a NewTicket and, on failure,
+an Abort. One reader in `run_device` takes both: after a reading if
+anything has arrived, and after the Close until the server hangs up.
+Only that hang-up, which means the server read the Close, is a success;
+an Abort, any other frame, a reset or `records.READ_TIMEOUT_S` of
+silence is a `DeviceReport.error`.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ from .errors import (
     ConfigurationError,
     ConnectionAborted,
     EndOfStream,
-    FrameTimeout,
     HandshakeError,
     MalformedFrame,
     MalformedReading,
@@ -190,11 +197,11 @@ def parse_alert_line(line: str) -> AnomalyAlert:
 class Store:
     """Append-only readings and alerts logs, safe for concurrent sessions.
 
-    Each call is one unbuffered write under one lock, so the lines of one
-    call never interleave with another's. The server writes each burst of
-    readings in one call (`IngestionServer._ingest`), so a crash loses at
-    most the unwritten part of one burst; the protocol has no Ack, so
-    none of those readings was promised stored. Nothing is fsynced.
+    Each call writes until all its bytes are on disk, under one lock, so
+    the lines of one call never interleave with another's. The server
+    writes each burst of readings in one call (`IngestionServer._ingest`),
+    so a crash loses at most the unwritten part of one burst, none of it
+    promised stored (the protocol has no Ack). Nothing is fsynced.
     """
 
     def __init__(self, directory):
@@ -216,9 +223,10 @@ class Store:
         self._append(self._alerts, [alert_line(a)])
 
     def _append(self, fh, lines: list[str]) -> None:
-        data = ("\n".join(lines) + "\n").encode("utf-8")
+        data = memoryview(("\n".join(lines) + "\n").encode("utf-8"))
         with self._lock:
-            fh.write(data)
+            while data:  # an unbuffered write may take only part of it
+                data = data[fh.write(data):]
 
     def close(self) -> None:
         with self._lock:
@@ -429,19 +437,6 @@ _TICKETS: dict[tuple, Resumption] = {}
 _TICKETS_LOCK = threading.Lock()
 
 
-def _check_for_abort(reader: FrameReader, keep_ticket) -> bool:
-    # a frame may already sit in the buffer, where select cannot see it
-    if not reader.buffered() and not select.select([reader.sock], [], [], 0)[0]:
-        return False
-    try:
-        fr = frame_read(reader, timeout=1.0)
-    except VitalinkError:
-        return True
-    if fr.frame_type == TYPE_NEW_TICKET:
-        keep_ticket(fr.body)
-    return fr.frame_type == TYPE_ABORT
-
-
 def run_device(cfg: DeviceConfig) -> DeviceReport:
     """Connects, authenticates, streams readings, and closes cleanly.
 
@@ -479,9 +474,13 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
     reader = FrameReader(sock)
     hs = ClientHandshake(suite, identity, trust_root, rng, resumption=resumption)
 
-    def keep_ticket(ticket: bytes) -> None:
+    def read_server_frame() -> None:  # keeps a NewTicket; anything else ends the session
+        fr = frame_read(reader, records.READ_TIMEOUT_S)
+        if fr.frame_type != TYPE_NEW_TICKET:
+            raise ConnectionAborted("server aborted the session" if fr.frame_type == TYPE_ABORT
+                                    else f"unexpected frame type {fr.frame_type} from the server")
         with _TICKETS_LOCK:
-            _TICKETS[cache_key] = hs.resumption_for(ticket)
+            _TICKETS[cache_key] = hs.resumption_for(fr.body)
 
     try:
         frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
@@ -503,21 +502,18 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
             frame_write(sock, record_seal(send_dir, TYPE_DATA, reading_encode(reading)))
             report.sent.append((reading.timestamp_ms, reading.bpm))
             report.sent_count += 1
-            if _check_for_abort(reader, keep_ticket):
-                raise ConnectionAborted("server aborted mid-stream")
+            # a frame may already sit in the buffer, where select cannot see it
+            if reader.buffered() or select.select([sock], [], [], 0)[0]:
+                read_server_frame()
             if cfg.realtime:
                 time.sleep(cfg.interval_ms / 1000.0)
         frame_write(sock, record_seal(send_dir, TYPE_CLOSE, b""))
-        # drain until the server hangs up so a late Abort is not missed
+        # a success only once the server has read the Close and hung up
         sock.shutdown(socket.SHUT_WR)
         try:
             while True:
-                fr = frame_read(reader, timeout=2.0)
-                if fr.frame_type == TYPE_ABORT:
-                    raise ConnectionAborted("server aborted the session")
-                if fr.frame_type == TYPE_NEW_TICKET:
-                    keep_ticket(fr.body)
-        except (EndOfStream, FrameTimeout, MalformedFrame, OSError):
+                read_server_frame()
+        except EndOfStream:
             pass
     except (VitalinkError, OSError) as exc:
         report.error = f"{type(exc).__name__}: {exc}"

@@ -31,10 +31,12 @@ curve with `HandshakeError("<peer> ephemeral invalid: …")`.
 
 Each side runs the same SIGMA steps on its own half, written once in
 `_Side`: prove (sign its label || transcript || lp(own credential)),
-check the peer (credential in the peer's role against the trust root,
-then the peer's signature), ECDH, and check the peer's finished MAC.
-`ClientHandshake` and `ServerHandshake` add only their frame parsing
-and where in the key schedule each step falls.
+check the peer's proof (read by `_Reader.take_proof`; decode it, failing
+with the peer's credential error as "malformed <frame>: …", then check
+its credential in the peer's role against the trust root and its
+signature), ECDH, and check the peer's finished MAC. `ClientHandshake`
+and `ServerHandshake` add only their frame parsing and where in the key
+schedule each step falls.
 
 Resumption (RFC 8446 psk_dhe_ke, §2.2, §4.2.11 and §4.6.1, with the
 stateless tickets of RFC 5077). Once established, each side expands a
@@ -45,7 +47,8 @@ AES-GCM under a ticket key that never leaves the server process. The
 frame can stay plaintext: the ticket is useless without the secret, and
 dropping or swapping it only costs the device a full handshake. The
 device keeps (ticket, secret, server credential) and offers the ticket
-once, appending lp(ticket) and a binder, HMAC(hkdf_expand(secret,
+once, unless that server credential has expired (a full handshake would
+refuse it), appending lp(ticket) and a binder, HMAC(hkdf_expand(secret,
 "vl binder"), hello before the binder), to an otherwise full ClientHello.
 The server resumes if the ticket opens, is at most `TICKET_LIFETIME_S`
 old, the credential has not expired (`credentials.expired`, as in a full
@@ -55,10 +58,12 @@ stored, seals one, after `complete` has checked issuer, signature,
 window and device role against a trust root fixed for the process's
 life, and whoever could seal under the key could write fields that pass.
 The window's start passed before the issue time, before which a ticket
-is refused. A resumed ServerHello and ClientFinish keep the layout with
-an empty lp(credential) and lp(sig): no signature is made or checked,
-and the secret goes into the extract, so each finished MAC proves it. A
-fresh ECDH on both sides keeps forward secrecy. Any refusal leaves
+is refused. A resumed session's ticket keeps the issue time of the one it
+resumed, so resumptions end a lifetime after the last full handshake. A
+resumed ServerHello and ClientFinish keep the layout with an empty
+lp(credential) and lp(sig): no signature is made or checked, and the
+secret goes into the extract, so each finished MAC proves it. A fresh
+ECDH on both sides keeps forward secrecy. Any refusal leaves
 `refusal` naming its cause (`BadTicket`, `TicketExpired`, `Expired` or
 `BadBinder`) and answers with a full ServerHello on the same connection;
 the device, seeing a credential, runs the full handshake.
@@ -153,8 +158,8 @@ def derive_session_keys(
     return SessionKeys(
         c2s_key=expand(kdf.LABEL_C2S_KEY, 16),
         c2s_salt=expand(kdf.LABEL_C2S_SALT, 4),
-        client_fin_key=expand(kdf.LABEL_C_FIN, 32),
-        server_fin_key=expand(kdf.LABEL_S_FIN, 32),
+        client_fin_key=expand(kdf.LABEL_C_FIN, kdf.HASH_LEN),
+        server_fin_key=expand(kdf.LABEL_S_FIN, kdf.HASH_LEN),
         prk=prk,
     )
 
@@ -190,6 +195,12 @@ class _Reader:
         (n,) = struct.unpack(">H", self.take(2))
         return self.take(n)
 
+    def take_proof(self) -> tuple[bytes, bytes, bytes]:
+        """The rest of the body: lp(credential) || lp(sig) || finished MAC."""
+        proof = self.take_lp(), self.take_lp(), self.take(kdf.HASH_LEN)
+        self.done()
+        return proof
+
     def more(self) -> bool:
         return self.off < len(self.data)
 
@@ -200,7 +211,7 @@ class _Reader:
 
 class _Side:
     """The steps both roles share, each written once. A role names its own
-    signature label and the peer's label, role, credential error and name;
+    signature label and the peer's label, frame, role, credential error and name;
     it adds only its frame parsing and key schedule."""
 
     def __init__(
@@ -246,9 +257,14 @@ class _Side:
         )
         return cred + _lp(sig.encode(self.suite))
 
-    def _check_peer(self, cred: Credential, sig: creds.SchnorrSig, signed: bytes) -> None:
-        """The peer's credential in its role, then its signature over
-        PEER_LABEL || signed, where signed ends in lp(credential)."""
+    def _check_peer(self, cred_bytes: bytes, sig_bytes: bytes, signed: bytes) -> Credential:
+        """Decodes the peer's proof, checks the credential in the peer's role, then
+        the signature over PEER_LABEL || signed; returns the credential."""
+        try:
+            cred = creds.credential_decode(cred_bytes, self.suite)
+            sig = creds.sig_decode(sig_bytes, self.suite)
+        except (creds.MalformedCredential, creds.MalformedSignature) as exc:
+            self._fail(self.BadPeerCredential(f"malformed {self.PEER_FRAME}: {exc}"))
         reason = creds.credential_verify(
             cred, self.trust_root, self._now(), self.suite, expected_role=self.PEER_ROLE
         )
@@ -257,6 +273,7 @@ class _Side:
         digest = kdf.hash_(self.PEER_LABEL + signed)
         if not creds.schnorr_verify(cred.static_pub, digest, sig, self.suite):
             self._fail(BadTranscriptSignature(f"{self.PEER} transcript signature invalid"))
+        return cred
 
     def _decode_ephemeral(self, data: bytes):
         try:
@@ -288,7 +305,7 @@ class _Side:
 
 
 class ClientHandshake(_Side):
-    LABEL, PEER_LABEL = SIG_LABEL_CLIENT, SIG_LABEL_SERVER
+    LABEL, PEER_LABEL, PEER_FRAME = SIG_LABEL_CLIENT, SIG_LABEL_SERVER, "ServerHello"
     PEER_ROLE, BadPeerCredential, PEER = Role.SERVER, BadServerCredential, "server"
 
     def __init__(self, suite: CurveSuite, identity: LocalIdentity, trust_root: Credential,
@@ -305,6 +322,8 @@ class ClientHandshake(_Side):
         self.eph_priv, eph_pub = curves.keypair_gen(self.suite, self.rng)
         eph_bytes = curves.point_encode(eph_pub, self.suite)
         body = struct.pack(">H", self.suite.suite_id) + self.client_random + _lp(eph_bytes)
+        if self.resumption and creds.expired(self.resumption.server.valid_to, self._now()):
+            self.resumption = None  # a full handshake refuses that credential
         if self.resumption is not None:
             body += _lp(self.resumption.ticket)
             body += _binder(self.resumption.secret, body)
@@ -318,10 +337,7 @@ class ClientHandshake(_Side):
             r = _Reader(server_hello)
             server_random = r.take(RANDOM_LEN)
             eph_pub_bytes = r.take_lp()
-            cred_bytes = r.take_lp()
-            sig_bytes = r.take_lp()
-            fin_mac = r.take(32)
-            r.done()
+            cred_bytes, sig_bytes, fin_mac = r.take_proof()
         except MalformedFrame as exc:
             self._fail(HandshakeError(f"malformed ServerHello: {exc}"))
         server_eph = self._decode_ephemeral(eph_pub_bytes)
@@ -331,13 +347,7 @@ class ClientHandshake(_Side):
         if resumed:
             server_cred, psk = self.resumption.server, self.resumption.secret
         else:
-            try:
-                server_cred = creds.credential_decode(cred_bytes, self.suite)
-                sig = creds.sig_decode(sig_bytes, self.suite)
-            except (creds.MalformedCredential, creds.MalformedSignature) as exc:
-                self._fail(BadServerCredential(str(exc)))
-            self._check_peer(server_cred, sig, signed)
-            psk = b""
+            server_cred, psk = self._check_peer(cred_bytes, sig_bytes, signed), b""
         shared = self._shared_secret(server_eph)
         th = kdf.hash_(signed + _lp(sig_bytes))
         keys = derive_session_keys(shared, self.client_random, server_random, th, psk)
@@ -357,7 +367,7 @@ class ClientHandshake(_Side):
 
 
 class ServerHandshake(_Side):
-    LABEL, PEER_LABEL = SIG_LABEL_SERVER, SIG_LABEL_CLIENT
+    LABEL, PEER_LABEL, PEER_FRAME = SIG_LABEL_SERVER, SIG_LABEL_CLIENT, "ClientFinish"
     PEER_ROLE, BadPeerCredential, PEER = Role.DEVICE, BadClientCredential, "client"
 
     def __init__(self, identity: LocalIdentity, trust_root: Credential, suite: CurveSuite,
@@ -366,7 +376,7 @@ class ServerHandshake(_Side):
         super().__init__(identity, trust_root, suite, rng, now)
         self.ticket_key = ticket_key  # seals and opens tickets; without one none resumes
         self.refusal: str | None = None  # why an offered ticket did not resume
-        self._claims: tuple | None = None  # the device credential's subject and valid_to
+        self._claims: tuple | None = None  # ticket issue time, device subject, valid_to
 
     def respond(self, client_hello: bytes) -> bytes:
         self._expect(Phase.START, "respond")
@@ -422,35 +432,27 @@ class ServerHandshake(_Side):
         elif not hmac.compare_digest(_binder(secret, client_hello[: -kdf.HASH_LEN]), binder):
             self.refusal = "BadBinder"
         else:
-            self._claims = (subject, valid_to)
+            self._claims = (issued, subject, valid_to)  # the chain keeps its issue time
             return secret
         return b""
 
     def complete(self, client_finish: bytes) -> tuple[SessionKeys, bytes]:
         self._expect(Phase.AWAIT_CLIENT_FINISH, "complete")
         try:
-            r = _Reader(client_finish)
-            cred_bytes = r.take_lp()
-            sig_bytes = r.take_lp()
-            fin_mac = r.take(32)
-            r.done()
-            if self.resumed:
-                if cred_bytes or sig_bytes:
-                    raise MalformedFrame("a proof in a resumed session")
-            else:
-                client_cred = creds.credential_decode(cred_bytes, self.suite)
-                sig = creds.sig_decode(sig_bytes, self.suite)
-        except (MalformedFrame, creds.MalformedCredential, creds.MalformedSignature) as exc:
-            self._fail(BadClientCredential(f"malformed ClientFinish: {exc}"))
+            cred_bytes, sig_bytes, fin_mac = _Reader(client_finish).take_proof()
+            if self.resumed and (cred_bytes or sig_bytes):
+                raise MalformedFrame("a proof in a resumed session")
+        except MalformedFrame as exc:
+            self._fail(BadClientCredential(f"malformed {self.PEER_FRAME}: {exc}"))
 
         signed = bytes(self.transcript) + _lp(cred_bytes)
         if not self.resumed:
-            self._check_peer(client_cred, sig, signed)
-            self._claims = (client_cred.subject_id, client_cred.valid_to)
+            client_cred = self._check_peer(cred_bytes, sig_bytes, signed)
+            self._claims = (self._now(), client_cred.subject_id, client_cred.valid_to)
         self._check_finished(
             self._keys.client_fin_key, kdf.hash_(signed + _lp(sig_bytes)), fin_mac
         )
-        subject = self._claims[0]
+        subject = self._claims[1]
         return self._establish(client_finish, self._keys, subject), subject
 
     def new_ticket(self) -> bytes:
@@ -458,5 +460,5 @@ class ServerHandshake(_Side):
         ticket key with a fresh nonce."""
         self._expect(Phase.ESTABLISHED, "new_ticket")
         nonce = self.rng(gcm.NONCE_LEN)
-        plain = _TICKET.pack(self._keys.resumption_secret, self._now(), *self._claims)
+        plain = _TICKET.pack(self._keys.resumption_secret, *self._claims)
         return nonce + gcm.seal(self.ticket_key, nonce, b"", plain)

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from vitalink import credentials as creds
-from vitalink import curves, endpoints, handshake, keyfiles
+from vitalink import curves, endpoints, gcm, handshake, keyfiles, records
 from vitalink.endpoints import (
     DeviceConfig,
     IngestionServer,
@@ -232,6 +232,28 @@ def test_scripted_anomaly_produces_alert(files, server, tmp_path):
     assert len(alerts) == 1
     assert alerts[0].rule == "high_hr"
     assert alerts[0].observed_bpm == (180, 180, 180)
+
+
+def test_a_short_write_still_puts_the_whole_burst_on_disk(tmp_path):
+    store = Store(tmp_path / "s")
+
+    class Trickle:
+        """An unbuffered file that takes at most 40 bytes a write."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            return self.fh.write(data[:40])
+
+        def close(self):
+            self.fh.close()
+
+    store._readings = Trickle(store._readings)
+    burst = [f"line-{i:03d}\t" + "x" * 30 for i in range(3)]
+    store.append_reading(burst)
+    store.close()
+    assert (tmp_path / "s" / "readings.log").read_text() == "\n".join(burst) + "\n"
 
 
 def test_store_appends_are_atomic_lines(tmp_path):
@@ -499,8 +521,96 @@ def test_the_device_sees_an_abort_that_came_with_the_server_hello(pki, files):
         server.join(timeout=15.0)
         listener.close()
     assert not server.is_alive() and served
-    assert report.error == "ConnectionAborted: server aborted mid-stream"
+    assert report.error == "ConnectionAborted: server aborted the session"
     assert report.sent_count == 1
+
+
+def serve_one_session(pki, ending):
+    """A fake server on a thread for one device session. It answers the
+    handshake and sends a NewTicket, except for the `late_ticket` ending,
+    reads up to the device's hang-up, then ends as `ending` names. Returns
+    the port, a function that lets go of the connection and waits for the
+    thread, and the list the ticket it made goes into."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    device_left, tickets = threading.Event(), []
+
+    def run():
+        conn, _ = listener.accept()
+        with conn:
+            reader = FrameReader(conn)
+            hs = ServerHandshake(pki.server, pki.root, suite=pki.suite,
+                                 ticket_key=gcm.GcmKey(bytes(16)))
+            frame_write(conn, Frame(TYPE_SERVER_HELLO,
+                                    hs.respond(frame_read(reader, timeout=5.0).body)))
+            hs.complete(frame_read(reader, timeout=5.0).body)
+            tickets.append(hs.new_ticket())
+            if ending != "late_ticket":
+                frame_write(conn, Frame(TYPE_NEW_TICKET, tickets[0]))
+            conn.settimeout(10.0)
+            while conn.recv(4096):  # the readings and the Close, up to SHUT_WR
+                pass
+            if ending == "late_ticket":
+                frame_write(conn, Frame(TYPE_NEW_TICKET, tickets[0]))
+            elif ending == "late_abort":  # seconds after the Close, within READ_TIMEOUT_S
+                time.sleep(2.5)
+                frame_write(conn, Frame(TYPE_ABORT, b""))
+            elif ending == "garbage":
+                conn.sendall(bytes(8))
+            elif ending == "reset":
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            elif ending == "no_hang_up":
+                device_left.wait(10.0)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+
+    def join():
+        device_left.set()
+        thread.join(timeout=15.0)
+        listener.close()
+        assert not thread.is_alive() and tickets
+
+    return listener.getsockname()[1], join, tickets
+
+
+# what the device reports for each way a fake server ends after the Close
+POST_CLOSE_ERRORS = {
+    "hang_up": None,
+    "late_abort": "ConnectionAborted: server aborted the session",
+    "garbage": "BadMagic: 0000",
+    "reset": "ConnectionResetError: ",
+    "no_hang_up": "FrameTimeout: ",
+}
+
+
+@pytest.mark.parametrize("ending", list(POST_CLOSE_ERRORS))
+def test_after_its_close_only_the_server_hanging_up_is_a_success(toy_pki, tmp_path,
+                                                                 monkeypatch, ending):
+    toy_pki.write_files(tmp_path)
+    if ending == "no_hang_up":
+        monkeypatch.setattr(records, "READ_TIMEOUT_S", 0.5)
+    port, join, _ = serve_one_session(toy_pki, ending)
+    try:
+        report = run_device(device_cfg(tmp_path, port, count=3))
+    finally:
+        join()
+    assert report.sent_count == 3
+    error = POST_CLOSE_ERRORS[ending]
+    if error is None:
+        assert report.error is None
+    else:
+        assert report.error is not None and report.error.startswith(error)
+
+
+def test_a_ticket_that_arrives_after_the_close_is_kept(toy_pki, tmp_path):
+    toy_pki.write_files(tmp_path)
+    port, join, sent = serve_one_session(toy_pki, "late_ticket")
+    try:
+        report = run_device(device_cfg(tmp_path, port, count=2))
+    finally:
+        join()
+    assert report.error is None
+    assert [r.ticket for r in endpoints._TICKETS.values()] == sent
 
 
 # ---------------------------------------------------------------------------

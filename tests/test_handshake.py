@@ -129,6 +129,25 @@ def test_a_truncated_server_hello_is_malformed_not_a_bad_signature(toy_pki):
     assert c.phase is Phase.FAILED
 
 
+@pytest.mark.parametrize("field", ["credential", "signature"])
+def test_a_server_proof_that_does_not_decode_is_a_malformed_server_hello(toy_pki, field):
+    c = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root)
+    s = ServerHandshake(toy_pki.server, toy_pki.root, suite=toy_pki.suite)
+    r = handshake._Reader(s.respond(c.start()))
+    hello = r.take(handshake.RANDOM_LEN) + handshake._lp(r.take_lp())
+    cred, sig, mac = r.take_proof()
+    if field == "credential":
+        cred = cred[:-1]
+    else:  # flip the low bit of the signature point's y: off the curve
+        sig = bytearray(sig)
+        sig[2 * toy_pki.suite.field_len] ^= 1
+    hello += handshake._lp(cred) + handshake._lp(bytes(sig)) + mac
+    with pytest.raises(BadServerCredential, match="^malformed ServerHello: ") as err:
+        c.finish(hello)
+    assert type(err.value) is BadServerCredential
+    assert c.phase is Phase.FAILED and c.eph_priv is None
+
+
 def test_a_bad_server_ephemeral_is_reported_as_such(toy_pki):
     c = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root)
     s = ServerHandshake(toy_pki.server, toy_pki.root, suite=toy_pki.suite)
@@ -489,6 +508,58 @@ def test_a_full_and_a_resumed_handshake_expire_a_credential_at_the_same_second(
             server.complete(finish)
     else:
         assert server.complete(finish)[1] == device.credential.subject_id
+
+
+def resume(pki, resumption, key, now, server=None):
+    """A handshake at `now` that offers `resumption` when given: the client,
+    the server, and the keys each side established."""
+    client = ClientHandshake(pki.suite, pki.device, pki.root, now=now, resumption=resumption)
+    server = ServerHandshake(server or pki.server, pki.root, suite=pki.suite, now=now,
+                             ticket_key=key)
+    finish, ck = client.finish(server.respond(client.start()))
+    sk, _ = server.complete(finish)
+    return client, server, ck, sk
+
+
+@pytest.mark.parametrize("late", [0, 60])
+def test_a_device_offers_no_ticket_once_the_server_credential_has_expired(toy_pki, late):
+    suite, root, now = toy_pki.suite, toy_pki.root, toy_pki.now
+    rng = keyfiles.drbg(44)
+    d, q = curves.keypair_gen(suite, rng)
+    valid_to = now + 600
+    server = LocalIdentity(d, creds.credential_issue(
+        toy_pki.root_priv, creds.encode_subject("short-srv"), creds.Role.SERVER, q,
+        now - 3600, valid_to, toy_pki.root_sub, suite, rng))
+    key = GcmKey(os.urandom(16))
+    client, s, _, _ = resume(toy_pki, None, key, now, server)
+    resumption = client.resumption_for(s.new_ticket())
+
+    later = valid_to + creds.CLOCK_SKEW_S + late
+    client = ClientHandshake(suite, toy_pki.device, root, now=later, resumption=resumption)
+    s = ServerHandshake(server, root, suite=suite, now=later, ticket_key=key)
+    hello = s.respond(client.start())
+    if late:  # offered nothing, and a full handshake refuses the credential
+        assert client.resumption is None and not s.resumed and s.refusal is None
+        with pytest.raises(BadServerCredential, match="^Expired$"):
+            client.finish(hello)
+    else:
+        finish, ck = client.finish(hello)
+        assert s.resumed and s.complete(finish)[0] == ck
+
+
+def test_a_chain_of_resumptions_ends_a_ticket_lifetime_after_its_full_handshake(toy_pki):
+    key = GcmKey(os.urandom(16))
+    hour, start = 3600, toy_pki.now
+    client, server, _, _ = resume(toy_pki, None, key, start)
+    assert not server.resumed
+    client, server, ck, sk = resume(toy_pki, client.resumption_for(server.new_ticket()), key,
+                                    start + 20 * hour)
+    assert server.resumed and ck == sk
+    # this session's ticket keeps the first one's issue time
+    client, server, ck, sk = resume(toy_pki, client.resumption_for(server.new_ticket()), key,
+                                    start + 40 * hour)
+    assert server.refusal == "TicketExpired" and not server.resumed and not client.resumed
+    assert ck == sk  # after a full handshake
 
 
 def test_a_ticket_is_four_counter_blocks_sealed_and_opened_one_at_a_time(toy_pki,
