@@ -19,8 +19,8 @@ from . import curves, keyfiles
 from . import credentials as creds
 from .credentials import Role
 from .curves import SUITE_NAMES
-from .endpoints import (DeviceConfig, IngestionServer, ServerConfig, check_trust,
-                        detect_suite_for_credential, run_device)
+from .endpoints import (DeviceConfig, IngestionServer, ServerConfig, check_identity,
+                        detect_suite_for_credential, load_identity, run_device)
 from .errors import ConfigurationError, InvalidCredentialFields
 from .proxy import MODES, TamperPlan, TamperProxy
 from .telemetry import AnomalyConfig
@@ -122,7 +122,8 @@ def cmd_serve(args) -> int:
         anomaly = AnomalyConfig(low=args.hr_low, high=args.hr_high,
                                 consecutive=args.hr_consecutive)
     except ValueError as exc:
-        raise UsageError(f"--hr-consecutive: {exc}")
+        flags = "--hr-consecutive" if args.hr_consecutive < 1 else "--hr-low/--hr-high"
+        raise UsageError(f"{flags}: {exc}")
     listen_host, listen_port = _host_port(args.listen, "--listen")
     cfg = ServerConfig(
         listen_host=listen_host,
@@ -155,8 +156,8 @@ def cmd_device(args) -> int:
     try:
         cfg.suite = detect_suite_for_credential(cfg.cred_path)  # as serve does
         # checked here, not in run_device, which runs once per session
-        check_trust(keyfiles.read_credential(cfg.cred_path, cfg.suite),
-                    keyfiles.read_credential(cfg.root_path, cfg.suite), Role.DEVICE, cfg.suite)
+        check_identity(load_identity(cfg.key_path, cfg.cred_path, cfg.suite),
+                       keyfiles.read_credential(cfg.root_path, cfg.suite), Role.DEVICE, cfg.suite)
         report = run_device(cfg)
     except ValueError as exc:
         raise UsageError(str(exc))

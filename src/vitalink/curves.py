@@ -4,13 +4,18 @@ Two parameter suites are provided: a tiny curve over F_17 that is small
 enough to enumerate exhaustively in tests, and NIST P-256 for real use.
 Scalar multiplication runs in Jacobian coordinates and adds affine
 points (mixed addition, madd-2004-hmv from the Explicit-Formulas
-Database). Multiples of the generator G use a fixed-base table: for each
-base-16 digit position i it holds j * 16^i * G for j = 1..15, so a
-256-bit scalar costs at most 64 additions and no doubling (the full-table
-form of fixed-base windowing, Hankerson, Menezes, Vanstone, Guide to
-Elliptic Curve Cryptography, Alg. 3.41). For P-256 that is 64 x 15 = 960
-affine points, built once per suite on first use under a lock (about
-10 ms and 0.2 MB on a 2 vCPU machine with CPython 3.11). Any other point
+Database). Multiples of the generator G use a fixed-base comb (Lim and
+Lee, "More Flexible Exponentiation with Precomputation", CRYPTO '94;
+Hankerson, Menezes and Vanstone (HMV), Guide to Elliptic Curve
+Cryptography, Alg. 3.44-3.45). It has W = 8 teeth spaced D = 32 bits
+apart and V = 4 tables: entry j of table v is the sum, over the set bits
+i of j, of 2^(32i + 8v) * G. A multiply reads k's 32 eight-bit column
+digits and makes 7 doublings and at most 32 additions. For P-256 the
+tables hold 4 x 255 = 1020 affine points, built once per
+suite on first use under a lock (about 13 ms and 0.13 MB on a 2 vCPU
+machine with CPython 3.11). The toy curve's 5-bit n runs the same code
+with W = 4 teeth 2 bits apart and V = 2, whose entries are none of them
+the identity; the build refuses a comb where one is. Any other point
 uses width-5 wNAF over its eight odd multiples P, 3P, ..., 15P (HMV Alg.
 3.36), with dbl-2001-b doubling when a = -3 (P-256). A Schnorr check
 R == s*G - e*Q is one joint multiply (Straus's interleaving, HMV Alg. 3.48;
@@ -164,7 +169,8 @@ def _to_affine(points, p):
     return out
 
 
-_WINDOW = 4  # fixed-base window: digits of k in base 16
+_COMB = (8, 4)  # fixed-base comb: W teeth and V tables, for a large n
+_COMB_TOY = (4, 2)  # for a 5-bit n: W = 8 would make some subset sums nG
 _WNAF = 5  # variable-base wNAF width: odd multiples P, 3P, ..., 15P
 _WNAF_G = 7  # G's wNAF width in a joint multiply: G, 3G, ..., 63G
 
@@ -172,22 +178,45 @@ _G_TABLES: dict = {}
 _G_TABLE_LOCK = threading.Lock()
 
 
-def _build_g_tables(suite: CurveSuite) -> tuple:
-    """Fixed-base rows, row i holding the affine points j * 16^i * G at index
-    j = 1..15; and G's odd multiples for a joint multiply, with their width."""
+def _comb_tables(suite: CurveSuite, teeth: int, tables: int) -> list:
+    """The comb's V tables, for W teeth spaced D = ceil(bits of n / W) apart
+    and V dividing D. Entry j (1 <= j < 2^W) of table v is the affine sum,
+    over the set bits i of j, of 2^(i*D + v*E) * G, with E = D / V. Raises
+    if an entry is the identity, which the comb could not add."""
     p, a = suite.p, suite.a
-    table = []
-    bx, by = suite.G
-    for _ in range(-(-suite.n.bit_length() // _WINDOW)):
-        row = [(bx, by, 1)]
-        for _ in range((1 << _WINDOW) - 1):
-            row.append(_madd(*row[-1], bx, by, a, p))
-        # one inversion per row; its 16th point is the next row's base
-        *row, (bx, by) = _to_affine(row, p)
-        table.append([None] + row)
+    double = _double_a3 if a == p - 3 else _jacobian_double
+    step = -(-suite.n.bit_length() // teeth) // tables
+    # 2^(m*E) * G at index m = i*V + v, for tooth i of table v (since D = V*E)
+    powers = [(suite.gx, suite.gy, 1)]
+    for _ in range(teeth * tables - 1):
+        X, Y, Z = powers[-1]
+        for _ in range(step):
+            X, Y, Z = double(X, Y, Z, a, p)
+        powers.append((X, Y, Z))
+    powers = _to_affine(powers, p)
+    out = []
+    for v in range(tables):
+        table = [None]
+        for i in range(teeth):
+            bx, by = powers[i * tables + v]
+            # entries 2^i .. 2^(i+1) - 1: this tooth's point plus each entry
+            # before it, with one inversion per block
+            block = [(bx, by, 1)] + [_madd(x, y, 1, bx, by, a, p) for x, y in table[1:]]
+            if any(Z == 0 for _, _, Z in block):
+                raise ArithmeticError(f"a comb entry of table {v} is the identity")
+            table += _to_affine(block, p)
+        out.append(table)
+    return out
+
+
+def _build_g_tables(suite: CurveSuite) -> tuple:
+    """The comb for multiples of G, with its number of teeth; and G's odd
+    multiples for a joint multiply, with their width."""
+    teeth, tables = _COMB if suite.n >> 64 else _COMB_TOY
     # a group of prime order n < 64 has the identity nG among G, 3G, ..., 63G
     width = _WNAF_G if suite.n >> (_WNAF_G - 1) else _WNAF
-    return table, _odd_multiples(suite.G, width, suite), width
+    return (_comb_tables(suite, teeth, tables), teeth,
+            _odd_multiples(suite.G, width, suite), width)
 
 
 def _g_tables(suite: CurveSuite) -> tuple:
@@ -201,15 +230,26 @@ def _g_tables(suite: CurveSuite) -> tuple:
 
 
 def _mul_g(k: int, suite: CurveSuite):
-    """k*G as a sum of one table point per base-16 digit: no doublings."""
+    """k*G for 0 <= k < 2^(W*D), which holds every k < n, by the comb: for
+    each of the E bit columns of a table's slice of the teeth, from the top,
+    one doubling (none before the first) and one addition per table of the
+    point its W bits index."""
+    comb, teeth, _, _ = _g_tables(suite)
     p, a = suite.p, suite.a
-    mask = (1 << _WINDOW) - 1
+    double = _double_a3 if a == p - 3 else _jacobian_double
+    spacing = -(-suite.n.bit_length() // teeth)
+    step = spacing // len(comb)
+    # W*D bits, most significant first: bits b + i*D of k for the teeth
+    # i = W-1 .. 0 are bits[D-1-b::D], the W-bit index of column b
+    bits = format(k, "b").zfill(teeth * spacing)
     acc = (0, 1, 0)
-    for row in _g_tables(suite)[0]:
-        d = k & mask
-        if d:
-            acc = _madd(*acc, *row[d], a, p)
-        k >>= _WINDOW
+    for e in range(step - 1, -1, -1):
+        if e != step - 1:
+            acc = double(*acc, a, p)
+        for v, table in enumerate(comb):
+            j = int(bits[spacing - 1 - v * step - e::spacing], 2)
+            if j:
+                acc = _madd(*acc, *table[j], a, p)
     return acc
 
 
@@ -273,7 +313,7 @@ def _mul_var(k: int, P: Point, suite: CurveSuite):
 def equals_mul_sub(R: Point, s: int, e: int, Q: Point, suite: CurveSuite) -> bool:
     """R == s*G - e*Q for s, e >= 0 and affine R, Q other than the identity,
     compared in Jacobian coordinates: no inversion but the two for -Q's table."""
-    _, odd_g, width = _g_tables(suite)
+    _, _, odd_g, width = _g_tables(suite)
     X, Y, Z = _straus([(s, odd_g, width),
                        (e, _odd_multiples(negate(Q, suite), _WNAF, suite), _WNAF)], suite)
     p = suite.p

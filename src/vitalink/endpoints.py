@@ -23,6 +23,13 @@ anything has arrived, and after the Close until the server hangs up.
 Only that hang-up, which means the server read the Close, is a success;
 an Abort, any other frame, a reset or `records.READ_TIMEOUT_S` of
 silence is a `DeviceReport.error`.
+
+A process checks its own identity once, at startup, with `check_identity`:
+`IngestionServer` when it is made, and the `device` command before its
+session. `run_device` runs once per session and does not check it. A
+library caller of `run_device` whose key does not match its credential
+still fails closed: the server refuses its transcript signature, and a
+resumed session, which needs a ticket from a full one, never uses the key.
 """
 
 from __future__ import annotations
@@ -95,20 +102,22 @@ def log_value(value) -> str:
 
 
 def load_identity(key_path, cred_path, suite: CurveSuite) -> LocalIdentity:
-    """Reads a key and its credential; refuses a key whose public point is
-    not the credential's, which peers would otherwise only see as a bad
-    transcript signature."""
-    d = keyfiles.read_private_key(key_path, suite)
-    cred = keyfiles.read_credential(cred_path, suite)
-    if curves.scalar_mul(d, suite.G, suite) != cred.static_pub:
-        raise ConfigurationError(f"{key_path}: private key does not match {cred_path}")
-    return LocalIdentity(static_priv=d, credential=cred)
+    """Reads a key and its credential. It does not check that they belong
+    together: `check_identity` does, once per process at startup."""
+    return LocalIdentity(static_priv=keyfiles.read_private_key(key_path, suite),
+                         credential=keyfiles.read_credential(cred_path, suite))
 
 
-def check_trust(cred: Credential, root: Credential, role: Role, suite: CurveSuite) -> None:
-    """Refuses a trust root that is not a valid self-signed issuer, and an
-    own credential that does not verify against it in `role`: either would
-    otherwise show only as every peer's handshake failing."""
+def check_identity(identity: LocalIdentity, root: Credential, role: Role,
+                   suite: CurveSuite) -> None:
+    """The startup check of a process's own identity. Refuses, in this order,
+    a key whose public point is not its credential's, a trust root that is
+    not a valid self-signed issuer, and a credential that does not verify
+    against the root in `role`: each would otherwise show only as every
+    peer's handshake failing."""
+    cred = identity.credential
+    if curves.scalar_mul(identity.static_priv, suite.G, suite) != cred.static_pub:
+        raise ConfigurationError("private key does not match its credential's public key")
     now = int(time.time())
     cause = credentials.verify_trust_root(root, now, suite)
     if cause is not None:
@@ -259,7 +268,7 @@ class IngestionServer:
         self.suite = detect_suite_for_credential(cfg.cred_path)
         self.identity = load_identity(cfg.key_path, cfg.cred_path, self.suite)
         self.trust_root = keyfiles.read_credential(cfg.root_path, self.suite)
-        check_trust(self.identity.credential, self.trust_root, Role.SERVER, self.suite)
+        check_identity(self.identity, self.trust_root, Role.SERVER, self.suite)
         # this process's tickets only; the GHASH table is built now, since
         # every session seals one ticket and nearly every one opens one. Every
         # handler shares the key: past this point a seal or open changes

@@ -129,6 +129,9 @@ class AnomalyConfig:
     def __post_init__(self):
         if self.consecutive < 1:
             raise ValueError(f"consecutive must be at least 1, not {self.consecutive}")
+        if not 0 <= self.low < self.high <= BPM_MAX:
+            raise ValueError(f"thresholds must satisfy 0 <= low < high <= {BPM_MAX}, "
+                             f"not low={self.low} high={self.high}")
 
 
 @dataclass(frozen=True)

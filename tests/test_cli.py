@@ -133,6 +133,21 @@ def test_serve_refuses_hr_consecutive_below_one(value, tmp_path, capsys):
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize("low,high", [(150, 40), (75, 75), (-1, 150)])
+def test_serve_refuses_heart_rate_thresholds_out_of_order(low, high, tmp_path, capsys):
+    # inverted thresholds would alert on a steady normal heart rate
+    code, _, err = run([
+        "serve", "--key", str(tmp_path / "k.vlk"), "--cred", str(tmp_path / "c.vlc"),
+        "--root", str(tmp_path / "r.vlc"), "--store-dir", str(tmp_path / "store"),
+        "--hr-low", str(low), "--hr-high", str(high),
+    ], capsys)
+    assert code == EXIT_USAGE
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: --hr-low/--hr-high: thresholds must satisfy 0 <= low < high <= 300, "
+        f"not low={low} high={high}"]
+    assert not (tmp_path / "store").exists()
+
+
 def test_invalid_proxy_mode_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["proxy", "--listen", "a:1", "--upstream", "b:2", "--mode", "explode"])

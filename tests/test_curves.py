@@ -254,6 +254,59 @@ def test_p256_fixed_and_variable_paths_agree():
         assert scalar_mul(b, aG, P256) == scalar_mul(a * b, P256.G, P256)
 
 
+# ---------------------------------------------------------------------------
+# the fixed-base comb for G
+
+
+def comb_shape(suite):
+    """The comb's tables, teeth W, tooth spacing D and column step E."""
+    tables, teeth, _, _ = curves._g_tables(suite)
+    spacing = -(-suite.n.bit_length() // teeth)
+    return tables, teeth, spacing, spacing // len(tables)
+
+
+@pytest.mark.parametrize("suite", [TOY, P256], ids=["toy", "p256"])
+def test_every_comb_table_entry_is_its_subset_sum(suite):
+    tables, teeth, spacing, step = comb_shape(suite)
+    assert len(tables) == (2 if suite is TOY else 4) and teeth == (4 if suite is TOY else 8)
+    for v, table in enumerate(tables):
+        assert len(table) == 1 << teeth and table[0] is None
+        for j in range(1, 1 << teeth):
+            k = sum(1 << (i * spacing + v * step) for i in range(teeth) if j >> i & 1)
+            assert table[j] is not None and table[j] == double_and_add(k, suite.G, suite), (v, j)
+
+
+def test_a_comb_with_the_identity_among_its_entries_is_refused():
+    # 8 teeth one bit apart on the toy curve: G + 2G + 16G is 19G, the identity
+    with pytest.raises(ArithmeticError):
+        curves._comb_tables(TOY, 8, 1)
+
+
+def comb_mul(k, suite):
+    """k*G straight from the comb, for any k below 2^(W*D), affine."""
+    X, Y, Z = curves._mul_g(k, suite)
+    if Z == 0:
+        return None
+    zinv = pow(Z, -1, suite.p)
+    return (X * zinv * zinv % suite.p, Y * zinv ** 3 % suite.p)
+
+
+def test_p256_every_power_of_two_matches_double_and_add():
+    # one bit in each tooth and each column in turn
+    for i in range(256):
+        assert scalar_mul(1 << i, P256.G, P256) == double_and_add(1 << i, P256.G, P256), i
+
+
+def test_p256_comb_column_patterns_match_double_and_add():
+    _, teeth, spacing, _ = comb_shape(P256)
+    ones = (1 << spacing) - 1  # every column's digit is 0x01
+    columns = [sum(1 << (b + i * spacing) for i in range(teeth)) for b in range(spacing)]
+    for k in [(1 << 256) - 1, ones, *columns]:
+        assert comb_mul(k, P256) == double_and_add(k, P256.G, P256), hex(k)
+    for k in (P256.n - 1, P256.n - 2):
+        assert scalar_mul(k, P256.G, P256) == double_and_add(k, P256.G, P256)
+
+
 def test_negative_scalar_gives_identity():
     assert scalar_mul(-1, P256.G, P256) is None
     assert scalar_mul(-3, TOY_POINTS[0], TOY) is None

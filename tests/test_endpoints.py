@@ -14,12 +14,14 @@ import pytest
 
 from vitalink import credentials as creds
 from vitalink import curves, endpoints, gcm, handshake, keyfiles, records
+from vitalink.credentials import Role
 from vitalink.endpoints import (
     DeviceConfig,
     IngestionServer,
     ServerConfig,
     Store,
     StoreRecord,
+    check_identity,
     detect_suite_for_credential,
     load_identity,
     parse_alert_line,
@@ -420,8 +422,11 @@ def test_a_key_that_does_not_match_its_credential_is_refused(suite_name, tmp_pat
     assert good.static_priv == pki.server.static_priv
     wrong = pki.server.static_priv % (suite.n - 1) + 1
     keyfiles.write_private_key(tmp_path / "wrong.vlk", wrong, suite)
-    with pytest.raises(ConfigurationError):
-        load_identity(tmp_path / "wrong.vlk", tmp_path / "server.vlc", suite)
+    # loading does not check the pair; the startup check does, in either role
+    mismatched = load_identity(tmp_path / "wrong.vlk", tmp_path / "server.vlc", suite)
+    for role in (Role.SERVER, Role.DEVICE):
+        with pytest.raises(ConfigurationError, match="does not match"):
+            check_identity(mismatched, pki.root, role, suite)
     with pytest.raises(ConfigurationError):
         IngestionServer(ServerConfig(
             key_path=str(tmp_path / "device.vlk"),
@@ -429,9 +434,36 @@ def test_a_key_that_does_not_match_its_credential_is_refused(suite_name, tmp_pat
             root_path=str(tmp_path / "root.vlc"),
             store_dir=str(tmp_path / "store"),
         ))
-    with pytest.raises(ConfigurationError):
-        run_device(device_cfg(tmp_path, 1, key_path=str(tmp_path / "wrong.vlk"),
-                              cred_path=str(tmp_path / "server.vlc"), suite=suite))
+
+
+def test_a_device_whose_key_does_not_match_its_credential_fails_closed(
+        toy_pki, tmp_path, monkeypatch, caplog):
+    # run_device leaves the key check to startup; the server refuses the
+    # transcript signature instead. On the toy curve a wrong key's signature
+    # passes when its challenge is 0 mod 19, so the server is seeded too.
+    caplog.set_level(logging.INFO, logger="vitalink")
+    toy_pki.write_files(tmp_path)
+    suite = toy_pki.suite
+    wrong = toy_pki.device.static_priv % (suite.n - 1) + 1
+    keyfiles.write_private_key(tmp_path / "wrong.vlk", wrong, suite)
+    monkeypatch.setattr(endpoints, "ServerHandshake", lambda *a, **kw: ServerHandshake(
+        *a, rng=keyfiles.drbg(3), **kw))
+    srv = IngestionServer(ServerConfig(
+        key_path=str(tmp_path / "server.vlk"), cred_path=str(tmp_path / "server.vlc"),
+        root_path=str(tmp_path / "root.vlc"), store_dir=str(tmp_path / "store"),
+    ))
+    srv.start()
+    try:
+        report = run_device(device_cfg(tmp_path, srv.port, count=3,
+                                       key_path=str(tmp_path / "wrong.vlk")))
+    finally:
+        srv.stop()
+    assert report.error == "ConnectionAborted: server aborted the session"
+    failures = [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("handshake_failed ")]
+    assert len(failures) == 1 and "cause=BadTranscriptSignature" in failures[0]
+    assert read_store_lines(srv) == []
+    assert endpoints._TICKETS == {}
 
 
 @pytest.mark.parametrize("kind", BAD_ROOTS)
@@ -654,10 +686,10 @@ def test_a_second_session_to_the_same_server_resumes(files, tmp_path, monkeypatc
     finally:
         srv.stop()  # joins the handler, so the server's counts are final
     assert first.error is None and second.error is None
-    # no Schnorr work; one multiply by G for the ephemeral key and one ECDH,
-    # and the device's own key check in load_identity
+    # no Schnorr work; one multiply by G for the ephemeral key and one ECDH
+    # per side: the device's key was checked at startup, not per session
     assert counts == {"server": {"mul_G": 1, "ecdh": 1},
-                      "device": {"mul_G": 2, "ecdh": 1}}
+                      "device": {"mul_G": 1, "ecdh": 1}}
     assert second.session_id != first.session_id
     recs = [parse_reading_line(l) for l in read_store_lines(srv)]
     assert [(r.timestamp_ms, r.bpm) for r in recs if r.session_id == second.session_id] \

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vitalink.errors import MalformedReading
 from vitalink.telemetry import (
+    BPM_MAX,
     STATUS_LOW_CONFIDENCE,
     STATUS_OFF_BODY,
     STATUS_OK,
@@ -213,3 +214,12 @@ def test_an_anomaly_config_needs_a_window_of_at_least_one_reading(consecutive):
     # the smallest window alerts on one out-of-band reading
     alert = AnomalyDetector(AnomalyConfig(consecutive=1)).check(HeartRateReading(DEV, 5, 200))
     assert alert is not None and alert.observed_bpm == (200,) and alert.rule == "high_hr"
+
+
+@pytest.mark.parametrize("low,high", [(150, 40), (75, 75), (-1, 150), (40, BPM_MAX + 1)])
+def test_an_anomaly_config_needs_thresholds_in_order_within_the_bpm_range(low, high):
+    with pytest.raises(ValueError, match="0 <= low < high"):
+        AnomalyConfig(low=low, high=high)
+    # the widest band there is still checks every reading
+    detector = AnomalyDetector(AnomalyConfig(low=0, high=BPM_MAX, consecutive=1))
+    assert detector.check(HeartRateReading(DEV, 5, BPM_MAX)) is None
