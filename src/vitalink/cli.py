@@ -55,6 +55,23 @@ def _host_port(value: str, flag: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _int_from_zero(below: int | None, shown: str):
+    """An argparse type for an integer 0 <= n, and n < `below` when given;
+    `shown` is that range as the error gives it."""
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            n = -1
+        if n < 0 or below is not None and n >= below:
+            raise argparse.ArgumentTypeError(f"expected an integer {shown}, got {value!r}")
+        return n
+    return parse
+
+
+_SEED = _int_from_zero(1 << 128, "in 0..2^128-1")  # keyfiles.drbg takes 16 bytes
+
+
 def _rng(seed):
     return keyfiles.drbg(seed) if seed is not None else os.urandom
 
@@ -101,13 +118,17 @@ def cmd_credgen(args) -> int:
     else:
         issuer_id = subject  # self-signed
     now = int(time.time())
+    valid_to = now + args.valid_days * 86400
+    if not now < valid_to < 1 << 64:  # the credential's 8-byte validity field
+        raise UsageError(f"--valid-days: expected days that end after now and before "
+                         f"2^64 s, got {args.valid_days}")
     cred = creds.credential_issue(
         issuer_key,
         subject,
         role_names[args.role],
         pub,
         now,
-        now + args.valid_days * 86400,
+        valid_to,
         issuer_id,
         suite,
         _rng(args.seed),
@@ -184,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="generate a static keypair")
     p.add_argument("--suite", default="p256")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_SEED, default=None)
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("credgen", help="issue a signed credential")
@@ -197,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pub", required=True)
     p.add_argument("--valid-days", type=int, default=365)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_SEED, default=None)
     p.set_defaults(func=cmd_credgen)
 
     p = sub.add_parser("serve", help="run the ingestion server")
@@ -218,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--root", required=True)
     p.add_argument("--interval-ms", type=int, default=1000)
     p.add_argument("--count", type=int, default=10)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_SEED, default=None)
     p.add_argument("--anomaly-script", default=None)
     p.add_argument("--realtime", action="store_true",
                    help="sleep the sample interval between readings")
@@ -228,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", required=True)
     p.add_argument("--upstream", required=True)
     p.add_argument("--mode", choices=MODES, required=True)
-    p.add_argument("--target-index", type=int, default=0)
+    p.add_argument("--target-index", type=_int_from_zero(None, ">= 0"), default=0)
     p.add_argument("--bit-offset", type=int, default=0)
     p.set_defaults(func=cmd_proxy)
 

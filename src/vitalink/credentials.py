@@ -85,12 +85,14 @@ def schnorr_sign(
 
 
 def schnorr_verify(Q: Point, msg: bytes, sig: SchnorrSig, suite: CurveSuite) -> bool:
+    """s*G == R + e*Q, for R and Q on the curve and 0 <= s < n."""
     if sig.R is None or Q is None or not suite.is_on_curve(Q) or not suite.is_on_curve(sig.R):
         return False
     if not 0 <= sig.s < suite.n:
         return False
     e = _challenge(sig.R, Q, msg, suite)
-    return curves.equals_mul_sub(sig.R, sig.s, e, Q, suite)
+    return curves.scalar_mul(sig.s, suite.G, suite) == curves.point_add(
+        sig.R, curves.scalar_mul(e, Q, suite), suite)
 
 
 def _subject_name(raw: bytes) -> str | None:

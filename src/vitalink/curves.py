@@ -4,26 +4,26 @@ Two parameter suites are provided: a tiny curve over F_17 that is small
 enough to enumerate exhaustively in tests, and NIST P-256 for real use.
 Scalar multiplication runs in Jacobian coordinates and adds affine
 points (mixed addition, madd-2004-hmv from the Explicit-Formulas
-Database). Multiples of the generator G use a fixed-base comb (Lim and
-Lee, "More Flexible Exponentiation with Precomputation", CRYPTO '94;
-Hankerson, Menezes and Vanstone (HMV), Guide to Elliptic Curve
-Cryptography, Alg. 3.44-3.45). It has W = 8 teeth spaced D = 32 bits
-apart and V = 4 tables: entry j of table v is the sum, over the set bits
-i of j, of 2^(32i + 8v) * G. A multiply reads k's 32 eight-bit column
-digits and makes 7 doublings and at most 32 additions. For P-256 the
-tables hold 4 x 255 = 1020 affine points, built once per
-suite on first use under a lock (about 13 ms and 0.13 MB on a 2 vCPU
-machine with CPython 3.11). The toy curve's 5-bit n runs the same code
-with W = 4 teeth 2 bits apart and V = 2, whose entries are none of them
-the identity; the build refuses a comb where one is. Any other point
-uses width-5 wNAF over its eight odd multiples P, 3P, ..., 15P (HMV Alg.
-3.36), with dbl-2001-b doubling when a = -3 (P-256). A Schnorr check
-R == s*G - e*Q is one joint multiply (Straus's interleaving, HMV Alg. 3.48;
-Moeller, "Algorithms for multi-exponentiation", SAC 2001): width-7 digits of
-s over a static table G, 3G, ..., 63G (width 5 on the toy curve, where 19G
-is the identity), width-5 digits of e over the odd multiples of -Q, one
-chain of doublings for both, and R compared in Jacobian coordinates.
-Constant-time behavior is explicitly out of scope.
+Database), by one of two methods:
+
+- Multiples of the generator G use a fixed-base comb (Lim and Lee, "More
+  Flexible Exponentiation with Precomputation", CRYPTO '94; Hankerson,
+  Menezes and Vanstone (HMV), Guide to Elliptic Curve Cryptography, Alg.
+  3.44-3.45). It has W = 8 teeth spaced D = 32 bits apart and V = 4
+  tables: entry j of table v is the sum, over the set bits i of j, of
+  2^(32i + 8v) * G. A multiply reads k's 32 eight-bit column digits and
+  makes 7 doublings and at most 32 additions. The toy curve's 5-bit n
+  runs the same code with W = 4 teeth 2 bits apart and V = 2, whose
+  entries are none of them the identity; the build refuses a comb where
+  one is.
+- Any other point uses width-5 wNAF over its eight odd multiples P, 3P,
+  ..., 15P (HMV Alg. 3.36).
+
+Doublings use dbl-2001-b when a = -3 (P-256). Both suites' combs are
+built at import, one batch inversion per block of entries; P-256's
+4 x 255 = 1020 affine points take about 12 ms and 0.13 MB on a 2 vCPU
+machine with CPython 3.11. Constant-time behavior is explicitly out of
+scope.
 
 All points are affine (x, y) tuples; the group identity is None.
 """
@@ -31,7 +31,6 @@ All points are affine (x, y) tuples; the group identity is None.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -99,13 +98,6 @@ def point_add(P: Point, Q: Point, suite: CurveSuite) -> Point:
     return (x3, y3)
 
 
-def negate(P: Point, suite: CurveSuite) -> Point:
-    if P is None:
-        return None
-    x, y = P
-    return (x, (-y) % suite.p)
-
-
 def _jacobian_double(X, Y, Z, a, p):
     if Y == 0:
         return (0, 1, 0)
@@ -169,13 +161,9 @@ def _to_affine(points, p):
     return out
 
 
-_COMB = (8, 4)  # fixed-base comb: W teeth and V tables, for a large n
-_COMB_TOY = (4, 2)  # for a 5-bit n: W = 8 would make some subset sums nG
+_COMB = (8, 4)  # fixed-base comb: W teeth and V tables, for P-256
+_COMB_TOY = (4, 2)  # for the toy curve's 5-bit n: W = 8 would make some subset sums nG
 _WNAF = 5  # variable-base wNAF width: odd multiples P, 3P, ..., 15P
-_WNAF_G = 7  # G's wNAF width in a joint multiply: G, 3G, ..., 63G
-
-_G_TABLES: dict = {}
-_G_TABLE_LOCK = threading.Lock()
 
 
 def _comb_tables(suite: CurveSuite, teeth: int, tables: int) -> list:
@@ -209,32 +197,12 @@ def _comb_tables(suite: CurveSuite, teeth: int, tables: int) -> list:
     return out
 
 
-def _build_g_tables(suite: CurveSuite) -> tuple:
-    """The comb for multiples of G, with its number of teeth; and G's odd
-    multiples for a joint multiply, with their width."""
-    teeth, tables = _COMB if suite.n >> 64 else _COMB_TOY
-    # a group of prime order n < 64 has the identity nG among G, 3G, ..., 63G
-    width = _WNAF_G if suite.n >> (_WNAF_G - 1) else _WNAF
-    return (_comb_tables(suite, teeth, tables), teeth,
-            _odd_multiples(suite.G, width, suite), width)
-
-
-def _g_tables(suite: CurveSuite) -> tuple:
-    tables = _G_TABLES.get(suite)
-    if tables is None:
-        with _G_TABLE_LOCK:
-            tables = _G_TABLES.get(suite)
-            if tables is None:
-                tables = _G_TABLES[suite] = _build_g_tables(suite)
-    return tables
-
-
 def _mul_g(k: int, suite: CurveSuite):
     """k*G for 0 <= k < 2^(W*D), which holds every k < n, by the comb: for
     each of the E bit columns of a table's slice of the teeth, from the top,
     one doubling (none before the first) and one addition per table of the
     point its W bits index."""
-    comb, teeth, _, _ = _g_tables(suite)
+    comb, teeth = _G_COMBS[suite]
     p, a = suite.p, suite.a
     double = _double_a3 if a == p - 3 else _jacobian_double
     spacing = -(-suite.n.bit_length() // teeth)
@@ -271,60 +239,41 @@ def _wnaf(k: int, width: int) -> list:
     return digits
 
 
-def _odd_multiples(P: Point, width: int, suite: CurveSuite) -> list:
-    """Affine P, 3P, ..., (2^(w-1) - 1)P, none of which may be the identity."""
+def _odd_multiples(P: Point, suite: CurveSuite) -> list:
+    """Affine P, 3P, ..., 15P, none of which may be the identity."""
     p, a = suite.p, suite.a
     x2, y2 = point_add(P, P, suite)
     odd = [(P[0], P[1], 1)]
-    for _ in range((1 << (width - 2)) - 1):
+    for _ in range((1 << (_WNAF - 2)) - 1):
         odd.append(_madd(*odd[-1], x2, y2, a, p))
     return _to_affine(odd, p)
 
 
-def _straus(terms, suite: CurveSuite):
-    """Sum of k*P over (k >= 0, odd multiples of P, wNAF width) terms in
-    Jacobian coordinates: one chain of doublings shared by every term and
-    one mixed addition per nonzero digit (HMV Alg. 3.48)."""
-    p, a = suite.p, suite.a
-    double = _double_a3 if a == p - 3 else _jacobian_double
-    terms = [(_wnaf(k, width), odd) for k, odd, width in terms]
-    acc = (0, 1, 0)
-    for i in range(max(len(digits) for digits, _ in terms) - 1, -1, -1):
-        acc = double(*acc, a, p)
-        for digits, odd in terms:
-            d = digits[i] if i < len(digits) else 0
-            if d > 0:
-                acc = _madd(*acc, *odd[d >> 1], a, p)
-            elif d < 0:
-                ox, oy = odd[-d >> 1]
-                acc = _madd(*acc, ox, p - oy, a, p)
-    return acc
-
-
 def _mul_var(k: int, P: Point, suite: CurveSuite):
-    """k*P by width-5 wNAF over affine odd multiples of P.
+    """k*P by width-5 wNAF over affine odd multiples of P: one doubling per
+    digit and one mixed addition per nonzero digit.
 
     Both suites have prime order above 15, so no odd multiple up to 15P
     is the identity.
     """
-    return _straus([(k, _odd_multiples(P, _WNAF, suite), _WNAF)], suite)
-
-
-def equals_mul_sub(R: Point, s: int, e: int, Q: Point, suite: CurveSuite) -> bool:
-    """R == s*G - e*Q for s, e >= 0 and affine R, Q other than the identity,
-    compared in Jacobian coordinates: no inversion but the two for -Q's table."""
-    _, _, odd_g, width = _g_tables(suite)
-    X, Y, Z = _straus([(s, odd_g, width),
-                       (e, _odd_multiples(negate(Q, suite), _WNAF, suite), _WNAF)], suite)
-    p = suite.p
-    z2 = Z * Z % p
-    return Z != 0 and (X - R[0] * z2) % p == 0 and (Y - R[1] * z2 * Z) % p == 0
+    p, a = suite.p, suite.a
+    double = _double_a3 if a == p - 3 else _jacobian_double
+    odd = _odd_multiples(P, suite)
+    acc = (0, 1, 0)
+    for d in reversed(_wnaf(k, _WNAF)):
+        acc = double(*acc, a, p)
+        if d > 0:
+            acc = _madd(*acc, *odd[d >> 1], a, p)
+        elif d < 0:
+            ox, oy = odd[-d >> 1]
+            acc = _madd(*acc, ox, p - oy, a, p)
+    return acc
 
 
 def scalar_mul(k: int, P: Point, suite: CurveSuite) -> Point:
     """k*P, matching k-fold repeated point_add; None for k <= 0.
 
-    Multiples of the generator use the fixed-base table, every other
+    Multiples of the generator use the fixed-base comb, every other
     point width-5 wNAF.
     """
     if P is None or k <= 0:
@@ -417,3 +366,7 @@ P256 = CurveSuite(
 
 SUITES = {TOY.suite_id: TOY, P256.suite_id: P256}
 SUITE_NAMES = {"toy": TOY, "p256": P256}
+
+# G's comb for each suite, with its number of teeth, built at import
+_G_COMBS = {suite: (_comb_tables(suite, *shape), shape[0])
+            for suite, shape in ((TOY, _COMB_TOY), (P256, _COMB))}

@@ -105,6 +105,58 @@ def test_credgen_bad_role_is_usage_error(issued, capsys):
     assert not (root_dir / "nope.vlc").exists()
 
 
+@pytest.mark.parametrize("days", ["0", "-1", str(10**15)])
+def test_credgen_refuses_a_validity_its_field_cannot_hold(issued, days, capsys):
+    # valid_to is 8 unsigned bytes on the wire
+    root_dir, _ = issued
+    code, _, err = run([
+        "credgen", "--issuer-key", str(root_dir / "key.vlk"),
+        "--subject", "x", "--role", "device",
+        "--pub", str(root_dir / "key.vlp"),
+        "--valid-days", days, "--out", str(root_dir / "nope.vlc"),
+    ], capsys)
+    assert code == EXIT_USAGE
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: --valid-days: expected days that end after now and before 2^64 s, got {days}"]
+    assert not (root_dir / "nope.vlc").exists()
+
+
+@pytest.mark.parametrize("command, flag, value, shown", [
+    ("keygen", "--seed", "-1", "in 0..2^128-1"),
+    ("keygen", "--seed", str(2**128), "in 0..2^128-1"),
+    ("keygen", "--seed", "seven", "in 0..2^128-1"),
+    ("credgen", "--seed", "-1", "in 0..2^128-1"),
+    ("device", "--seed", str(2**128), "in 0..2^128-1"),
+    ("proxy", "--target-index", "-1", ">= 0"),
+])
+def test_an_out_of_range_integer_flag_is_a_usage_error(command, flag, value, shown,
+                                                         tmp_path, capsys):
+    # refused while parsing, before any file is read or written
+    files = ["--key", str(tmp_path / "k.vlk"), "--cred", str(tmp_path / "c.vlc"),
+             "--root", str(tmp_path / "r.vlc")]
+    argv = {
+        "keygen": ["keygen", "--out", str(tmp_path)],
+        "credgen": ["credgen", "--issuer-key", str(tmp_path / "k.vlk"), "--subject", "x",
+                    "--role", "device", "--pub", str(tmp_path / "k.vlp"),
+                    "--out", str(tmp_path / "o.vlc")],
+        "device": ["device", "--connect", "127.0.0.1:7700", *files],
+        "proxy": ["proxy", "--listen", "127.0.0.1:0", "--upstream", "127.0.0.1:7700",
+                  "--mode", "passthrough"],
+    }[command] + [flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"vitalink {command}: error: argument {flag}: "
+                      f"expected an integer {shown}, got {value!r}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_the_largest_seed_is_accepted(tmp_path, capsys):
+    code, out, _ = run(["keygen", "--out", str(tmp_path), "--seed", str(2**128 - 1)], capsys)
+    assert code == EXIT_OK and out.startswith("fingerprint=")
+
+
 def test_missing_input_file_is_usage_error(tmp_path, capsys):
     code, _, err = run([
         "credgen", "--issuer-key", str(tmp_path / "ghost.vlk"),

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from vitalink import curves
+from vitalink import credentials, curves
 from vitalink.curves import P256, TOY, point_add, point_decode, point_encode, scalar_mul
 from vitalink.errors import InvalidPeerKey, MalformedPoint
 
@@ -51,6 +51,10 @@ def oracle_add(P, Q, suite):
     return (x3, (s * (x1 - x3) - y1) % p)
 
 
+def oracle_negate(P, suite):
+    return None if P is None else (P[0], (-P[1]) % suite.p)
+
+
 def oracle_mul(k, P, suite):
     acc = None
     for _ in range(k):
@@ -91,7 +95,7 @@ def test_point_add_identity_and_inverse():
     G = TOY.G
     assert point_add(G, None, TOY) == G
     assert point_add(None, G, TOY) == G
-    assert point_add(G, curves.negate(G, TOY), TOY) is None
+    assert point_add(G, oracle_negate(G, TOY), TOY) is None
 
 
 def test_toy_doubling_matches_enumeration_oracle():
@@ -260,7 +264,7 @@ def test_p256_fixed_and_variable_paths_agree():
 
 def comb_shape(suite):
     """The comb's tables, teeth W, tooth spacing D and column step E."""
-    tables, teeth, _, _ = curves._g_tables(suite)
+    tables, teeth = curves._G_COMBS[suite]
     spacing = -(-suite.n.bit_length() // teeth)
     return tables, teeth, spacing, spacing // len(tables)
 
@@ -313,54 +317,65 @@ def test_negative_scalar_gives_identity():
 
 
 # ---------------------------------------------------------------------------
-# the joint multiply behind Schnorr verification: R == s*G - e*Q
+# Schnorr verification, s*G == R + e*Q, with the challenge e injected
 
 
-def oracle_negate(P, suite):
-    return None if P is None else (P[0], (-P[1]) % suite.p)
+def verify(Q, R, s, suite):
+    return credentials.schnorr_verify(Q, b"", credentials.SchnorrSig(R, s), suite)
 
 
-def test_toy_joint_multiply_every_point_and_scalar_matches_the_oracle():
-    scalars = range(0, TOY_ORDER + 2)
+def test_toy_schnorr_verify_every_point_and_scalar_matches_the_oracle(monkeypatch):
+    scalars = range(TOY_ORDER)
     g_mults = [oracle_mul(k, TOY.G, TOY) for k in scalars]
     for Q in TOY_POINTS:
         q_mults = [oracle_mul(k, Q, TOY) for k in scalars]
-        for s in scalars:
-            for e in scalars:
-                want = oracle_add(g_mults[s], oracle_negate(q_mults[e], TOY), TOY)
+        for e in scalars:
+            monkeypatch.setattr(credentials, "_challenge", lambda *_, e=e: e)
+            sums = {R: oracle_add(R, q_mults[e], TOY) for R in TOY_POINTS}
+            for s in scalars:
                 for R in TOY_POINTS:
-                    assert curves.equals_mul_sub(R, s, e, Q, TOY) == (R == want), (R, s, e, Q)
+                    assert verify(Q, R, s, TOY) == (g_mults[s] == sums[R]), (R, s, e, Q)
 
 
-def check_joint_multiply_on_p256(s, e, Q):
+def check_schnorr_verify_on_p256(s, e, Q, monkeypatch):
+    monkeypatch.setattr(credentials, "_challenge", lambda *_: e)
     want = point_add(double_and_add(s, P256.G, P256),
                      oracle_negate(double_and_add(e, Q, P256), P256), P256)
     if want is None:
-        assert not curves.equals_mul_sub(P256.G, s, e, Q, P256)
+        assert not verify(Q, P256.G, s, P256)
         return
-    assert curves.equals_mul_sub(want, s, e, Q, P256)
-    assert not curves.equals_mul_sub(oracle_negate(want, P256), s, e, Q, P256)
-    assert not curves.equals_mul_sub(point_add(want, want, P256), s, e, Q, P256)
+    # a scalar s >= n is refused even where the equation holds
+    assert verify(Q, want, s, P256) == (s < P256.n)
+    assert not verify(Q, oracle_negate(want, P256), s, P256)
+    assert not verify(Q, point_add(want, want, P256), s, P256)
 
 
 @pytest.mark.parametrize("k", P256_EDGE_SCALARS, ids=hex)
-def test_p256_joint_multiply_edge_scalars_match_double_and_add(k):
+def test_p256_schnorr_verify_edge_scalars_match_double_and_add(k, monkeypatch):
     Q = double_and_add(0xC0FFEE, P256.G, P256)
     # each edge scalar as s and as e, paired with the next one in the list
     other = P256_EDGE_SCALARS[(P256_EDGE_SCALARS.index(k) + 1) % len(P256_EDGE_SCALARS)]
-    check_joint_multiply_on_p256(k, other, Q)
-    check_joint_multiply_on_p256(other, k, Q)
+    check_schnorr_verify_on_p256(k, other, Q, monkeypatch)
+    check_schnorr_verify_on_p256(other, k, Q, monkeypatch)
 
 
-def test_p256_joint_multiply_random_scalars_match_double_and_add():
+def test_p256_schnorr_verify_random_scalars_match_double_and_add(monkeypatch):
     rng = random.Random(2025)
     Q = double_and_add(rng.randrange(2, P256.n), P256.G, P256)
     for _ in range(100):
-        check_joint_multiply_on_p256(rng.randrange(0, P256.n), rng.randrange(0, P256.n), Q)
+        check_schnorr_verify_on_p256(rng.randrange(0, P256.n), rng.randrange(0, P256.n), Q,
+                                     monkeypatch)
 
 
-def test_p256_joint_multiply_meets_the_identity_and_a_doubling():
+def test_p256_schnorr_verify_meets_the_identity_and_a_doubling(monkeypatch):
+    monkeypatch.setattr(credentials, "_challenge", lambda *_: 5)
     Q = double_and_add(5, P256.G, P256)
-    assert not curves.equals_mul_sub(P256.G, 25, 5, Q, P256)  # 25G - 5Q = O
-    check_joint_multiply_on_p256(25, 5, Q)
-    check_joint_multiply_on_p256(15, 1, Q)  # 15G - 5G = 10G = 2 * (5G)
+    eQ = double_and_add(25, P256.G, P256)
+    # R = -e*Q: the right side is the identity, which only s = 0 meets
+    assert verify(Q, oracle_negate(eQ, P256), 0, P256)
+    assert not verify(Q, oracle_negate(eQ, P256), 1, P256)
+    assert not verify(Q, P256.G, 0, P256)
+    # R = e*Q: R + e*Q is a doubling, 50G
+    assert verify(Q, eQ, 50, P256)
+    assert not verify(Q, eQ, 49, P256)
+    assert not verify(Q, oracle_negate(eQ, P256), 50, P256)
