@@ -34,13 +34,6 @@ class UsageError(Exception):
     pass
 
 
-def _suite(name: str):
-    try:
-        return SUITE_NAMES[name]
-    except KeyError:
-        raise UsageError(f"unknown suite {name!r}; choose from {sorted(SUITE_NAMES)}")
-
-
 def _require_file(path: str, flag: str) -> str:
     if not Path(path).is_file():
         raise UsageError(f"{flag}: no such file: {path}")
@@ -90,7 +83,7 @@ def _run_until_signalled(service) -> int:
 
 
 def cmd_keygen(args) -> int:
-    suite = _suite(args.suite)
+    suite = SUITE_NAMES[args.suite]
     out = Path(args.out)
     if not out.is_dir():
         raise UsageError(f"--out: not a writable directory: {out}")
@@ -102,14 +95,11 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_credgen(args) -> int:
-    suite = _suite(args.suite)
+    suite = SUITE_NAMES[args.suite]
     issuer_key = keyfiles.read_private_key(
         _require_file(args.issuer_key, "--issuer-key"), suite
     )
     pub = keyfiles.read_public_point(_require_file(args.pub, "--pub"), suite)
-    role_names = {"device": Role.DEVICE, "server": Role.SERVER, "issuer": Role.ISSUER}
-    if args.role not in role_names:
-        raise UsageError(f"--role must be one of {sorted(role_names)}")
     subject = creds.encode_subject(args.subject)
     if args.issuer_cred:
         issuer_id = keyfiles.read_credential(
@@ -125,7 +115,7 @@ def cmd_credgen(args) -> int:
     cred = creds.credential_issue(
         issuer_key,
         subject,
-        role_names[args.role],
+        Role[args.role.upper()],
         pub,
         now,
         valid_to,
@@ -203,18 +193,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a static keypair")
-    p.add_argument("--suite", default="p256")
+    p.add_argument("--suite", choices=SUITE_NAMES, default="p256")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_SEED, default=None)
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("credgen", help="issue a signed credential")
-    p.add_argument("--suite", default="p256")
+    p.add_argument("--suite", choices=SUITE_NAMES, default="p256")
     p.add_argument("--issuer-key", required=True)
     p.add_argument("--issuer-cred", default=None,
                    help="issuer credential; omit for self-signed")
     p.add_argument("--subject", required=True)
-    p.add_argument("--role", required=True)
+    p.add_argument("--role", choices=[r.name.lower() for r in Role], required=True)
     p.add_argument("--pub", required=True)
     p.add_argument("--valid-days", type=int, default=365)
     p.add_argument("--out", required=True)

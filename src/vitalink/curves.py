@@ -336,23 +336,8 @@ def point_decode(data: bytes, suite: CurveSuite) -> Point:
     return P
 
 
-def _subgroup_order(p: int, a: int, b: int, g: Tuple[int, int]) -> int:
-    """Order of g by repeated addition; only sane for tiny curves."""
-    tmp = CurveSuite(0, p, a, b, g[0], g[1], 0)
-    k, P = 1, g
-    while P is not None:
-        P = point_add(P, g, tmp)
-        k += 1
-    return k
-
-
-def _make_toy_suite() -> CurveSuite:
-    p, a, b = 17, 2, 2
-    g = (5, 1)
-    return CurveSuite(0x0001, p, a, b, g[0], g[1], _subgroup_order(p, a, b, g))
-
-
-TOY = _make_toy_suite()
+# the order n = 19 of G, which tests check by enumerating the group
+TOY = CurveSuite(0x0001, p=17, a=2, b=2, gx=5, gy=1, n=19)
 
 P256 = CurveSuite(
     suite_id=0x0002,

@@ -17,12 +17,14 @@ and a full handshake on the same connection. A resumed session's ticket
 keeps the issue time of the one it resumed, so resumptions end
 `TICKET_LIFETIME_S` after the last full handshake.
 
-After its ServerHello the server sends only a NewTicket and, on failure,
-an Abort. One reader in `run_device` takes both: after a reading if
-anything has arrived, and after the Close until the server hangs up.
+One reader in `run_device` takes every frame the server sends: the
+ServerHello, then a NewTicket or, on failure, an Abort, after a reading
+if anything has arrived and after the Close until the server hangs up.
 Only that hang-up, which means the server read the Close, is a success;
-an Abort, any other frame, a reset or `records.READ_TIMEOUT_S` of
-silence is a `DeviceReport.error`.
+an Abort, any other frame, a reset or a passed deadline is a
+`DeviceReport.error`. A frame read waits at most `records.READ_TIMEOUT_S`,
+read as it starts; the server's two handshake reads share one deadline,
+and so do all the device's reads after its Close.
 
 A process checks its own identity once, at startup, with `check_identity`:
 `IngestionServer` when it is made, and the `device` command before its
@@ -256,7 +258,6 @@ class ServerConfig:
     root_path: str = ""
     store_dir: str = "store"
     anomaly: AnomalyConfig = field(default_factory=AnomalyConfig)
-    read_timeout_s: float = records.READ_TIMEOUT_S
 
 
 class IngestionServer:
@@ -272,7 +273,8 @@ class IngestionServer:
         # this process's tickets only; the GHASH table is built now, since
         # every session seals one ticket and nearly every one opens one. Every
         # handler shares the key: past this point a seal or open changes
-        # nothing in it but the cache of broadcast round keys.
+        # nothing in it, since a ticket's nonce is never prepared and its AES
+        # runs block by block, never through `encrypt_blocks`.
         self.ticket_key = gcm.GcmKey(os.urandom(16))
         self.ticket_key.prepare([])
         self.store = Store(cfg.store_dir)
@@ -294,7 +296,7 @@ class IngestionServer:
         recv_dir: DirectionState | None = None
         session_hex = "-"
         # one deadline for ClientHello and ClientFinish together
-        handshake_deadline = time.monotonic() + self.cfg.read_timeout_s
+        handshake_deadline = time.monotonic() + records.READ_TIMEOUT_S
         # one reader for the whole connection: a ClientFinish and the first
         # records may arrive in one segment
         reader = FrameReader(conn)
@@ -372,7 +374,7 @@ class IngestionServer:
                 if pending and not reader.has_frame():
                     self.store.append_reading(pending)
                     pending = []
-                fr = frame_read(reader, self.cfg.read_timeout_s)
+                fr = frame_read(reader)
                 if fr.frame_type == TYPE_ABORT:
                     return TYPE_ABORT
                 if len(fr.body) != _RECORD_BODY_LEN.get(fr.frame_type):
@@ -483,22 +485,21 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
     reader = FrameReader(sock)
     hs = ClientHandshake(suite, identity, trust_root, rng, resumption=resumption)
 
-    def read_server_frame() -> None:  # keeps a NewTicket; anything else ends the session
-        fr = frame_read(reader, records.READ_TIMEOUT_S)
-        if fr.frame_type != TYPE_NEW_TICKET:
+    def read_server_frame(expected: int, timeout: float | None = None) -> bytes:
+        """The body of the next frame, which must be of the type expected;
+        a NewTicket is kept. An Abort or any other frame ends the session."""
+        fr = frame_read(reader, timeout)
+        if fr.frame_type != expected:
             raise ConnectionAborted("server aborted the session" if fr.frame_type == TYPE_ABORT
                                     else f"unexpected frame type {fr.frame_type} from the server")
-        with _TICKETS_LOCK:
-            _TICKETS[cache_key] = hs.resumption_for(fr.body)
+        if expected == TYPE_NEW_TICKET:
+            with _TICKETS_LOCK:
+                _TICKETS[cache_key] = hs.resumption_for(fr.body)
+        return fr.body
 
     try:
         frame_write(sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
-        fr = frame_read(reader)
-        if fr.frame_type == TYPE_ABORT:
-            raise ConnectionAborted("server aborted during handshake")
-        if fr.frame_type != TYPE_SERVER_HELLO:
-            raise MalformedFrame("expected ServerHello")
-        finish_body, keys = hs.finish(fr.body)
+        finish_body, keys = hs.finish(read_server_frame(TYPE_SERVER_HELLO))
         frame_write(sock, Frame(TYPE_CLIENT_FINISH, finish_body))
         report.session_id = keys.session_id.hex()
         send_dir = DirectionState(keys.c2s_key, keys.c2s_salt)
@@ -513,15 +514,17 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
             report.sent_count += 1
             # a frame may already sit in the buffer, where select cannot see it
             if reader.buffered() or select.select([sock], [], [], 0)[0]:
-                read_server_frame()
+                read_server_frame(TYPE_NEW_TICKET)
             if cfg.realtime:
                 time.sleep(cfg.interval_ms / 1000.0)
         frame_write(sock, record_seal(send_dir, TYPE_CLOSE, b""))
-        # a success only once the server has read the Close and hung up
+        # a success only once the server has read the Close and hung up, all
+        # of it within one deadline, however many frames come first
         sock.shutdown(socket.SHUT_WR)
+        deadline = time.monotonic() + records.READ_TIMEOUT_S
         try:
             while True:
-                read_server_frame()
+                read_server_frame(TYPE_NEW_TICKET, deadline - time.monotonic())
         except EndOfStream:
             pass
     except (VitalinkError, OSError) as exc:

@@ -2,9 +2,9 @@
 injecting one configured fault per run.
 
 Only device-to-server (c2s) traffic is protected: the server sends a
-ServerHello and at most a plaintext Abort, and the handshake derives no
-keys for anything else. So every mode but forge_handshake acts on the
-`target_index`-th c2s Data frame, and server-to-device frames pass
+ServerHello, a NewTicket and at most a plaintext Abort, and the handshake
+derives no keys for anything else. So every mode but forge_handshake acts
+on the `target_index`-th c2s Data frame, and server-to-device frames pass
 untouched.
 
 The proxy parses frame headers only (to count and split frames); bodies
@@ -141,7 +141,7 @@ class Relay:
         reader = FrameReader(src)
         try:
             while True:
-                frame = reader.read(timeout=10.0)
+                frame = reader.read()
                 out, fault = frame.encode(), "none"
                 if held:
                     out, held, fault = out + held, b"", "reorder_pair"

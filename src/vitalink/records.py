@@ -203,10 +203,11 @@ class FrameReader:
         buf = self._buf
         return len(buf) >= HEADER_LEN and len(buf) >= HEADER_LEN + int.from_bytes(buf[4:8], "big")
 
-    def read(self, timeout: float = READ_TIMEOUT_S) -> Frame:
+    def read(self, timeout: float | None = None) -> Frame:
         """The next frame, which must be whole within `timeout` seconds of
-        the call: a peer trickling bytes cannot stretch it."""
-        deadline = monotonic() + timeout
+        the call, `READ_TIMEOUT_S` as it stands then if not given: a peer
+        trickling bytes cannot stretch it."""
+        deadline = monotonic() + (READ_TIMEOUT_S if timeout is None else timeout)
         buf = self._buf
         while True:
             end = HEADER_LEN
@@ -234,7 +235,7 @@ class FrameReader:
 
 # a module function, not only `FrameReader.read`, so that bench/tracing.py
 # can wrap it where `endpoints` calls it by name and time the wait
-def frame_read(reader: FrameReader, timeout: float = READ_TIMEOUT_S) -> Frame:
+def frame_read(reader: FrameReader, timeout: float | None = None) -> Frame:
     """Reads one whole frame from a connection's reader."""
     return reader.read(timeout)
 

@@ -95,13 +95,17 @@ def test_credgen_zero_validity_is_usage_error(issued, capsys):
 
 def test_credgen_bad_role_is_usage_error(issued, capsys):
     root_dir, _ = issued
-    code, _, err = run([
-        "credgen", "--issuer-key", str(root_dir / "key.vlk"),
-        "--subject", "x", "--role", "admin",
-        "--pub", str(root_dir / "key.vlp"),
-        "--out", str(root_dir / "nope.vlc"),
-    ], capsys)
-    assert code == EXIT_USAGE and "role" in err
+    with pytest.raises(SystemExit) as exc:
+        main([
+            "credgen", "--issuer-key", str(root_dir / "key.vlk"),
+            "--subject", "x", "--role", "admin",
+            "--pub", str(root_dir / "key.vlp"),
+            "--out", str(root_dir / "nope.vlc"),
+        ])
+    assert exc.value.code == EXIT_USAGE
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith("vitalink credgen: error: argument --role: invalid choice: 'admin'")
     assert not (root_dir / "nope.vlc").exists()
 
 
@@ -167,8 +171,13 @@ def test_missing_input_file_is_usage_error(tmp_path, capsys):
 
 
 def test_unknown_suite_is_usage_error(tmp_path, capsys):
-    code, _, err = run(["keygen", "--out", str(tmp_path), "--suite", "p512"], capsys)
-    assert code == EXIT_USAGE and "suite" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["keygen", "--out", str(tmp_path), "--suite", "p512"])
+    assert exc.value.code == EXIT_USAGE
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert errors[0].startswith("vitalink keygen: error: argument --suite: invalid choice: 'p512'")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])

@@ -373,14 +373,15 @@ def test_the_session_established_line_names_the_subject_and_the_socket_address(
     }
 
 
-def test_a_trickling_client_is_cut_at_the_frame_deadline(pki, files, tmp_path, caplog):
+def test_a_trickling_client_is_cut_at_the_frame_deadline(pki, files, tmp_path, caplog,
+                                                          monkeypatch):
     caplog.set_level(logging.INFO, logger="vitalink")
+    monkeypatch.setattr(records, "READ_TIMEOUT_S", 1.0)
     srv = IngestionServer(ServerConfig(
         key_path=str(files / "server.vlk"),
         cred_path=str(files / "server.vlc"),
         root_path=str(files / "root.vlc"),
         store_dir=str(tmp_path / "store"),
-        read_timeout_s=1.0,
     ))
     srv.start()
     sock = socket.create_connection(("127.0.0.1", srv.port))
@@ -437,24 +438,21 @@ def test_a_key_that_does_not_match_its_credential_is_refused(suite_name, tmp_pat
 
 
 def test_a_device_whose_key_does_not_match_its_credential_fails_closed(
-        toy_pki, tmp_path, monkeypatch, caplog):
+        pki, files, tmp_path, caplog):
     # run_device leaves the key check to startup; the server refuses the
-    # transcript signature instead. On the toy curve a wrong key's signature
-    # passes when its challenge is 0 mod 19, so the server is seeded too.
+    # transcript signature instead. On P-256, since on the toy curve a wrong
+    # key's signature passes whenever its challenge is 0 mod 19.
     caplog.set_level(logging.INFO, logger="vitalink")
-    toy_pki.write_files(tmp_path)
-    suite = toy_pki.suite
-    wrong = toy_pki.device.static_priv % (suite.n - 1) + 1
+    suite = pki.suite
+    wrong = pki.device.static_priv % (suite.n - 1) + 1
     keyfiles.write_private_key(tmp_path / "wrong.vlk", wrong, suite)
-    monkeypatch.setattr(endpoints, "ServerHandshake", lambda *a, **kw: ServerHandshake(
-        *a, rng=keyfiles.drbg(3), **kw))
     srv = IngestionServer(ServerConfig(
-        key_path=str(tmp_path / "server.vlk"), cred_path=str(tmp_path / "server.vlc"),
-        root_path=str(tmp_path / "root.vlc"), store_dir=str(tmp_path / "store"),
+        key_path=str(files / "server.vlk"), cred_path=str(files / "server.vlc"),
+        root_path=str(files / "root.vlc"), store_dir=str(tmp_path / "store"),
     ))
     srv.start()
     try:
-        report = run_device(device_cfg(tmp_path, srv.port, count=3,
+        report = run_device(device_cfg(files, srv.port, count=3,
                                        key_path=str(tmp_path / "wrong.vlk")))
     finally:
         srv.stop()
@@ -490,14 +488,14 @@ def test_a_server_refuses_its_credential_in_the_wrong_role(files, tmp_path):
         ))
 
 
-def test_the_whole_handshake_shares_one_deadline(pki, files, tmp_path, caplog):
+def test_the_whole_handshake_shares_one_deadline(pki, files, tmp_path, caplog, monkeypatch):
     caplog.set_level(logging.INFO, logger="vitalink")
+    monkeypatch.setattr(records, "READ_TIMEOUT_S", 1.0)
     srv = IngestionServer(ServerConfig(
         key_path=str(files / "server.vlk"),
         cred_path=str(files / "server.vlc"),
         root_path=str(files / "root.vlc"),
         store_dir=str(tmp_path / "store"),
-        read_timeout_s=1.0,
     ))
     srv.start()
     sock = socket.create_connection(("127.0.0.1", srv.port))
@@ -509,7 +507,7 @@ def test_the_whole_handshake_shares_one_deadline(pki, files, tmp_path, caplog):
         time.sleep(0.7)
         frame_write(sock, Frame(TYPE_CLIENT_HELLO, hello))
         finish, _ = hs.finish(frame_read(reader, timeout=5.0).body)
-        # each frame inside read_timeout_s, both together past it
+        # each frame inside READ_TIMEOUT_S, both together past it
         ready = select.select([sock], [], [], 0.7)[0]
         elapsed = time.monotonic() - t0
         if not ready:
@@ -592,6 +590,12 @@ def serve_one_session(pki, ending):
                 conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
             elif ending == "no_hang_up":
                 device_left.wait(10.0)
+            elif ending == "ticket_every_0.3s":  # until the device leaves
+                try:
+                    while not device_left.wait(0.3):
+                        frame_write(conn, Frame(TYPE_NEW_TICKET, tickets[0]))
+                except OSError:
+                    pass
 
     thread = threading.Thread(target=run)
     thread.start()
@@ -632,6 +636,57 @@ def test_after_its_close_only_the_server_hanging_up_is_a_success(toy_pki, tmp_pa
         assert report.error is None
     else:
         assert report.error is not None and report.error.startswith(error)
+
+
+def device_report_within(cfg, seconds):
+    """`run_device`'s report, or None if it has not returned within `seconds`.
+    It runs on a daemon thread, so a device that never returns fails the
+    test instead of hanging it."""
+    reports = []
+    thread = threading.Thread(target=lambda: reports.append(run_device(cfg)), daemon=True)
+    thread.start()
+    thread.join(seconds)
+    return reports[0] if reports else None
+
+
+def test_frames_after_the_close_cannot_hold_the_device_past_one_deadline(
+        toy_pki, tmp_path, monkeypatch):
+    # a NewTicket is plaintext, so an on-path attacker can trickle them too;
+    # a wait restarted by each would never end
+    toy_pki.write_files(tmp_path)
+    monkeypatch.setattr(records, "READ_TIMEOUT_S", 1.0)
+    port, join, _ = serve_one_session(toy_pki, "ticket_every_0.3s")
+    try:
+        report = device_report_within(device_cfg(tmp_path, port, count=3), 2.0)
+    finally:
+        join()
+    assert report is not None and report.sent_count == 3
+    assert report.error is not None and report.error.startswith("FrameTimeout: ")
+
+
+def test_a_silent_listener_holds_the_device_for_one_read_timeout(toy_pki, tmp_path,
+                                                                monkeypatch):
+    toy_pki.write_files(tmp_path)
+    monkeypatch.setattr(records, "READ_TIMEOUT_S", 0.5)
+    listener = socket.create_server(("127.0.0.1", 0))
+    device_left = threading.Event()
+
+    def silent_server():
+        conn, _ = listener.accept()
+        with conn:
+            device_left.wait(10.0)  # holds the connection and never answers
+
+    server = threading.Thread(target=silent_server)
+    server.start()
+    try:
+        report = device_report_within(device_cfg(tmp_path, listener.getsockname()[1]), 2.0)
+    finally:
+        device_left.set()
+        server.join(timeout=15.0)
+        listener.close()
+    assert not server.is_alive()
+    assert report is not None and report.session_id == ""
+    assert report.error is not None and report.error.startswith("FrameTimeout: ")
 
 
 def test_a_ticket_that_arrives_after_the_close_is_kept(toy_pki, tmp_path):

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vitalink import endpoints, gcm, keyfiles
+from vitalink import endpoints, gcm, keyfiles, records
 from vitalink.endpoints import IngestionServer, ServerConfig, Store, log_value, parse_reading_line
 from vitalink.errors import EndOfStream, HandshakeError
 from vitalink.handshake import ClientHandshake, Resumption
@@ -60,14 +60,14 @@ class Lines(logging.Handler):
 
 
 @pytest.fixture()
-def server(toy_pki, tmp_path):
+def server(toy_pki, tmp_path, monkeypatch):
     toy_pki.write_files(tmp_path)
+    monkeypatch.setattr(records, "READ_TIMEOUT_S", 5.0)
     srv = IngestionServer(ServerConfig(
         key_path=str(tmp_path / "server.vlk"),
         cred_path=str(tmp_path / "server.vlc"),
         root_path=str(tmp_path / "root.vlc"),
         store_dir=str(tmp_path / "store"),
-        read_timeout_s=5.0,
     ))
     yield srv
     srv.stop()
