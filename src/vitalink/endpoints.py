@@ -17,14 +17,14 @@ and a full handshake on the same connection. A resumed session's ticket
 keeps the issue time of the one it resumed, so resumptions end
 `TICKET_LIFETIME_S` after the last full handshake.
 
-One reader in `run_device` takes every frame the server sends: the
-ServerHello, then a NewTicket or, on failure, an Abort, after a reading
-if anything has arrived and after the Close until the server hangs up.
-Only that hang-up, which means the server read the Close, is a success;
-an Abort, any other frame, a reset or a passed deadline is a
-`DeviceReport.error`. A frame read waits at most `records.READ_TIMEOUT_S`,
-read as it starts; the server's two handshake reads share one deadline,
-and so do all the device's reads after its Close.
+A device session makes three reads, through one reader in `run_device`:
+the ServerHello; the server's verdict on the ClientFinish, a NewTicket or
+an Abort, before any reading is sealed; and after its Close the server's
+hang-up, which means it read the Close and is the only success. Readings
+go out with no read between them, so an Abort mid-stream shows as the
+write error the server's hang-up causes, or after the Close. A frame read
+waits at most `records.READ_TIMEOUT_S`, read as it starts; the server's
+two handshake reads share one deadline.
 
 A process checks its own identity once, at startup, with `check_identity`:
 `IngestionServer` when it is made, and the `device` command before its
@@ -38,10 +38,10 @@ from __future__ import annotations
 
 import logging
 import os
-import select
 import socket
 import threading
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -295,6 +295,7 @@ class IngestionServer:
     def _handle(self, conn: socket.socket, addr) -> None:
         recv_dir: DirectionState | None = None
         session_hex = "-"
+        peer = f"{addr[0]}:{addr[1]}"
         # one deadline for ClientHello and ClientFinish together
         handshake_deadline = time.monotonic() + records.READ_TIMEOUT_S
         # one reader for the whole connection: a ClientFinish and the first
@@ -308,7 +309,7 @@ class IngestionServer:
                                  ticket_key=self.ticket_key)
             server_hello = hs.respond(fr.body)
             if hs.refusal is not None:
-                log.info("resumption_refused cause=%s peer=%s:%s", hs.refusal, *addr[:2])
+                log.info("resumption_refused cause=%s peer=%s", hs.refusal, peer)
             frame_write(conn, Frame(TYPE_SERVER_HELLO, server_hello))
             fr = frame_read(reader, handshake_deadline - time.monotonic())
             if fr.frame_type != TYPE_CLIENT_FINISH:
@@ -316,37 +317,39 @@ class IngestionServer:
             keys, peer_subject = hs.complete(fr.body)
             session_hex = keys.session_id.hex()
             subject = decode_subject(peer_subject)
-            log.info("session_established session=%s subject=%s peer=%s:%s",
-                     session_hex[:16], log_value(subject), *addr[:2])
+            log.info("session_established session=%s subject=%s peer=%s",
+                     session_hex[:16], log_value(subject), peer)
             try:
                 frame_write(conn, Frame(TYPE_NEW_TICKET, hs.new_ticket()))
             except OSError:
                 pass  # a device that sent its records and left loses only its ticket
 
             recv_dir = DirectionState(keys.c2s_key, keys.c2s_salt)
-            if self._ingest(reader, recv_dir, session_hex, subject) == TYPE_ABORT:
+            if self._ingest(reader, recv_dir, session_hex, subject, peer) == TYPE_ABORT:
                 # plaintext: rewriting one type byte on the path forges it
-                log.warning("peer_abort session=%s cause=unauthenticated", session_hex[:16])
+                log.warning("peer_abort session=%s cause=unauthenticated peer=%s",
+                            session_hex[:16], peer)
                 self._abort(conn)
             else:
-                log.info("session_closed session=%s", session_hex[:16])
+                log.info("session_closed session=%s peer=%s", session_hex[:16], peer)
         except EndOfStream:
-            log.warning("suspicious_termination session=%s cause=no_authenticated_close",
-                        session_hex[:16])
+            log.warning("suspicious_termination session=%s cause=no_authenticated_close "
+                        "peer=%s", session_hex[:16], peer)
             self._abort(conn)
         except AuthFailure:
-            log.error("record_auth_failure session=%s action=abort", session_hex[:16])
+            log.error("record_auth_failure session=%s action=abort peer=%s",
+                      session_hex[:16], peer)
             self._abort(conn)
         except HandshakeError as exc:
-            log.error("handshake_failed cause=%s detail=%s peer=%s:%s",
-                      type(exc).__name__, log_value(exc), *addr[:2])
+            log.error("handshake_failed cause=%s detail=%s peer=%s",
+                      type(exc).__name__, log_value(exc), peer)
             self._abort(conn)
         except OSError as exc:
-            log.error("connection_error session=%s cause=%s detail=%s peer=%s:%s",
-                      session_hex[:16], type(exc).__name__, log_value(exc), *addr[:2])
+            log.error("connection_error session=%s cause=%s detail=%s peer=%s",
+                      session_hex[:16], type(exc).__name__, log_value(exc), peer)
         except VitalinkError as exc:
-            log.error("session_fatal session=%s cause=%s", session_hex[:16],
-                      type(exc).__name__)
+            log.error("session_fatal session=%s cause=%s peer=%s", session_hex[:16],
+                      type(exc).__name__, peer)
             self._abort(conn)
         finally:
             if recv_dir is not None:
@@ -357,7 +360,7 @@ class IngestionServer:
                 pass
 
     def _ingest(self, reader: FrameReader, recv_dir: DirectionState, session_hex: str,
-                subject: str) -> int:
+                subject: str, peer: str) -> int:
         """Reads one session's records up to its Close (returns TYPE_CLOSE) or a
         plaintext Abort (returns TYPE_ABORT); raises on any fault.
 
@@ -393,17 +396,17 @@ class IngestionServer:
                 if alert is not None:
                     self.store.append_reading(pending)
                     pending = []
-                    self.raise_alert(alert, session_hex)
+                    self.raise_alert(alert, session_hex, peer)
         finally:
             if pending:
                 self.store.append_reading(pending)
 
-    def raise_alert(self, alert: AnomalyAlert, session_hex: str) -> None:
+    def raise_alert(self, alert: AnomalyAlert, session_hex: str, peer: str) -> None:
         self.store.append_alert(alert)
-        log.warning("alert session=%s device=%s rule=%s bpm=%s window=%d..%d",
+        log.warning("alert session=%s device=%s rule=%s bpm=%s window=%d..%d peer=%s",
                     session_hex[:16], alert.device_id.hex(), alert.rule,
                     ",".join(str(b) for b in alert.observed_bpm),
-                    alert.window_start_ms, alert.window_end_ms)
+                    alert.window_start_ms, alert.window_end_ms, peer)
 
     def stop(self) -> None:
         if self._listener is not None:
@@ -485,16 +488,13 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
     reader = FrameReader(sock)
     hs = ClientHandshake(suite, identity, trust_root, rng, resumption=resumption)
 
-    def read_server_frame(expected: int, timeout: float | None = None) -> bytes:
-        """The body of the next frame, which must be of the type expected;
-        a NewTicket is kept. An Abort or any other frame ends the session."""
-        fr = frame_read(reader, timeout)
+    def read_server_frame(expected: int | None) -> bytes:
+        """The body of the next frame, which must be of type `expected` (with
+        None, no frame may come): an Abort or any other frame ends the session."""
+        fr = frame_read(reader)
         if fr.frame_type != expected:
             raise ConnectionAborted("server aborted the session" if fr.frame_type == TYPE_ABORT
                                     else f"unexpected frame type {fr.frame_type} from the server")
-        if expected == TYPE_NEW_TICKET:
-            with _TICKETS_LOCK:
-                _TICKETS[cache_key] = hs.resumption_for(fr.body)
         return fr.body
 
     try:
@@ -502,6 +502,10 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
         finish_body, keys = hs.finish(read_server_frame(TYPE_SERVER_HELLO))
         frame_write(sock, Frame(TYPE_CLIENT_FINISH, finish_body))
         report.session_id = keys.session_id.hex()
+        # the server's verdict on the ClientFinish, before any reading is sealed
+        ticket = read_server_frame(TYPE_NEW_TICKET)
+        with _TICKETS_LOCK:
+            _TICKETS[cache_key] = hs.resumption_for(ticket)
         send_dir = DirectionState(keys.c2s_key, keys.c2s_salt)
 
         start_ms = cfg.start_ms if cfg.start_ms is not None else int(time.time() * 1000)
@@ -512,21 +516,12 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
             frame_write(sock, record_seal(send_dir, TYPE_DATA, reading_encode(reading)))
             report.sent.append((reading.timestamp_ms, reading.bpm))
             report.sent_count += 1
-            # a frame may already sit in the buffer, where select cannot see it
-            if reader.buffered() or select.select([sock], [], [], 0)[0]:
-                read_server_frame(TYPE_NEW_TICKET)
             if cfg.realtime:
                 time.sleep(cfg.interval_ms / 1000.0)
         frame_write(sock, record_seal(send_dir, TYPE_CLOSE, b""))
-        # a success only once the server has read the Close and hung up, all
-        # of it within one deadline, however many frames come first
         sock.shutdown(socket.SHUT_WR)
-        deadline = time.monotonic() + records.READ_TIMEOUT_S
-        try:
-            while True:
-                read_server_frame(TYPE_NEW_TICKET, deadline - time.monotonic())
-        except EndOfStream:
-            pass
+        with suppress(EndOfStream):  # the hang-up; any frame, a late NewTicket too, fails
+            read_server_frame(None)
     except (VitalinkError, OSError) as exc:
         report.error = f"{type(exc).__name__}: {exc}"
     finally:

@@ -162,6 +162,7 @@ def test_server_absent_is_reported_not_raised(files):
 def test_oversize_record_ends_in_abort_and_one_log_line(pki, server, caplog):
     caplog.set_level(logging.INFO, logger="vitalink")
     sock = socket.create_connection(("127.0.0.1", server.port))
+    peer = "%s:%d" % sock.getsockname()
     reader = FrameReader(sock)
     try:
         hs = ClientHandshake(pki.suite, pki.device, pki.root)
@@ -179,7 +180,7 @@ def test_oversize_record_ends_in_abort_and_one_log_line(pki, server, caplog):
     problems = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(problems) == 1
     assert problems[0].startswith("session_fatal ")
-    assert problems[0].endswith("cause=OversizeFrame")
+    assert problems[0].endswith(f"cause=OversizeFrame peer={peer}")
 
 
 def test_concurrent_devices_attributed_correctly(files, server):
@@ -385,6 +386,7 @@ def test_a_trickling_client_is_cut_at_the_frame_deadline(pki, files, tmp_path, c
     ))
     srv.start()
     sock = socket.create_connection(("127.0.0.1", srv.port))
+    peer = "%s:%d" % sock.getsockname()
     reader = FrameReader(sock)
     reply = None
     try:
@@ -411,7 +413,7 @@ def test_a_trickling_client_is_cut_at_the_frame_deadline(pki, files, tmp_path, c
     problems = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(problems) == 1
     assert problems[0].startswith("session_fatal ")
-    assert problems[0].endswith("cause=FrameTimeout")
+    assert problems[0].endswith(f"cause=FrameTimeout peer={peer}")
 
 
 @pytest.mark.parametrize("suite_name", ["toy", "p256"])
@@ -499,6 +501,7 @@ def test_the_whole_handshake_shares_one_deadline(pki, files, tmp_path, caplog, m
     ))
     srv.start()
     sock = socket.create_connection(("127.0.0.1", srv.port))
+    peer = "%s:%d" % sock.getsockname()
     reader = FrameReader(sock)
     try:
         t0 = time.monotonic()
@@ -521,13 +524,14 @@ def test_the_whole_handshake_shares_one_deadline(pki, files, tmp_path, caplog, m
     problems = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
     assert len(problems) == 1
     assert problems[0].startswith("session_fatal ")
-    assert problems[0].endswith("cause=FrameTimeout")
+    assert problems[0].endswith(f"cause=FrameTimeout peer={peer}")
     assert read_store_lines(srv) == []
 
 
 def test_the_device_sees_an_abort_that_came_with_the_server_hello(pki, files):
-    """Both frames land in the device's buffer in one read; the abort check
-    must find the second there, where `select` on the socket cannot."""
+    """Both frames land in the device's buffer in one read; the read of the
+    server's verdict must find the Abort there, where `select` on the socket
+    cannot, and end the session before any reading is sealed."""
     listener = socket.create_server(("127.0.0.1", 0))
     served = []
 
@@ -552,15 +556,16 @@ def test_the_device_sees_an_abort_that_came_with_the_server_hello(pki, files):
         listener.close()
     assert not server.is_alive() and served
     assert report.error == "ConnectionAborted: server aborted the session"
-    assert report.sent_count == 1
+    assert report.sent_count == 0
 
 
 def serve_one_session(pki, ending):
     """A fake server on a thread for one device session. It answers the
-    handshake and sends a NewTicket, except for the `late_ticket` ending,
-    reads up to the device's hang-up, then ends as `ending` names. Returns
-    the port, a function that lets go of the connection and waits for the
-    thread, and the list the ticket it made goes into."""
+    handshake, then gives its verdict on the ClientFinish: a NewTicket, or
+    for the `no_verdict` and `hang_up_for_verdict` endings none. It reads up
+    to the device's hang-up, then ends as `ending` names. Returns the port,
+    a function that lets go of the connection and waits for the thread, and
+    the list the ticket it made goes into."""
     listener = socket.create_server(("127.0.0.1", 0))
     device_left, tickets = threading.Event(), []
 
@@ -574,14 +579,19 @@ def serve_one_session(pki, ending):
                                     hs.respond(frame_read(reader, timeout=5.0).body)))
             hs.complete(frame_read(reader, timeout=5.0).body)
             tickets.append(hs.new_ticket())
-            if ending != "late_ticket":
-                frame_write(conn, Frame(TYPE_NEW_TICKET, tickets[0]))
+            if ending == "hang_up_for_verdict":
+                return
+            if ending == "no_verdict":
+                device_left.wait(10.0)
+                return
+            if ending == "held_verdict" and (
+                    reader.buffered() or select.select([conn], [], [], 0.3)[0]):
+                frame_write(conn, Frame(TYPE_ABORT, b""))  # a record came before it
+            frame_write(conn, Frame(TYPE_NEW_TICKET, tickets[0]))
             conn.settimeout(10.0)
             while conn.recv(4096):  # the readings and the Close, up to SHUT_WR
                 pass
-            if ending == "late_ticket":
-                frame_write(conn, Frame(TYPE_NEW_TICKET, tickets[0]))
-            elif ending == "late_abort":  # seconds after the Close, within READ_TIMEOUT_S
+            if ending == "late_abort":  # seconds after the Close, within READ_TIMEOUT_S
                 time.sleep(2.5)
                 frame_write(conn, Frame(TYPE_ABORT, b""))
             elif ending == "garbage":
@@ -652,7 +662,7 @@ def device_report_within(cfg, seconds):
 def test_frames_after_the_close_cannot_hold_the_device_past_one_deadline(
         toy_pki, tmp_path, monkeypatch):
     # a NewTicket is plaintext, so an on-path attacker can trickle them too;
-    # a wait restarted by each would never end
+    # the first one after the Close ends the session
     toy_pki.write_files(tmp_path)
     monkeypatch.setattr(records, "READ_TIMEOUT_S", 1.0)
     port, join, _ = serve_one_session(toy_pki, "ticket_every_0.3s")
@@ -661,7 +671,7 @@ def test_frames_after_the_close_cannot_hold_the_device_past_one_deadline(
     finally:
         join()
     assert report is not None and report.sent_count == 3
-    assert report.error is not None and report.error.startswith("FrameTimeout: ")
+    assert report.error == "ConnectionAborted: unexpected frame type 4 from the server"
 
 
 def test_a_silent_listener_holds_the_device_for_one_read_timeout(toy_pki, tmp_path,
@@ -689,15 +699,64 @@ def test_a_silent_listener_holds_the_device_for_one_read_timeout(toy_pki, tmp_pa
     assert report.error is not None and report.error.startswith("FrameTimeout: ")
 
 
-def test_a_ticket_that_arrives_after_the_close_is_kept(toy_pki, tmp_path):
+# what the device reports when the server gives no verdict on its ClientFinish
+NO_VERDICT_ERRORS = {
+    "no_verdict": "FrameTimeout: ",
+    "hang_up_for_verdict": "EndOfStream: ",
+}
+
+
+@pytest.mark.parametrize("ending", list(NO_VERDICT_ERRORS))
+def test_a_device_with_no_verdict_seals_no_reading(toy_pki, tmp_path, monkeypatch, ending):
     toy_pki.write_files(tmp_path)
-    port, join, sent = serve_one_session(toy_pki, "late_ticket")
+    monkeypatch.setattr(records, "READ_TIMEOUT_S", 0.5)
+    port, join, _ = serve_one_session(toy_pki, ending)
     try:
-        report = run_device(device_cfg(tmp_path, port, count=2))
+        report = device_report_within(device_cfg(tmp_path, port, count=3), 2.0)
     finally:
         join()
-    assert report.error is None
+    assert report is not None and report.duration_s < 1.0
+    assert report.error is not None and report.error.startswith(NO_VERDICT_ERRORS[ending])
+    assert report.sent_count == 0
+    assert endpoints._TICKETS == {}
+
+
+def test_the_device_writes_no_reading_before_the_verdict(toy_pki, tmp_path):
+    # the fake server holds its NewTicket 0.3 s and aborts if a record comes first
+    toy_pki.write_files(tmp_path)
+    port, join, sent = serve_one_session(toy_pki, "held_verdict")
+    try:
+        report = run_device(device_cfg(tmp_path, port, count=3))
+    finally:
+        join()
+    assert report.error is None and report.sent_count == 3
     assert [r.ticket for r in endpoints._TICKETS.values()] == sent
+
+
+def test_a_session_makes_no_select_per_reading(toy_pki, tmp_path, monkeypatch):
+    toy_pki.write_files(tmp_path)
+    srv = IngestionServer(ServerConfig(
+        key_path=str(tmp_path / "server.vlk"), cred_path=str(tmp_path / "server.vlc"),
+        root_path=str(tmp_path / "root.vlc"), store_dir=str(tmp_path / "store"),
+    ))
+    srv.start()
+    main, calls = threading.current_thread(), []
+    real_select = select.select
+
+    def counting_select(*args):
+        if threading.current_thread() is main:
+            calls.append(args)
+        return real_select(*args)
+
+    monkeypatch.setattr(select, "select", counting_select)
+    try:
+        report = run_device(device_cfg(tmp_path, srv.port, count=50))
+    finally:
+        monkeypatch.undo()
+        srv.stop()
+    assert report.error is None and report.sent_count == 50
+    # one per read, at most two for a frame split across segments
+    assert len(calls) <= 6
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,7 @@ def test_one_mutated_record_ends_in_one_classified_outcome(toy_pki, server, line
         assert reply.frame_type == TYPE_ABORT
         problems = lines.problems()
         assert len(problems) == 1 and problems[0].startswith(CLASSIFIED), problems
+        assert problems[0].endswith(" peer=socketpair:0"), problems
         assert len(persisted(server, keys.session_id.hex())) == target
 
     session()
@@ -232,6 +233,7 @@ def test_one_mutated_handshake_frame_ends_in_one_classified_outcome(toy_pki, ser
         serve_one(server, device_side)
         problems = lines.problems()
         assert len(problems) == 1 and problems[0].startswith(HANDSHAKE_CLASSIFIED), problems
+        assert problems[0].endswith(" peer=socketpair:0"), problems
         assert len(persisted(server)) == 2
 
     session()
@@ -248,7 +250,8 @@ def test_a_plaintext_abort_mid_session_is_logged_as_possible_tampering(toy_pki, 
     keys, replies = serve_one(server, device_side)
     assert replies == [TYPE_ABORT]
     session_hex = keys.session_id.hex()
-    assert lines.problems() == [f"peer_abort session={session_hex[:16]} cause=unauthenticated"]
+    assert lines.problems() == [
+        f"peer_abort session={session_hex[:16]} cause=unauthenticated peer=socketpair:0"]
     assert len(persisted(server, session_hex)) == 2
 
 
@@ -276,7 +279,8 @@ def test_a_client_finish_and_records_in_one_segment_are_all_read(toy_pki, server
     keys = serve_one(server, device_side)
     session_hex = keys.session_id.hex()
     assert lines.problems() == []
-    assert [r.getMessage() for r in lines.records][-1] == f"session_closed session={session_hex[:16]}"
+    assert [r.getMessage() for r in lines.records][-1] == (
+        f"session_closed session={session_hex[:16]} peer=socketpair:0")
     assert len(persisted(server, session_hex)) == 1
 
 
@@ -486,6 +490,7 @@ def test_a_reading_is_on_disk_before_its_alert_is_stored(toy_pki, server, lines,
         "rule": "high_hr",
         "bpm": "180,180,180",
         "window": "5000..7000",
+        "peer": "socketpair:0",
     })]
 
 
