@@ -261,8 +261,9 @@ class ServerConfig:
 
 
 class IngestionServer:
-    """Accepts concurrent device sessions; one worker thread per connection.
-    A failed connection never perturbs the listener or other sessions."""
+    """Accepts concurrent device sessions, each on a worker thread that the
+    listener reuses across connections. A failed connection never perturbs
+    the listener or other sessions."""
 
     def __init__(self, cfg: ServerConfig):
         self.cfg = cfg

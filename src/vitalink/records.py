@@ -194,10 +194,6 @@ class FrameReader:
         self._buf = bytearray()
         self._chunk = memoryview(bytearray(READ_CHUNK))
 
-    def buffered(self) -> int:
-        """Bytes received and not yet returned as a frame."""
-        return len(self._buf)
-
     def has_frame(self) -> bool:
         """Whether a whole frame is buffered, so that `read` makes no syscall."""
         buf = self._buf

@@ -1,4 +1,5 @@
 import os
+import threading
 import time
 from dataclasses import replace
 
@@ -64,6 +65,19 @@ class Pki:
         keyfiles.write_credential(directory / "server.vlc", self.server_cred, suite)
         keyfiles.write_private_key(directory / "device.vlk", self.device.static_priv, suite)
         keyfiles.write_credential(directory / "device.vlc", self.device_cred, suite)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fails a test that leaves a thread it started alive 2 s after it ends,
+    such as a listener worker that `stop()` did not join."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 2.0
+    while left := [t for t in threading.enumerate() if t not in before]:
+        if time.monotonic() > deadline:
+            pytest.fail(f"threads outlived the test: {left}")
+        time.sleep(0.01)
 
 
 @pytest.fixture(autouse=True)

@@ -585,7 +585,7 @@ def serve_one_session(pki, ending):
                 device_left.wait(10.0)
                 return
             if ending == "held_verdict" and (
-                    reader.buffered() or select.select([conn], [], [], 0.3)[0]):
+                    reader.has_frame() or select.select([conn], [], [], 0.3)[0]):
                 frame_write(conn, Frame(TYPE_ABORT, b""))  # a record came before it
             frame_write(conn, Frame(TYPE_NEW_TICKET, tickets[0]))
             conn.settimeout(10.0)

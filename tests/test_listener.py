@@ -1,4 +1,5 @@
-"""The shared listener core: prompt shutdown with live peers, no thread build-up."""
+"""The shared listener core: prompt shutdown with live peers, reused worker
+threads that drain when idle, and handler errors that stay in the handler."""
 
 import logging
 import os
@@ -10,11 +11,14 @@ import sys
 import threading
 import time
 from pathlib import Path
+from queue import Empty, SimpleQueue
 
 import pytest
 
+from vitalink import listener as listener_module
 from vitalink.endpoints import IngestionServer, ServerConfig
 from vitalink.handshake import ClientHandshake
+from vitalink.listener import Listener
 from vitalink.records import (TYPE_CLIENT_HELLO, TYPE_SERVER_HELLO, Frame, FrameReader, frame_read,
                               frame_write)
 
@@ -103,3 +107,170 @@ def test_serve_exits_promptly_on_sigterm_with_a_peer_mid_handshake(pki, tmp_path
     assert code == 0
     assert elapsed < 1.0
     assert log_path.read_text().count("suspicious_termination ") == 1
+
+
+@pytest.fixture()
+def listen():
+    """Starts a `Listener` on loopback around a handler; stops it after the test."""
+    started = []
+
+    def start(handle):
+        started.append(Listener("127.0.0.1", 0, handle))
+        return started[-1]
+
+    yield start
+    for lst in started:
+        lst.stop()
+
+
+def session(port):
+    """One connection that ends when the server closes it."""
+    with socket.create_connection(("127.0.0.1", port)) as peer:
+        peer.settimeout(5.0)
+        assert peer.recv(1) == b""
+
+
+def test_back_to_back_connections_reuse_a_few_threads(listen):
+    tids = []
+    lst = listen(lambda conn, addr: tids.append(threading.get_native_id()))
+    for _ in range(200):
+        session(lst.port)
+    assert len(tids) == 200
+    assert len(set(tids)) <= 3
+
+
+def test_concurrent_idle_peers_are_all_served_at_once(listen):
+    running = set()
+    lock = threading.Lock()
+
+    def handle(conn, addr):
+        with lock:
+            running.add(threading.get_ident())
+        conn.recv(1)  # until the peer hangs up
+
+    lst = listen(handle)
+    peers = [socket.create_connection(("127.0.0.1", lst.port)) for _ in range(8)]
+    try:
+        assert wait_for(lambda: len(running) == 8)
+    finally:
+        for peer in peers:
+            peer.close()
+
+
+def test_an_idle_worker_exits(listen, monkeypatch):
+    monkeypatch.setattr(listener_module, "_IDLE_S", 0.05)
+    workers = []
+    lst = listen(lambda conn, addr: workers.append(threading.current_thread()))
+    session(lst.port)
+    assert wait_for(lambda: not workers[0].is_alive(), timeout=2.0)
+    assert not lst._idle and not lst._threads
+
+
+def test_handoffs_that_race_idle_exits_lose_no_connection(listen, monkeypatch):
+    # waits close to the idle timeout, so connections are often handed to a
+    # worker just as its wait times out
+    monkeypatch.setattr(listener_module, "_IDLE_S", 0.002)
+    served = []
+    lst = listen(lambda conn, addr: served.append(addr))
+    failures = []
+
+    def client(k):
+        try:
+            for i in range(50):
+                session(lst.port)
+                time.sleep((i + k) % 4 * 0.001)
+        except Exception as exc:
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        clients = [threading.Thread(target=client, args=(k,)) for k in range(4)]
+        for t in clients:
+            t.start()
+        for t in clients:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in clients)
+    assert failures == []
+    assert len(served) == 200
+
+
+class LateInbox(SimpleQueue):
+    """A worker's inbox whose timed-out wait ends only after the listener has
+    handed the worker a connection: the race an idle exit must not lose a
+    connection to."""
+
+    def __init__(self):
+        self.timed_out = threading.Event()
+        self.handed = threading.Event()
+
+    def get(self, block=True, timeout=None):
+        try:
+            return super().get(block, timeout)
+        except Empty:
+            self.timed_out.set()
+            self.handed.wait(5.0)
+            raise
+
+    def put(self, item, block=True, timeout=None):
+        super().put(item)
+        self.handed.set()
+
+
+def test_a_connection_handed_over_as_the_idle_wait_times_out_is_served(listen, monkeypatch):
+    monkeypatch.setattr(listener_module, "_IDLE_S", 0.05)
+    inboxes = []
+
+    def late_inbox():
+        inboxes.append(LateInbox())
+        return inboxes[-1]
+
+    monkeypatch.setattr(listener_module, "SimpleQueue", late_inbox)
+    threads = []
+    lst = listen(lambda conn, addr: threads.append(threading.current_thread()))
+    session(lst.port)
+    assert inboxes[0].timed_out.wait(5.0)
+    session(lst.port)  # handed to the worker whose wait has just timed out
+    session(lst.port)
+    assert threads[1] is threads[0]
+    assert wait_for(lambda: not any(t.is_alive() for t in threads))
+    assert not lst._idle and not lst._threads
+
+
+def test_stop_with_idle_workers_returns_at_once(listen):
+    lst = listen(lambda conn, addr: None)
+    peers = [socket.create_connection(("127.0.0.1", lst.port)) for _ in range(4)]
+    for peer in peers:
+        peer.close()
+    assert wait_for(lambda: len(lst._idle) >= 1 and not lst._open)
+    t0 = time.monotonic()
+    lst.stop()
+    assert time.monotonic() - t0 < 0.1
+    assert not lst._threads
+
+
+def test_a_handler_that_raises_is_logged_and_the_next_connection_served(listen, caplog,
+                                                                        monkeypatch):
+    caplog.set_level(logging.ERROR, logger="vitalink")
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    served = threading.Event()
+    calls = []
+
+    def handle(conn, addr):
+        calls.append(conn)
+        if len(calls) == 1:
+            raise RuntimeError("handler bug")
+        served.set()
+
+    lst = listen(handle)
+    session(lst.port)  # ends: the listener closed the failed handler's connection
+    session(lst.port)
+    assert served.wait(5.0)
+    failures = [r for r in caplog.records if r.exc_info]
+    assert len(failures) == 1
+    assert failures[0].exc_info[0] is RuntimeError
+    assert failures[0].getMessage().startswith("handler_error peer=127.0.0.1:")
+    assert escaped == []

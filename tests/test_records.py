@@ -272,7 +272,7 @@ def test_frames_arriving_in_one_segment_cost_one_recv_and_one_select(monkeypatch
     monkeypatch.setattr(select_module, "select", counting_select)
     assert [reader.read(timeout=2.0) for _ in FRAMES] == FRAMES
     assert counted.recvs == 1 and len(selects) == 1
-    assert reader.buffered() == 0
+    assert len(reader._buf) == 0
     a.close(); b.close()
 
 
@@ -341,7 +341,7 @@ def test_a_reader_holds_one_chunk_beyond_a_partial_frame():
 
     def fill(deadline):
         real_fill(deadline)
-        sizes.append(reader.buffered())
+        sizes.append(len(reader._buf))
 
     reader._fill = fill
     assert [reader.read(timeout=5.0).body for _ in range(2)] == [bytes(MAX_BODY)] * 2
