@@ -3,9 +3,9 @@ and ships heart-rate readings, and the ingestion server that terminates
 the secure channel, persists readings, and raises anomaly alerts.
 
 Persistence is append-only line-delimited text. The server opens, checks
-and formats every reading already buffered on a connection, then writes
-the burst's lines under the store's lock until all are on disk, so
-concurrent sessions never interleave within a burst.
+and formats every reading of every record already buffered on a
+connection, then writes the burst's lines under the store's lock until
+all are on disk, so concurrent sessions never interleave within a burst.
 
 Every established session ends its handshake with a NewTicket from the
 server, sealed under a ticket key made when the server starts and never
@@ -20,9 +20,12 @@ keeps the issue time of the one it resumed, so resumptions end
 A device session makes three reads, through one reader in `run_device`:
 the ServerHello; the server's verdict on the ClientFinish, a NewTicket or
 an Abort, before any reading is sealed; and after its Close the server's
-hang-up, which means it read the Close and is the only success. Readings
-go out with no read between them, so an Abort mid-stream shows as the
-write error the server's hang-up causes, or after the Close. A frame read
+hang-up, which means it read the Close and is the only success. Each
+Data record carries every reading the device has ready: one per interval
+for a `realtime` device, else all of them, MAX_READINGS_PER_RECORD to a
+record (one `frame_write` each). Records go out with no read between
+them, so an Abort mid-stream shows as the write error the server's
+hang-up causes, or after the Close. A frame read
 waits at most `records.READ_TIMEOUT_S`, read as it starts; the server's
 two handshake reads share one deadline.
 
@@ -90,8 +93,13 @@ from .telemetry import (
 log = logging.getLogger("vitalink")
 
 _STATUS_BY_NAME = {v: k for k, v in STATUS_NAMES.items()}
-# the only records a device sends: one sealed reading, and an empty Close
-_RECORD_BODY_LEN = {TYPE_DATA: telemetry.READING_LEN + gcm.TAG_LEN, TYPE_CLOSE: gcm.TAG_LEN}
+# the most readings one Data record carries: a 1232-byte body
+MAX_READINGS_PER_RECORD = 64
+# the only records a device sends, as (type, body length): 1 to
+# MAX_READINGS_PER_RECORD sealed readings, and an empty Close
+_RECORD_BODIES = {(TYPE_CLOSE, gcm.TAG_LEN)} | {
+    (TYPE_DATA, j * telemetry.READING_LEN + gcm.TAG_LEN)
+    for j in range(1, MAX_READINGS_PER_RECORD + 1)}
 
 
 def log_value(value) -> str:
@@ -274,10 +282,10 @@ class IngestionServer:
         # this process's tickets only; the GHASH table is built now, since
         # every session seals one ticket and nearly every one opens one. Every
         # handler shares the key: past this point a seal or open changes
-        # nothing in it, since a ticket's nonce is never prepared and its AES
-        # runs block by block, never through `encrypt_blocks`.
+        # nothing in it, since a ticket's nonce is never prepared and its 4
+        # counter blocks run block by block, never through `encrypt_blocks`.
         self.ticket_key = gcm.GcmKey(os.urandom(16))
-        self.ticket_key.prepare([])
+        self.ticket_key.build_table()
         self.store = Store(cfg.store_dir)
         self._listener: Listener | None = None
         self.port = 0
@@ -365,14 +373,19 @@ class IngestionServer:
         """Reads one session's records up to its Close (returns TYPE_CLOSE) or a
         plaintext Abort (returns TYPE_ABORT); raises on any fault.
 
-        While the reader holds whole frames it opens, decodes and checks
-        each and formats its line; the lines go to the store in one write
-        before the reader waits on the socket, before an alert is stored,
-        and however the session ends. So a fault in the k-th record of a
-        burst still persists the k readings before it, and none after."""
+        A Data record carries 1 to MAX_READINGS_PER_RECORD readings; its
+        length is checked against `_RECORD_BODIES` before any GCM work, and
+        its tag before any of its readings is decoded. While the reader
+        holds whole frames it opens each record, then decodes, order-checks
+        and formats each of its readings in turn; the lines go to the store
+        in one write before the reader waits on the socket, before an alert
+        is stored, and however the session ends. So a fault at the k-th
+        reading, counted across records (a bad tag faults at the record's
+        first), still persists the k readings before it, and none after."""
         detector = AnomalyDetector(self.cfg.anomaly)
         last_ts = -1
         pending: list[str] = []
+        size = telemetry.READING_LEN
         try:
             while True:
                 if pending and not reader.has_frame():
@@ -381,23 +394,23 @@ class IngestionServer:
                 fr = frame_read(reader)
                 if fr.frame_type == TYPE_ABORT:
                     return TYPE_ABORT
-                if len(fr.body) != _RECORD_BODY_LEN.get(fr.frame_type):
-                    # refused before any GCM work on it
+                if (fr.frame_type, len(fr.body)) not in _RECORD_BODIES:
                     raise MalformedFrame(f"{len(fr.body)}-byte record of type {fr.frame_type}")
                 ftype, payload = record_open(recv_dir, fr)
                 if ftype == TYPE_CLOSE:
                     return TYPE_CLOSE
-                reading = reading_decode(payload)
-                if reading.timestamp_ms < last_ts:
-                    raise MalformedReading("timestamps went backwards")
-                last_ts = reading.timestamp_ms
-                pending.append(reading_line(session_hex, subject, reading,
-                                            int(time.time() * 1000)))
-                alert = detector.check(reading)
-                if alert is not None:
-                    self.store.append_reading(pending)
-                    pending = []
-                    self.raise_alert(alert, session_hex, peer)
+                received_ms = int(time.time() * 1000)
+                for i in range(0, len(payload), size):
+                    reading = reading_decode(payload[i : i + size])
+                    if reading.timestamp_ms < last_ts:
+                        raise MalformedReading("timestamps went backwards")
+                    last_ts = reading.timestamp_ms
+                    pending.append(reading_line(session_hex, subject, reading, received_ms))
+                    alert = detector.check(reading)
+                    if alert is not None:
+                        self.store.append_reading(pending)
+                        pending = []
+                        self.raise_alert(alert, session_hex, peer)
         finally:
             if pending:
                 self.store.append_reading(pending)
@@ -511,12 +524,16 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
 
         start_ms = cfg.start_ms if cfg.start_ms is not None else int(time.time() * 1000)
         report.start_ms = start_ms
-        for i in range(cfg.count):
-            ts = start_ms + i * cfg.interval_ms
-            reading = sim.next_reading(ts)
-            frame_write(sock, record_seal(send_dir, TYPE_DATA, reading_encode(reading)))
-            report.sent.append((reading.timestamp_ms, reading.bpm))
-            report.sent_count += 1
+        # every reading that is ready goes in one record: one per interval in
+        # real time, else all of them, MAX_READINGS_PER_RECORD at a time
+        per_record = 1 if cfg.realtime else MAX_READINGS_PER_RECORD
+        for first in range(0, cfg.count, per_record):
+            readings = [sim.next_reading(start_ms + i * cfg.interval_ms)
+                        for i in range(first, min(first + per_record, cfg.count))]
+            payload = b"".join([reading_encode(r) for r in readings])
+            frame_write(sock, record_seal(send_dir, TYPE_DATA, payload))
+            report.sent += [(r.timestamp_ms, r.bpm) for r in readings]
+            report.sent_count += len(readings)
             if cfg.realtime:
                 time.sleep(cfg.interval_ms / 1000.0)
         frame_write(sock, record_seal(send_dir, TYPE_CLOSE, b""))

@@ -3,19 +3,20 @@ the GF(2^128) multiplier behind the authentication tag, and seal/open.
 
 Per-key work happens once per `GcmKey(key)`: the AES-128 key schedule
 (44 32-bit words, FIPS 197 §5.2) and the hash key H = E(K, 0^128) at the
-first seal or open, and the GHASH table at the first `prepare`, which
-the caller makes only for a key it knows to be long-lived
-(`records.DirectionState` decides that, once per direction). A record
-then costs one AES block per 16 bytes of payload plus one for the tag,
-and one GF(2^128) multiply per 16 bytes of AAD and ciphertext plus one
-for the lengths block. On a 2 vCPU host under CPython 3.11, the key
-schedule and H take 0.02-0.04 ms, the table 0.3-0.4 ms and about 0.2 MB
-(kept for the life of the key), a `gf128_mul` 0.01 ms and a table
-multiply 0.0015-0.002 ms. Sealing or opening a 19-byte reading of an
-unprepared key takes 80-120 µs, about half of it in its three AES
-blocks and half in its four `gf128_mul`, and about 12 µs once `prepare`
-has computed those blocks (0.35 ms for 64 nonces) and the table; its
-GHASH is 6-9 µs of that.
+first seal or open, and the GHASH table once the key has hashed
+`_BLOCKS_BEFORE_TABLE` = 36 blocks with `gf128_mul`, which cost about
+what the table does; the block that passes the count and every later one
+go through the table, so a key's first long record switches to it
+partway through. A record costs one AES block per 16 bytes of payload
+plus one for the tag, and one GF(2^128) multiply per 16 bytes of AAD and
+ciphertext plus one for the lengths block. On a 2 vCPU host under
+CPython 3.11, the key schedule and H take 0.02-0.04 ms, the table
+0.3-0.4 ms and about 0.2 MB (kept for the life of the key), a
+`gf128_mul` 0.01 ms and a table multiply 0.0015-0.002 ms. Sealing or
+opening a 19-byte reading of a new key takes 80-120 µs, about half of it
+in its three AES blocks and half in its four `gf128_mul`, and about 12
+µs once `prepare` has computed those blocks (0.35 ms for 64 nonces) and
+the key has its table; its GHASH is 6-9 µs of that.
 
 `Aes128.encrypt_block` does rounds 1-9 with the four 256-entry T-tables
 (Daemen-Rijmen, *The Design of Rijndael*, §4.2): each output column is
@@ -73,8 +74,10 @@ hardened one.
 `GcmKey.prepare(nonces)` runs one such batch over E(K, nonce‖1), the block
 that masks the tag, and the first two CTR blocks E(K, nonce‖2) and
 E(K, nonce‖3) of each nonce, and keeps them until a seal or open at that
-nonce takes them. An unprepared J0 and any counter block past those run
-one at a time through `encrypt_block` (a reading needs 2, a ticket 4). Keystream
+nonce takes them. An unprepared J0 runs through `encrypt_block`, and so
+do the counter blocks past the prepared ones when they are fewer than
+`_BATCH_BLOCKS` = 8 (a reading needs 2, a ticket 4); 8 or more, a record
+of 6 readings or more, run in one `encrypt_blocks` batch. Keystream
 depends only on key and nonce and may be computed before its record
 arrives; no plaintext is released before the tag check. Open compares the
 tag before it XORs any keystream into the ciphertext, and the failure
@@ -91,6 +94,12 @@ from .errors import AuthFailure, PayloadTooLarge
 TAG_LEN = 16
 NONCE_LEN = 12
 MAX_PLAINTEXT = 64 * 1024
+# about as many gf128_mul calls as one GHASH table build costs
+_BLOCKS_BEFORE_TABLE = 36
+# the fewest counter blocks of one record worth an `encrypt_blocks` batch
+_BATCH_BLOCKS = 8
+# the keystream bytes `prepare` computes per nonce: counter blocks 2 and 3
+PREPARED_LEN = 32
 
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
@@ -295,11 +304,12 @@ class GcmKey:
     `zeroize` wipes it for good.
 
     Construction only checks the key. The first seal or open builds the
-    round keys and H, and GHASH multiplies with `gf128_mul`, so a key that
-    carries no record costs nothing and one that carries a few readings
-    builds no table. `prepare`, which the caller makes only for a
-    long-lived key, computes keystream ahead and builds the GHASH table
-    that every later record then uses."""
+    round keys and H, and GHASH multiplies with `gf128_mul` until the key
+    has hashed `_BLOCKS_BEFORE_TABLE` blocks, then builds its table; so a
+    key that carries no record costs nothing and one that carries a few
+    readings builds no table. `build_table` builds it at once, for a key
+    shared by threads. `prepare`, which the caller makes only for a
+    long-lived key, computes keystream ahead."""
 
     def __init__(self, key: bytes):
         if len(key) != 16:
@@ -308,6 +318,7 @@ class GcmKey:
         self.aes: Aes128 | None = None
         self._h = 0
         self._tables: tuple | None = None
+        self._hashed = 0  # blocks hashed with gf128_mul
         self._prepared: dict[bytes, bytes] = {}  # nonce -> E(K, nonce‖1..3)
 
     def _ready(self) -> Aes128:
@@ -331,20 +342,21 @@ class GcmKey:
         self._tables = None
         self._prepared.clear()
 
+    def build_table(self) -> None:
+        """Builds the round keys, H and the GHASH table now. Past this, a seal
+        or open of under `_BATCH_BLOCKS` counter blocks at an unprepared
+        nonce changes nothing in the key, so threads may share it."""
+        self._ready()
+        if self._tables is None:
+            self._tables = _ghash_tables(self._h)
+
     def prepare(self, nonces) -> None:
         """Computes E(K, nonce‖1), E(K, nonce‖2) and E(K, nonce‖3) for every
         nonce in one `encrypt_blocks` batch, for the seal or open at that
-        nonce to take: the tag mask and the keystream of 32 bytes. The
-        first call also builds the GHASH table; `prepare([])` builds only
-        the table, for a key that seals or opens at nonces it cannot know
-        ahead."""
+        nonce to take: the tag mask and the keystream of 32 bytes."""
         aes = self._ready()
         if any(len(nonce) != NONCE_LEN for nonce in nonces):
             raise ValueError("nonce must be 12 bytes")
-        if self._tables is None:
-            self._tables = _ghash_tables(self._h)
-        if not nonces:
-            return
         stream = aes.encrypt_blocks(
             b"".join([nonce + c for nonce in nonces for c in _CTR_1_TO_3]))
         for i, nonce in enumerate(nonces):
@@ -362,10 +374,16 @@ class GcmKey:
         y = 0
         tables = self._tables
         if tables is None:
+            # block by block while the key is within its allowance, then the table
+            n = min(len(blocks), _BLOCKS_BEFORE_TABLE - self._hashed)
             h = self._h.to_bytes(16, "big")
-            for block in blocks:
+            for block in blocks[:n]:
                 y = int.from_bytes(gf128_mul((y ^ block).to_bytes(16, "big"), h), "big")
-            return y
+            self._hashed += n
+            if n == len(blocks):
+                return y
+            tables = self._tables = _ghash_tables(self._h)
+            blocks = blocks[n:]
         t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11, t12, t13, t14, t15 = tables
         for block in blocks:
             b = (y ^ block).to_bytes(16, "big")
@@ -387,11 +405,15 @@ class GcmKey:
 
     def _ctr(self, nonce: bytes, data: bytes, stream: bytes) -> bytes:
         # counter blocks start at 2; 1 is J0, which masks the tag. `stream`
-        # holds the leading blocks already computed, and the rest run now
+        # holds the leading blocks already computed, and the rest run now:
+        # in one batch if there are `_BATCH_BLOCKS` of them, else one by one
         n = len(data)
-        encrypt = self.aes.encrypt_block
-        stream += b"".join([encrypt(nonce + i.to_bytes(4, "big"))
-                            for i in range(2 + len(stream) // 16, (n + 15) // 16 + 2)])
+        counters = [nonce + i.to_bytes(4, "big")
+                    for i in range(2 + len(stream) // 16, (n + 15) // 16 + 2)]
+        if len(counters) >= _BATCH_BLOCKS:
+            stream += self.aes.encrypt_blocks(b"".join(counters))
+        else:
+            stream += b"".join([self.aes.encrypt_block(c) for c in counters])
         return (int.from_bytes(data, "big") ^ int.from_bytes(stream[:n], "big")).to_bytes(
             n, "big"
         )

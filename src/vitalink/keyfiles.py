@@ -1,7 +1,7 @@
 """On-disk formats for keys and credentials, plus a seedable byte source.
 
 .vlk  raw private scalar, fixed-width big-endian (UNENCRYPTED — keep out
-      of untrusted locations)
+      of untrusted locations); written with mode 0600
 .vlp  uncompressed public point encoding
 .vlc  credential in its exact wire encoding
 
@@ -12,6 +12,7 @@ CLI reports it as a configuration error (exit 2).
 from __future__ import annotations
 
 import hashlib
+import os
 from pathlib import Path
 
 from . import curves
@@ -37,7 +38,13 @@ def drbg(seed: int):
 
 
 def write_private_key(path: str | Path, d: int, suite: CurveSuite) -> None:
-    Path(path).write_bytes(d.to_bytes(suite.scalar_len, "big"))
+    """Writes the key readable by its owner only (mode 0600) whatever the
+    umask: a new file is created so, and a file already there is set so
+    before the key goes in."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)
+    with os.fdopen(fd, "wb") as fh:
+        os.fchmod(fd, 0o600)
+        fh.write(d.to_bytes(suite.scalar_len, "big"))
 
 
 def read_private_key(path: str | Path, suite: CurveSuite) -> int:

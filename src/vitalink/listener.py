@@ -26,7 +26,9 @@ _IDLE_S = 1.0
 class Listener:
     def __init__(self, host: str, port: int, handle):
         self._handle = handle
-        self._sock = socket.create_server((host, port), backlog=16)
+        # the system's most: a burst of connects waits in the queue instead
+        # of being dropped, which costs a client a 1 s SYN retransmit
+        self._sock = socket.create_server((host, port), backlog=socket.SOMAXCONN)
         self.port = self._sock.getsockname()[1]
         self._lock = threading.Lock()
         self._stopping = False

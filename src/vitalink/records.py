@@ -11,26 +11,31 @@ first frame to its last, since a peer may send a ClientFinish and the
 first records in one segment. While a whole frame is buffered, `read`
 returns it with no syscall; otherwise it waits with `select` and takes
 what has arrived, up to `READ_CHUNK`, with one `recv_into` into a buffer
-it reuses, so a burst of 43-byte readings costs one `select` and one
-`recv_into` instead of two of each per frame. A header is checked (magic,
+it reuses, so a burst of frames costs one `select` and one `recv_into`
+instead of two of each per frame. A header is checked (magic,
 version, type, length bound) as soon as its 8 bytes are buffered, before
 any body is awaited. Every read has an absolute deadline from its call,
 so a peer trickling bytes cannot stretch it. A stream that ends with
 nothing buffered ends "at-boundary"; one that ends inside a frame ends
 "mid-frame", the classic truncation.
 
-One rule decides when a key is long-lived: once a direction has carried
-`_RECORDS_BEFORE_BATCH` records, its next Data record has its
-`gcm.GcmKey` prepare the AES blocks of the next `_BATCH_RECORDS` in one
-batch, and again each time those run out, and the first batch also
-builds the key's GHASH table. A Close, always a direction's last record,
-never prepares, so a session of exactly `_RECORDS_BEFORE_BATCH` readings
-builds neither.
-The batch and the table cost about what 5 to 10 records' AES and GHASH
-do block by block (0.35 ms and 0.3 ms), so the allowance keeps them from
-keys of a few readings; on a long stream the AES of a record falls from
-three blocks (36-60 µs) to about 5 µs, and its GHASH from about 45 µs to
-6-9 µs.
+One rule decides when a direction computes keystream ahead: once it has
+carried `_RECORDS_BEFORE_BATCH` records, its next record of 1 to
+`gcm.PREPARED_LEN` = 32 bytes (one reading) has its `gcm.GcmKey`
+prepare the AES blocks of the next `_BATCH_RECORDS` in one batch, and
+again each time those run out. A Close, always a direction's last
+record, is empty and never prepares, so a session of exactly
+`_RECORDS_BEFORE_BATCH` readings prepares nothing. A longer record
+never prepares either: its own counter blocks run in one batch inside
+`gcm`, so keystream prepared at its nonce would save it only J0, and a
+direction of 64-reading records would leave most of a 64-nonce batch
+unused (55 of 64 on a 1000-reading session, about 0.3 ms a side).
+The batch costs about what 5 to 10 records' AES does block by block
+(0.35 ms), so the allowance keeps it from keys of a few readings; on a
+long stream of one-reading records the AES of a record falls from three
+blocks (36-60 µs) to about 5 µs. The GHASH table is `gcm`'s own affair:
+a key builds it after hashing 36 blocks, 9 one-reading records, and a
+reading's GHASH then falls from about 45 µs to 6-9 µs.
 """
 
 from __future__ import annotations
@@ -57,8 +62,9 @@ VERSION = 0x01
 HEADER_LEN = 8
 MAX_BODY = gcm.MAX_PLAINTEXT + gcm.TAG_LEN
 READ_TIMEOUT_S = 10.0
-# about 95 readings; 64 KiB read no faster per frame and raised the server's
-# peak RSS by about 11% on the benchmark's reject_mix workload
+# about 95 one-reading frames or three of 64 readings; 64 KiB read no faster
+# per frame and raised the server's peak RSS by about 11% on the benchmark's
+# reject_mix workload
 READ_CHUNK = 4 * 1024
 _LAST_SEQ = 2**64 - 2
 _RECORDS_BEFORE_BATCH = 8
@@ -136,14 +142,15 @@ class DirectionState:
     def _nonce(self, seq: int) -> bytes:
         return self.salt + seq.to_bytes(8, "big")
 
-    def _next_nonce(self, frame_type: int) -> bytes:
-        """The nonce of the record at `seq`, after preparing the next batch
-        if this record is past what is prepared. A Close never prepares: it
-        is the direction's last record."""
+    def _next_nonce(self, length: int) -> bytes:
+        """The nonce of the record at `seq` with a `length`-byte payload,
+        after preparing the next batch if this record is past what is
+        prepared and short, but not empty: an empty Close is the
+        direction's last record."""
         seq = self.seq
         if seq > _LAST_SEQ:
             raise SequenceExhausted()
-        if seq >= self._prepared_to and frame_type != TYPE_CLOSE:
+        if seq >= self._prepared_to and 0 < length <= gcm.PREPARED_LEN:
             end = min(seq + _BATCH_RECORDS, _LAST_SEQ + 1)
             self.gcm_key.prepare([self._nonce(s) for s in range(seq, end)])
             self._prepared_to = end
@@ -160,7 +167,7 @@ def _aad(frame_type: int, seq: int) -> bytes:
 
 
 def record_seal(direction: DirectionState, frame_type: int, payload: bytes) -> Frame:
-    nonce = direction._next_nonce(frame_type)
+    nonce = direction._next_nonce(len(payload))
     body = gcm.seal(direction.gcm_key, nonce, _aad(frame_type, direction.seq), payload)
     direction.seq += 1
     return Frame(frame_type, body)
@@ -173,7 +180,7 @@ def record_open(direction: DirectionState, frame: Frame) -> tuple[int, bytes]:
     zeroize, and close. The counter only advances on success, so a
     tampered record can never be retried into acceptance.
     """
-    nonce = direction._next_nonce(frame.frame_type)
+    nonce = direction._next_nonce(len(frame.body) - gcm.TAG_LEN)
     payload = gcm.open_(
         direction.gcm_key, nonce, _aad(frame.frame_type, direction.seq), frame.body
     )

@@ -15,6 +15,7 @@ import pytest
 from vitalink import curves, kdf, keyfiles
 from vitalink.curves import P256, TOY
 from vitalink.endpoints import (
+    MAX_READINGS_PER_RECORD,
     DeviceConfig,
     IngestionServer,
     ServerConfig,
@@ -207,19 +208,23 @@ def test_criterion_06_tamper_matrix(env, tmp_path):
             )
             proxy.start()
             try:
-                rep = run_device(device_cfg(files, proxy.port, count=8))
+                # 6 full Data records, so that Data frame 5 exists
+                rep = run_device(device_cfg(files, proxy.port,
+                                            count=6 * MAX_READINGS_PER_RECORD))
             finally:
                 proxy.stop()
                 srv.stop()
             n = len(stored(srv))  # stop() joined every handler: the count is final
-            # expected prefix length: frames accepted strictly before the fault
+            # expected prefix length: the readings of the records accepted
+            # strictly before the fault
             if mode == "forge_handshake":
                 expected = 0
                 assert rep.error is not None and "BadServerCredential" in rep.error
             elif mode == "replay_frame":
-                expected = idx + 1  # the original lands; its replay must not
+                # the original lands; its replay must not
+                expected = (idx + 1) * MAX_READINGS_PER_RECORD
             else:
-                expected = idx
+                expected = idx * MAX_READINGS_PER_RECORD
             assert n == expected, (mode, idx, n, expected)
             detections += 1
     assert detections == 21

@@ -1,6 +1,7 @@
 """CLI contract: flags, exit codes, and on-disk artifacts."""
 
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,23 @@ def test_keygen_writes_keypair_and_prints_fingerprint(tmp_path, capsys):
     d = keyfiles.read_private_key(tmp_path / "key.vlk", curves.P256)
     Q = keyfiles.read_public_point(tmp_path / "key.vlp", curves.P256)
     assert curves.scalar_mul(d, curves.P256.G, curves.P256) == Q
+
+
+def test_keygen_writes_its_private_key_owner_only_under_a_loose_umask(tmp_path, capsys):
+    old = os.umask(0o022)
+    try:
+        assert run(["keygen", "--out", str(tmp_path), "--seed", "5"], capsys)[0] == EXIT_OK
+        # a key file already there, readable by all, is tightened before it is rewritten
+        loose = tmp_path / "loose.vlk"
+        loose.write_bytes(b"old")
+        loose.chmod(0o644)
+        keyfiles.write_private_key(loose, 7, curves.P256)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "key.vlk").stat().st_mode) == 0o600
+    assert stat.S_IMODE(loose.stat().st_mode) == 0o600
+    assert keyfiles.read_private_key(loose, curves.P256) == 7
+    assert stat.S_IMODE((tmp_path / "key.vlp").stat().st_mode) == 0o644  # public: umask
 
 
 def test_keygen_seed_is_deterministic(tmp_path, capsys):

@@ -116,6 +116,28 @@ def test_honest_session_persists_every_reading(files, server):
     assert all(r.subject_id == "watch-1" for r in recs)
 
 
+@pytest.mark.parametrize("realtime, records", [(False, [64, 64, 2]), (True, [1] * 130)],
+                         ids=["backlog", "realtime"])
+def test_a_device_seals_every_reading_it_has_ready_in_one_record(files, server, monkeypatch,
+                                                                 realtime, records):
+    written = []
+    real_write = endpoints.frame_write
+
+    def spy(sock, frame):
+        if frame.frame_type == TYPE_DATA:  # the server writes none
+            written.append(divmod(len(frame.body) - gcm.TAG_LEN, 19))
+        real_write(sock, frame)
+
+    monkeypatch.setattr(endpoints, "frame_write", spy)
+    monkeypatch.setattr(time, "sleep", lambda s: None)
+    report = run_device(device_cfg(files, server.port, count=130, realtime=realtime))
+    assert report.error is None and report.sent_count == 130
+    assert written == [(n, 0) for n in records]
+    stored = [parse_reading_line(line) for line in read_store_lines(server)]
+    assert [(r.timestamp_ms, r.bpm) for r in stored] == report.sent
+    assert [ts for ts, _ in report.sent] == [1_000_000 + 1000 * i for i in range(130)]
+
+
 def test_reading_line_round_trip():
     reading = HeartRateReading(b"\xcc" * 8, 123, 72, STATUS_OK)
     line = reading_line("ab" * 32, "watch-1", reading, 456)

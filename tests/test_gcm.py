@@ -100,10 +100,10 @@ def ref_ghash(h, aad, ct):
     return y
 
 
-def prepared_key(key):
-    # `prepare` builds the key's GHASH table, so every later record uses it
+def tabled_key(key):
+    # a key whose GHASH table is built, so every record uses it
     gk = GcmKey(key)
-    gk.prepare([bytes(12)])
+    gk.build_table()
     assert gk._tables is not None
     return gk
 
@@ -131,8 +131,8 @@ def test_t_table_aes_matches_the_byte_wise_reference(key, block):
 def test_ghash_matches_the_bit_serial_multiply(key, aad, ct):
     h = ref_aes_encrypt(key, bytes(16))
     want = ref_ghash(h, aad, ct)
-    assert prepared_key(key).ghash(aad, ct).to_bytes(16, "big") == want
-    # a key that was never prepared multiplies with gf128_mul
+    assert tabled_key(key).ghash(aad, ct).to_bytes(16, "big") == want
+    # a new key, within its allowance, multiplies with gf128_mul
     assert GcmKey(key).ghash(aad, ct).to_bytes(16, "big") == want
 
 
@@ -221,8 +221,8 @@ GCM_VECTORS = [
 def test_gcm_known_answer_vectors(key, nonce, aad, pt, ct, tag):
     key, nonce, aad = bytes.fromhex(key), bytes.fromhex(nonce), bytes.fromhex(aad)
     h = ref_aes_encrypt(key, bytes(16))
-    # a fresh key seals every vector with gf128_mul; a prepared one with its table
-    for gk in (GcmKey(key), prepared_key(key)):
+    # a fresh key seals every vector with gf128_mul; a tabled one with its table
+    for gk in (GcmKey(key), tabled_key(key)):
         record = seal(gk, nonce, aad, bytes.fromhex(pt))
         assert record[:-16].hex() == ct
         assert record[-16:].hex() == tag
@@ -352,17 +352,30 @@ def _count_gf128_calls(monkeypatch):
     return calls
 
 
-def test_a_key_that_is_never_prepared_never_builds_a_ghash_table(monkeypatch):
+def test_a_key_builds_its_ghash_table_once_it_has_hashed_36_blocks(monkeypatch):
     calls = _count_gf128_calls(monkeypatch)
     gk, aad = GcmKey(os.urandom(16)), bytes(12)  # a record header
-    for n in (0, 19, 4096, 19):
-        calls.clear()
+    hashed = 0
+    for n in (0, 19, 19, 19, 4096, 19):
         nonce = os.urandom(12)
         record = seal(gk, nonce, aad, bytes(n))
         assert open_(gk, nonce, aad, record) == bytes(n)
         # the AAD block, the ciphertext's blocks and the lengths block, twice
-        assert len(calls) == 2 * (1 + (n + 15) // 16 + 1)
-        assert gk._tables is None
+        hashed += 2 * (1 + (n + 15) // 16 + 1)
+        # block by block up to the allowance; the table takes the 37th block on
+        assert len(calls) == min(hashed, 36)
+        assert (gk._tables is not None) == (hashed > 36)
+
+
+def test_a_built_table_leaves_a_shared_key_unchanged_by_short_records():
+    # the server's ticket key: once built, no seal or open of 4 counter
+    # blocks at an unprepared nonce writes to the key, so threads may share it
+    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
+    gk.build_table()
+    state = (gk._tables, gk._hashed, dict(gk._prepared), dict(gk.aes._wide), list(gk.aes._rk))
+    for _ in range(20):
+        assert open_(gk, nonce, b"aad", seal(gk, nonce, b"aad", bytes(64))) == bytes(64)
+    assert (gk._tables, gk._hashed, gk._prepared, gk.aes._wide, gk.aes._rk) == state
 
 
 def test_every_ghash_table_entry_is_its_block_times_h():
@@ -495,6 +508,7 @@ def test_zeroize_drops_the_prepared_keystream_and_the_broadcast_keys():
 
 # ---------------------------------------------------------------------------
 # Counter blocks: the first two prepared in a batch, the rest one at a time
+# below `_BATCH_BLOCKS` and in one batch from there
 
 
 def _ctr_block_by_block(key: bytes, nonce: bytes, data: bytes) -> bytes:
@@ -504,19 +518,85 @@ def _ctr_block_by_block(key: bytes, nonce: bytes, data: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(data, stream))
 
 
+def _oracle_seal(key: bytes, nonce: bytes, aad: bytes, pt: bytes) -> bytes:
+    # a fresh key's slow path, written out: CTR through encrypt_block, GHASH
+    # through gf128_mul, with no table, no batch and nothing prepared
+    aes = gcm.Aes128(key)
+    ct = _ctr_block_by_block(key, nonce, pt)
+    h = aes.encrypt_block(bytes(16))
+    y = bytes(16)
+    data = (aad + bytes(-len(aad) % 16) + ct + bytes(-len(ct) % 16)
+            + (8 * len(aad)).to_bytes(8, "big") + (8 * len(ct)).to_bytes(8, "big"))
+    for i in range(0, len(data), 16):
+        y = gf128_mul(bytes(a ^ b for a, b in zip(y, data[i : i + 16])), h)
+    j0 = aes.encrypt_block(nonce + b"\x00\x00\x00\x01")
+    return ct + bytes(a ^ b for a, b in zip(y, j0))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     key=st.binary(min_size=16, max_size=16),
     nonce=st.binary(min_size=12, max_size=12),
-    n=st.one_of(st.integers(0, 300), st.just(4096)),
+    n=st.one_of(st.integers(0, 300), st.integers(0, 4096), st.just(4096)),
+    warm=st.integers(0, 40),
     prepared=st.booleans(),
     seed=st.integers(0, 2**32),
 )
-def test_batched_counter_blocks_match_block_by_block_ctr(key, nonce, n, prepared, seed):
+def test_batched_counter_blocks_match_block_by_block_ctr(key, nonce, n, warm, prepared, seed):
+    # `warm` empty records first, of one GHASH block each (the lengths): a
+    # record whose GHASH has more than 36 - warm blocks crosses the table
+    # threshold inside it, and past 36 the key has its table
     pt = random.Random(seed).randbytes(n)
     gk = GcmKey(key)
+    for i in range(warm):
+        seal(gk, bytes(11) + bytes([i]), b"", b"")
     if prepared:
         gk.prepare([nonce])
     record = seal(gk, nonce, b"aad", pt)
-    assert record[:-gcm.TAG_LEN] == _ctr_block_by_block(key, nonce, pt)
+    assert record == _oracle_seal(key, nonce, b"aad", pt)
     assert open_(GcmKey(key), nonce, b"aad", record) == pt
+    rx = GcmKey(key)
+    for i in range(warm):
+        open_(rx, bytes(11) + bytes([i]), b"", seal(GcmKey(key), bytes(11) + bytes([i]), b"", b""))
+    assert open_(rx, nonce, b"aad", record) == pt
+
+
+def _count_batches(monkeypatch):
+    batches = []  # blocks per encrypt_blocks call
+    real = gcm.Aes128.encrypt_blocks
+
+    def counting(self, blocks):
+        batches.append(len(blocks) // 16)
+        return real(self, blocks)
+
+    monkeypatch.setattr(gcm.Aes128, "encrypt_blocks", counting)
+    return batches
+
+
+def test_a_long_record_crosses_the_table_threshold_and_batches_its_counter_tail(monkeypatch):
+    key, nonce = os.urandom(16), os.urandom(12)
+    gk = GcmKey(key)
+    for i in range(28):  # 28 of the 36 blocks before the table, one per empty record
+        seal(gk, bytes(11) + bytes([i]), b"", b"")
+    muls = _count_gf128_calls(monkeypatch)
+    singles = _count_block_calls(monkeypatch)
+    batches = _count_batches(monkeypatch)
+    pt = os.urandom(64 * 19)  # a full record of readings: 76 counter blocks
+    record = seal(gk, nonce, bytes(12), pt)
+    # 8 blocks through gf128_mul, then the table for the other 70
+    assert len(muls) == 8 and gk._tables is not None
+    assert singles == [nonce + b"\x00\x00\x00\x01"] and batches == [76]
+    monkeypatch.undo()
+    assert record == _oracle_seal(key, nonce, bytes(12), pt)
+
+
+def test_seven_counter_blocks_run_one_at_a_time_and_eight_in_one_batch(monkeypatch):
+    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
+    seal(gk, os.urandom(12), b"", b"")  # builds the round keys and H
+    singles = _count_block_calls(monkeypatch)
+    batches = _count_batches(monkeypatch)
+    seal(gk, nonce, b"", bytes(7 * 16))
+    assert len(singles) == 1 + 7 and batches == []
+    singles.clear()
+    seal(gk, nonce[::-1], b"", bytes(7 * 16 + 1))
+    assert len(singles) == 1 and batches == [8]  # J0 alone, then the batch

@@ -565,7 +565,7 @@ def test_a_chain_of_resumptions_ends_a_ticket_lifetime_after_its_full_handshake(
 def test_a_ticket_is_four_counter_blocks_sealed_and_opened_one_at_a_time(toy_pki,
                                                                          monkeypatch):
     key = GcmKey(os.urandom(16))
-    key.prepare([])  # as the server does: round keys, H and the table, no keystream
+    key.build_table()  # as the server does: round keys, H and the table, no keystream
     client, server = run_handshake(toy_pki)[:2]
     server.ticket_key = key
     calls = {"encrypt_block": 0, "encrypt_blocks": 0}

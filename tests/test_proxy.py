@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from vitalink.endpoints import DeviceConfig, IngestionServer, ServerConfig, run_device
+from vitalink.endpoints import (MAX_READINGS_PER_RECORD, DeviceConfig, IngestionServer,
+                                ServerConfig, run_device)
 from vitalink.errors import EndOfStream
 from vitalink.proxy import MODES, Relay, TamperPlan, TamperProxy, apply_tamper
 from vitalink.records import (TYPE_ABORT, TYPE_CLIENT_FINISH, TYPE_CLIENT_HELLO, TYPE_CLOSE,
@@ -248,10 +249,12 @@ def test_passthrough_proxy_preserves_fidelity(stack):
 def test_tag_flip_detected_and_stream_cut(stack):
     srv, files = stack
     plan = TamperPlan("flip_tag_bit", target_index=3)
-    report, notes = run_through_proxy(srv, files, plan)
-    # the server must detect the flip: only the pre-fault frames persist
-    # (whether the device observes the Abort in time is a race we don't pin)
-    assert len(persisted(srv)) == 3
+    # Data records of 64, 64, 64, 64 and 1 readings
+    report, notes = run_through_proxy(srv, files, plan, count=4 * MAX_READINGS_PER_RECORD + 1)
+    # the server must detect the flip: only the pre-fault records' readings
+    # persist (whether the device observes the Abort in time is a race we
+    # don't pin)
+    assert len(persisted(srv)) == 3 * MAX_READINGS_PER_RECORD
     assert any("fault=flip_tag_bit" in n for n in notes)
 
 

@@ -425,7 +425,7 @@ def test_only_long_sessions_batch_and_none_leaves_a_batch_unused(readings, monke
             assert unused < _BATCH_RECORDS
 
 
-def test_a_direction_builds_its_ghash_table_with_its_first_batch(monkeypatch):
+def test_a_direction_builds_its_ghash_table_at_its_tenth_reading(monkeypatch):
     muls, builds, prepares = [], [], []
     real_mul, real_build, real_prepare = gcm.gf128_mul, gcm._ghash_tables, gcm.GcmKey.prepare
 
@@ -446,22 +446,44 @@ def test_a_direction_builds_its_ghash_table_with_its_first_batch(monkeypatch):
     monkeypatch.setattr(gcm.GcmKey, "prepare", prepare)
     tx, rx = DirectionState(KEY, SALT), DirectionState(KEY, SALT)
     # a reading's GHASH is 4 blocks (its AAD, 2 of ciphertext and the
-    # lengths), one gf128_mul each, on both sides
-    for i in range(_RECORDS_BEFORE_BATCH):
+    # lengths), one gf128_mul each, on both sides: 9 readings hash the 36
+    # blocks a key hashes before its table. The 9th also prepares a batch.
+    for i in range(9):
         muls.clear()
         assert record_open(rx, record_seal(tx, TYPE_DATA, bytes([i]) * 19))[1] == bytes([i]) * 19
         assert len(muls) == 2 * 4
-        assert builds == prepares == []
+        assert builds == []
+        assert prepares == ([] if i < _RECORDS_BEFORE_BATCH else [64, 64])
         assert tx.gcm_key._tables is None and rx.gcm_key._tables is None
-    # the next record prepares a batch and builds the table on each side, and
-    # every later one, past further batches, uses that table
+    # the next record builds the table on each side, and every later one,
+    # past further batches, uses that table
     muls.clear()
     for i in range(200):
         assert record_open(rx, record_seal(tx, TYPE_DATA, bytes([i]) * 19))[1] == bytes([i]) * 19
         if i == 0:
-            assert len(builds) == len(prepares) == 2
+            assert len(builds) == 2
     assert muls == [] and len(builds) == 2 and len(prepares) > 2
     assert tx.gcm_key._tables is not None and rx.gcm_key._tables is not None
+
+
+def test_only_a_short_record_prepares_a_batch(monkeypatch):
+    # a record past the 32 bytes of keystream a prepared nonce holds batches
+    # its own counter blocks, so a batch prepared at its nonce would save it
+    # only J0 and leave the rest of the 64 nonces unused
+    prepares = []
+    real_prepare = gcm.GcmKey.prepare
+
+    def prepare(self, nonces):
+        prepares.append(int.from_bytes(nonces[0][4:], "big"))
+        real_prepare(self, nonces)
+
+    monkeypatch.setattr(gcm.GcmKey, "prepare", prepare)
+    tx, rx = DirectionState(KEY, SALT), DirectionState(KEY, SALT)
+    for payload in [bytes([i]) * (19 * 64) for i in range(16)] + [bytes(33)]:
+        assert record_open(rx, record_seal(tx, TYPE_DATA, payload)) == (TYPE_DATA, payload)
+    assert prepares == [] and tx.gcm_key._prepared == rx.gcm_key._prepared == {}
+    assert record_open(rx, record_seal(tx, TYPE_DATA, bytes(32))) == (TYPE_DATA, bytes(32))
+    assert prepares == [17, 17]
 
 
 @pytest.mark.parametrize("readings, prepared_at", [(_RECORDS_BEFORE_BATCH, []),

@@ -571,3 +571,102 @@ def test_a_mutated_resumed_hello_or_ticket_never_resumes(toy_pki, server, lines)
             assert len(problems) == 1 and problems[0].startswith(HANDSHAKE_CLASSIFIED), problems
 
     session()
+
+
+# ---------------------------------------------------------------------------
+# Data records of several readings: one length rule before any GCM work, one
+# tag per record, then each reading decoded and order-checked in turn
+
+
+def sealed_records(keys, readings, sizes) -> list[bytes]:
+    """Data frames of `sizes` readings each, taken in order, and a Close."""
+    tx = DirectionState(keys.c2s_key, keys.c2s_salt)
+    wire, first = [], 0
+    for n in sizes:
+        payload = b"".join(reading_encode(r) for r in readings[first : first + n])
+        wire.append(record_seal(tx, TYPE_DATA, payload).encode())
+        first += n
+    return wire + [record_seal(tx, TYPE_CLOSE, b"").encode()]
+
+
+def spy_on_open(monkeypatch) -> list:
+    opened = []
+    real_open = gcm.open_
+
+    def spy(gk, nonce, aad, record):
+        opened.append(len(record))
+        return real_open(gk, nonce, aad, record)
+
+    monkeypatch.setattr(gcm, "open_", spy)
+    return opened
+
+
+@pytest.mark.parametrize("body_len", [16, 19 * 65 + 16, 19 + 17, 19 * 64 + 17],
+                         ids=["no_reading", "65_readings", "1_reading_plus_1", "64_readings_plus_1"])
+def test_a_data_body_that_is_no_whole_count_of_readings_is_refused_before_gcm(
+        toy_pki, server, lines, monkeypatch, body_len):
+    opened = spy_on_open(monkeypatch)
+
+    def device_side(reader):
+        keys = handshake(reader, toy_pki, 31)
+        send_and_hang_up(reader.sock, Frame(TYPE_DATA, bytes(body_len)).encode())
+        return replies_until_abort(reader)
+
+    assert serve_one(server, device_side) == [TYPE_ABORT]
+    [problem] = lines.problems()
+    assert problem.startswith("session_fatal ") and "cause=MalformedFrame" in problem
+    assert opened == []
+    assert persisted(server) == []
+
+
+def test_a_bad_tag_in_the_second_of_three_records_stores_the_first_records_readings(
+        toy_pki, server, lines, monkeypatch):
+    sent = sensor_readings(toy_pki, 32, 10 + 64 + 30)
+    opened = spy_on_open(monkeypatch)
+
+    def device_side(reader):
+        keys = handshake(reader, toy_pki, 32)
+        wire = sealed_records(keys, sent, (10, 64, 30))
+        wire[1] = wire[1][:-1] + bytes([wire[1][-1] ^ 1])
+        send_and_hang_up(reader.sock, b"".join(wire))
+        return keys, replies_until_abort(reader)
+
+    keys, replies = serve_one(server, device_side)
+    assert replies == [TYPE_ABORT]
+    [problem] = lines.problems()
+    assert problem.startswith("record_auth_failure ")
+    assert stored_rows(server, keys.session_id.hex()) == as_rows(sent[:10])
+    assert opened == [19 * 10 + 16, 19 * 64 + 16]
+
+
+def test_a_timestamp_that_goes_back_inside_a_record_stores_the_readings_before_it(
+        toy_pki, server, lines):
+    sent = sensor_readings(toy_pki, 33, 5 + 10 + 5)
+    sent[9] = sent[9]._replace(timestamp_ms=sent[8].timestamp_ms - 1)  # 5th of record 2
+
+    def device_side(reader):
+        keys = handshake(reader, toy_pki, 33)
+        send_and_hang_up(reader.sock, b"".join(sealed_records(keys, sent, (5, 10, 5))))
+        return keys, replies_until_abort(reader)
+
+    keys, replies = serve_one(server, device_side)
+    assert replies == [TYPE_ABORT]
+    [problem] = lines.problems()
+    assert problem.startswith("session_fatal ") and "cause=MalformedReading" in problem
+    assert stored_rows(server, keys.session_id.hex()) == as_rows(sent[:9])
+
+
+def test_records_of_1_to_64_readings_are_stored_in_order(toy_pki, server, lines):
+    sizes = (64, 1, 2, 63, 7)
+    sent = sensor_readings(toy_pki, 34, sum(sizes))
+
+    def device_side(reader):
+        keys = handshake(reader, toy_pki, 34)
+        send_and_hang_up(reader.sock, b"".join(sealed_records(keys, sent, sizes)))
+        with pytest.raises(EndOfStream):
+            frame_read(reader, timeout=5.0)
+        return keys
+
+    keys = serve_one(server, device_side)
+    assert lines.problems() == []
+    assert stored_rows(server, keys.session_id.hex()) == as_rows(sent)
