@@ -282,8 +282,8 @@ class IngestionServer:
         # this process's tickets only; the GHASH table is built now, since
         # every session seals one ticket and nearly every one opens one. Every
         # handler shares the key: past this point a seal or open changes
-        # nothing in it, since a ticket's nonce is never prepared and its 4
-        # counter blocks run block by block, never through `encrypt_blocks`.
+        # nothing in it, since a ticket's 4 counter blocks run block by
+        # block, never through `encrypt_blocks`.
         self.ticket_key = gcm.GcmKey(os.urandom(16))
         self.ticket_key.build_table()
         self.store = Store(cfg.store_dir)

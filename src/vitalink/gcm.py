@@ -14,9 +14,9 @@ CPython 3.11, the key schedule and H take 0.02-0.04 ms, the table
 0.3-0.4 ms and about 0.2 MB (kept for the life of the key), a
 `gf128_mul` 0.01 ms and a table multiply 0.0015-0.002 ms. Sealing or
 opening a 19-byte reading of a new key takes 80-120 µs, about half of it
-in its three AES blocks and half in its four `gf128_mul`, and about 12
-µs once `prepare` has computed those blocks (0.35 ms for 64 nonces) and
-the key has its table; its GHASH is 6-9 µs of that.
+in its three AES blocks and half in its four `gf128_mul`, and about 70 µs
+once the key has its table: its GHASH is 6-9 µs of that and its three
+AES blocks most of the rest.
 
 `Aes128.encrypt_block` does rounds 1-9 with the four 256-entry T-tables
 (Daemen-Rijmen, *The Design of Rijndael*, §4.2): each output column is
@@ -34,10 +34,11 @@ all of it. ShiftRows is a fixed permutation of the 16 slices. Rotating
 every column by one row is rotating the whole integer by 4N bytes, so
 MixColumns, out_r = 2·(a_r ^ a_r+1) ^ a_r+1 ^ (a_r+2 ^ a_r+3), is a few
 big-integer shifts and XORs, with xtime as a masked shift. AddRoundKey
-XORs the integer with the round key broadcast to N bytes per slice, built
-once per key and N (0.1-0.2 ms). The cost is per batch, not per block:
-on the host above one block costs about 20 µs at N = 3 (`encrypt_block`:
-12-20 µs), about 4 µs at N = 24 and 1.2-1.8 µs at N = 192.
+XORs the integer with the round key broadcast to N bytes per slice, kept
+for the last N a key batched and rebuilt when N changes (0.1-0.2 ms).
+The cost is per batch, not per block: on the host above one block costs
+about 20 µs at N = 3 (`encrypt_block`: 12-20 µs), about 4 µs at N = 24
+and 1.2-1.8 µs at N = 192.
 
 GHASH bit ordering follows the GCM convention in which the polynomial's
 least-significant coefficient sits in the most-significant bit of the
@@ -71,16 +72,12 @@ depends on key and data bytes, so a co-resident attacker who can observe
 the cache may learn key bits. This is a teaching implementation, not a
 hardened one.
 
-`GcmKey.prepare(nonces)` runs one such batch over E(K, nonce‖1), the block
-that masks the tag, and the first two CTR blocks E(K, nonce‖2) and
-E(K, nonce‖3) of each nonce, and keeps them until a seal or open at that
-nonce takes them. An unprepared J0 runs through `encrypt_block`, and so
-do the counter blocks past the prepared ones when they are fewer than
+Each seal or open runs its own AES blocks: E(K, J0) with J0 = nonce‖1,
+the block that masks the tag, through `encrypt_block`, and the counter
+blocks from nonce‖2 on one at a time when they are fewer than
 `_BATCH_BLOCKS` = 8 (a reading needs 2, a ticket 4); 8 or more, a record
-of 6 readings or more, run in one `encrypt_blocks` batch. Keystream
-depends only on key and nonce and may be computed before its record
-arrives; no plaintext is released before the tag check. Open compares the
-tag before it XORs any keystream into the ciphertext, and the failure
+of 6 readings or more, run in one `encrypt_blocks` batch. Open compares
+the tag before it XORs any keystream into the ciphertext, and the failure
 carries no cause detail.
 """
 
@@ -98,8 +95,6 @@ MAX_PLAINTEXT = 64 * 1024
 _BLOCKS_BEFORE_TABLE = 36
 # the fewest counter blocks of one record worth an `encrypt_blocks` batch
 _BATCH_BLOCKS = 8
-# the keystream bytes `prepare` computes per nonce: counter blocks 2 and 3
-PREPARED_LEN = 32
 
 _RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36)
 
@@ -171,7 +166,9 @@ class Aes128:
         if len(key) != 16:
             raise ValueError("AES-128 key must be 16 bytes")
         self._rk = _round_keys(key)
-        self._wide: dict[int, tuple] = {}  # batch size -> broadcast round keys
+        # the last batch size -> its broadcast round keys: one entry, so a peer
+        # that sends records of many lengths cannot make the key hold many
+        self._wide: dict[int, tuple] = {}
 
     def _wide_keys(self, n: int) -> tuple:
         # the 11 round keys with each byte repeated n times in its slice, and
@@ -184,7 +181,8 @@ class Aes128:
                 keys.append(int.from_bytes(
                     b"".join([kb[p : p + 1] * n for p in _SLICE_OFFSETS]), "big"))
             ones = int.from_bytes(b"\x01" * (16 * n), "big")
-            wide = self._wide[n] = (tuple(keys), ones * 0xFF, ones * 0x7F, ones)
+            wide = (tuple(keys), ones * 0xFF, ones * 0x7F, ones)
+            self._wide = {n: wide}
         return wide
 
     def encrypt_blocks(self, blocks: bytes) -> bytes:
@@ -243,7 +241,7 @@ class Aes128:
         )
 
 
-_CTR_1_TO_3 = (b"\x00\x00\x00\x01", b"\x00\x00\x00\x02", b"\x00\x00\x00\x03")
+_J0_CTR = b"\x00\x00\x00\x01"
 _R = 0xE1 << 120
 
 
@@ -299,17 +297,15 @@ def _ghash_tables(h: int) -> tuple:
 
 class GcmKey:
     """Everything AES-128-GCM derives from one key: the AES round keys, the
-    hash key H = E(K, 0^128), the GHASH table and any keystream prepared
-    ahead. Build one per key and reuse it for every record under that key;
-    `zeroize` wipes it for good.
+    hash key H = E(K, 0^128) and the GHASH table. Build one per key and
+    reuse it for every record under that key; `zeroize` wipes it for good.
 
     Construction only checks the key. The first seal or open builds the
     round keys and H, and GHASH multiplies with `gf128_mul` until the key
     has hashed `_BLOCKS_BEFORE_TABLE` blocks, then builds its table; so a
     key that carries no record costs nothing and one that carries a few
     readings builds no table. `build_table` builds it at once, for a key
-    shared by threads. `prepare`, which the caller makes only for a
-    long-lived key, computes keystream ahead."""
+    shared by threads."""
 
     def __init__(self, key: bytes):
         if len(key) != 16:
@@ -319,7 +315,6 @@ class GcmKey:
         self._h = 0
         self._tables: tuple | None = None
         self._hashed = 0  # blocks hashed with gf128_mul
-        self._prepared: dict[bytes, bytes] = {}  # nonce -> E(K, nonce‖1..3)
 
     def _ready(self) -> Aes128:
         if self._key is None:
@@ -331,8 +326,8 @@ class GcmKey:
 
     def zeroize(self) -> None:
         # Python cannot scrub bytes or int objects; this drops the key, H, the
-        # table, the prepared keystream and the broadcast round keys, and
-        # overwrites the round keys in place
+        # table and the broadcast round keys, and overwrites the round keys in
+        # place
         self._key = None
         if self.aes is not None:
             rk = self.aes._rk
@@ -340,27 +335,14 @@ class GcmKey:
             self.aes._wide.clear()
         self._h = 0
         self._tables = None
-        self._prepared.clear()
 
     def build_table(self) -> None:
         """Builds the round keys, H and the GHASH table now. Past this, a seal
-        or open of under `_BATCH_BLOCKS` counter blocks at an unprepared
-        nonce changes nothing in the key, so threads may share it."""
+        or open of under `_BATCH_BLOCKS` counter blocks changes nothing in
+        the key, so threads may share it."""
         self._ready()
         if self._tables is None:
             self._tables = _ghash_tables(self._h)
-
-    def prepare(self, nonces) -> None:
-        """Computes E(K, nonce‖1), E(K, nonce‖2) and E(K, nonce‖3) for every
-        nonce in one `encrypt_blocks` batch, for the seal or open at that
-        nonce to take: the tag mask and the keystream of 32 bytes."""
-        aes = self._ready()
-        if any(len(nonce) != NONCE_LEN for nonce in nonces):
-            raise ValueError("nonce must be 12 bytes")
-        stream = aes.encrypt_blocks(
-            b"".join([nonce + c for nonce in nonces for c in _CTR_1_TO_3]))
-        for i, nonce in enumerate(nonces):
-            self._prepared[nonce] = stream[48 * i : 48 * i + 48]
 
     def ghash(self, aad: bytes, ct: bytes) -> int:
         """GHASH_H(aad, ct) per SP 800-38D, as a big-endian integer."""
@@ -392,28 +374,20 @@ class GcmKey:
                  ^ t12[b[12]] ^ t13[b[13]] ^ t14[b[14]] ^ t15[b[15]])
         return y
 
-    def _take(self, nonce: bytes) -> tuple[int, bytes]:
-        # E(K, J0) and the CTR blocks prepared for this nonce: from the store
-        # if `prepare` ran for it, else J0 alone, computed now
-        pre = self._prepared.pop(nonce, None)
-        if pre is None:
-            return int.from_bytes(self.aes.encrypt_block(nonce + _CTR_1_TO_3[0]), "big"), b""
-        return int.from_bytes(pre[:16], "big"), pre[16:]
-
-    def _tag(self, ek_j0: int, aad: bytes, ct: bytes) -> bytes:
+    def _tag(self, nonce: bytes, aad: bytes, ct: bytes) -> bytes:
+        # GHASH masked with E(K, J0)
+        ek_j0 = int.from_bytes(self.aes.encrypt_block(nonce + _J0_CTR), "big")
         return (self.ghash(aad, ct) ^ ek_j0).to_bytes(16, "big")
 
-    def _ctr(self, nonce: bytes, data: bytes, stream: bytes) -> bytes:
-        # counter blocks start at 2; 1 is J0, which masks the tag. `stream`
-        # holds the leading blocks already computed, and the rest run now:
-        # in one batch if there are `_BATCH_BLOCKS` of them, else one by one
+    def _ctr(self, nonce: bytes, data: bytes) -> bytes:
+        # counter blocks start at 2; 1 is J0, which masks the tag. They run in
+        # one batch if there are `_BATCH_BLOCKS` of them, else one by one
         n = len(data)
-        counters = [nonce + i.to_bytes(4, "big")
-                    for i in range(2 + len(stream) // 16, (n + 15) // 16 + 2)]
+        counters = [nonce + i.to_bytes(4, "big") for i in range(2, (n + 15) // 16 + 2)]
         if len(counters) >= _BATCH_BLOCKS:
-            stream += self.aes.encrypt_blocks(b"".join(counters))
+            stream = self.aes.encrypt_blocks(b"".join(counters))
         else:
-            stream += b"".join([self.aes.encrypt_block(c) for c in counters])
+            stream = b"".join([self.aes.encrypt_block(c) for c in counters])
         return (int.from_bytes(data, "big") ^ int.from_bytes(stream[:n], "big")).to_bytes(
             n, "big"
         )
@@ -429,9 +403,8 @@ def seal(gk: GcmKey, nonce: bytes, aad: bytes, plaintext: bytes) -> bytes:
         raise ValueError("nonce must be 12 bytes")
     if len(plaintext) > MAX_PLAINTEXT:
         raise PayloadTooLarge(f"plaintext exceeds {MAX_PLAINTEXT} bytes")
-    ek_j0, stream = gk._take(nonce)
-    ct = gk._ctr(nonce, plaintext, stream)
-    return ct + gk._tag(ek_j0, aad, ct)
+    ct = gk._ctr(nonce, plaintext)
+    return ct + gk._tag(nonce, aad, ct)
 
 
 def open_(gk: GcmKey, nonce: bytes, aad: bytes, record: bytes) -> bytes:
@@ -445,7 +418,6 @@ def open_(gk: GcmKey, nonce: bytes, aad: bytes, record: bytes) -> bytes:
     ct, tag = record[:-TAG_LEN], record[-TAG_LEN:]
     if len(ct) > MAX_PLAINTEXT:
         raise PayloadTooLarge(f"ciphertext exceeds {MAX_PLAINTEXT} bytes")
-    ek_j0, stream = gk._take(nonce)
-    if not _hmac.compare_digest(gk._tag(ek_j0, aad, ct), tag):
+    if not _hmac.compare_digest(gk._tag(nonce, aad, ct), tag):
         raise AuthFailure()
-    return gk._ctr(nonce, ct, stream)
+    return gk._ctr(nonce, ct)

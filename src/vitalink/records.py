@@ -18,24 +18,6 @@ any body is awaited. Every read has an absolute deadline from its call,
 so a peer trickling bytes cannot stretch it. A stream that ends with
 nothing buffered ends "at-boundary"; one that ends inside a frame ends
 "mid-frame", the classic truncation.
-
-One rule decides when a direction computes keystream ahead: once it has
-carried `_RECORDS_BEFORE_BATCH` records, its next record of 1 to
-`gcm.PREPARED_LEN` = 32 bytes (one reading) has its `gcm.GcmKey`
-prepare the AES blocks of the next `_BATCH_RECORDS` in one batch, and
-again each time those run out. A Close, always a direction's last
-record, is empty and never prepares, so a session of exactly
-`_RECORDS_BEFORE_BATCH` readings prepares nothing. A longer record
-never prepares either: its own counter blocks run in one batch inside
-`gcm`, so keystream prepared at its nonce would save it only J0, and a
-direction of 64-reading records would leave most of a 64-nonce batch
-unused (55 of 64 on a 1000-reading session, about 0.3 ms a side).
-The batch costs about what 5 to 10 records' AES does block by block
-(0.35 ms), so the allowance keeps it from keys of a few readings; on a
-long stream of one-reading records the AES of a record falls from three
-blocks (36-60 µs) to about 5 µs. The GHASH table is `gcm`'s own affair:
-a key builds it after hashing 36 blocks, 9 one-reading records, and a
-reading's GHASH then falls from about 45 µs to 6-9 µs.
 """
 
 from __future__ import annotations
@@ -67,8 +49,6 @@ READ_TIMEOUT_S = 10.0
 # reject_mix workload
 READ_CHUNK = 4 * 1024
 _LAST_SEQ = 2**64 - 2
-_RECORDS_BEFORE_BATCH = 8
-_BATCH_RECORDS = 64
 
 TYPE_CLIENT_HELLO = 0x01
 TYPE_SERVER_HELLO = 0x02
@@ -125,36 +105,23 @@ class DirectionState:
 
     Owned by exactly one sender or one receiver; the counter doubles as
     send_seq or recv_seq depending on which side holds it. Its one
-    `gcm.GcmKey` serves every record of the direction.
+    `gcm.GcmKey` serves every record of the direction and runs each
+    record's AES blocks when it is sealed or opened.
     """
 
     key: bytes
     salt: bytes
     seq: int = 0
     gcm_key: gcm.GcmKey = field(init=False, repr=False, compare=False)
-    _prepared_to: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.gcm_key = gcm.GcmKey(self.key)
-        # records below this seq are prepared or inside the allowance
-        self._prepared_to = self.seq + _RECORDS_BEFORE_BATCH
 
-    def _nonce(self, seq: int) -> bytes:
-        return self.salt + seq.to_bytes(8, "big")
-
-    def _next_nonce(self, length: int) -> bytes:
-        """The nonce of the record at `seq` with a `length`-byte payload,
-        after preparing the next batch if this record is past what is
-        prepared and short, but not empty: an empty Close is the
-        direction's last record."""
-        seq = self.seq
-        if seq > _LAST_SEQ:
+    def _next_nonce(self) -> bytes:
+        """The nonce of the record at `seq`."""
+        if self.seq > _LAST_SEQ:
             raise SequenceExhausted()
-        if seq >= self._prepared_to and 0 < length <= gcm.PREPARED_LEN:
-            end = min(seq + _BATCH_RECORDS, _LAST_SEQ + 1)
-            self.gcm_key.prepare([self._nonce(s) for s in range(seq, end)])
-            self._prepared_to = end
-        return self._nonce(seq)
+        return self.salt + self.seq.to_bytes(8, "big")
 
     def zeroize(self) -> None:
         self.key = b"\x00" * 16
@@ -167,7 +134,7 @@ def _aad(frame_type: int, seq: int) -> bytes:
 
 
 def record_seal(direction: DirectionState, frame_type: int, payload: bytes) -> Frame:
-    nonce = direction._next_nonce(len(payload))
+    nonce = direction._next_nonce()
     body = gcm.seal(direction.gcm_key, nonce, _aad(frame_type, direction.seq), payload)
     direction.seq += 1
     return Frame(frame_type, body)
@@ -180,7 +147,7 @@ def record_open(direction: DirectionState, frame: Frame) -> tuple[int, bytes]:
     zeroize, and close. The counter only advances on success, so a
     tampered record can never be retried into acceptance.
     """
-    nonce = direction._next_nonce(len(frame.body) - gcm.TAG_LEN)
+    nonce = direction._next_nonce()
     payload = gcm.open_(
         direction.gcm_key, nonce, _aad(frame.frame_type, direction.seq), frame.body
     )

@@ -369,13 +369,13 @@ def test_a_key_builds_its_ghash_table_once_it_has_hashed_36_blocks(monkeypatch):
 
 def test_a_built_table_leaves_a_shared_key_unchanged_by_short_records():
     # the server's ticket key: once built, no seal or open of 4 counter
-    # blocks at an unprepared nonce writes to the key, so threads may share it
+    # blocks writes to the key, so threads may share it
     gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
     gk.build_table()
-    state = (gk._tables, gk._hashed, dict(gk._prepared), dict(gk.aes._wide), list(gk.aes._rk))
+    state = (gk._tables, gk._hashed, dict(gk.aes._wide), list(gk.aes._rk))
     for _ in range(20):
         assert open_(gk, nonce, b"aad", seal(gk, nonce, b"aad", bytes(64))) == bytes(64)
-    assert (gk._tables, gk._hashed, gk._prepared, gk.aes._wide, gk.aes._rk) == state
+    assert (gk._tables, gk._hashed, gk.aes._wide, gk.aes._rk) == state
 
 
 def test_every_ghash_table_entry_is_its_block_times_h():
@@ -403,7 +403,7 @@ def test_one_ghash_table_build_allocates_under_256_kb():
 
 
 # ---------------------------------------------------------------------------
-# Batch AES and keystream prepared ahead
+# Batch AES
 
 
 def test_batch_aes_fips197_known_answer():
@@ -433,82 +433,19 @@ def test_batch_aes_refuses_a_partial_or_empty_batch():
             aes.encrypt_blocks(bad)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    key=st.binary(min_size=16, max_size=16),
-    nonce=st.binary(min_size=12, max_size=12),
-    aad=st.binary(max_size=40),
-    pt=st.binary(max_size=100),
-)
-def test_a_prepared_nonce_seals_and_opens_like_an_unprepared_one(key, nonce, aad, pt):
-    plain = GcmKey(key)
-    record = seal(plain, nonce, aad, pt)
-    prepared = GcmKey(key)
-    prepared.prepare([nonce])
-    assert seal(prepared, nonce, aad, pt) == record
-    assert not prepared._prepared  # the entry is taken once
-    prepared.prepare([nonce])
-    assert open_(prepared, nonce, aad, record) == pt
-    assert open_(plain, nonce, aad, record) == pt
-
-
-def test_prepare_covers_j0_and_two_counter_blocks():
+def test_a_key_keeps_the_broadcast_keys_of_its_last_batch_size_only():
     gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
-    gk.prepare([nonce])
-    aes = gcm.Aes128(gk._key)
-    assert gk._prepared == {nonce: b"".join(
-        aes.encrypt_block(nonce + i.to_bytes(4, "big")) for i in (1, 2, 3))}
-    with pytest.raises(ValueError):
-        gk.prepare([bytes(11)])
-
-
-def test_a_prepared_record_runs_blocks_only_past_its_first_32_bytes(monkeypatch):
-    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
-    seal(gk, os.urandom(12), b"", b"")  # builds the round keys and H
-    calls = _count_block_calls(monkeypatch)
-    gk.prepare([nonce, nonce[::-1]])
-    seal(gk, nonce, b"aad", bytes(32))
-    assert calls == []
-    # counter blocks 4 and 5 are past what prepare computed
-    seal(gk, nonce[::-1], b"aad", bytes(33 + 16))
-    assert calls == [nonce[::-1] + b"\x00\x00\x00\x04", nonce[::-1] + b"\x00\x00\x00\x05"]
-
-
-def test_a_forgery_at_a_prepared_nonce_fails_before_any_keystream_xor(monkeypatch):
-    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
-    record = seal(GcmKey(gk._key), nonce, b"aad", bytes(19))
-    gk.prepare([nonce])
-    xors = []
-    real = GcmKey._ctr
-
-    def counting(self, *args):
-        xors.append(args)
-        return real(self, *args)
-
-    monkeypatch.setattr(GcmKey, "_ctr", counting)
-    with pytest.raises(AuthFailure):
-        open_(gk, nonce, b"aad", record[:-1] + bytes([record[-1] ^ 1]))
-    assert xors == []
-    # the taken entry is gone; the good record still opens, block by block
-    assert open_(gk, nonce, b"aad", record) == bytes(19)
-    assert len(xors) == 1
-
-
-def test_zeroize_drops_the_prepared_keystream_and_the_broadcast_keys():
-    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
-    gk.prepare([nonce, nonce[::-1]])
-    assert gk._prepared and gk.aes._wide
+    for blocks in (8, 9, 76, 8):
+        seal(gk, nonce, b"", bytes(16 * blocks))
+        assert list(gk.aes._wide) == [blocks]
     gk.zeroize()
-    assert gk._prepared == {} and gk.aes._wide == {}
-    with pytest.raises(ValueError):
-        gk.prepare([nonce])
+    assert gk.aes._wide == {}
     with pytest.raises(ValueError):
         seal(gk, nonce, b"", b"reading")
 
 
 # ---------------------------------------------------------------------------
-# Counter blocks: the first two prepared in a batch, the rest one at a time
-# below `_BATCH_BLOCKS` and in one batch from there
+# Counter blocks: one at a time below `_BATCH_BLOCKS` and in one batch from there
 
 
 def _ctr_block_by_block(key: bytes, nonce: bytes, data: bytes) -> bytes:
@@ -520,7 +457,7 @@ def _ctr_block_by_block(key: bytes, nonce: bytes, data: bytes) -> bytes:
 
 def _oracle_seal(key: bytes, nonce: bytes, aad: bytes, pt: bytes) -> bytes:
     # a fresh key's slow path, written out: CTR through encrypt_block, GHASH
-    # through gf128_mul, with no table, no batch and nothing prepared
+    # through gf128_mul, with no table and no batch
     aes = gcm.Aes128(key)
     ct = _ctr_block_by_block(key, nonce, pt)
     h = aes.encrypt_block(bytes(16))
@@ -539,10 +476,9 @@ def _oracle_seal(key: bytes, nonce: bytes, aad: bytes, pt: bytes) -> bytes:
     nonce=st.binary(min_size=12, max_size=12),
     n=st.one_of(st.integers(0, 300), st.integers(0, 4096), st.just(4096)),
     warm=st.integers(0, 40),
-    prepared=st.booleans(),
     seed=st.integers(0, 2**32),
 )
-def test_batched_counter_blocks_match_block_by_block_ctr(key, nonce, n, warm, prepared, seed):
+def test_batched_counter_blocks_match_block_by_block_ctr(key, nonce, n, warm, seed):
     # `warm` empty records first, of one GHASH block each (the lengths): a
     # record whose GHASH has more than 36 - warm blocks crosses the table
     # threshold inside it, and past 36 the key has its table
@@ -550,8 +486,6 @@ def test_batched_counter_blocks_match_block_by_block_ctr(key, nonce, n, warm, pr
     gk = GcmKey(key)
     for i in range(warm):
         seal(gk, bytes(11) + bytes([i]), b"", b"")
-    if prepared:
-        gk.prepare([nonce])
     record = seal(gk, nonce, b"aad", pt)
     assert record == _oracle_seal(key, nonce, b"aad", pt)
     assert open_(GcmKey(key), nonce, b"aad", record) == pt

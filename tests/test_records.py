@@ -27,7 +27,6 @@ from vitalink.records import (
     TYPE_CLOSE,
     TYPE_DATA,
     VERSION,
-    _RECORDS_BEFORE_BATCH,
     DirectionState,
     Frame,
     FrameReader,
@@ -378,7 +377,7 @@ def test_a_trickling_peer_cannot_stretch_a_readers_deadline():
 
 
 # ---------------------------------------------------------------------------
-# Keystream prepared ahead: when a direction batches, and how far
+# AES work: each record runs its own blocks when it is sealed or opened
 
 
 def count_aes_blocks(monkeypatch):
@@ -402,32 +401,21 @@ def count_aes_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("readings", [1, 2, 10, 1000])
-def test_only_long_sessions_batch_and_none_leaves_a_batch_unused(readings, monkeypatch):
-    from vitalink.records import _BATCH_RECORDS, _RECORDS_BEFORE_BATCH
-
+def test_every_one_reading_record_runs_its_own_three_blocks(readings, monkeypatch):
     counts = count_aes_blocks(monkeypatch)
     tx, rx = DirectionState(KEY, SALT), DirectionState(KEY, SALT)
     for i in range(readings):
         frame = record_seal(tx, TYPE_DATA, bytes([i % 256]) * 19)
         assert record_open(rx, frame) == (TYPE_DATA, bytes([i % 256]) * 19)
     assert record_open(rx, record_seal(tx, TYPE_CLOSE, b"")) == (TYPE_CLOSE, b"")
-    records = readings + 1
     for d in (tx, rx):
-        single, batched = counts[id(d.gcm_key.aes)]
-        unused = len(d.gcm_key._prepared)
-        if records <= _RECORDS_BEFORE_BATCH:
-            # H, then J0 and two counter blocks per reading and J0 for the Close
-            assert (single, batched) == (1 + 3 * readings + 1, 0)
-        else:
-            # the allowance runs block by block, every later record is prepared
-            assert single == 1 + 3 * _RECORDS_BEFORE_BATCH
-            assert batched == 3 * (records - _RECORDS_BEFORE_BATCH + unused)
-            assert unused < _BATCH_RECORDS
+        # H, then J0 and two counter blocks per reading and J0 for the Close
+        assert counts[id(d.gcm_key.aes)] == [1 + 3 * readings + 1, 0]
 
 
 def test_a_direction_builds_its_ghash_table_at_its_tenth_reading(monkeypatch):
-    muls, builds, prepares = [], [], []
-    real_mul, real_build, real_prepare = gcm.gf128_mul, gcm._ghash_tables, gcm.GcmKey.prepare
+    muls, builds = [], []
+    real_mul, real_build = gcm.gf128_mul, gcm._ghash_tables
 
     def mul(x, y):
         muls.append(x)
@@ -437,81 +425,27 @@ def test_a_direction_builds_its_ghash_table_at_its_tenth_reading(monkeypatch):
         builds.append(h)
         return real_build(h)
 
-    def prepare(self, nonces):
-        prepares.append(len(nonces))
-        real_prepare(self, nonces)
-
     monkeypatch.setattr(gcm, "gf128_mul", mul)
     monkeypatch.setattr(gcm, "_ghash_tables", build)
-    monkeypatch.setattr(gcm.GcmKey, "prepare", prepare)
     tx, rx = DirectionState(KEY, SALT), DirectionState(KEY, SALT)
     # a reading's GHASH is 4 blocks (its AAD, 2 of ciphertext and the
     # lengths), one gf128_mul each, on both sides: 9 readings hash the 36
-    # blocks a key hashes before its table. The 9th also prepares a batch.
+    # blocks a key hashes before its table.
     for i in range(9):
         muls.clear()
         assert record_open(rx, record_seal(tx, TYPE_DATA, bytes([i]) * 19))[1] == bytes([i]) * 19
         assert len(muls) == 2 * 4
         assert builds == []
-        assert prepares == ([] if i < _RECORDS_BEFORE_BATCH else [64, 64])
         assert tx.gcm_key._tables is None and rx.gcm_key._tables is None
-    # the next record builds the table on each side, and every later one,
-    # past further batches, uses that table
+    # the next record builds the table on each side, and every later one
+    # uses that table
     muls.clear()
     for i in range(200):
         assert record_open(rx, record_seal(tx, TYPE_DATA, bytes([i]) * 19))[1] == bytes([i]) * 19
         if i == 0:
             assert len(builds) == 2
-    assert muls == [] and len(builds) == 2 and len(prepares) > 2
+    assert muls == [] and len(builds) == 2
     assert tx.gcm_key._tables is not None and rx.gcm_key._tables is not None
-
-
-def test_only_a_short_record_prepares_a_batch(monkeypatch):
-    # a record past the 32 bytes of keystream a prepared nonce holds batches
-    # its own counter blocks, so a batch prepared at its nonce would save it
-    # only J0 and leave the rest of the 64 nonces unused
-    prepares = []
-    real_prepare = gcm.GcmKey.prepare
-
-    def prepare(self, nonces):
-        prepares.append(int.from_bytes(nonces[0][4:], "big"))
-        real_prepare(self, nonces)
-
-    monkeypatch.setattr(gcm.GcmKey, "prepare", prepare)
-    tx, rx = DirectionState(KEY, SALT), DirectionState(KEY, SALT)
-    for payload in [bytes([i]) * (19 * 64) for i in range(16)] + [bytes(33)]:
-        assert record_open(rx, record_seal(tx, TYPE_DATA, payload)) == (TYPE_DATA, payload)
-    assert prepares == [] and tx.gcm_key._prepared == rx.gcm_key._prepared == {}
-    assert record_open(rx, record_seal(tx, TYPE_DATA, bytes(32))) == (TYPE_DATA, bytes(32))
-    assert prepares == [17, 17]
-
-
-@pytest.mark.parametrize("readings, prepared_at", [(_RECORDS_BEFORE_BATCH, []),
-                                                    (_RECORDS_BEFORE_BATCH + 1, [8])])
-def test_a_close_never_prepares_a_batch(readings, prepared_at, monkeypatch):
-    # the Close is a direction's last record: a batch and a table for it
-    # alone would be spent on one record
-    prepares, builds = [], []
-    real_prepare, real_build = gcm.GcmKey.prepare, gcm._ghash_tables
-
-    def prepare(self, nonces):
-        prepares.append((id(self), int.from_bytes(nonces[0][4:], "big")))
-        real_prepare(self, nonces)
-
-    def build(h):
-        builds.append(h)
-        return real_build(h)
-
-    monkeypatch.setattr(gcm.GcmKey, "prepare", prepare)
-    monkeypatch.setattr(gcm, "_ghash_tables", build)
-    tx, rx = DirectionState(KEY, SALT), DirectionState(KEY, SALT)
-    for i in range(readings):
-        assert record_open(rx, record_seal(tx, TYPE_DATA, bytes([i]) * 19))[1] == bytes([i]) * 19
-    assert record_open(rx, record_seal(tx, TYPE_CLOSE, b"")) == (TYPE_CLOSE, b"")
-    for d in (tx, rx):
-        assert [seq for key, seq in prepares if key == id(d.gcm_key)] == prepared_at
-        assert (d.gcm_key._tables is not None) == bool(prepared_at)
-    assert len(builds) == 2 * len(prepared_at)
 
 
 @settings(max_examples=40, deadline=None)
@@ -519,7 +453,7 @@ def test_a_close_never_prepares_a_batch(readings, prepared_at, monkeypatch):
     key=st.binary(min_size=16, max_size=16),
     salt=st.binary(min_size=4, max_size=4),
     records=st.lists(st.tuples(st.sampled_from([TYPE_DATA, TYPE_CLOSE]), st.binary(max_size=50)),
-                     min_size=1, max_size=3 * _RECORDS_BEFORE_BATCH),
+                     min_size=1, max_size=24),
 )
 def test_a_direction_seals_what_a_fresh_unprepared_key_per_record_seals(key, salt, records):
     # the oracle is the slow path: no batch, no table
@@ -529,38 +463,42 @@ def test_a_direction_seals_what_a_fresh_unprepared_key_per_record_seals(key, sal
         oracle = gcm.GcmKey(key)
         aad = MAGIC + bytes([VERSION, frame_type]) + seq.to_bytes(8, "big")
         assert frame.body == gcm.seal(oracle, salt + seq.to_bytes(8, "big"), aad, payload)
-        assert oracle._tables is None and oracle._prepared == {}
+        assert oracle._tables is None
         assert record_open(rx, frame) == (frame_type, payload)
 
 
-def test_a_direction_near_the_end_prepares_nothing_past_the_last_seq(monkeypatch):
-    from vitalink import gcm
-
-    prepared = []
-    real = gcm.GcmKey.prepare
-
-    def recording(self, nonces):
-        prepared.extend(int.from_bytes(n[4:], "big") for n in nonces)
-        return real(self, nonces)
-
-    monkeypatch.setattr(gcm.GcmKey, "prepare", recording)
+def test_a_direction_refuses_a_record_past_the_last_seq():
     start = 2**64 - 40
     tx, rx = DirectionState(KEY, SALT, seq=start), DirectionState(KEY, SALT, seq=start)
     for _ in range(39):
         record_open(rx, record_seal(tx, TYPE_DATA, b"near the end"))
     assert tx.seq == rx.seq == 2**64 - 1
-    assert prepared and max(prepared) == 2**64 - 2
     with pytest.raises(SequenceExhausted):
         record_seal(tx, TYPE_DATA, b"")
     with pytest.raises(SequenceExhausted):
         record_open(rx, Frame(TYPE_DATA, bytes(16)))
 
 
-def test_a_zeroized_direction_keeps_no_prepared_keystream():
+def test_a_direction_of_every_record_length_keeps_one_batch_size():
+    # an authenticated peer may send one record of each length from 6 to 64
+    # readings, each an `encrypt_blocks` batch of its own size; the key keeps
+    # the broadcast round keys of the last size only
+    tx, rx = DirectionState(KEY, SALT), DirectionState(KEY, SALT)
+    for seq, readings in enumerate(range(6, 65)):
+        payload = bytes([readings]) * (19 * readings)
+        frame = record_seal(tx, TYPE_DATA, payload)
+        aad = MAGIC + bytes([VERSION, TYPE_DATA]) + seq.to_bytes(8, "big")
+        assert frame.body == gcm.seal(gcm.GcmKey(KEY), SALT + seq.to_bytes(8, "big"), aad, payload)
+        assert record_open(rx, frame) == (TYPE_DATA, payload)
+    for d in (tx, rx):
+        assert list(d.gcm_key.aes._wide) == [(19 * 64 + 15) // 16]
+
+
+def test_a_zeroized_direction_keeps_no_broadcast_keys():
     tx = DirectionState(KEY, SALT)
     for _ in range(20):
-        record_seal(tx, TYPE_DATA, b"reading")
-    assert tx.gcm_key._prepared and tx.gcm_key.aes._wide
+        record_seal(tx, TYPE_DATA, bytes(19 * 6))  # 8 counter blocks, one batch
+    assert tx.gcm_key.aes._wide
     tx.zeroize()
-    assert tx.gcm_key._prepared == {} and tx.gcm_key.aes._wide == {}
+    assert tx.gcm_key.aes._wide == {}
     assert tx.gcm_key._tables is None
