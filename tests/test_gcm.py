@@ -444,8 +444,56 @@ def test_a_key_keeps_the_broadcast_keys_of_its_last_batch_size_only():
         seal(gk, nonce, b"", b"reading")
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    nonce=st.binary(min_size=12, max_size=12),
+    aad=st.binary(max_size=40),
+    pt=st.binary(max_size=1300),
+    earlier=st.lists(st.integers(0, 1300), max_size=4),
+)
+def test_a_used_key_seals_and_opens_like_a_fresh_one(key, nonce, aad, pt, earlier):
+    # records of other lengths first: the key has built, and maybe rebuilt,
+    # its broadcast round keys for other batch sizes
+    used = GcmKey(key)
+    for i, n in enumerate(earlier):
+        open_(used, bytes(11) + bytes([i]), b"", seal(used, bytes(11) + bytes([i]), b"", bytes(n)))
+    record = seal(used, nonce, aad, pt)
+    assert record == seal(GcmKey(key), nonce, aad, pt)
+    assert open_(used, nonce, aad, record) == pt
+
+
+def test_a_forged_batched_record_fails_before_any_batch(monkeypatch):
+    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
+    record = seal(GcmKey(gk._key), nonce, b"aad", bytes(19 * 64))  # 76 counter blocks
+    seal(gk, os.urandom(12), b"", b"")  # builds the round keys and H
+    singles = _count_block_calls(monkeypatch)
+    batches = _count_batches(monkeypatch)
+    with pytest.raises(AuthFailure):
+        open_(gk, nonce, b"aad", record[:-1] + bytes([record[-1] ^ 1]))
+    # only E(K, J0): no batch ran and no broadcast round keys were built
+    assert singles == [nonce + b"\x00\x00\x00\x01"] and batches == []
+    assert gk.aes._wide == {}
+    assert open_(gk, nonce, b"aad", record) == bytes(19 * 64)
+    assert batches == [76]
+
+
 # ---------------------------------------------------------------------------
 # Counter blocks: one at a time below `_BATCH_BLOCKS` and in one batch from there
+
+
+def test_a_short_record_runs_its_counter_blocks_then_j0_one_by_one(monkeypatch):
+    gk, nonce = GcmKey(os.urandom(16)), os.urandom(12)
+    seal(gk, os.urandom(12), b"", b"")  # builds the round keys and H
+    calls = _count_block_calls(monkeypatch)
+    batches = _count_batches(monkeypatch)
+    seal(gk, nonce, b"aad", bytes(32))
+    assert calls == [nonce + i.to_bytes(4, "big") for i in (2, 3, 1)] and batches == []
+    for bad in (bytes(11), bytes(13)):
+        with pytest.raises(ValueError):
+            seal(gk, bad, b"aad", bytes(32))
+        with pytest.raises(ValueError):
+            open_(gk, bad, b"aad", bytes(48))
 
 
 def _ctr_block_by_block(key: bytes, nonce: bytes, data: bytes) -> bytes:

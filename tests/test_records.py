@@ -413,6 +413,33 @@ def test_every_one_reading_record_runs_its_own_three_blocks(readings, monkeypatc
         assert counts[id(d.gcm_key.aes)] == [1 + 3 * readings + 1, 0]
 
 
+def test_a_full_record_runs_j0_alone_and_its_counter_blocks_in_one_batch(monkeypatch):
+    counts = count_aes_blocks(monkeypatch)
+    tx, rx = DirectionState(KEY, SALT), DirectionState(KEY, SALT)
+    # 16 records of 64 readings, 76 counter blocks each, then one of 3 and one of 2
+    for payload in [bytes([i]) * (19 * 64) for i in range(16)] + [bytes(33), bytes(32)]:
+        assert record_open(rx, record_seal(tx, TYPE_DATA, payload)) == (TYPE_DATA, payload)
+    for d in (tx, rx):
+        # H, J0 per record and the short records' counter blocks one by one
+        assert counts[id(d.gcm_key.aes)] == [1 + 18 + 3 + 2, 16 * 76]
+
+
+@pytest.mark.parametrize("readings", [8, 9, 10])
+def test_a_close_runs_only_its_j0_block(readings, monkeypatch):
+    # 9 readings hash the 36 blocks a key hashes before its table, so the
+    # Close that follows them builds it, and a 10th reading builds it first
+    counts = count_aes_blocks(monkeypatch)
+    tx, rx = DirectionState(KEY, SALT), DirectionState(KEY, SALT)
+    for i in range(readings):
+        assert record_open(rx, record_seal(tx, TYPE_DATA, bytes([i]) * 19))[1] == bytes([i]) * 19
+    before = {id(d.gcm_key.aes): list(counts[id(d.gcm_key.aes)]) for d in (tx, rx)}
+    assert record_open(rx, record_seal(tx, TYPE_CLOSE, b"")) == (TYPE_CLOSE, b"")
+    for d in (tx, rx):
+        single, batched = before[id(d.gcm_key.aes)]
+        assert counts[id(d.gcm_key.aes)] == [single + 1, batched]
+        assert (d.gcm_key._tables is not None) == (readings >= 9)
+
+
 def test_a_direction_builds_its_ghash_table_at_its_tenth_reading(monkeypatch):
     muls, builds = [], []
     real_mul, real_build = gcm.gf128_mul, gcm._ghash_tables
