@@ -164,11 +164,16 @@ class StoreRecord:
     received_at_ms: int
 
 
-def reading_line(session_id: str, subject_id: str, r: HeartRateReading,
-                 received_at_ms: int) -> str:
-    """The readings line of `r`, without its newline."""
-    return (f"{session_id}\t{subject_id}\t{r.device_id.hex()}\t{r.timestamp_ms}\t"
-            f"{r.bpm}\t{STATUS_NAMES[r.status]}\t{received_at_ms}")
+def reading_formatter(session_id: str, subject_id: str, device_id: bytes):
+    """The readings-line format of one session's device: returns
+    `line(r, received_at_ms)`, the line of reading `r` without its newline.
+    The session's three fields are formatted once, here."""
+    prefix = f"{session_id}\t{subject_id}\t{device_id.hex()}\t"
+
+    def line(r: HeartRateReading, received_at_ms: int) -> str:
+        return f"{prefix}{r.timestamp_ms}\t{r.bpm}\t{STATUS_NAMES[r.status]}\t{received_at_ms}"
+
+    return line
 
 
 def parse_reading_line(line: str) -> StoreRecord:
@@ -235,7 +240,7 @@ class Store:
                 f"store directory {self.dir}: {exc.strerror or exc}") from exc
 
     def append_reading(self, lines: list[str]) -> None:
-        """Appends a burst of `reading_line`s in one write."""
+        """Appends a burst of readings lines in one write."""
         self._append(self._readings, lines)
 
     def append_alert(self, a: AnomalyAlert) -> None:
@@ -302,6 +307,8 @@ class IngestionServer:
             pass
 
     def _handle(self, conn: socket.socket, addr) -> None:
+        # the worker is reused, so its CPU time is a difference
+        cpu0, wall0 = time.thread_time(), time.monotonic()
         recv_dir: DirectionState | None = None
         session_hex = "-"
         peer = f"{addr[0]}:{addr[1]}"
@@ -334,13 +341,19 @@ class IngestionServer:
                 pass  # a device that sent its records and left loses only its ticket
 
             recv_dir = DirectionState(keys.c2s_key, keys.c2s_salt)
-            if self._ingest(reader, recv_dir, session_hex, subject, peer) == TYPE_ABORT:
+            ending, readings, alerts = self._ingest(reader, recv_dir, session_hex, subject,
+                                                    peer_subject[:8], peer)
+            if ending == TYPE_ABORT:
                 # plaintext: rewriting one type byte on the path forges it
                 log.warning("peer_abort session=%s cause=unauthenticated peer=%s",
                             session_hex[:16], peer)
                 self._abort(conn)
             else:
-                log.info("session_closed session=%s peer=%s", session_hex[:16], peer)
+                log.info("session_closed session=%s handshake=%s readings=%d alerts=%d "
+                         "cpu_ms=%.2f wall_ms=%.2f peer=%s", session_hex[:16],
+                         "resumed" if hs.resumed else "full", readings, alerts,
+                         1000 * (time.thread_time() - cpu0),
+                         1000 * (time.monotonic() - wall0), peer)
         except EndOfStream:
             log.warning("suspicious_termination session=%s cause=no_authenticated_close "
                         "peer=%s", session_hex[:16], peer)
@@ -369,22 +382,28 @@ class IngestionServer:
                 pass
 
     def _ingest(self, reader: FrameReader, recv_dir: DirectionState, session_hex: str,
-                subject: str, peer: str) -> int:
-        """Reads one session's records up to its Close (returns TYPE_CLOSE) or a
-        plaintext Abort (returns TYPE_ABORT); raises on any fault.
+                subject: str, device_id: bytes, peer: str) -> tuple[int, int, int]:
+        """Reads one session's records up to its Close or a plaintext Abort
+        and returns (TYPE_CLOSE or TYPE_ABORT, readings stored, alerts
+        raised); raises on any fault.
 
         A Data record carries 1 to MAX_READINGS_PER_RECORD readings; its
         length is checked against `_RECORD_BODIES` before any GCM work, and
         its tag before any of its readings is decoded. While the reader
-        holds whole frames it opens each record, then decodes, order-checks
-        and formats each of its readings in turn; the lines go to the store
-        in one write before the reader waits on the socket, before an alert
-        is stored, and however the session ends. So a fault at the k-th
-        reading, counted across records (a bad tag faults at the record's
-        first), still persists the k readings before it, and none after."""
+        holds whole frames it opens each record, then decodes, checks and
+        formats each of its readings in turn. A reading must name the
+        session's own device, `device_id` (the first 8 bytes of the
+        authenticated subject), and must not go back in time; either fault
+        raises `MalformedReading`. The lines go to the store in one write
+        before the reader waits on the socket, before an alert is stored,
+        and however the session ends. So a fault at the k-th reading,
+        counted across records (a bad tag faults at the record's first),
+        still persists the k readings before it, and none after."""
         detector = AnomalyDetector(self.cfg.anomaly)
+        line = reading_formatter(session_hex, subject, device_id)
         last_ts = -1
         pending: list[str] = []
+        stored = alerts = 0
         size = telemetry.READING_LEN
         try:
             while True:
@@ -393,24 +412,28 @@ class IngestionServer:
                     pending = []
                 fr = frame_read(reader)
                 if fr.frame_type == TYPE_ABORT:
-                    return TYPE_ABORT
+                    return TYPE_ABORT, stored, alerts
                 if (fr.frame_type, len(fr.body)) not in _RECORD_BODIES:
                     raise MalformedFrame(f"{len(fr.body)}-byte record of type {fr.frame_type}")
                 ftype, payload = record_open(recv_dir, fr)
                 if ftype == TYPE_CLOSE:
-                    return TYPE_CLOSE
+                    return TYPE_CLOSE, stored, alerts
                 received_ms = int(time.time() * 1000)
                 for i in range(0, len(payload), size):
                     reading = reading_decode(payload[i : i + size])
+                    if reading.device_id != device_id:
+                        raise MalformedReading("reading names another device")
                     if reading.timestamp_ms < last_ts:
                         raise MalformedReading("timestamps went backwards")
                     last_ts = reading.timestamp_ms
-                    pending.append(reading_line(session_hex, subject, reading, received_ms))
+                    pending.append(line(reading, received_ms))
                     alert = detector.check(reading)
                     if alert is not None:
                         self.store.append_reading(pending)
                         pending = []
                         self.raise_alert(alert, session_hex, peer)
+                        alerts += 1
+                stored += len(payload) // size
         finally:
             if pending:
                 self.store.append_reading(pending)
@@ -475,6 +498,8 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
         raise ValueError("sample interval must be at least 100 ms")
     if cfg.count < 1:
         raise ValueError("count must be at least 1")
+    if cfg.start_ms is not None and cfg.start_ms < 0:
+        raise ValueError("start time must not be negative")
     suite = cfg.suite or detect_suite_for_credential(cfg.cred_path)
     identity = load_identity(cfg.key_path, cfg.cred_path, suite)
     trust_root = keyfiles.read_credential(cfg.root_path, suite)

@@ -30,15 +30,19 @@ CHES 2009) but with bytes for bits. The state is one 16N-byte string
 (or the integer it encodes), position-major: 16 slices of N bytes, one
 per state byte in row-major order (row r, column c is slice 4r + c), each
 holding that byte of every block. SubBytes is one `bytes.translate` over
-all of it. ShiftRows is a fixed permutation of the 16 slices. Rotating
+all of it. Row r is the 4N bytes of slices 4r to 4r + 3, so ShiftRows
+rotates row r left by r slices: one join of 7 pieces of the SubBytes
+output (row 0 whole, rows 1-3 in two pieces each). Rotating
 every column by one row is rotating the whole integer by 4N bytes, so
 MixColumns, out_r = 2·(a_r ^ a_r+1) ^ a_r+1 ^ (a_r+2 ^ a_r+3), is a few
 big-integer shifts and XORs, with xtime as a masked shift. AddRoundKey
 XORs the integer with the round key broadcast to N bytes per slice, kept
 for the last N a key batched and rebuilt when N changes (0.1-0.2 ms).
 The cost is per batch, not per block: on the host above one block costs
-about 20 µs at N = 3 (`encrypt_block`: 12-20 µs), about 4 µs at N = 24
-and 1.2-1.8 µs at N = 192.
+about 8 µs at N = 3 (`encrypt_block`: 12-20 µs), 1.7 µs at N = 24, 1.2 µs
+at N = 76 (the counter blocks of a 64-reading record, 88 µs in all) and
+0.9 µs at N = 192. The 16-piece ShiftRows it replaced took 109 µs at
+N = 76 (medians of 15 interleaved runs).
 
 GHASH bit ordering follows the GCM convention in which the polynomial's
 least-significant coefficient sits in the most-significant bit of the
@@ -64,7 +68,9 @@ one per byte of X, XORed together, with no shifts or reductions. The
 build goes through the nibble-position multiples: the 16 multiples of
 H, then 31 rows each the one before times x^4; entry v of byte table j
 XORs the entries of v's two nibbles. That is 4096 entries of 128 bits,
-about 0.2 MB per key.
+about 0.2 MB per key. `GcmKey.ghash` pads once: it joins the AAD and the
+ciphertext, each zero-padded to whole blocks, and the lengths block into
+one buffer and cuts every 16-byte block from it.
 
 None of the table lookups is constant time: which entry of the 256-entry
 AES T-tables or of the key-dependent 256-entry GHASH tables is read
@@ -138,10 +144,8 @@ def _build_t_tables(sbox: bytes):
 _SBOX = _build_sbox()
 _T0, _T1, _T2, _T3 = _build_t_tables(_SBOX)
 _BLOCK = struct.Struct(">4I")
-# Byte-sliced layout: slice 4r + c holds byte 4c + r of every block, and
-# after ShiftRows it takes slice 4r + (c + r) % 4 of the SubBytes output.
+# Byte-sliced layout: slice 4r + c holds byte 4c + r of every block.
 _SLICE_OFFSETS = tuple(4 * c + r for r in range(4) for c in range(4))
-_SHIFT_ROWS = tuple(4 * r + (c + r) % 4 for r in range(4) for c in range(4))
 
 
 def _sub_word(w: int) -> int:
@@ -195,16 +199,20 @@ class Aes128:
         keys, mask, low7, ones = self._wide_keys(n)
         row, half, rest = 32 * n, 64 * n, 96 * n  # bits in 1, 2 and 3 rows
         sbox = _SBOX
+        # ShiftRows rotates row r left by r slices: 7 pieces of the SubBytes output
+        n4, n5, n8, n10, n12, n15 = 4 * n, 5 * n, 8 * n, 10 * n, 12 * n, 15 * n
         a = int.from_bytes(b"".join([blocks[p::16] for p in _SLICE_OFFSETS]), "big") ^ keys[0]
         for k in keys[1:10]:
             b = a.to_bytes(size, "big").translate(sbox)
-            s = int.from_bytes(b"".join([b[q * n : q * n + n] for q in _SHIFT_ROWS]), "big")
+            s = int.from_bytes(b"".join((b[:n4], b[n5:n8], b[n4:n5], b[n10:n12], b[n8:n10],
+                                         b[n15:], b[n12:n15])), "big")
             s1 = ((s << row) | (s >> rest)) & mask  # row r takes row r + 1
             v = s ^ s1
             xtime = ((v & low7) << 1) ^ ((v >> 7) & ones) * 0x1B
             a = xtime ^ s1 ^ (((v << half) | (v >> half)) & mask) ^ k
         b = a.to_bytes(size, "big").translate(sbox)
-        s = int.from_bytes(b"".join([b[q * n : q * n + n] for q in _SHIFT_ROWS]), "big")
+        s = int.from_bytes(b"".join((b[:n4], b[n5:n8], b[n4:n5], b[n10:n12], b[n8:n10],
+                                     b[n15:], b[n12:n15])), "big")
         s = (s ^ keys[10]).to_bytes(size, "big")
         out = bytearray(size)
         for q, p in enumerate(_SLICE_OFFSETS):
@@ -242,6 +250,7 @@ class Aes128:
 
 
 _J0_CTR = b"\x00\x00\x00\x01"
+_LENGTHS = struct.Struct(">QQ")
 _R = 0xE1 << 120
 
 
@@ -347,12 +356,10 @@ class GcmKey:
     def ghash(self, aad: bytes, ct: bytes) -> int:
         """GHASH_H(aad, ct) per SP 800-38D, as a big-endian integer."""
         self._ready()
-        blocks = [
-            int.from_bytes(data[i : i + 16].ljust(16, b"\x00"), "big")
-            for data in (aad, ct)
-            for i in range(0, len(data), 16)
-        ]
-        blocks.append((8 * len(aad)) << 64 | 8 * len(ct))
+        # AAD and ciphertext each zero-padded to whole blocks, then the lengths
+        data = b"".join((aad, bytes(-len(aad) % 16), ct, bytes(-len(ct) % 16),
+                         _LENGTHS.pack(8 * len(aad), 8 * len(ct))))
+        blocks = [int.from_bytes(data[i : i + 16], "big") for i in range(0, len(data), 16)]
         y = 0
         tables = self._tables
         if tables is None:

@@ -1,6 +1,13 @@
 """Heart-rate readings: wire codec, a deterministic simulated sensor, and
 threshold-based anomaly detection.
 
+A reading is 19 bytes on the wire, big-endian with no padding: the
+8-byte device id, the timestamp in ms as an unsigned 64-bit integer, the
+bpm as an unsigned 16-bit integer (at most `BPM_MAX`) and one status
+byte. One `struct.Struct` packs and unpacks all four fields in one call;
+the range and status checks stay in Python, and each failure is a
+`MalformedReading`.
+
 Thresholds and simulator dynamics are demo configuration values, not
 clinical claims.
 """
@@ -9,13 +16,16 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import MalformedReading
 
-READING_LEN = 19
+# device id, timestamp ms, bpm, status
+_READING = struct.Struct(">8sQHB")
+READING_LEN = _READING.size  # 19
 BPM_MAX = 300
 
 STATUS_OK = 0
@@ -34,28 +44,24 @@ class HeartRateReading(NamedTuple):
 def reading_encode(r: HeartRateReading) -> bytes:
     if len(r.device_id) != 8:
         raise MalformedReading("device_id must be 8 bytes")
+    if not 0 <= r.timestamp_ms < 1 << 64:
+        raise MalformedReading(f"timestamp {r.timestamp_ms} out of range")
     if not 0 <= r.bpm <= BPM_MAX:
         raise MalformedReading(f"bpm {r.bpm} out of range")
     if r.status not in STATUS_NAMES:
         raise MalformedReading(f"unknown status {r.status}")
-    return (
-        r.device_id
-        + r.timestamp_ms.to_bytes(8, "big")
-        + r.bpm.to_bytes(2, "big")
-        + bytes([r.status])
-    )
+    return _READING.pack(*r)
 
 
 def reading_decode(data: bytes) -> HeartRateReading:
     if len(data) != READING_LEN:
         raise MalformedReading(f"payload length {len(data)}, expected {READING_LEN}")
-    bpm = int.from_bytes(data[16:18], "big")
-    if bpm > BPM_MAX:
-        raise MalformedReading(f"bpm {bpm} out of range")
-    status = data[18]
-    if status not in STATUS_NAMES:
-        raise MalformedReading(f"unknown status {status}")
-    return HeartRateReading(data[:8], int.from_bytes(data[8:16], "big"), bpm, status)
+    r = HeartRateReading._make(_READING.unpack(data))
+    if r.bpm > BPM_MAX:
+        raise MalformedReading(f"bpm {r.bpm} out of range")
+    if r.status not in STATUS_NAMES:
+        raise MalformedReading(f"unknown status {r.status}")
+    return r
 
 
 @dataclass

@@ -26,7 +26,7 @@ from vitalink.endpoints import (
     load_identity,
     parse_alert_line,
     parse_reading_line,
-    reading_line,
+    reading_formatter,
     run_device,
 )
 from vitalink.errors import ConfigurationError, EndOfStream, InvalidPeerKey
@@ -138,9 +138,24 @@ def test_a_device_seals_every_reading_it_has_ready_in_one_record(files, server, 
     assert [ts for ts, _ in report.sent] == [1_000_000 + 1000 * i for i in range(130)]
 
 
+@pytest.mark.parametrize("bad", [dict(interval_ms=99), dict(count=0), dict(start_ms=-1)],
+                         ids=["interval", "count", "start"])
+def test_run_device_refuses_a_bad_config_before_it_connects(files, monkeypatch, bad):
+    monkeypatch.setattr(socket, "create_connection", None)  # any connect would fail loudly
+    with pytest.raises(ValueError):
+        run_device(device_cfg(files, 9, **bad))
+
+
+def test_a_timestamp_past_64_bits_is_reported_not_raised(files, server):
+    # the 7th reading's timestamp is 2^64: the device reports the fault
+    report = run_device(device_cfg(files, server.port, start_ms=2**64 - 6001))
+    assert report.error is not None and report.error.startswith("MalformedReading: timestamp")
+    assert report.sent_count == 0 and read_store_lines(server) == []
+
+
 def test_reading_line_round_trip():
     reading = HeartRateReading(b"\xcc" * 8, 123, 72, STATUS_OK)
-    line = reading_line("ab" * 32, "watch-1", reading, 456)
+    line = reading_formatter("ab" * 32, "watch-1", b"\xcc" * 8)(reading, 456)
     rec = StoreRecord("ab" * 32, "watch-1", "cc" * 8, 123, 72, "ok", 456)
     assert parse_reading_line(line + "\n") == rec
     with pytest.raises(ValueError):
@@ -287,8 +302,8 @@ def test_store_appends_are_atomic_lines(tmp_path):
     store = Store(tmp_path / "s")
 
     def burst(writer, k):
-        return [reading_line(f"{writer:02x}", f"w{k}",
-                             HeartRateReading(b"\xbb" * 8, j, 70, STATUS_OK), k)
+        line = reading_formatter(f"{writer:02x}", f"w{k}", b"\xbb" * 8)
+        return [line(HeartRateReading(b"\xbb" * 8, j, 70, STATUS_OK), k)
                 for j in range(1 + (writer * 7 + k) % 60)]
 
     def writer(w):

@@ -136,6 +136,25 @@ def test_ghash_matches_the_bit_serial_multiply(key, aad, ct):
     assert GcmKey(key).ghash(aad, ct).to_bytes(16, "big") == want
 
 
+def test_ghash_matches_a_gf128_mul_oracle_for_every_length_up_to_48():
+    # every split of the zero padding and the lengths block, with and without the table
+    rng = random.Random(48)
+    key, aad_all, ct_all = rng.randbytes(16), rng.randbytes(48), rng.randbytes(48)
+    h = gcm.Aes128(key).encrypt_block(bytes(16))
+    tabled = tabled_key(key)
+    for la in range(49):
+        for lc in range(49):
+            aad, ct = aad_all[:la], ct_all[:lc]
+            data = (aad + bytes(-la % 16) + ct + bytes(-lc % 16)
+                    + (8 * la).to_bytes(8, "big") + (8 * lc).to_bytes(8, "big"))
+            y = bytes(16)
+            for i in range(0, len(data), 16):
+                y = gf128_mul(bytes(a ^ b for a, b in zip(y, data[i : i + 16])), h)
+            want = int.from_bytes(y, "big")
+            assert tabled.ghash(aad, ct) == want, (la, lc)
+            assert GcmKey(key).ghash(aad, ct) == want, (la, lc)
+
+
 def test_aes_block_is_injective_per_key():
     key = os.urandom(16)
     rng = random.Random(1)
@@ -424,6 +443,16 @@ def test_batch_aes_matches_encrypt_block_and_the_reference(key, n, seed):
     # the reference is slow; a few blocks at the ends and the middle suffice
     for i in {0, n // 2, n - 1}:
         assert got[16 * i : 16 * i + 16] == ref_aes_encrypt(key, blocks[16 * i : 16 * i + 16])
+
+
+def test_batch_aes_equals_encrypt_block_for_every_batch_size_from_1_to_80():
+    # every n, so each ShiftRows piece is cut at every width up to a 64-reading record's
+    rng = random.Random(80)
+    aes = gcm.Aes128(rng.randbytes(16))
+    for n in range(1, 81):
+        blocks = rng.randbytes(16 * n)
+        want = b"".join(aes.encrypt_block(blocks[i : i + 16]) for i in range(0, 16 * n, 16))
+        assert aes.encrypt_blocks(blocks) == want, n
 
 
 def test_batch_aes_refuses_a_partial_or_empty_batch():

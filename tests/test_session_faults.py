@@ -279,9 +279,41 @@ def test_a_client_finish_and_records_in_one_segment_are_all_read(toy_pki, server
     keys = serve_one(server, device_side)
     session_hex = keys.session_id.hex()
     assert lines.problems() == []
-    assert [r.getMessage() for r in lines.records][-1] == (
-        f"session_closed session={session_hex[:16]} peer=socketpair:0")
+    event, summary = fields([r.getMessage() for r in lines.records][-1])
+    assert event == "session_closed"
+    assert list(summary) == ["session", "handshake", "readings", "alerts", "cpu_ms", "wall_ms",
+                             "peer"]
+    assert summary["session"] == session_hex[:16] and summary["handshake"] == "full"
+    assert (summary["readings"], summary["alerts"]) == ("1", "0")
+    assert 0 < float(summary["cpu_ms"]) and 0 < float(summary["wall_ms"])
+    assert summary["peer"] == "socketpair:0"
     assert len(persisted(server, session_hex)) == 1
+
+
+def test_the_summary_line_counts_readings_and_alerts_and_names_a_resumed_session(
+        toy_pki, server, lines):
+    # 20 readings with one breach episode, on a session that resumes the first
+    script = [ScriptSegment(5, 9, 190)]
+
+    def device_side(reader, resumption=None):
+        hs = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root,
+                             rng=keyfiles.drbg(41), resumption=resumption)
+        frame_write(reader.sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
+        finish, keys = hs.finish(frame_read(reader, timeout=5.0).body)
+        frame_write(reader.sock, Frame(TYPE_CLIENT_FINISH, finish))
+        ticket = frame_read(reader, timeout=5.0)
+        assert ticket.frame_type == TYPE_NEW_TICKET
+        send_and_hang_up(reader.sock, b"".join(sealed_session(keys, toy_pki, 41, 20, script)))
+        with pytest.raises(EndOfStream):
+            frame_read(reader, timeout=5.0)
+        return hs.resumption_for(ticket.body)
+
+    resumption = serve_one(server, device_side)
+    serve_one(server, lambda reader: device_side(reader, resumption))
+    summaries = [fields(r.getMessage())[1] for r in lines.records
+                 if r.getMessage().startswith("session_closed ")]
+    assert [(f["handshake"], f["readings"], f["alerts"]) for f in summaries] == [
+        ("full", "20", "1"), ("resumed", "20", "1")]
 
 
 @pytest.mark.parametrize("value, logged", [
@@ -670,3 +702,53 @@ def test_records_of_1_to_64_readings_are_stored_in_order(toy_pki, server, lines)
     keys = serve_one(server, device_side)
     assert lines.problems() == []
     assert stored_rows(server, keys.session_id.hex()) == as_rows(sent)
+
+
+def test_a_reading_that_names_another_device_ends_the_session_and_keeps_the_ones_before(
+        toy_pki, server, lines):
+    # the session authenticated the device's subject; its readings may not
+    # speak for another device, whose alerts would then carry that device's id
+    sent = sensor_readings(toy_pki, 35, 12)
+    sent[7] = sent[7]._replace(device_id=b"nurse-07")
+
+    def device_side(reader):
+        keys = handshake(reader, toy_pki, 35)
+        send_and_hang_up(reader.sock, b"".join(sealed_records(keys, sent, (5, 7))))
+        return keys, replies_until_abort(reader)
+
+    keys, replies = serve_one(server, device_side)
+    assert replies == [TYPE_ABORT]
+    [problem] = lines.problems()
+    assert problem.startswith("session_fatal ") and "cause=MalformedReading" in problem
+    assert stored_rows(server, keys.session_id.hex()) == as_rows(sent[:7])
+    assert {r.device_id for r in persisted(server)} == {sent[0].device_id.hex()}
+
+
+def test_the_lines_of_a_1000_reading_session_have_the_reference_format(
+        toy_pki, server, lines):
+    # every field of every line, against the format written out here in full
+    script = [ScriptSegment(100, 104, 20), ScriptSegment(500, 502, 250)]
+    sent = sensor_readings(toy_pki, 36, 1000, script)
+    sent[3] = sent[3]._replace(status=1)  # off body
+    sent[4] = sent[4]._replace(status=2)  # low confidence
+
+    def device_side(reader):
+        keys = handshake(reader, toy_pki, 36)
+        send_and_hang_up(reader.sock, b"".join(sealed_records(keys, sent, [64] * 15 + [40])))
+        with pytest.raises(EndOfStream):
+            frame_read(reader, timeout=5.0)
+        return keys
+
+    before = int(time.time() * 1000)
+    keys = serve_one(server, device_side)
+    after = int(time.time() * 1000)
+    assert [p.split()[0] for p in lines.problems()] == ["alert", "alert"]
+    stored = (server.store.dir / "readings.log").read_text().splitlines()
+    assert len(stored) == 1000
+    subject = toy_pki.device_cred.subject_id.rstrip(b"\x00").decode()
+    for r, line in zip(sent, stored):
+        head, received = line.rsplit("\t", 1)
+        assert before <= int(received) <= after
+        assert head == "\t".join([keys.session_id.hex(), subject, r.device_id.hex(),
+                                  str(r.timestamp_ms), str(r.bpm),
+                                  ("ok", "off_body", "low_confidence")[r.status]])

@@ -42,6 +42,27 @@ def test_round_trip_property(ts, bpm, status):
     assert reading_decode(reading_encode(r)) == r
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    device_id=st.binary(min_size=8, max_size=8),
+    ts=st.integers(min_value=0, max_value=2**64 - 1),
+    bpm=st.integers(min_value=0, max_value=BPM_MAX),
+    status=st.sampled_from([STATUS_OK, STATUS_OFF_BODY, STATUS_LOW_CONFIDENCE]),
+)
+def test_the_codec_matches_the_documented_byte_layout(device_id, ts, bpm, status):
+    # device id, then big-endian timestamp, bpm and status, no padding
+    layout = device_id + ts.to_bytes(8, "big") + bpm.to_bytes(2, "big") + bytes([status])
+    r = HeartRateReading(device_id, ts, bpm, status)
+    assert reading_encode(r) == layout
+    assert reading_decode(layout) == r
+
+
+@pytest.mark.parametrize("ts", [-1, -(2**63), 2**64, 2**70])
+def test_encode_refuses_a_timestamp_outside_64_unsigned_bits(ts):
+    with pytest.raises(MalformedReading, match="timestamp"):
+        reading_encode(HeartRateReading(DEV, ts, 70))
+
+
 def test_decode_rejects_bad_inputs():
     with pytest.raises(MalformedReading):
         reading_decode(b"\x00" * 18)
