@@ -18,7 +18,6 @@ from pathlib import Path
 from . import curves, keyfiles
 from . import credentials as creds
 from .credentials import Role
-from .curves import SUITE_NAMES
 from .endpoints import (DeviceConfig, IngestionServer, ServerConfig, check_identity,
                         detect_suite_for_credential, load_identity, run_device)
 from .errors import ConfigurationError, InvalidCredentialFields
@@ -83,7 +82,7 @@ def _run_until_signalled(service) -> int:
 
 
 def cmd_keygen(args) -> int:
-    suite = SUITE_NAMES[args.suite]
+    suite = curves.P256
     out = Path(args.out)
     if not out.is_dir():
         raise UsageError(f"--out: not a writable directory: {out}")
@@ -95,7 +94,7 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_credgen(args) -> int:
-    suite = SUITE_NAMES[args.suite]
+    suite = curves.P256
     issuer_key = keyfiles.read_private_key(
         _require_file(args.issuer_key, "--issuer-key"), suite
     )
@@ -145,6 +144,8 @@ def cmd_serve(args) -> int:
         store_dir=args.store_dir,
         anomaly=anomaly,
     )
+    if detect_suite_for_credential(cfg.cred_path) is not curves.P256:
+        raise ConfigurationError(f"credential file {cfg.cred_path}: not a P-256 credential")
     return _run_until_signalled(IngestionServer(cfg))
 
 
@@ -161,11 +162,11 @@ def cmd_device(args) -> int:
         seed=args.seed,
         anomaly_script=args.anomaly_script,
         realtime=args.realtime,
+        suite=curves.P256,
     )
     if cfg.anomaly_script:
         _require_file(cfg.anomaly_script, "--anomaly-script")
     try:
-        cfg.suite = detect_suite_for_credential(cfg.cred_path)  # as serve does
         # checked here, not in run_device, which runs once per session
         check_identity(load_identity(cfg.key_path, cfg.cred_path, cfg.suite),
                        keyfiles.read_credential(cfg.root_path, cfg.suite), Role.DEVICE, cfg.suite)
@@ -193,13 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="generate a static keypair")
-    p.add_argument("--suite", choices=SUITE_NAMES, default="p256")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=_SEED, default=None)
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser("credgen", help="issue a signed credential")
-    p.add_argument("--suite", choices=SUITE_NAMES, default="p256")
     p.add_argument("--issuer-key", required=True)
     p.add_argument("--issuer-cred", default=None,
                    help="issuer credential; omit for self-signed")

@@ -37,7 +37,6 @@ from typing import Callable, Optional, Tuple
 from .errors import InvalidPeerKey, MalformedPoint
 
 Point = Optional[Tuple[int, int]]
-IDENTITY: Point = None
 
 RandomSource = Callable[[int], bytes]
 

@@ -93,7 +93,7 @@ from .telemetry import (
 log = logging.getLogger("vitalink")
 
 _STATUS_BY_NAME = {v: k for k, v in STATUS_NAMES.items()}
-# the most readings one Data record carries: a 1232-byte body
+# the most readings one Data record carries: a 720-byte body
 MAX_READINGS_PER_RECORD = 64
 # the only records a device sends, as (type, body length): 1 to
 # MAX_READINGS_PER_RECORD sealed readings, and an empty Close
@@ -391,15 +391,15 @@ class IngestionServer:
         length is checked against `_RECORD_BODIES` before any GCM work, and
         its tag before any of its readings is decoded. While the reader
         holds whole frames it opens each record, then decodes, checks and
-        formats each of its readings in turn. A reading must name the
-        session's own device, `device_id` (the first 8 bytes of the
-        authenticated subject), and must not go back in time; either fault
-        raises `MalformedReading`. The lines go to the store in one write
-        before the reader waits on the socket, before an alert is stored,
-        and however the session ends. So a fault at the k-th reading,
-        counted across records (a bad tag faults at the record's first),
-        still persists the k readings before it, and none after."""
-        detector = AnomalyDetector(self.cfg.anomaly)
+        formats each of its readings in turn. No reading names a device:
+        every line and alert names `device_id`, the first 8 bytes of the
+        authenticated subject. A reading that goes back in time raises
+        `MalformedReading`. The lines go to the store in one write before
+        the reader waits on the socket, before an alert is stored, and
+        however the session ends. So a fault at the k-th reading, counted
+        across records (a bad tag faults at the record's first), still
+        persists the k readings before it, and none after."""
+        detector = AnomalyDetector(self.cfg.anomaly, device_id)
         line = reading_formatter(session_hex, subject, device_id)
         last_ts = -1
         pending: list[str] = []
@@ -421,8 +421,6 @@ class IngestionServer:
                 received_ms = int(time.time() * 1000)
                 for i in range(0, len(payload), size):
                     reading = reading_decode(payload[i : i + size])
-                    if reading.device_id != device_id:
-                        raise MalformedReading("reading names another device")
                     if reading.timestamp_ms < last_ts:
                         raise MalformedReading("timestamps went backwards")
                     last_ts = reading.timestamp_ms
@@ -504,11 +502,10 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
     identity = load_identity(cfg.key_path, cfg.cred_path, suite)
     trust_root = keyfiles.read_credential(cfg.root_path, suite)
     rng = keyfiles.drbg(cfg.seed) if cfg.seed is not None else os.urandom
-    device_id = identity.credential.subject_id[:8]
     script = None
     if cfg.anomaly_script:
         script = telemetry.parse_anomaly_script(Path(cfg.anomaly_script).read_text())
-    sim = SensorSim(device_id, seed=cfg.seed or 0, script=script)
+    sim = SensorSim(seed=cfg.seed or 0, script=script)
 
     cache_key = (cfg.server_host, cfg.server_port, identity.credential.encode(suite),
                  trust_root.encode(suite))

@@ -12,11 +12,11 @@ plus one for the tag, and one GF(2^128) multiply per 16 bytes of AAD and
 ciphertext plus one for the lengths block. On a 2 vCPU host under
 CPython 3.11, the key schedule and H take 0.02-0.04 ms, the table
 0.3-0.4 ms and about 0.2 MB (kept for the life of the key), a
-`gf128_mul` 0.01 ms and a table multiply 0.0015-0.002 ms. Sealing or
-opening a 19-byte reading of a new key takes 80-120 µs, about half of it
-in its three AES blocks and half in its four `gf128_mul`, and about 70 µs
-once the key has its table: its GHASH is 6-9 µs of that and its three
-AES blocks most of the rest.
+`gf128_mul` 0.01 ms and a table multiply 0.0015-0.002 ms. An 11-byte
+reading takes two AES blocks (E(K, J0) and one counter block) and three
+GHASH blocks (the AAD, the ciphertext and the lengths). On a new key
+about half of its seal or open goes to each; once the key has its
+table, the two AES blocks are most of it.
 
 `Aes128.encrypt_block` does rounds 1-9 with the four 256-entry T-tables
 (Daemen-Rijmen, *The Design of Rijndael*, §4.2): each output column is
@@ -40,9 +40,10 @@ XORs the integer with the round key broadcast to N bytes per slice, kept
 for the last N a key batched and rebuilt when N changes (0.1-0.2 ms).
 The cost is per batch, not per block: on the host above one block costs
 about 8 µs at N = 3 (`encrypt_block`: 12-20 µs), 1.7 µs at N = 24, 1.2 µs
-at N = 76 (the counter blocks of a 64-reading record, 88 µs in all) and
-0.9 µs at N = 192. The 16-piece ShiftRows it replaced took 109 µs at
-N = 76 (medians of 15 interleaved runs).
+at N = 76 (88 µs in all) and 0.9 µs at N = 192; N = 44, the counter blocks
+of a 64-reading record, took about 70% of the N = 76 time. The 16-piece
+ShiftRows it replaced took 109 µs at N = 76 (medians of 15 interleaved
+runs).
 
 GHASH bit ordering follows the GCM convention in which the polynomial's
 least-significant coefficient sits in the most-significant bit of the
@@ -81,10 +82,10 @@ hardened one.
 Each seal or open runs its own AES blocks: E(K, J0) with J0 = nonce‖1,
 the block that masks the tag, through `encrypt_block`, and the counter
 blocks from nonce‖2 on one at a time when they are fewer than
-`_BATCH_BLOCKS` = 8 (a reading needs 2, a ticket 4); 8 or more, a record
-of 6 readings or more, run in one `encrypt_blocks` batch. Open compares
-the tag before it XORs any keystream into the ciphertext, and the failure
-carries no cause detail.
+`_BATCH_BLOCKS` = 8 (a one-reading record needs 1, a ticket 4); 8 or
+more, a record of 11 readings or more, run in one `encrypt_blocks`
+batch. Open compares the tag before it XORs any keystream into the
+ciphertext, and the failure carries no cause detail.
 """
 
 from __future__ import annotations

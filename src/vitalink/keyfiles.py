@@ -1,7 +1,7 @@
 """On-disk formats for keys and credentials, plus a seedable byte source.
 
 .vlk  raw private scalar, fixed-width big-endian (UNENCRYPTED — keep out
-      of untrusted locations); written with mode 0600
+      of untrusted locations); written 0600, refused unless owner-only
 .vlp  uncompressed public point encoding
 .vlc  credential in its exact wire encoding
 
@@ -48,7 +48,11 @@ def write_private_key(path: str | Path, d: int, suite: CurveSuite) -> None:
 
 
 def read_private_key(path: str | Path, suite: CurveSuite) -> int:
-    data = Path(path).read_bytes()
+    with open(path, "rb") as fh:  # the mode of the file read, not of a path checked apart
+        mode = os.fstat(fh.fileno()).st_mode & 0o777
+        if mode & 0o077:
+            raise ConfigurationError(f"private key file {path}: mode {mode:04o}, not owner-only")
+        data = fh.read()
     if len(data) != suite.scalar_len:
         raise ConfigurationError(f"private key file {path}: wrong length for suite")
     d = int.from_bytes(data, "big")

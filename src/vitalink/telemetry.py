@@ -1,11 +1,13 @@
 """Heart-rate readings: wire codec, a deterministic simulated sensor, and
 threshold-based anomaly detection.
 
-A reading is 19 bytes on the wire, big-endian with no padding: the
-8-byte device id, the timestamp in ms as an unsigned 64-bit integer, the
-bpm as an unsigned 16-bit integer (at most `BPM_MAX`) and one status
-byte. One `struct.Struct` packs and unpacks all four fields in one call;
-the range and status checks stay in Python, and each failure is a
+A reading is 11 bytes on the wire, big-endian with no padding: the
+timestamp in ms as an unsigned 64-bit integer, the bpm as an unsigned
+16-bit integer (at most `BPM_MAX`) and one status byte. It names no
+device: the handshake authenticated the sender once for the whole
+session, so the server takes the device id from the session. One
+`struct.Struct` packs and unpacks all three fields in one call; the
+range and status checks stay in Python, and each failure is a
 `MalformedReading`.
 
 Thresholds and simulator dynamics are demo configuration values, not
@@ -23,9 +25,9 @@ from typing import NamedTuple
 
 from .errors import MalformedReading
 
-# device id, timestamp ms, bpm, status
-_READING = struct.Struct(">8sQHB")
-READING_LEN = _READING.size  # 19
+# timestamp ms, bpm, status
+_READING = struct.Struct(">QHB")
+READING_LEN = _READING.size  # 11
 BPM_MAX = 300
 
 STATUS_OK = 0
@@ -35,15 +37,12 @@ STATUS_NAMES = {STATUS_OK: "ok", STATUS_OFF_BODY: "off_body", STATUS_LOW_CONFIDE
 
 
 class HeartRateReading(NamedTuple):
-    device_id: bytes
     timestamp_ms: int
     bpm: int
     status: int = STATUS_OK
 
 
 def reading_encode(r: HeartRateReading) -> bytes:
-    if len(r.device_id) != 8:
-        raise MalformedReading("device_id must be 8 bytes")
     if not 0 <= r.timestamp_ms < 1 << 64:
         raise MalformedReading(f"timestamp {r.timestamp_ms} out of range")
     if not 0 <= r.bpm <= BPM_MAX:
@@ -94,7 +93,6 @@ class SensorSim:
 
     def __init__(
         self,
-        device_id: bytes,
         seed: int = 0,
         baseline: float = 75.0,
         amplitude: float = 5.0,
@@ -102,7 +100,6 @@ class SensorSim:
         sigma: float = 3.0,
         script: list[ScriptSegment] | None = None,
     ):
-        self.device_id = device_id
         self.baseline = baseline
         self.amplitude = amplitude
         self.period_s = period_s
@@ -123,7 +120,7 @@ class SensorSim:
             bpm = round(self.baseline + self.amplitude * math.sin(phase) + noise)
             bpm = max(30, min(220, bpm))
         self.index += 1
-        return HeartRateReading(self.device_id, now_ms, bpm, STATUS_OK)
+        return HeartRateReading(now_ms, bpm, STATUS_OK)
 
 
 @dataclass(frozen=True)
@@ -157,10 +154,12 @@ class AnomalyDetector:
 
     O(1) per reading: it counts the run of consecutive ok-readings above
     the high threshold and the run below the low one, and keeps the last N
-    ok-readings only to name the alert's window."""
+    ok-readings only to name the alert's window. A detector watches one
+    device, `device_id`, which names its alerts."""
 
-    def __init__(self, cfg: AnomalyConfig):
+    def __init__(self, cfg: AnomalyConfig, device_id: bytes):
         self.cfg = cfg
+        self.device_id = device_id
         self.window: deque[HeartRateReading] = deque(maxlen=cfg.consecutive)
         self.high_run = 0
         self.low_run = 0
@@ -187,7 +186,7 @@ class AnomalyDetector:
             return None
         self.armed = False
         return AnomalyAlert(
-            device_id=r.device_id,
+            device_id=self.device_id,
             window_start_ms=self.window[0].timestamp_ms,
             window_end_ms=r.timestamp_ms,
             observed_bpm=tuple(w.bpm for w in self.window),

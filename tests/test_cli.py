@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vitalink import curves, keyfiles
+from vitalink import cli, curves, keyfiles
 from vitalink.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from vitalink.credentials import Role, credential_verify, verify_trust_root
 
@@ -188,16 +188,6 @@ def test_missing_input_file_is_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE and "no such file" in err
 
 
-def test_unknown_suite_is_usage_error(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["keygen", "--out", str(tmp_path), "--suite", "p512"])
-    assert exc.value.code == EXIT_USAGE
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
-    assert len(errors) == 1
-    assert errors[0].startswith("vitalink keygen: error: argument --suite: invalid choice: 'p512'")
-    assert list(tmp_path.iterdir()) == []
-
-
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_serve_refuses_hr_consecutive_below_one(value, tmp_path, capsys):
     # checked before the key files are read, so none need exist
@@ -290,27 +280,52 @@ def test_a_bad_trust_configuration_exits_usage(kind, pki, tmp_path, capsys):
     assert "rejected" in proc.stderr and "listening" not in proc.stderr
 
 
-def test_device_detects_the_suite_from_its_credential(toy_pki, tmp_path, capsys):
-    from vitalink.endpoints import IngestionServer, ServerConfig
+def endpoint_argv(command, directory):
+    """`serve` or `device` on the files `Pki.write_files` wrote to `directory`;
+    the device's peer is a dead port."""
+    role = "server" if command == "serve" else "device"
+    return {
+        "serve": ["serve", "--listen", "127.0.0.1:0", "--store-dir", str(directory / "store")],
+        "device": ["device", "--connect", "127.0.0.1:1", "--count", "1"],
+    }[command] + ["--key", str(directory / f"{role}.vlk"), "--cred", str(directory / f"{role}.vlc"),
+                  "--root", str(directory / "root.vlc")]
 
+
+@pytest.mark.parametrize("command", ["serve", "device"])
+def test_the_cli_refuses_toy_suite_files(command, toy_pki, tmp_path, capsys, monkeypatch):
+    # the toy curve is for in-process tests: any key on it falls to 19 guesses
     toy_pki.write_files(tmp_path)
-    srv = IngestionServer(ServerConfig(
-        key_path=str(tmp_path / "server.vlk"), cred_path=str(tmp_path / "server.vlc"),
-        root_path=str(tmp_path / "root.vlc"), store_dir=str(tmp_path / "store"),
-    ))
-    srv.start()
-    argv = ["device", "--connect", f"127.0.0.1:{srv.port}", "--count", "2",
-            "--interval-ms", "100", "--key", str(tmp_path / "device.vlk"),
-            "--cred", str(tmp_path / "device.vlc"), "--root", str(tmp_path / "root.vlc")]
-    try:
-        code, out, _ = run(argv, capsys)
-    finally:
-        srv.stop()
-    assert code == EXIT_OK and "sent_count=2 " in out and "error=none" in out
-    with pytest.raises(SystemExit) as exc:  # one rule: no flag to disagree with the files
-        main([*argv, "--suite", "toy"])
-    assert exc.value.code == EXIT_USAGE
-    capsys.readouterr()
+    # a server that accepted them would stop at once instead of serving until a signal
+    monkeypatch.setattr(cli, "_run_until_signalled", lambda service: service.stop() or EXIT_OK)
+    code, out, err = run(endpoint_argv(command, tmp_path), capsys)
+    assert code == EXIT_USAGE and out == ""
+    [line] = [line for line in err.splitlines() if line.startswith("error:")]
+    assert line == {
+        "serve": f"error: credential file {tmp_path / 'server.vlc'}: not a P-256 credential",
+        "device": f"error: private key file {tmp_path / 'device.vlk'}: wrong length for suite",
+    }[command]
+    assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize("mode", [0o644, 0o640, 0o600, 0o400],
+                         ids=["0644", "0640", "0600", "0400"])
+@pytest.mark.parametrize("command", ["serve", "device"])
+def test_a_private_key_that_group_or_others_can_use_is_refused(command, mode, pki, tmp_path,
+                                                                capsys, monkeypatch):
+    pki.write_files(tmp_path)
+    key = tmp_path / ("server.vlk" if command == "serve" else "device.vlk")
+    key.chmod(mode)
+    # an accepted server stops at once instead of serving until a signal
+    monkeypatch.setattr(cli, "_run_until_signalled", lambda service: service.stop() or EXIT_OK)
+    code, out, err = run(endpoint_argv(command, tmp_path), capsys)
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    if mode & 0o077:
+        assert code == EXIT_USAGE and out == ""
+        assert errors == [f"error: private key file {key}: mode {mode:04o}, not owner-only"]
+    elif command == "serve":
+        assert code == EXIT_OK and errors == []
+    else:  # the device got as far as its connect
+        assert code == EXIT_RUNTIME and "sent_count=0 " in out and "connection refused" in out
 
 
 @pytest.mark.parametrize("command, flag, fault", [
@@ -321,12 +336,13 @@ def test_device_detects_the_suite_from_its_credential(toy_pki, tmp_path, capsys)
     ("device", "--root", "truncated"),
     ("serve", "--store-dir", "under_a_file"),
 ])
-def test_malformed_key_material_is_a_configuration_error(command, flag, fault, toy_pki,
+def test_malformed_key_material_is_a_configuration_error(command, flag, fault, pki,
                                                          tmp_path, capsys):
-    toy_pki.write_files(tmp_path)
+    pki.write_files(tmp_path)
     bad = tmp_path / "bad"
     if fault == "short":  # a 2-byte key, a 5-byte credential
         bad.write_bytes(b"\x01" * (2 if flag == "--key" else 5))
+        bad.chmod(0o600)  # a key open to others is refused before its length is read
     elif fault == "truncated":
         bad.write_bytes((tmp_path / "root.vlc").read_bytes()[:-1])
     else:  # a store directory that cannot be made: its parent is a file

@@ -116,23 +116,35 @@ def test_honest_session_persists_every_reading(files, server):
     assert all(r.subject_id == "watch-1" for r in recs)
 
 
-@pytest.mark.parametrize("realtime, records", [(False, [64, 64, 2]), (True, [1] * 130)],
+# a Data frame is an 8-byte header, 11 bytes a reading and a 16-byte tag
+@pytest.mark.parametrize("realtime, frames", [(False, [728, 728, 46]), (True, [35] * 130)],
                          ids=["backlog", "realtime"])
 def test_a_device_seals_every_reading_it_has_ready_in_one_record(files, server, monkeypatch,
-                                                                 realtime, records):
-    written = []
-    real_write = endpoints.frame_write
+                                                                 realtime, frames):
+    sent = bytearray()  # every byte the device writes to its socket
 
-    def spy(sock, frame):
-        if frame.frame_type == TYPE_DATA:  # the server writes none
-            written.append(divmod(len(frame.body) - gcm.TAG_LEN, 19))
-        real_write(sock, frame)
+    class Counting(socket.socket):
+        def sendall(self, data, *args):
+            sent.extend(data)
+            return super().sendall(data, *args)
 
-    monkeypatch.setattr(endpoints, "frame_write", spy)
+    real_connect = socket.create_connection
+
+    def connect(*args, **kwargs):
+        plain = real_connect(*args, **kwargs)
+        return Counting(plain.family, plain.type, plain.proto, fileno=plain.detach())
+
+    monkeypatch.setattr(socket, "create_connection", connect)
     monkeypatch.setattr(time, "sleep", lambda s: None)
     report = run_device(device_cfg(files, server.port, count=130, realtime=realtime))
     assert report.error is None and report.sent_count == 130
-    assert written == [(n, 0) for n in records]
+    data_frames, at = [], 0
+    while at < len(sent):
+        frame_type, length = records.parse_header(bytes(sent[at : at + records.HEADER_LEN]))
+        if frame_type == TYPE_DATA:
+            data_frames.append(records.HEADER_LEN + length)
+        at += records.HEADER_LEN + length
+    assert data_frames == frames
     stored = [parse_reading_line(line) for line in read_store_lines(server)]
     assert [(r.timestamp_ms, r.bpm) for r in stored] == report.sent
     assert [ts for ts, _ in report.sent] == [1_000_000 + 1000 * i for i in range(130)]
@@ -154,7 +166,7 @@ def test_a_timestamp_past_64_bits_is_reported_not_raised(files, server):
 
 
 def test_reading_line_round_trip():
-    reading = HeartRateReading(b"\xcc" * 8, 123, 72, STATUS_OK)
+    reading = HeartRateReading(123, 72, STATUS_OK)
     line = reading_formatter("ab" * 32, "watch-1", b"\xcc" * 8)(reading, 456)
     rec = StoreRecord("ab" * 32, "watch-1", "cc" * 8, 123, 72, "ok", 456)
     assert parse_reading_line(line + "\n") == rec
@@ -303,7 +315,7 @@ def test_store_appends_are_atomic_lines(tmp_path):
 
     def burst(writer, k):
         line = reading_formatter(f"{writer:02x}", f"w{k}", b"\xbb" * 8)
-        return [line(HeartRateReading(b"\xbb" * 8, j, 70, STATUS_OK), k)
+        return [line(HeartRateReading(j, 70, STATUS_OK), k)
                 for j in range(1 + (writer * 7 + k) % 60)]
 
     def writer(w):

@@ -7,6 +7,7 @@ from pathlib import Path
 import vitalink
 
 PACKAGE_DIR = Path(vitalink.__file__).parent
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_the_package_imports_only_the_standard_library():
@@ -26,10 +27,12 @@ def test_the_package_imports_only_the_standard_library():
     assert outside == []
 
 
-def test_every_private_top_level_name_is_used():
-    # a module-private constant, function or class that nothing reads is dead code
-    trees = {path.name: ast.parse(path.read_text(), str(path))
-             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+def parse_all(directory: Path) -> dict:
+    return {path.name: ast.parse(path.read_text(), str(path))
+            for path in sorted(directory.glob("*.py"))}
+
+
+def names_read(trees: dict) -> set:
     used = set()
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -39,16 +42,38 @@ def test_every_private_top_level_name_is_used():
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    dead = []
+    return used
+
+
+def top_level_names(trees: dict) -> list:
+    """(module, name) for each constant, function and class a module defines."""
+    out = []
     for name, tree in trees.items():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined = [node.name]
+                out.append((name, node.name))
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                defined = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-            else:
-                continue
-            dead += [f"{name}: {d}" for d in defined
-                     if d.startswith("_") and not d.startswith("__") and d not in used]
+                out += [(name, n.id) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name)]
+    return out
+
+
+def test_every_private_top_level_name_is_used():
+    # a module-private constant, function or class that nothing reads is dead code
+    trees = parse_all(PACKAGE_DIR)
+    used = names_read(trees)
+    dead = [f"{module}: {d}" for module, d in top_level_names(trees)
+            if d.startswith("_") and not d.startswith("__") and d not in used]
+    assert dead == []
+
+
+def test_every_public_top_level_name_is_read_somewhere():
+    # a public name that neither the package, its tests nor the bench reads is dead code
+    trees = parse_all(PACKAGE_DIR)
+    used = set()
+    for directory in (PACKAGE_DIR, REPO / "tests", REPO / "bench"):
+        used |= names_read(parse_all(directory))
+    dead = [f"{module}: {d}" for module, d in top_level_names(trees)
+            if not d.startswith("_") and d not in used]
     assert dead == []

@@ -507,24 +507,24 @@ def test_a_direction_refuses_a_record_past_the_last_seq():
 
 
 def test_a_direction_of_every_record_length_keeps_one_batch_size():
-    # an authenticated peer may send one record of each length from 6 to 64
+    # an authenticated peer may send one record of each length from 11 to 64
     # readings, each an `encrypt_blocks` batch of its own size; the key keeps
     # the broadcast round keys of the last size only
     tx, rx = DirectionState(KEY, SALT), DirectionState(KEY, SALT)
-    for seq, readings in enumerate(range(6, 65)):
-        payload = bytes([readings]) * (19 * readings)
+    for seq, readings in enumerate(range(11, 65)):
+        payload = bytes([readings]) * (11 * readings)
         frame = record_seal(tx, TYPE_DATA, payload)
         aad = MAGIC + bytes([VERSION, TYPE_DATA]) + seq.to_bytes(8, "big")
         assert frame.body == gcm.seal(gcm.GcmKey(KEY), SALT + seq.to_bytes(8, "big"), aad, payload)
         assert record_open(rx, frame) == (TYPE_DATA, payload)
     for d in (tx, rx):
-        assert list(d.gcm_key.aes._wide) == [(19 * 64 + 15) // 16]
+        assert list(d.gcm_key.aes._wide) == [(11 * 64 + 15) // 16]
 
 
 def test_a_zeroized_direction_keeps_no_broadcast_keys():
     tx = DirectionState(KEY, SALT)
     for _ in range(20):
-        record_seal(tx, TYPE_DATA, bytes(19 * 6))  # 8 counter blocks, one batch
+        record_seal(tx, TYPE_DATA, bytes(11 * 11))  # 8 counter blocks, one batch
     assert tx.gcm_key.aes._wide
     tx.zeroize()
     assert tx.gcm_key.aes._wide == {}

@@ -25,9 +25,9 @@ DEV = b"watch-01"
 
 
 def test_encode_decode_round_trip():
-    r = HeartRateReading(DEV, 1_700_000_000_123, 72, STATUS_OK)
+    r = HeartRateReading(1_700_000_000_123, 72, STATUS_OK)
     encoded = reading_encode(r)
-    assert len(encoded) == 19
+    assert len(encoded) == 11
     assert reading_decode(encoded) == r
 
 
@@ -38,21 +38,20 @@ def test_encode_decode_round_trip():
     status=st.sampled_from([STATUS_OK, STATUS_OFF_BODY, STATUS_LOW_CONFIDENCE]),
 )
 def test_round_trip_property(ts, bpm, status):
-    r = HeartRateReading(DEV, ts, bpm, status)
+    r = HeartRateReading(ts, bpm, status)
     assert reading_decode(reading_encode(r)) == r
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    device_id=st.binary(min_size=8, max_size=8),
     ts=st.integers(min_value=0, max_value=2**64 - 1),
     bpm=st.integers(min_value=0, max_value=BPM_MAX),
     status=st.sampled_from([STATUS_OK, STATUS_OFF_BODY, STATUS_LOW_CONFIDENCE]),
 )
-def test_the_codec_matches_the_documented_byte_layout(device_id, ts, bpm, status):
-    # device id, then big-endian timestamp, bpm and status, no padding
-    layout = device_id + ts.to_bytes(8, "big") + bpm.to_bytes(2, "big") + bytes([status])
-    r = HeartRateReading(device_id, ts, bpm, status)
+def test_the_codec_matches_the_documented_byte_layout(ts, bpm, status):
+    # big-endian timestamp, bpm and status, no padding and no device id: 11 bytes
+    layout = ts.to_bytes(8, "big") + bpm.to_bytes(2, "big") + bytes([status])
+    r = HeartRateReading(ts, bpm, status)
     assert reading_encode(r) == layout
     assert reading_decode(layout) == r
 
@@ -60,58 +59,58 @@ def test_the_codec_matches_the_documented_byte_layout(device_id, ts, bpm, status
 @pytest.mark.parametrize("ts", [-1, -(2**63), 2**64, 2**70])
 def test_encode_refuses_a_timestamp_outside_64_unsigned_bits(ts):
     with pytest.raises(MalformedReading, match="timestamp"):
-        reading_encode(HeartRateReading(DEV, ts, 70))
+        reading_encode(HeartRateReading(ts, 70))
 
 
 def test_decode_rejects_bad_inputs():
     with pytest.raises(MalformedReading):
-        reading_decode(b"\x00" * 18)
-    r = bytearray(reading_encode(HeartRateReading(DEV, 0, 100)))
-    r[16:18] = (0x7FFF).to_bytes(2, "big")
+        reading_decode(b"\x00" * 10)
+    with pytest.raises(MalformedReading):
+        reading_decode(b"\x00" * 19)  # a reading that also carries an 8-byte device id
+    r = bytearray(reading_encode(HeartRateReading(0, 100)))
+    r[8:10] = (0x7FFF).to_bytes(2, "big")
     with pytest.raises(MalformedReading):
         reading_decode(bytes(r))
-    r = bytearray(reading_encode(HeartRateReading(DEV, 0, 100)))
-    r[18] = 9
+    r = bytearray(reading_encode(HeartRateReading(0, 100)))
+    r[10] = 9
     with pytest.raises(MalformedReading):
         reading_decode(bytes(r))
 
 
 def test_encode_rejects_out_of_range():
     with pytest.raises(MalformedReading):
-        reading_encode(HeartRateReading(DEV, 0, 301))
-    with pytest.raises(MalformedReading):
-        reading_encode(HeartRateReading(b"short", 0, 70))
+        reading_encode(HeartRateReading(0, 301))
 
 
 # --- sensor ---------------------------------------------------------------
 
 
 def test_degenerate_sensor_is_constant():
-    sim = SensorSim(DEV, seed=1, baseline=75, amplitude=0, sigma=0)
+    sim = SensorSim(seed=1, baseline=75, amplitude=0, sigma=0)
     assert [sim.next_reading(i * 1000).bpm for i in range(20)] == [75] * 20
 
 
 def test_fixed_seed_reproduces_sequence():
-    a = SensorSim(DEV, seed=42)
-    b = SensorSim(DEV, seed=42)
+    a = SensorSim(seed=42)
+    b = SensorSim(seed=42)
     sa = [a.next_reading(i * 500).bpm for i in range(100)]
     sb = [b.next_reading(i * 500).bpm for i in range(100)]
     assert sa == sb
-    c = SensorSim(DEV, seed=43)
+    c = SensorSim(seed=43)
     assert sa != [c.next_reading(i * 500).bpm for i in range(100)]
 
 
 def test_script_override_window():
-    sim = SensorSim(DEV, seed=1, script=[ScriptSegment(50, 60, 180)])
+    sim = SensorSim(seed=1, script=[ScriptSegment(50, 60, 180)])
     bpms = [sim.next_reading(i * 1000).bpm for i in range(70)]
     assert all(b == 180 for b in bpms[50:61])
     assert all(b != 180 for b in bpms[:50])
 
 
 def test_output_clamped_to_sensor_range():
-    sim = SensorSim(DEV, seed=9, baseline=300, amplitude=0, sigma=50)
+    sim = SensorSim(seed=9, baseline=300, amplitude=0, sigma=50)
     assert all(sim.next_reading(i).bpm <= 220 for i in range(100))
-    sim = SensorSim(DEV, seed=9, baseline=0, amplitude=0, sigma=50)
+    sim = SensorSim(seed=9, baseline=0, amplitude=0, sigma=50)
     assert all(sim.next_reading(i).bpm >= 30 for i in range(100))
 
 
@@ -128,11 +127,11 @@ def test_script_parser():
 
 
 def run_detector(bpms, cfg=AnomalyConfig(low=40, high=150, consecutive=3), statuses=None):
-    det = AnomalyDetector(cfg)
+    det = AnomalyDetector(cfg, DEV)
     alerts = []
     for i, bpm in enumerate(bpms):
         status = statuses[i] if statuses else STATUS_OK
-        a = det.check(HeartRateReading(DEV, i * 1000, bpm, status))
+        a = det.check(HeartRateReading(i * 1000, bpm, status))
         if a is not None:
             alerts.append((i, a))
     return alerts
@@ -182,6 +181,7 @@ def test_sustained_high_fires_once():
     assert idx == 2 and alert.rule == "high_hr"
     assert alert.observed_bpm == (160, 165, 158)
     assert alert.window_start_ms == 0 and alert.window_end_ms == 2000
+    assert alert.device_id == DEV  # the detector's device: readings name none
 
 
 def test_rearm_rule_hand_traced():
@@ -233,7 +233,7 @@ def test_an_anomaly_config_needs_a_window_of_at_least_one_reading(consecutive):
     with pytest.raises(ValueError, match="at least 1"):
         AnomalyConfig(consecutive=consecutive)
     # the smallest window alerts on one out-of-band reading
-    alert = AnomalyDetector(AnomalyConfig(consecutive=1)).check(HeartRateReading(DEV, 5, 200))
+    alert = AnomalyDetector(AnomalyConfig(consecutive=1), DEV).check(HeartRateReading(5, 200))
     assert alert is not None and alert.observed_bpm == (200,) and alert.rule == "high_hr"
 
 
@@ -242,5 +242,5 @@ def test_an_anomaly_config_needs_thresholds_in_order_within_the_bpm_range(low, h
     with pytest.raises(ValueError, match="0 <= low < high"):
         AnomalyConfig(low=low, high=high)
     # the widest band there is still checks every reading
-    detector = AnomalyDetector(AnomalyConfig(low=0, high=BPM_MAX, consecutive=1))
-    assert detector.check(HeartRateReading(DEV, 5, BPM_MAX)) is None
+    detector = AnomalyDetector(AnomalyConfig(low=0, high=BPM_MAX, consecutive=1), DEV)
+    assert detector.check(HeartRateReading(5, BPM_MAX)) is None
