@@ -39,6 +39,13 @@ def _require_file(path: str, flag: str) -> str:
     return path
 
 
+def _p256_credential(path: str) -> str:
+    """`path` if it holds a P-256 credential; checked before any key is read."""
+    if detect_suite_for_credential(path) is not curves.P256:
+        raise ConfigurationError(f"credential file {path}: not a P-256 credential")
+    return path
+
+
 def _host_port(value: str, flag: str) -> tuple[str, int]:
     """HOST:PORT split at its last colon, with a port in 0-65535."""
     host, sep, port = value.rpartition(":")
@@ -139,13 +146,11 @@ def cmd_serve(args) -> int:
         listen_host=listen_host,
         listen_port=listen_port,
         key_path=_require_file(args.key, "--key"),
-        cred_path=_require_file(args.cred, "--cred"),
+        cred_path=_p256_credential(_require_file(args.cred, "--cred")),
         root_path=_require_file(args.root, "--root"),
         store_dir=args.store_dir,
         anomaly=anomaly,
     )
-    if detect_suite_for_credential(cfg.cred_path) is not curves.P256:
-        raise ConfigurationError(f"credential file {cfg.cred_path}: not a P-256 credential")
     return _run_until_signalled(IngestionServer(cfg))
 
 
@@ -155,7 +160,7 @@ def cmd_device(args) -> int:
         server_host=host,
         server_port=port,
         key_path=_require_file(args.key, "--key"),
-        cred_path=_require_file(args.cred, "--cred"),
+        cred_path=_p256_credential(_require_file(args.cred, "--cred")),
         root_path=_require_file(args.root, "--root"),
         interval_ms=args.interval_ms,
         count=args.count,

@@ -64,6 +64,7 @@ from .errors import (
 from .handshake import ClientHandshake, LocalIdentity, Resumption, ServerHandshake
 from .listener import Listener
 from .records import (
+    MAX_READINGS_PER_RECORD,
     TYPE_ABORT,
     TYPE_CLIENT_FINISH,
     TYPE_CLIENT_HELLO,
@@ -93,8 +94,6 @@ from .telemetry import (
 log = logging.getLogger("vitalink")
 
 _STATUS_BY_NAME = {v: k for k, v in STATUS_NAMES.items()}
-# the most readings one Data record carries: a 720-byte body
-MAX_READINGS_PER_RECORD = 64
 # the only records a device sends, as (type, body length): 1 to
 # MAX_READINGS_PER_RECORD sealed readings, and an empty Close
 _RECORD_BODIES = {(TYPE_CLOSE, gcm.TAG_LEN)} | {
@@ -373,13 +372,9 @@ class IngestionServer:
             log.error("session_fatal session=%s cause=%s peer=%s", session_hex[:16],
                       type(exc).__name__, peer)
             self._abort(conn)
-        finally:
+        finally:  # the listener shuts conn down and closes it
             if recv_dir is not None:
                 recv_dir.zeroize()
-            try:
-                conn.close()
-            except OSError:
-                pass
 
     def _ingest(self, reader: FrameReader, recv_dir: DirectionState, session_hex: str,
                 subject: str, device_id: bytes, peer: str) -> tuple[int, int, int]:
@@ -475,7 +470,6 @@ class DeviceReport:
     sent_count: int = 0
     session_id: str = ""
     duration_s: float = 0.0
-    start_ms: int = 0
     sent: list = field(default_factory=list)  # (timestamp_ms, bpm) pairs
     error: str | None = None
 
@@ -545,7 +539,6 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
         send_dir = DirectionState(keys.c2s_key, keys.c2s_salt)
 
         start_ms = cfg.start_ms if cfg.start_ms is not None else int(time.time() * 1000)
-        report.start_ms = start_ms
         # every reading that is ready goes in one record: one per interval in
         # real time, else all of them, MAX_READINGS_PER_RECORD at a time
         per_record = 1 if cfg.realtime else MAX_READINGS_PER_RECORD

@@ -1,14 +1,15 @@
 """The one TCP listener behind the ingestion server and the tamper proxy.
 
-One accept thread blocks in `accept()` and hands each connection to an
-idle worker thread, starting a new worker only when none is idle, so a
-connection never waits for another to end. A worker runs
-`handle(conn, addr)`, closes `conn`, and then waits for its next
-connection. Reusing threads saves starting and ending one per
-connection, which short, frequent sessions would pay each time. A worker
-that gets no connection within `_IDLE_S` seconds exits, so the threads
-of a burst drain; a thread started at most once a second costs under
-0.01% of a CPU.
+Every worker thread waits in `accept()` on the shared listening socket
+itself, and whichever one takes a connection serves it: it runs
+`handle(conn, addr)`, closes `conn`, and waits in `accept()` again. A
+worker that takes a connection while no other waits starts one before it
+serves, so a connection never waits for another to end. Reusing threads
+saves starting and ending one per connection, which short, frequent
+sessions would pay each time. A wait that sees no connection within
+`_IDLE_S` seconds ends its worker, unless it is the last one waiting, so
+the threads of a burst drain to one; a thread started at most once a
+second costs under 0.01% of a CPU.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import logging
 import socket
 import threading
-from queue import Empty, SimpleQueue
+from contextlib import suppress
 
 log = logging.getLogger("vitalink")
 
@@ -29,65 +30,58 @@ class Listener:
         # the system's most: a burst of connects waits in the queue instead
         # of being dropped, which costs a client a 1 s SYN retransmit
         self._sock = socket.create_server((host, port), backlog=socket.SOMAXCONN)
+        self._sock.settimeout(_IDLE_S)  # accepted sockets still block
         self.port = self._sock.getsockname()[1]
         self._lock = threading.Lock()
         self._stopping = False
         self._open: set[socket.socket] = set()
-        # the inboxes of idle workers, a stack: the most recently idle is woken first
-        self._idle: list[SimpleQueue] = []
+        self._waiting = 0  # workers not serving a connection
         self._threads: set[threading.Thread] = set()
-        self._accepter = threading.Thread(target=self._accept, daemon=True)
-        self._accepter.start()
+        with self._lock:
+            self._start_worker()
 
-    def _accept(self) -> None:
-        while True:
-            try:
-                conn, addr = self._sock.accept()
-            except OSError:
-                if self._stopping:
-                    return
-                continue  # e.g. the peer reset the connection before accept returned
-            with self._lock:
-                if self._stopping:
-                    conn.close()
-                    return
-                # registered here, so stop() sees every accepted connection
-                self._open.add(conn)
-                if self._idle:
-                    self._idle.pop().put((conn, addr))
-                    continue
-                thread = threading.Thread(target=self._work, args=(conn, addr), daemon=True)
-                self._threads.add(thread)
-            try:
-                thread.start()
-            except RuntimeError:  # the process is out of threads
-                log.exception("worker_start_failed peer=%s:%s", addr[0], addr[1])
-                with self._lock:
-                    self._threads.discard(thread)
-                    self._open.discard(conn)
-                conn.close()
+    def _start_worker(self) -> None:
+        """Starts a worker, counted as waiting; called under `self._lock`, so
+        stop() joins only started threads."""
+        thread = threading.Thread(target=self._work, daemon=True)
+        thread.start()
+        self._threads.add(thread)
+        self._waiting += 1
 
-    def _work(self, conn: socket.socket, addr) -> None:
-        inbox = SimpleQueue()  # a connection, or None from stop(); put under self._lock
+    def _work(self) -> None:
         try:
             while True:
+                try:
+                    conn, addr = self._sock.accept()
+                except TimeoutError:
+                    with self._lock:
+                        # the last waiting worker stays, so a connection never
+                        # waits for a thread to start
+                        if self._stopping or self._waiting > 1:
+                            self._waiting -= 1
+                            return
+                    continue
+                except OSError:
+                    if self._stopping:
+                        return
+                    continue  # e.g. the peer reset the connection before accept returned
+                with self._lock:
+                    if self._stopping:
+                        conn.close()
+                        return
+                    # registered here, so stop() sees every accepted connection
+                    self._open.add(conn)
+                    self._waiting -= 1
+                    if not self._waiting:
+                        try:
+                            self._start_worker()
+                        except RuntimeError:  # the process is out of threads
+                            log.exception("worker_start_failed peer=%s:%s", addr[0], addr[1])
                 self._serve(conn, addr)
                 with self._lock:
                     if self._stopping:
                         return
-                    self._idle.append(inbox)
-                try:
-                    job = inbox.get(timeout=_IDLE_S)
-                except Empty:
-                    with self._lock:
-                        if inbox.empty() and not self._stopping:
-                            self._idle.remove(inbox)
-                            return
-                    # handed a connection, or stop() began, as the wait timed out
-                    job = inbox.get()
-                if job is None:
-                    return
-                conn, addr = job
+                    self._waiting += 1
         finally:
             with self._lock:
                 self._threads.discard(threading.current_thread())
@@ -100,33 +94,22 @@ class Listener:
         finally:
             with self._lock:
                 self._open.discard(conn)
-            try:  # sends the FIN even if the handler left a makefile() of conn open
+            with suppress(OSError):  # the FIN, even if the handler left a makefile() open
                 conn.shutdown(socket.SHUT_WR)
-            except OSError:
-                pass
             conn.close()
 
     def stop(self) -> None:
         """Stops accepting, cuts every open connection so its handler ends
-        through its own error path, wakes every idle worker so it exits,
+        through its own error path, wakes every waiting worker so it exits,
         then joins every thread."""
         with self._lock:
             self._stopping = True
-        try:
-            self._sock.shutdown(socket.SHUT_RDWR)  # wakes accept()
-        except OSError:
-            pass
-        self._accepter.join()
-        with self._lock:
             for conn in self._open:
-                try:
+                with suppress(OSError):
                     conn.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-            for inbox in self._idle:
-                inbox.put(None)
-            self._idle.clear()
             threads = list(self._threads)
+        with suppress(OSError):
+            self._sock.shutdown(socket.SHUT_RDWR)  # wakes every waiting accept()
         for thread in threads:
             thread.join()
         self._sock.close()

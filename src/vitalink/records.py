@@ -28,7 +28,7 @@ import struct
 from dataclasses import dataclass, field
 from time import monotonic
 
-from . import gcm
+from . import gcm, telemetry
 from .errors import (
     BadMagic,
     BadVersion,
@@ -42,11 +42,15 @@ from .errors import (
 MAGIC = b"\xa5\x5a"
 VERSION = 0x01
 HEADER_LEN = 8
-MAX_BODY = gcm.MAX_PLAINTEXT + gcm.TAG_LEN
+# the most readings one Data record carries
+MAX_READINGS_PER_RECORD = 64
+# the largest body the protocol sends, that record's 720 bytes; the largest
+# handshake body, a P-256 ServerHello, is 444
+MAX_BODY = MAX_READINGS_PER_RECORD * telemetry.READING_LEN + gcm.TAG_LEN
 READ_TIMEOUT_S = 10.0
-# about 95 one-reading frames or three of 64 readings; 64 KiB read no faster
-# per frame and raised the server's peak RSS by about 11% on the benchmark's
-# reject_mix workload
+# about 117 one-reading frames of 35 bytes or 5 of 64 readings (728 bytes);
+# 64 KiB read no faster per frame and raised the server's peak RSS by about
+# 11% on the benchmark's reject_mix workload
 READ_CHUNK = 4 * 1024
 _LAST_SEQ = 2**64 - 2
 
@@ -160,7 +164,7 @@ class FrameReader:
 
     It receives into one reused buffer of `READ_CHUNK` bytes, so it holds
     at most one chunk beyond a partial frame: under `READ_CHUNK` +
-    MAX_BODY + 8 bytes.
+    MAX_BODY + 8 bytes, 4824.
     """
 
     def __init__(self, sock: socket.socket):

@@ -282,7 +282,7 @@ def test_criterion_08_anomaly_alerting(env, tmp_path):
     bpms = [b for _, b in rep.sent]
     expected_idx = oracle_alert_indices(bpms)
     assert len(expected_idx) == 2
-    got_idx = [(a.window_end_ms - rep.start_ms) // 1000 for a in alerts]
+    got_idx = [(a.window_end_ms - rep.sent[0][0]) // 1000 for a in alerts]
     assert got_idx == expected_idx
     report(8, f"exactly 2 alerts at brute-force-scan indices {expected_idx}")
 

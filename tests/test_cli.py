@@ -300,10 +300,8 @@ def test_the_cli_refuses_toy_suite_files(command, toy_pki, tmp_path, capsys, mon
     code, out, err = run(endpoint_argv(command, tmp_path), capsys)
     assert code == EXIT_USAGE and out == ""
     [line] = [line for line in err.splitlines() if line.startswith("error:")]
-    assert line == {
-        "serve": f"error: credential file {tmp_path / 'server.vlc'}: not a P-256 credential",
-        "device": f"error: private key file {tmp_path / 'device.vlk'}: wrong length for suite",
-    }[command]
+    cred = tmp_path / ("server.vlc" if command == "serve" else "device.vlc")
+    assert line == f"error: credential file {cred}: not a P-256 credential"
     assert not (tmp_path / "store").exists()
 
 

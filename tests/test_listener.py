@@ -1,5 +1,6 @@
 """The shared listener core: prompt shutdown with live peers, reused worker
-threads that drain when idle, and handler errors that stay in the handler."""
+threads that drain to one waiting when idle, and handler errors that stay in
+the handler."""
 
 import logging
 import os
@@ -11,7 +12,6 @@ import sys
 import threading
 import time
 from pathlib import Path
-from queue import Empty, SimpleQueue
 
 import pytest
 
@@ -159,16 +159,42 @@ def test_concurrent_idle_peers_are_all_served_at_once(listen):
 
 def test_an_idle_worker_exits(listen, monkeypatch):
     monkeypatch.setattr(listener_module, "_IDLE_S", 0.05)
-    workers = []
-    lst = listen(lambda conn, addr: workers.append(threading.current_thread()))
+    release = threading.Event()
+    busy = []
+
+    def handle(conn, addr):
+        busy.append(addr)
+        release.wait(5.0)
+
+    lst = listen(handle)
+    peers = [socket.create_connection(("127.0.0.1", lst.port)) for _ in range(4)]
+    # 4 workers serve and a 5th waits
+    assert wait_for(lambda: len(busy) == 4 and lst._waiting == 1)
+    burst = set(lst._threads)
+    assert len(burst) == 5
+    release.set()
+    for peer in peers:
+        peer.close()
+    # the burst's extra workers exit, down to exactly one waiting
+    assert wait_for(lambda: sum(t.is_alive() for t in burst) == 1, timeout=2.0)
+    assert len(lst._threads) == 1 and lst._waiting == 1
+
+
+def test_the_last_waiting_worker_never_exits(listen, monkeypatch):
+    monkeypatch.setattr(listener_module, "_IDLE_S", 0.05)
+    threads = []
+    lst = listen(lambda conn, addr: threads.append(threading.current_thread()))
     session(lst.port)
-    assert wait_for(lambda: not workers[0].is_alive(), timeout=2.0)
-    assert not lst._idle and not lst._threads
+    assert wait_for(lambda: len(lst._threads) == 1, timeout=2.0)
+    [last] = lst._threads
+    time.sleep(0.5)  # ten idle timeouts
+    session(lst.port)
+    assert threads[-1] is last
 
 
 def test_handoffs_that_race_idle_exits_lose_no_connection(listen, monkeypatch):
-    # waits close to the idle timeout, so connections are often handed to a
-    # worker just as its wait times out
+    # waits close to the idle timeout, so connections often arrive just as a
+    # worker's accept() times out and it decides whether to exit
     monkeypatch.setattr(listener_module, "_IDLE_S", 0.002)
     served = []
     lst = listen(lambda conn, addr: served.append(addr))
@@ -197,58 +223,18 @@ def test_handoffs_that_race_idle_exits_lose_no_connection(listen, monkeypatch):
     assert len(served) == 200
 
 
-class LateInbox(SimpleQueue):
-    """A worker's inbox whose timed-out wait ends only after the listener has
-    handed the worker a connection: the race an idle exit must not lose a
-    connection to."""
-
-    def __init__(self):
-        self.timed_out = threading.Event()
-        self.handed = threading.Event()
-
-    def get(self, block=True, timeout=None):
-        try:
-            return super().get(block, timeout)
-        except Empty:
-            self.timed_out.set()
-            self.handed.wait(5.0)
-            raise
-
-    def put(self, item, block=True, timeout=None):
-        super().put(item)
-        self.handed.set()
-
-
-def test_a_connection_handed_over_as_the_idle_wait_times_out_is_served(listen, monkeypatch):
-    monkeypatch.setattr(listener_module, "_IDLE_S", 0.05)
-    inboxes = []
-
-    def late_inbox():
-        inboxes.append(LateInbox())
-        return inboxes[-1]
-
-    monkeypatch.setattr(listener_module, "SimpleQueue", late_inbox)
-    threads = []
-    lst = listen(lambda conn, addr: threads.append(threading.current_thread()))
-    session(lst.port)
-    assert inboxes[0].timed_out.wait(5.0)
-    session(lst.port)  # handed to the worker whose wait has just timed out
-    session(lst.port)
-    assert threads[1] is threads[0]
-    assert wait_for(lambda: not any(t.is_alive() for t in threads))
-    assert not lst._idle and not lst._threads
-
-
 def test_stop_with_idle_workers_returns_at_once(listen):
-    lst = listen(lambda conn, addr: None)
+    served = []
+    lst = listen(lambda conn, addr: served.append(addr))
     peers = [socket.create_connection(("127.0.0.1", lst.port)) for _ in range(4)]
     for peer in peers:
         peer.close()
-    assert wait_for(lambda: len(lst._idle) >= 1 and not lst._open)
+    assert wait_for(lambda: len(served) == 4 and lst._waiting >= 1 and not lst._open)
+    threads = set(lst._threads)
     t0 = time.monotonic()
     lst.stop()
     assert time.monotonic() - t0 < 0.1
-    assert not lst._threads
+    assert not lst._threads and not any(t.is_alive() for t in threads)
 
 
 def test_a_handler_that_raises_is_logged_and_the_next_connection_served(listen, caplog,

@@ -330,9 +330,13 @@ def test_a_bad_header_is_refused_before_its_body_arrives(header, error):
 
 
 def test_a_reader_holds_one_chunk_beyond_a_partial_frame():
-    big = Frame(TYPE_DATA, bytes(MAX_BODY)).encode()
+    # enough of the largest frames that some straddle the reader's chunks
+    bodies = [bytes([i]) * MAX_BODY for i in range(3 * READ_CHUNK // MAX_BODY)]
+    wire = b"".join(Frame(TYPE_DATA, body).encode() for body in bodies)
+    big = len(wire) // len(bodies)
+    assert READ_CHUNK % big and len(wire) > 2 * READ_CHUNK
     a, b = socket_pair()
-    sender = threading.Thread(target=a.sendall, args=(big * 2,))
+    sender = threading.Thread(target=a.sendall, args=(wire,))
     sender.start()
     reader = FrameReader(b)
     sizes = []
@@ -343,8 +347,8 @@ def test_a_reader_holds_one_chunk_beyond_a_partial_frame():
         sizes.append(len(reader._buf))
 
     reader._fill = fill
-    assert [reader.read(timeout=5.0).body for _ in range(2)] == [bytes(MAX_BODY)] * 2
-    assert max(sizes) <= len(big) - 1 + READ_CHUNK
+    assert [reader.read(timeout=5.0).body for _ in bodies] == bodies
+    assert max(sizes) <= big - 1 + READ_CHUNK
     sender.join(timeout=5.0)
     assert not sender.is_alive()
     a.close(); b.close()

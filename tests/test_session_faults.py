@@ -94,7 +94,8 @@ def serve_one(server, device_side):
     """Runs `device_side(reader)` against `server._handle` on the other end of a
     socketpair, with one `FrameReader` over the device's end for its whole
     life; returns what it returns once the handler has finished, and fails
-    if an exception escaped the handler."""
+    if an exception escaped the handler. The server's end is closed when the
+    handler returns, as the listener does."""
     device, server_end = socket.socketpair()
     escaped = []
 
@@ -103,6 +104,8 @@ def serve_one(server, device_side):
             server._handle(server_end, ("socketpair", 0))
         except Exception as exc:  # the property: nothing gets here
             escaped.append(exc)
+        finally:
+            server_end.close()
 
     handler = threading.Thread(target=handle)
     handler.start()
@@ -113,6 +116,12 @@ def serve_one(server, device_side):
         handler.join(timeout=10.0)
     assert not handler.is_alive() and escaped == []
     return result
+
+
+def header(frame_type: int, length: int) -> bytes:
+    """A frame header announcing `length` body bytes, which `Frame.encode`
+    refuses to write past MAX_BODY."""
+    return records.MAGIC + bytes([records.VERSION, frame_type]) + length.to_bytes(4, "big")
 
 
 def send_and_hang_up(sock, data: bytes) -> None:
@@ -479,8 +488,8 @@ def test_a_fault_at_position_k_of_a_burst_persists_the_k_readings_before_it(
         wire = [bytearray(record_seal(tx, TYPE_DATA, reading_encode(r)).encode()) for r in sent]
         if fault == "tag":
             wire[k][-1] ^= 1
-        if fault == "oversize":  # a Data record no device sends, under any key
-            wire[k] = Frame(TYPE_DATA, bytes(MAX_BODY)).encode()
+        if fault == "oversize":  # a header no device sends, under any key
+            wire[k] = header(TYPE_DATA, MAX_BODY + 1)
         wire.append(record_seal(tx, TYPE_CLOSE, b"").encode())
         send_and_hang_up(reader.sock, b"".join(wire))
         return keys, replies_until_abort(reader)
@@ -634,22 +643,39 @@ def spy_on_open(monkeypatch) -> list:
     return opened
 
 
-@pytest.mark.parametrize("body_len", [16, 11 * 65 + 16, 11 + 17, 11 * 64 + 17],
-                         ids=["no_reading", "65_readings", "1_reading_plus_1", "64_readings_plus_1"])
+# past MAX_BODY (720) the header alone is refused
+@pytest.mark.parametrize("body_len, cause", [
+    (16, "MalformedFrame"), (11 * 65 + 16, "OversizeFrame"), (11 + 17, "MalformedFrame"),
+    (11 * 64 + 17, "OversizeFrame"),
+], ids=["no_reading", "65_readings", "1_reading_plus_1", "64_readings_plus_1"])
 def test_a_data_body_that_is_no_whole_count_of_readings_is_refused_before_gcm(
-        toy_pki, server, lines, monkeypatch, body_len):
+        toy_pki, server, lines, monkeypatch, body_len, cause):
     opened = spy_on_open(monkeypatch)
 
     def device_side(reader):
         keys = handshake(reader, toy_pki, 31)
-        send_and_hang_up(reader.sock, Frame(TYPE_DATA, bytes(body_len)).encode())
+        send_and_hang_up(reader.sock, header(TYPE_DATA, body_len) + bytes(body_len))
         return replies_until_abort(reader)
 
     assert serve_one(server, device_side) == [TYPE_ABORT]
     [problem] = lines.problems()
-    assert problem.startswith("session_fatal ") and "cause=MalformedFrame" in problem
+    assert problem.startswith("session_fatal ") and f"cause={cause} " in problem
     assert opened == []
     assert persisted(server) == []
+
+
+def test_a_live_session_refuses_an_oversize_header_before_its_body(toy_pki, server, lines):
+    server.start()
+    with socket.create_connection(("127.0.0.1", server.port)) as sock:
+        reader = FrameReader(sock)
+        handshake(reader, toy_pki, 34)
+        t0 = time.monotonic()
+        sock.sendall(header(TYPE_DATA, MAX_BODY + 1))  # and the connection stays open
+        assert frame_read(reader, timeout=5.0).frame_type == TYPE_ABORT
+        # well before the 5 s read timeout a body wait would end in
+        assert time.monotonic() - t0 < 4.0
+    [problem] = lines.problems()
+    assert problem.startswith("session_fatal ") and "cause=OversizeFrame " in problem
 
 
 def test_a_bad_tag_in_the_second_of_three_records_stores_the_first_records_readings(
