@@ -84,7 +84,6 @@ from .telemetry import (
     AnomalyAlert,
     AnomalyConfig,
     AnomalyDetector,
-    HeartRateReading,
     SensorSim,
     STATUS_NAMES,
     reading_decode,
@@ -93,7 +92,6 @@ from .telemetry import (
 
 log = logging.getLogger("vitalink")
 
-_STATUS_BY_NAME = {v: k for k, v in STATUS_NAMES.items()}
 # the only records a device sends, as (type, body length): 1 to
 # MAX_READINGS_PER_RECORD sealed readings, and an empty Close
 _RECORD_BODIES = {(TYPE_CLOSE, gcm.TAG_LEN)} | {
@@ -163,23 +161,11 @@ class StoreRecord:
     received_at_ms: int
 
 
-def reading_formatter(session_id: str, subject_id: str, device_id: bytes):
-    """The readings-line format of one session's device: returns
-    `line(r, received_at_ms)`, the line of reading `r` without its newline.
-    The session's three fields are formatted once, here."""
-    prefix = f"{session_id}\t{subject_id}\t{device_id.hex()}\t"
-
-    def line(r: HeartRateReading, received_at_ms: int) -> str:
-        return f"{prefix}{r.timestamp_ms}\t{r.bpm}\t{STATUS_NAMES[r.status]}\t{received_at_ms}"
-
-    return line
-
-
 def parse_reading_line(line: str) -> StoreRecord:
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 7:
         raise ValueError(f"bad readings line: {line!r}")
-    if parts[5] not in _STATUS_BY_NAME:
+    if parts[5] not in STATUS_NAMES.values():
         raise ValueError(f"bad status in line: {line!r}")
     return StoreRecord(
         session_id=parts[0],
@@ -385,8 +371,11 @@ class IngestionServer:
         A Data record carries 1 to MAX_READINGS_PER_RECORD readings; its
         length is checked against `_RECORD_BODIES` before any GCM work, and
         its tag before any of its readings is decoded. While the reader
-        holds whole frames it opens each record, then decodes, checks and
-        formats each of its readings in turn. No reading names a device:
+        holds whole frames it opens each record and makes one pass over
+        its payload: each reading is checked by `reading_decode` as the
+        pass reaches it, order-checked, formatted as one readings line
+        (session prefix and receive time formatted once per session and
+        record) and given to the detector. No reading names a device:
         every line and alert names `device_id`, the first 8 bytes of the
         authenticated subject. A reading that goes back in time raises
         `MalformedReading`. The lines go to the store in one write before
@@ -395,11 +384,11 @@ class IngestionServer:
         across records (a bad tag faults at the record's first), still
         persists the k readings before it, and none after."""
         detector = AnomalyDetector(self.cfg.anomaly, device_id)
-        line = reading_formatter(session_hex, subject, device_id)
+        # a readings line: the columns of `StoreRecord`, tab-separated
+        prefix = f"{session_hex}\t{subject}\t{device_id.hex()}\t"
         last_ts = -1
         pending: list[str] = []
         stored = alerts = 0
-        size = telemetry.READING_LEN
         try:
             while True:
                 if pending and not reader.has_frame():
@@ -413,20 +402,20 @@ class IngestionServer:
                 ftype, payload = record_open(recv_dir, fr)
                 if ftype == TYPE_CLOSE:
                     return TYPE_CLOSE, stored, alerts
-                received_ms = int(time.time() * 1000)
-                for i in range(0, len(payload), size):
-                    reading = reading_decode(payload[i : i + size])
-                    if reading.timestamp_ms < last_ts:
+                received = f"\t{int(time.time() * 1000)}"
+                for r in reading_decode(payload):
+                    ts, bpm, status = r
+                    if ts < last_ts:
                         raise MalformedReading("timestamps went backwards")
-                    last_ts = reading.timestamp_ms
-                    pending.append(line(reading, received_ms))
-                    alert = detector.check(reading)
+                    last_ts = ts
+                    pending.append(f"{prefix}{ts}\t{bpm}\t{STATUS_NAMES[status]}{received}")
+                    alert = detector.check(r)
                     if alert is not None:
                         self.store.append_reading(pending)
                         pending = []
                         self.raise_alert(alert, session_hex, peer)
                         alerts += 1
-                stored += len(payload) // size
+                stored += len(payload) // telemetry.READING_LEN
         finally:
             if pending:
                 self.store.append_reading(pending)

@@ -6,9 +6,9 @@ timestamp in ms as an unsigned 64-bit integer, the bpm as an unsigned
 16-bit integer (at most `BPM_MAX`) and one status byte. It names no
 device: the handshake authenticated the sender once for the whole
 session, so the server takes the device id from the session. One
-`struct.Struct` packs and unpacks all three fields in one call; the
-range and status checks stay in Python, and each failure is a
-`MalformedReading`.
+`struct.Struct` packs a reading, and unpacks a whole Data payload in one
+`iter_unpack` pass that checks each reading as it reaches it, so the
+readings before a bad one come first. A failure is a `MalformedReading`.
 
 Thresholds and simulator dynamics are demo configuration values, not
 clinical claims.
@@ -21,7 +21,7 @@ import random
 import struct
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .errors import MalformedReading
 
@@ -52,15 +52,21 @@ def reading_encode(r: HeartRateReading) -> bytes:
     return _READING.pack(*r)
 
 
-def reading_decode(data: bytes) -> HeartRateReading:
-    if len(data) != READING_LEN:
-        raise MalformedReading(f"payload length {len(data)}, expected {READING_LEN}")
-    r = HeartRateReading._make(_READING.unpack(data))
-    if r.bpm > BPM_MAX:
-        raise MalformedReading(f"bpm {r.bpm} out of range")
-    if r.status not in STATUS_NAMES:
-        raise MalformedReading(f"unknown status {r.status}")
-    return r
+def reading_decode(payload: bytes) -> Iterator[tuple[int, int, int]]:
+    """`(timestamp_ms, bpm, status)` per reading; the length is checked now,
+    each reading's bpm and status when the iterator reaches it."""
+    if not payload or len(payload) % READING_LEN:
+        raise MalformedReading(f"payload length {len(payload)}, not n * {READING_LEN}, n >= 1")
+    return _checked(_READING.iter_unpack(payload))
+
+
+def _checked(readings: Iterator[tuple[int, int, int]]) -> Iterator[tuple[int, int, int]]:
+    for r in readings:
+        if r[1] > BPM_MAX:
+            raise MalformedReading(f"bpm {r[1]} out of range")
+        if r[2] not in STATUS_NAMES:
+            raise MalformedReading(f"unknown status {r[2]}")
+        yield r
 
 
 @dataclass
@@ -152,29 +158,31 @@ class AnomalyDetector:
     inside the normal band re-arms the detector; off-body and
     low-confidence readings are ignored entirely.
 
-    O(1) per reading: it counts the run of consecutive ok-readings above
-    the high threshold and the run below the low one, and keeps the last N
-    ok-readings only to name the alert's window. A detector watches one
-    device, `device_id`, which names its alerts."""
+    O(1) per reading, any `(timestamp_ms, bpm, status)` tuple: it counts
+    the runs of consecutive ok-readings above the high threshold and below
+    the low one. An in-band reading resets both and skips the window, so
+    the window holds the last N out-of-band ok-readings: when a run reaches
+    N, the last N ok-readings, which name the alert's window. A detector
+    watches one device, `device_id`, which names its alerts."""
 
     def __init__(self, cfg: AnomalyConfig, device_id: bytes):
         self.cfg = cfg
         self.device_id = device_id
-        self.window: deque[HeartRateReading] = deque(maxlen=cfg.consecutive)
+        self.window: deque[tuple[int, int, int]] = deque(maxlen=cfg.consecutive)
         self.high_run = 0
         self.low_run = 0
         self.armed = True
 
-    def check(self, r: HeartRateReading) -> AnomalyAlert | None:
-        if r.status != STATUS_OK:
+    def check(self, r: tuple[int, int, int]) -> AnomalyAlert | None:
+        timestamp_ms, bpm, status = r
+        if status != STATUS_OK:
             return None
         cfg = self.cfg
-        self.window.append(r)
-        if r.bpm > cfg.high:
+        if bpm > cfg.high:
             self.high_run += 1
             self.low_run = 0
             run, rule = self.high_run, "high_hr"
-        elif r.bpm < cfg.low:
+        elif bpm < cfg.low:
             self.low_run += 1
             self.high_run = 0
             run, rule = self.low_run, "low_hr"
@@ -182,13 +190,14 @@ class AnomalyDetector:
             self.high_run = self.low_run = 0
             self.armed = True
             return None
+        self.window.append(r)
         if run < cfg.consecutive or not self.armed:
             return None
         self.armed = False
         return AnomalyAlert(
             device_id=self.device_id,
-            window_start_ms=self.window[0].timestamp_ms,
-            window_end_ms=r.timestamp_ms,
-            observed_bpm=tuple(w.bpm for w in self.window),
+            window_start_ms=self.window[0][0],
+            window_end_ms=timestamp_ms,
+            observed_bpm=tuple(w[1] for w in self.window),
             rule=rule,
         )

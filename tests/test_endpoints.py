@@ -26,7 +26,6 @@ from vitalink.endpoints import (
     load_identity,
     parse_alert_line,
     parse_reading_line,
-    reading_formatter,
     run_device,
 )
 from vitalink.errors import ConfigurationError, EndOfStream, InvalidPeerKey
@@ -48,7 +47,7 @@ from vitalink.records import (
     frame_write,
     record_seal,
 )
-from vitalink.telemetry import STATUS_OK, AnomalyAlert, HeartRateReading
+from vitalink.telemetry import AnomalyAlert
 
 from conftest import BAD_ROOTS, Pki, bad_root, forged_ticket
 
@@ -166,8 +165,7 @@ def test_a_timestamp_past_64_bits_is_reported_not_raised(files, server):
 
 
 def test_reading_line_round_trip():
-    reading = HeartRateReading(123, 72, STATUS_OK)
-    line = reading_formatter("ab" * 32, "watch-1", b"\xcc" * 8)(reading, 456)
+    line = "\t".join(["ab" * 32, "watch-1", "cc" * 8, "123", "72", "ok", "456"])
     rec = StoreRecord("ab" * 32, "watch-1", "cc" * 8, 123, 72, "ok", 456)
     assert parse_reading_line(line + "\n") == rec
     with pytest.raises(ValueError):
@@ -314,8 +312,7 @@ def test_store_appends_are_atomic_lines(tmp_path):
     store = Store(tmp_path / "s")
 
     def burst(writer, k):
-        line = reading_formatter(f"{writer:02x}", f"w{k}", b"\xbb" * 8)
-        return [line(HeartRateReading(j, 70, STATUS_OK), k)
+        return [f"{writer:02x}\tw{k}\t{'bb' * 8}\t{j}\t70\tok\t{k}"
                 for j in range(1 + (writer * 7 + k) % 60)]
 
     def writer(w):

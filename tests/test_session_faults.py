@@ -715,6 +715,32 @@ def test_a_timestamp_that_goes_back_inside_a_record_stores_the_readings_before_i
     assert stored_rows(server, keys.session_id.hex()) == as_rows(sent[:9])
 
 
+@pytest.mark.parametrize("fault", ["bpm", "status"])
+@pytest.mark.parametrize("j", [0, 5, 63])
+def test_a_bad_reading_inside_a_record_stores_the_readings_before_it(
+        toy_pki, server, lines, fault, j):
+    sent = sensor_readings(35, 128)
+
+    def device_side(reader):
+        keys = handshake(reader, toy_pki, 35)
+        tx = DirectionState(keys.c2s_key, keys.c2s_salt)
+        second = bytearray(b"".join(reading_encode(r) for r in sent[64:]))
+        if fault == "bpm":  # one past BPM_MAX, which the encoder refuses to write
+            second[11 * j + 8 : 11 * j + 10] = (301).to_bytes(2, "big")
+        else:
+            second[11 * j + 10] = 9
+        wire = [record_seal(tx, TYPE_DATA, b"".join(reading_encode(r) for r in sent[:64])),
+                record_seal(tx, TYPE_DATA, bytes(second)), record_seal(tx, TYPE_CLOSE, b"")]
+        send_and_hang_up(reader.sock, b"".join(f.encode() for f in wire))
+        return keys, replies_until_abort(reader)
+
+    keys, replies = serve_one(server, device_side)
+    assert replies == [TYPE_ABORT]
+    [problem] = lines.problems()
+    assert problem.startswith("session_fatal ") and "cause=MalformedReading " in problem
+    assert stored_rows(server, keys.session_id.hex()) == as_rows(sent[:64 + j])
+
+
 def test_records_of_1_to_64_readings_are_stored_in_order(toy_pki, server, lines):
     sizes = (64, 1, 2, 63, 7)
     sent = sensor_readings(34, sum(sizes))

@@ -1,6 +1,8 @@
 """Reading codec, simulated sensor, and anomaly detection, with a
 brute-force trace scan as the alerting oracle."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,18 +30,17 @@ def test_encode_decode_round_trip():
     r = HeartRateReading(1_700_000_000_123, 72, STATUS_OK)
     encoded = reading_encode(r)
     assert len(encoded) == 11
-    assert reading_decode(encoded) == r
+    assert list(reading_decode(encoded)) == [r]
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    ts=st.integers(min_value=0, max_value=2**63 - 1),
-    bpm=st.integers(min_value=0, max_value=300),
-    status=st.sampled_from([STATUS_OK, STATUS_OFF_BODY, STATUS_LOW_CONFIDENCE]),
-)
-def test_round_trip_property(ts, bpm, status):
-    r = HeartRateReading(ts, bpm, status)
-    assert reading_decode(reading_encode(r)) == r
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=2**63 - 1),
+                          st.integers(min_value=0, max_value=300),
+                          st.sampled_from([STATUS_OK, STATUS_OFF_BODY, STATUS_LOW_CONFIDENCE])),
+                min_size=1, max_size=64))
+def test_round_trip_property(fields):
+    readings = [HeartRateReading(*f) for f in fields]
+    assert list(reading_decode(b"".join(reading_encode(r) for r in readings))) == readings
 
 
 @settings(max_examples=300, deadline=None)
@@ -53,7 +54,8 @@ def test_the_codec_matches_the_documented_byte_layout(ts, bpm, status):
     layout = ts.to_bytes(8, "big") + bpm.to_bytes(2, "big") + bytes([status])
     r = HeartRateReading(ts, bpm, status)
     assert reading_encode(r) == layout
-    assert reading_decode(layout) == r
+    assert list(reading_decode(layout)) == [r]
+    assert list(reading_decode(layout * 3)) == [r] * 3
 
 
 @pytest.mark.parametrize("ts", [-1, -(2**63), 2**64, 2**70])
@@ -63,18 +65,73 @@ def test_encode_refuses_a_timestamp_outside_64_unsigned_bits(ts):
 
 
 def test_decode_rejects_bad_inputs():
-    with pytest.raises(MalformedReading):
+    # a bad length raises at the call, before any reading is yielded
+    with pytest.raises(MalformedReading, match="length"):
         reading_decode(b"\x00" * 10)
-    with pytest.raises(MalformedReading):
+    with pytest.raises(MalformedReading, match="length"):
         reading_decode(b"\x00" * 19)  # a reading that also carries an 8-byte device id
-    r = bytearray(reading_encode(HeartRateReading(0, 100)))
+    good = reading_encode(HeartRateReading(0, 100))
+    r = bytearray(good)
     r[8:10] = (0x7FFF).to_bytes(2, "big")
-    with pytest.raises(MalformedReading):
-        reading_decode(bytes(r))
-    r = bytearray(reading_encode(HeartRateReading(0, 100)))
+    readings = reading_decode(good + bytes(r))
+    assert next(readings) == (0, 100, STATUS_OK)
+    with pytest.raises(MalformedReading, match="bpm 32767"):
+        next(readings)
+    r = bytearray(good)
     r[10] = 9
-    with pytest.raises(MalformedReading):
-        reading_decode(bytes(r))
+    readings = reading_decode(bytes(r) + good)
+    with pytest.raises(MalformedReading, match="unknown status 9"):
+        next(readings)
+
+
+def reference_decode(payload: bytes) -> tuple[list, int | None]:
+    """The readings of `payload` sliced 11 bytes at a time and checked one
+    by one: (the good readings before the first bad one, the index of the
+    bad one or None)."""
+    good = []
+    for i in range(0, len(payload), 11):
+        ts, bpm, status = struct.unpack(">QHB", payload[i : i + 11])
+        if bpm > BPM_MAX or status not in (STATUS_OK, STATUS_OFF_BODY, STATUS_LOW_CONFIDENCE):
+            return good, i // 11
+        good.append((ts, bpm, status))
+    return good, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    fields=st.lists(st.tuples(st.integers(min_value=0, max_value=2**64 - 1),
+                              st.integers(min_value=0, max_value=BPM_MAX),
+                              st.sampled_from([STATUS_OK, STATUS_OFF_BODY,
+                                               STATUS_LOW_CONFIDENCE])),
+                    min_size=1, max_size=64),
+    faults=st.lists(st.tuples(st.integers(min_value=0, max_value=63),
+                              st.sampled_from(["bpm", "status"])), max_size=3),
+    bad_bpm=st.integers(min_value=BPM_MAX + 1, max_value=2**16 - 1),
+    bad_status=st.integers(min_value=3, max_value=255),
+)
+def test_decode_matches_a_reading_by_reading_reference(fields, faults, bad_bpm, bad_status):
+    # good readings with a few bad bpm or status values sprinkled in
+    for i, field in faults:
+        ts, bpm, status = fields[i % len(fields)]
+        fields[i % len(fields)] = ((ts, bad_bpm, status) if field == "bpm"
+                                   else (ts, bpm, bad_status))
+    payload = b"".join(struct.pack(">QHB", *f) for f in fields)
+    want, bad = reference_decode(payload)
+    got = []
+    readings = reading_decode(payload)
+    if bad is None:
+        got.extend(readings)
+    else:
+        with pytest.raises(MalformedReading, match="bpm|status"):
+            for r in readings:
+                got.append(r)
+    assert got == want
+
+
+@pytest.mark.parametrize("length", [0, 10, 12, 19, 705])
+def test_decode_refuses_a_payload_of_no_whole_count_of_readings_at_the_call(length):
+    with pytest.raises(MalformedReading, match=f"payload length {length}"):
+        reading_decode(b"\x00" * length)
 
 
 def test_encode_rejects_out_of_range():
@@ -131,7 +188,7 @@ def run_detector(bpms, cfg=AnomalyConfig(low=40, high=150, consecutive=3), statu
     alerts = []
     for i, bpm in enumerate(bpms):
         status = statuses[i] if statuses else STATUS_OK
-        a = det.check(HeartRateReading(i * 1000, bpm, status))
+        a = det.check((i * 1000, bpm, status))  # a plain tuple, as the server passes
         if a is not None:
             alerts.append((i, a))
     return alerts
