@@ -2,10 +2,10 @@
 and ships heart-rate readings, and the ingestion server that terminates
 the secure channel, persists readings, and raises anomaly alerts.
 
-Persistence is append-only line-delimited text. The server opens, checks
-and formats every reading of every record already buffered on a
-connection, then writes the burst's lines under the store's lock until
-all are on disk, so concurrent sessions never interleave within a burst.
+On the server, a `ServerSession` per connection, fed whole frames, makes
+every decision; `IngestionServer._handle` only reads, feeds and writes.
+Persistence is append-only line-delimited text, one write per burst of
+readings, so concurrent sessions never interleave within a burst.
 
 Every established session ends its handshake with a NewTicket from the
 server, sealed under a ticket key made when the server starts and never
@@ -25,9 +25,8 @@ Data record carries every reading the device has ready: one per interval
 for a `realtime` device, else all of them, MAX_READINGS_PER_RECORD to a
 record (one `frame_write` each). Records go out with no read between
 them, so an Abort mid-stream shows as the write error the server's
-hang-up causes, or after the Close. A frame read
-waits at most `records.READ_TIMEOUT_S`, read as it starts; the server's
-two handshake reads share one deadline.
+hang-up causes, or after the Close. A frame read waits at most
+`records.READ_TIMEOUT_S`, read as it starts.
 
 A process checks its own identity once, at startup, with `check_identity`:
 `IngestionServer` when it is made, and the `device` command before its
@@ -61,10 +60,11 @@ from .errors import (
     MalformedReading,
     VitalinkError,
 )
-from .handshake import ClientHandshake, LocalIdentity, Resumption, ServerHandshake
+from .handshake import ClientHandshake, LocalIdentity, Phase, Resumption, ServerHandshake
 from .listener import Listener
 from .records import (
     MAX_READINGS_PER_RECORD,
+    RECORD_BODIES,
     TYPE_ABORT,
     TYPE_CLIENT_FINISH,
     TYPE_CLIENT_HELLO,
@@ -91,12 +91,6 @@ from .telemetry import (
 )
 
 log = logging.getLogger("vitalink")
-
-# the only records a device sends, as (type, body length): 1 to
-# MAX_READINGS_PER_RECORD sealed readings, and an empty Close
-_RECORD_BODIES = {(TYPE_CLOSE, gcm.TAG_LEN)} | {
-    (TYPE_DATA, j * telemetry.READING_LEN + gcm.TAG_LEN)
-    for j in range(1, MAX_READINGS_PER_RECORD + 1)}
 
 
 def log_value(value) -> str:
@@ -208,7 +202,7 @@ class Store:
 
     Each call writes until all its bytes are on disk, under one lock, so
     the lines of one call never interleave with another's. The server
-    writes each burst of readings in one call (`IngestionServer._ingest`),
+    writes each burst of readings in one call (`ServerSession.flush`),
     so a crash loses at most the unwritten part of one burst, none of it
     promised stored (the protocol has no Ack). Nothing is fsynced.
     """
@@ -285,153 +279,166 @@ class IngestionServer:
         self.port = self._listener.port
         log.info("listening addr=%s:%d", self.cfg.listen_host, self.port)
 
-    def _abort(self, conn: socket.socket) -> None:
-        try:
-            frame_write(conn, Frame(TYPE_ABORT, b""))
-        except OSError:
-            pass
-
     def _handle(self, conn: socket.socket, addr) -> None:
-        # the worker is reused, so its CPU time is a difference
-        cpu0, wall0 = time.thread_time(), time.monotonic()
-        recv_dir: DirectionState | None = None
-        session_hex = "-"
-        peer = f"{addr[0]}:{addr[1]}"
-        # one deadline for ClientHello and ClientFinish together
-        handshake_deadline = time.monotonic() + records.READ_TIMEOUT_S
-        # one reader for the whole connection: a ClientFinish and the first
-        # records may arrive in one segment
+        session = ServerSession(self, f"{addr[0]}:{addr[1]}")
         reader = FrameReader(conn)
         try:
-            fr = frame_read(reader, handshake_deadline - time.monotonic())
-            if fr.frame_type != TYPE_CLIENT_HELLO:
-                raise MalformedFrame("expected ClientHello")
-            hs = ServerHandshake(self.identity, self.trust_root, suite=self.suite,
-                                 ticket_key=self.ticket_key)
-            server_hello = hs.respond(fr.body)
-            if hs.refusal is not None:
-                log.info("resumption_refused cause=%s peer=%s", hs.refusal, peer)
-            frame_write(conn, Frame(TYPE_SERVER_HELLO, server_hello))
-            fr = frame_read(reader, handshake_deadline - time.monotonic())
-            if fr.frame_type != TYPE_CLIENT_FINISH:
-                raise MalformedFrame("expected ClientFinish")
-            keys, peer_subject = hs.complete(fr.body)
-            session_hex = keys.session_id.hex()
-            subject = decode_subject(peer_subject)
-            log.info("session_established session=%s subject=%s peer=%s",
-                     session_hex[:16], log_value(subject), peer)
-            try:
-                frame_write(conn, Frame(TYPE_NEW_TICKET, hs.new_ticket()))
-            except OSError:
-                pass  # a device that sent its records and left loses only its ticket
-
-            recv_dir = DirectionState(keys.c2s_key, keys.c2s_salt)
-            ending, readings, alerts = self._ingest(reader, recv_dir, session_hex, subject,
-                                                    peer_subject[:8], peer)
-            if ending == TYPE_ABORT:
-                # plaintext: rewriting one type byte on the path forges it
-                log.warning("peer_abort session=%s cause=unauthenticated peer=%s",
-                            session_hex[:16], peer)
-                self._abort(conn)
-            else:
-                log.info("session_closed session=%s handshake=%s readings=%d alerts=%d "
-                         "cpu_ms=%.2f wall_ms=%.2f peer=%s", session_hex[:16],
-                         "resumed" if hs.resumed else "full", readings, alerts,
-                         1000 * (time.thread_time() - cpu0),
-                         1000 * (time.monotonic() - wall0), peer)
-        except EndOfStream:
-            log.warning("suspicious_termination session=%s cause=no_authenticated_close "
-                        "peer=%s", session_hex[:16], peer)
-            self._abort(conn)
-        except AuthFailure:
-            log.error("record_auth_failure session=%s action=abort peer=%s",
-                      session_hex[:16], peer)
-            self._abort(conn)
-        except HandshakeError as exc:
-            log.error("handshake_failed cause=%s detail=%s peer=%s",
-                      type(exc).__name__, log_value(exc), peer)
-            self._abort(conn)
-        except OSError as exc:
-            log.error("connection_error session=%s cause=%s detail=%s peer=%s",
-                      session_hex[:16], type(exc).__name__, log_value(exc), peer)
-        except VitalinkError as exc:
-            log.error("session_fatal session=%s cause=%s peer=%s", session_hex[:16],
-                      type(exc).__name__, peer)
-            self._abort(conn)
+            while not session.ended:
+                if not reader.has_frame():
+                    session.flush()
+                for reply in session.receive(frame_read(reader, session.timeout())):
+                    frame_write(conn, reply)
+        except (VitalinkError, OSError) as exc:
+            with suppress(OSError):
+                for reply in session.fail(exc):
+                    frame_write(conn, reply)
         finally:  # the listener shuts conn down and closes it
-            if recv_dir is not None:
-                recv_dir.zeroize()
-
-    def _ingest(self, reader: FrameReader, recv_dir: DirectionState, session_hex: str,
-                subject: str, device_id: bytes, peer: str) -> tuple[int, int, int]:
-        """Reads one session's records up to its Close or a plaintext Abort
-        and returns (TYPE_CLOSE or TYPE_ABORT, readings stored, alerts
-        raised); raises on any fault.
-
-        A Data record carries 1 to MAX_READINGS_PER_RECORD readings; its
-        length is checked against `_RECORD_BODIES` before any GCM work, and
-        its tag before any of its readings is decoded. While the reader
-        holds whole frames it opens each record and makes one pass over
-        its payload: each reading is checked by `reading_decode` as the
-        pass reaches it, order-checked, formatted as one readings line
-        (session prefix and receive time formatted once per session and
-        record) and given to the detector. No reading names a device:
-        every line and alert names `device_id`, the first 8 bytes of the
-        authenticated subject. A reading that goes back in time raises
-        `MalformedReading`. The lines go to the store in one write before
-        the reader waits on the socket, before an alert is stored, and
-        however the session ends. So a fault at the k-th reading, counted
-        across records (a bad tag faults at the record's first), still
-        persists the k readings before it, and none after."""
-        detector = AnomalyDetector(self.cfg.anomaly, device_id)
-        # a readings line: the columns of `StoreRecord`, tab-separated
-        prefix = f"{session_hex}\t{subject}\t{device_id.hex()}\t"
-        last_ts = -1
-        pending: list[str] = []
-        stored = alerts = 0
-        try:
-            while True:
-                if pending and not reader.has_frame():
-                    self.store.append_reading(pending)
-                    pending = []
-                fr = frame_read(reader)
-                if fr.frame_type == TYPE_ABORT:
-                    return TYPE_ABORT, stored, alerts
-                if (fr.frame_type, len(fr.body)) not in _RECORD_BODIES:
-                    raise MalformedFrame(f"{len(fr.body)}-byte record of type {fr.frame_type}")
-                ftype, payload = record_open(recv_dir, fr)
-                if ftype == TYPE_CLOSE:
-                    return TYPE_CLOSE, stored, alerts
-                received = f"\t{int(time.time() * 1000)}"
-                for r in reading_decode(payload):
-                    ts, bpm, status = r
-                    if ts < last_ts:
-                        raise MalformedReading("timestamps went backwards")
-                    last_ts = ts
-                    pending.append(f"{prefix}{ts}\t{bpm}\t{STATUS_NAMES[status]}{received}")
-                    alert = detector.check(r)
-                    if alert is not None:
-                        self.store.append_reading(pending)
-                        pending = []
-                        self.raise_alert(alert, session_hex, peer)
-                        alerts += 1
-                stored += len(payload) // telemetry.READING_LEN
-        finally:
-            if pending:
-                self.store.append_reading(pending)
-
-    def raise_alert(self, alert: AnomalyAlert, session_hex: str, peer: str) -> None:
-        self.store.append_alert(alert)
-        log.warning("alert session=%s device=%s rule=%s bpm=%s window=%d..%d peer=%s",
-                    session_hex[:16], alert.device_id.hex(), alert.rule,
-                    ",".join(str(b) for b in alert.observed_bpm),
-                    alert.window_start_ms, alert.window_end_ms, peer)
+            session.close()
 
     def stop(self) -> None:
         if self._listener is not None:
             self._listener.stop()
         self.ticket_key.zeroize()
         self.store.close()
+
+
+# how a fault ends a session, by the first row it is an instance of: (class,
+# level, event, cause or None for the fault's class name, whether to Abort)
+_FAULTS = (
+    # a plaintext Abort: rewriting one type byte on the path forges it
+    (ConnectionAborted, logging.WARNING, "peer_abort", "unauthenticated", True),
+    (EndOfStream, logging.WARNING, "suspicious_termination", "no_authenticated_close", True),
+    (AuthFailure, logging.ERROR, "record_auth_failure", None, True),
+    (HandshakeError, logging.ERROR, "handshake_failed", None, True),
+    (OSError, logging.ERROR, "connection_error", None, False),
+    (VitalinkError, logging.ERROR, "session_fatal", None, True),
+)
+
+
+class ServerSession:
+    """One connection's session on the server, fed whole frames; it holds no
+    socket and waits on nothing. `receive` answers each frame and raises on
+    any fault; `fail` answers the fault, from `receive` or the connection,
+    that ended the session. Either way it logs one terminal line and is
+    `ended`: `<event> cause=… detail=… session=… handshake=full|resumed|-
+    readings=N alerts=K cpu_ms=… wall_ms=… peer=…`, `-` where there is none.
+
+    The ClientHello and ClientFinish share one deadline (`timeout`). A
+    record's body length is checked against `records.RECORD_BODIES` before
+    any GCM work, and its tag before any reading is decoded. One pass over
+    the payload then checks each reading and its order, formats its line,
+    which names `device_id`, the subject's first 8 bytes, and runs the
+    detector. The lines go to the store in one write at `flush`, which the
+    caller makes before each wait, and before an alert is stored or the
+    session ends. So a fault at the k-th reading, counted across records,
+    persists the k readings before it and none after."""
+
+    def __init__(self, server: IngestionServer, peer: str):
+        self.server, self.peer = server, peer
+        self.ended = False
+        self._stored = self._alerts = 0
+        # a listener's worker is reused, so its CPU time is a difference
+        self._cpu0, self._wall0 = time.thread_time(), time.monotonic()
+        self._deadline = self._wall0 + records.READ_TIMEOUT_S
+        self._hs = ServerHandshake(server.identity, server.trust_root, suite=server.suite,
+                                   ticket_key=server.ticket_key)
+        # set once the handshake ends
+        self._session_hex, self._recv, self._detector, self._prefix = "-", None, None, ""
+        self._pending: list[str] = []
+        self._last_ts = -1
+
+    def timeout(self) -> float | None:
+        """The handshake's time left, then None: `frame_read`'s READ_TIMEOUT_S."""
+        return None if self._recv is not None else self._deadline - time.monotonic()
+
+    def receive(self, frame: Frame) -> list[Frame]:
+        """The frames that answer `frame`; raises on any fault, a peer's Abort too."""
+        if self._recv is not None:
+            return self._record(frame)
+        hs = self._hs
+        if hs.phase is Phase.START:
+            if frame.frame_type != TYPE_CLIENT_HELLO:
+                raise MalformedFrame("expected ClientHello")
+            server_hello = hs.respond(frame.body)
+            if hs.refusal is not None:
+                log.info("resumption_refused cause=%s peer=%s", hs.refusal, self.peer)
+            return [Frame(TYPE_SERVER_HELLO, server_hello)]
+        if frame.frame_type != TYPE_CLIENT_FINISH:
+            raise MalformedFrame("expected ClientFinish")
+        keys, peer_subject = hs.complete(frame.body)
+        self._session_hex = session_hex = keys.session_id.hex()
+        subject = decode_subject(peer_subject)
+        log.info("session_established session=%s subject=%s peer=%s",
+                 session_hex[:16], log_value(subject), self.peer)
+        self._recv = DirectionState(keys.c2s_key, keys.c2s_salt)
+        self._detector = AnomalyDetector(self.server.cfg.anomaly, peer_subject[:8])
+        # a readings line: the columns of `StoreRecord`, tab-separated
+        self._prefix = f"{session_hex}\t{subject}\t{peer_subject[:8].hex()}\t"
+        return [Frame(TYPE_NEW_TICKET, hs.new_ticket())]
+
+    def _record(self, frame: Frame) -> list[Frame]:
+        if frame.frame_type == TYPE_ABORT:
+            raise ConnectionAborted()
+        if (frame.frame_type, len(frame.body)) not in RECORD_BODIES:
+            raise MalformedFrame(f"{len(frame.body)}-byte record of type {frame.frame_type}")
+        ftype, payload = record_open(self._recv, frame)
+        if ftype == TYPE_CLOSE:
+            self.flush()
+            self._end(logging.INFO, "session_closed", "-")
+            return []
+        received = f"\t{int(time.time() * 1000)}"
+        prefix, pending, last_ts, detector = (self._prefix, self._pending, self._last_ts,
+                                              self._detector)
+        for r in reading_decode(payload):
+            ts, bpm, status = r
+            if ts < last_ts:
+                raise MalformedReading("timestamps went backwards")
+            last_ts = ts
+            pending.append(f"{prefix}{ts}\t{bpm}\t{STATUS_NAMES[status]}{received}")
+            alert = detector.check(r)
+            if alert is not None:
+                self.flush()
+                pending = self._pending
+                self.server.store.append_alert(alert)
+                self._alerts += 1
+                log.warning("alert session=%s device=%s rule=%s bpm=%s window=%d..%d peer=%s",
+                            self._session_hex[:16], alert.device_id.hex(), alert.rule,
+                            ",".join(str(b) for b in alert.observed_bpm),
+                            alert.window_start_ms, alert.window_end_ms, self.peer)
+        self._last_ts = last_ts
+        return []
+
+    def flush(self) -> None:
+        """Writes the held readings lines in one store write, never retried."""
+        lines, self._pending = self._pending, []
+        if lines:
+            self.server.store.append_reading(lines)
+            self._stored += len(lines)
+
+    def fail(self, exc: VitalinkError | OSError) -> list[Frame]:
+        """Logs the terminal line of the fault `exc`, or the store's, and returns the reply."""
+        try:
+            self.flush()
+        except OSError as store_error:
+            exc = store_error
+        _, level, event, cause, abort = next(f for f in _FAULTS if isinstance(exc, f[0]))
+        self._end(level, event, cause or type(exc).__name__, str(exc) or "-")
+        return [Frame(TYPE_ABORT, b"")] if abort else []
+
+    def _end(self, level: int, event: str, cause: str, detail: str = "-") -> None:
+        self.ended = True
+        handshake = "-" if self._recv is None else "resumed" if self._hs.resumed else "full"
+        log.log(level, "%s cause=%s detail=%s session=%s handshake=%s readings=%d alerts=%d "
+                "cpu_ms=%.2f wall_ms=%.2f peer=%s", event, cause, log_value(detail),
+                self._session_hex[:16], handshake, self._stored, self._alerts,
+                1000 * (time.thread_time() - self._cpu0),
+                1000 * (time.monotonic() - self._wall0), self.peer)
+
+    def close(self) -> None:
+        """Zeroizes the record key and writes any lines it still holds."""
+        if self._recv is not None:
+            self._recv.zeroize()
+        self.flush()
 
 
 # ---------------------------------------------------------------------------

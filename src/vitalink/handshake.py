@@ -231,7 +231,6 @@ class _Side:
         self.transcript = bytearray()
         self.eph_priv: int | None = None
         self._keys: SessionKeys | None = None
-        self.peer_identity: bytes | None = None
         self.resumed = False
 
     def _now(self) -> int:
@@ -291,14 +290,13 @@ class _Side:
         if not hmac.compare_digest(kdf.hmac_sha256(key, digest), mac):
             self._fail(BadFinishedMac(f"{self.PEER} finished MAC mismatch"))
 
-    def _establish(self, frame: bytes, keys: SessionKeys, peer_subject: bytes) -> SessionKeys:
+    def _establish(self, frame: bytes, keys: SessionKeys) -> SessionKeys:
         self.transcript += frame
         keys.session_id = kdf.hash_(bytes(self.transcript))
         keys.resumption_secret = kdf.hkdf_expand(
             keys.prk, kdf.LABEL_RESUMPTION + keys.session_id, kdf.HASH_LEN)
         keys.prk = b""
         self._keys = keys
-        self.peer_identity = peer_subject
         self.eph_priv = None
         self.phase = Phase.ESTABLISHED
         return keys
@@ -358,7 +356,7 @@ class ClientHandshake(_Side):
         proof = _NO_PROOF if resumed else self._prove(prefix)
         body = proof + kdf.hmac_sha256(keys.client_fin_key, kdf.hash_(prefix + proof))
         self.resumed, self.server_credential = resumed, server_cred
-        return body, self._establish(body, keys, server_cred.subject_id)
+        return body, self._establish(body, keys)
 
     def resumption_for(self, ticket: bytes) -> Resumption:
         """What to keep from the NewTicket body `ticket` of this session."""
@@ -452,8 +450,7 @@ class ServerHandshake(_Side):
         self._check_finished(
             self._keys.client_fin_key, kdf.hash_(signed + _lp(sig_bytes)), fin_mac
         )
-        subject = self._claims[1]
-        return self._establish(client_finish, self._keys, subject), subject
+        return self._establish(client_finish, self._keys), self._claims[1]
 
     def new_ticket(self) -> bytes:
         """The NewTicket body of this established session, sealed under the

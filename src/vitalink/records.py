@@ -42,11 +42,6 @@ from .errors import (
 MAGIC = b"\xa5\x5a"
 VERSION = 0x01
 HEADER_LEN = 8
-# the most readings one Data record carries
-MAX_READINGS_PER_RECORD = 64
-# the largest body the protocol sends, that record's 720 bytes; the largest
-# handshake body, a P-256 ServerHello, is 444
-MAX_BODY = MAX_READINGS_PER_RECORD * telemetry.READING_LEN + gcm.TAG_LEN
 READ_TIMEOUT_S = 10.0
 # about 117 one-reading frames of 35 bytes or 5 of 64 readings (728 bytes);
 # 64 KiB read no faster per frame and raised the server's peak RSS by about
@@ -71,6 +66,15 @@ FRAME_TYPES = {
     TYPE_CLOSE,
     TYPE_ABORT,
 }
+
+MAX_READINGS_PER_RECORD = 64
+# the only records a device sends, as (type, body length): a Data record of
+# 1 to MAX_READINGS_PER_RECORD sealed readings, and an empty Close
+RECORD_BODIES = {(TYPE_CLOSE, gcm.TAG_LEN)} | {(TYPE_DATA, j * telemetry.READING_LEN + gcm.TAG_LEN)
+                                               for j in range(1, MAX_READINGS_PER_RECORD + 1)}
+# the largest body the protocol sends, 720 bytes; the largest handshake
+# body, a P-256 ServerHello, is 444
+MAX_BODY = max(length for _, length in RECORD_BODIES)
 
 
 @dataclass

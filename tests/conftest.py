@@ -1,4 +1,5 @@
 import os
+import shlex
 import threading
 import time
 from dataclasses import replace
@@ -158,3 +159,32 @@ def forged_ticket(key, secret, pki, cause, now) -> bytes:
     plain = handshake._TICKET.pack(secret, issued, cred.subject_id, valid_to)
     nonce = os.urandom(12)
     return nonce + gcm.seal(key, nonce, b"", plain)
+
+
+def fields(line: str) -> tuple[str, dict]:
+    """The event name and `key=value` fields of one log line."""
+    event, *pairs = shlex.split(line)
+    assert all("=" in p for p in pairs), line
+    return event, dict(p.split("=", 1) for p in pairs)
+
+
+# the events of a connection's one terminal line, and that line's fields
+ENDINGS = ("session_closed", "peer_abort", "handshake_failed", "record_auth_failure",
+           "session_fatal", "suspicious_termination", "connection_error")
+TERMINAL_FIELDS = ["cause", "detail", "session", "handshake", "readings", "alerts", "cpu_ms",
+                   "wall_ms", "peer"]
+
+
+def terminal(line: str) -> tuple[str, dict]:
+    """The event and fields of a terminal line, which must have exactly the
+    fields of the one format, in order. Its two times are checked and
+    dropped."""
+    event, pairs = fields(line)
+    assert event in ENDINGS and list(pairs) == TERMINAL_FIELDS, line
+    assert float(pairs.pop("cpu_ms")) >= 0 and float(pairs.pop("wall_ms")) >= 0, line
+    return event, pairs
+
+
+def terminal_lines(messages) -> list:
+    """`terminal` of each of `messages` that is a terminal line."""
+    return [terminal(m) for m in messages if m.split(" ", 1)[0] in ENDINGS]

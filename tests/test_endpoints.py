@@ -49,7 +49,7 @@ from vitalink.records import (
 )
 from vitalink.telemetry import AnomalyAlert
 
-from conftest import BAD_ROOTS, Pki, bad_root, forged_ticket
+from conftest import BAD_ROOTS, Pki, bad_root, forged_ticket, terminal
 
 
 @pytest.fixture()
@@ -224,10 +224,10 @@ def test_oversize_record_ends_in_abort_and_one_log_line(pki, server, caplog):
         assert frame_read(reader, timeout=5.0).frame_type == TYPE_ABORT
     finally:
         sock.close()
-    problems = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
-    assert len(problems) == 1
-    assert problems[0].startswith("session_fatal ")
-    assert problems[0].endswith(f"cause=OversizeFrame peer={peer}")
+    [line] = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    event, pairs = terminal(line)
+    assert (event, pairs["cause"], pairs["handshake"], pairs["readings"], pairs["peer"]) == (
+        "session_fatal", "OversizeFrame", "full", "0", peer)
 
 
 def test_concurrent_devices_attributed_correctly(files, server):
@@ -456,10 +456,10 @@ def test_a_trickling_client_is_cut_at_the_frame_deadline(pki, files, tmp_path, c
         srv.stop()
     assert reply is not None and reply.frame_type == TYPE_ABORT
     assert elapsed < 2.0
-    problems = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
-    assert len(problems) == 1
-    assert problems[0].startswith("session_fatal ")
-    assert problems[0].endswith(f"cause=FrameTimeout peer={peer}")
+    [line] = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    event, pairs = terminal(line)
+    assert (event, pairs["cause"], pairs["session"], pairs["handshake"], pairs["peer"]) == (
+        "session_fatal", "FrameTimeout", "-", "-", peer)
 
 
 @pytest.mark.parametrize("suite_name", ["toy", "p256"])
@@ -567,10 +567,10 @@ def test_the_whole_handshake_shares_one_deadline(pki, files, tmp_path, caplog, m
         srv.stop()
     assert ready and elapsed < 1.2
     assert reply.frame_type == TYPE_ABORT
-    problems = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
-    assert len(problems) == 1
-    assert problems[0].startswith("session_fatal ")
-    assert problems[0].endswith(f"cause=FrameTimeout peer={peer}")
+    [line] = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    event, pairs = terminal(line)
+    assert (event, pairs["cause"], pairs["session"], pairs["handshake"], pairs["peer"]) == (
+        "session_fatal", "FrameTimeout", "-", "-", peer)
     assert read_store_lines(srv) == []
 
 

@@ -49,7 +49,7 @@ def test_honest_flow_both_sides_agree(pki):
     assert ck == sk
     assert c.phase is Phase.ESTABLISHED and s.phase is Phase.ESTABLISHED
     assert peer == pki.device_cred.subject_id
-    assert c.peer_identity == pki.server_cred.subject_id
+    assert c.server_credential == pki.server_cred
 
 
 def test_key_schedule_field_lengths(pki):
@@ -364,7 +364,7 @@ def test_a_rejected_device_credential_is_reported_as_its_cause(pki, cause):
         s.complete(finish)
     # the server logs it as detail=<cause>, one bare word
     assert type(info.value) is BadClientCredential and str(info.value) == cause
-    assert s.phase is Phase.FAILED and s.peer_identity is None
+    assert s.phase is Phase.FAILED and s._claims is None  # no device subject kept
 
 
 @pytest.mark.parametrize("cause", REJECTION_CAUSES)
@@ -407,7 +407,7 @@ def test_a_resumed_session_agrees_on_new_keys_without_a_signature(pki, monkeypat
     assert calls == []
     assert ck == sk and client.resumed and server.resumed and server.refusal is None
     assert peer == pki.device_cred.subject_id
-    assert client.peer_identity == pki.server_cred.subject_id
+    assert client.server_credential == pki.server_cred
     assert len(finish) == 2 + 2 + 32  # empty credential and signature, then the MAC
     assert client.eph_priv is None and server.eph_priv is None
 

@@ -77,3 +77,19 @@ def test_every_public_top_level_name_is_read_somewhere():
     dead = [f"{module}: {d}" for module, d in top_level_names(trees)
             if not d.startswith("_") and d not in used]
     assert dead == []
+
+
+def test_every_attribute_the_package_assigns_is_read_in_it():
+    # state that only `obj.name = …` touches is dead; `obj.name += …` reads it
+    assigned, read = {}, set()
+    for module, tree in parse_all(PACKAGE_DIR).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute):
+                read.add(node.target.attr)
+            elif isinstance(node, ast.Attribute):
+                if isinstance(node.ctx, ast.Store):
+                    assigned.setdefault(node.attr, module)
+                else:
+                    read.add(node.attr)
+    dead = [f"{module}: {attr}" for attr, module in assigned.items() if attr not in read]
+    assert dead == []

@@ -7,7 +7,6 @@ exception out of the handler."""
 
 import logging
 import math
-import shlex
 import socket
 import threading
 import time
@@ -39,6 +38,8 @@ from vitalink.records import (
     record_seal,
 )
 from vitalink.telemetry import READING_LEN, STATUS_NAMES, ScriptSegment, SensorSim, reading_encode
+
+from conftest import fields, terminal
 
 CLASSIFIED = ("record_auth_failure ", "session_fatal ", "suspicious_termination ")
 # a handshake frame may also fail the handshake; a record frame never can
@@ -95,7 +96,9 @@ def serve_one(server, device_side):
     socketpair, with one `FrameReader` over the device's end for its whole
     life; returns what it returns once the handler has finished, and fails
     if an exception escaped the handler. The server's end is closed when the
-    handler returns, as the listener does."""
+    handler returns, as the listener does. `_handle` only reads, feeds a
+    `ServerSession` and writes its replies, so this checks the session
+    through its read loop; `test_server_session.py` feeds one directly."""
     device, server_end = socket.socketpair()
     escaped = []
 
@@ -259,16 +262,11 @@ def test_a_plaintext_abort_mid_session_is_logged_as_possible_tampering(toy_pki, 
     keys, replies = serve_one(server, device_side)
     assert replies == [TYPE_ABORT]
     session_hex = keys.session_id.hex()
-    assert lines.problems() == [
-        f"peer_abort session={session_hex[:16]} cause=unauthenticated peer=socketpair:0"]
+    [line] = lines.problems()
+    assert terminal(line) == ("peer_abort", {
+        "cause": "unauthenticated", "detail": "-", "session": session_hex[:16],
+        "handshake": "full", "readings": "2", "alerts": "0", "peer": "socketpair:0"})
     assert len(persisted(server, session_hex)) == 2
-
-
-def fields(line: str) -> tuple[str, dict]:
-    """The event name and `key=value` fields of one log line."""
-    event, *pairs = shlex.split(line)
-    assert all("=" in p for p in pairs), line
-    return event, dict(p.split("=", 1) for p in pairs)
 
 
 def test_a_client_finish_and_records_in_one_segment_are_all_read(toy_pki, server, lines):
@@ -290,8 +288,9 @@ def test_a_client_finish_and_records_in_one_segment_are_all_read(toy_pki, server
     assert lines.problems() == []
     event, summary = fields([r.getMessage() for r in lines.records][-1])
     assert event == "session_closed"
-    assert list(summary) == ["session", "handshake", "readings", "alerts", "cpu_ms", "wall_ms",
-                             "peer"]
+    assert list(summary) == ["cause", "detail", "session", "handshake", "readings", "alerts",
+                             "cpu_ms", "wall_ms", "peer"]
+    assert (summary["cause"], summary["detail"]) == ("-", "-")
     assert summary["session"] == session_hex[:16] and summary["handshake"] == "full"
     assert (summary["readings"], summary["alerts"]) == ("1", "0")
     assert 0 < float(summary["cpu_ms"]) and 0 < float(summary["wall_ms"])
@@ -355,9 +354,11 @@ def test_a_handshake_failure_line_quotes_a_multi_word_detail(toy_pki, server, li
     assert serve_one(server, device_side) == [TYPE_ABORT]
     [line] = lines.problems()
     assert 'detail="malformed ClientFinish: coordinates not on curve"' in line
-    assert fields(line) == ("handshake_failed", {
+    assert line.startswith("handshake_failed cause=BadClientCredential detail=")
+    assert terminal(line) == ("handshake_failed", {
         "cause": "BadClientCredential",
         "detail": "malformed ClientFinish: coordinates not on curve",
+        "session": "-", "handshake": "-", "readings": "0", "alerts": "0",
         "peer": "socketpair:0",
     })
 
@@ -400,12 +401,71 @@ def test_a_connection_error_line_names_the_error_type(toy_pki, server, lines, mo
 
     serve_one(server, device_side)
     [line] = lines.problems()
-    assert fields(line) == ("connection_error", {
-        "session": "-",
+    assert terminal(line) == ("connection_error", {
         "cause": "ConnectionResetError",
         "detail": "[Errno 104] Connection reset by peer",
+        "session": "-", "handshake": "-", "readings": "0", "alerts": "0",
         "peer": "socketpair:0",
     })
+
+
+def refuse_writes_of(monkeypatch, frame_type):
+    """Makes the server's write of each frame of `frame_type` fail as a
+    peer that has gone would make it fail; returns the types written."""
+    written = []
+
+    def write(sock, frame):
+        if frame.frame_type == frame_type:
+            raise BrokenPipeError(32, "Broken pipe")
+        written.append(frame.frame_type)
+        frame_write(sock, frame)
+
+    monkeypatch.setattr(endpoints, "frame_write", write)
+    return written
+
+
+def test_a_new_ticket_that_cannot_be_written_ends_the_session_at_once(
+        toy_pki, server, lines, monkeypatch):
+    written = refuse_writes_of(monkeypatch, TYPE_NEW_TICKET)
+
+    def device_side(reader):
+        hs = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root,
+                             rng=keyfiles.drbg(14))
+        frame_write(reader.sock, Frame(TYPE_CLIENT_HELLO, hs.start()))
+        finish, keys = hs.finish(frame_read(reader, timeout=5.0).body)
+        frame_write(reader.sock, Frame(TYPE_CLIENT_FINISH, finish))
+        with pytest.raises(EndOfStream):  # no Abort, only the hang-up
+            frame_read(reader, timeout=5.0)
+        return keys
+
+    t0 = time.monotonic()
+    keys = serve_one(server, device_side)
+    assert time.monotonic() - t0 < 2.0  # not a read timeout later
+    assert written == [TYPE_SERVER_HELLO]
+    [line] = lines.problems()
+    assert terminal(line) == ("connection_error", {
+        "cause": "BrokenPipeError", "detail": "[Errno 32] Broken pipe",
+        "session": keys.session_id.hex()[:16], "handshake": "full", "readings": "0",
+        "alerts": "0", "peer": "socketpair:0"})
+    assert persisted(server) == []
+
+
+def test_a_reply_to_a_peer_abort_that_cannot_be_written_adds_no_second_line(
+        toy_pki, server, lines, monkeypatch):
+    refuse_writes_of(monkeypatch, TYPE_ABORT)
+
+    def device_side(reader):
+        keys = handshake(reader, toy_pki, 15)
+        wire = sealed_session(keys, 15, 3)
+        send_and_hang_up(reader.sock, b"".join(wire[:3]) + Frame(TYPE_ABORT, b"").encode())
+        with pytest.raises(EndOfStream):
+            frame_read(reader, timeout=5.0)
+
+    serve_one(server, device_side)
+    [line] = lines.problems()
+    event, pairs = terminal(line)
+    assert (event, pairs["readings"]) == ("peer_abort", "3")
+    assert len(persisted(server)) == 3
 
 
 # ---------------------------------------------------------------------------
