@@ -58,6 +58,7 @@ from .errors import (
     HandshakeError,
     MalformedFrame,
     MalformedReading,
+    StoreError,
     VitalinkError,
 )
 from .handshake import ClientHandshake, LocalIdentity, Phase, Resumption, ServerHandshake
@@ -81,7 +82,6 @@ from .records import (
     record_seal,
 )
 from .telemetry import (
-    AnomalyAlert,
     AnomalyConfig,
     AnomalyDetector,
     SensorSim,
@@ -172,31 +172,6 @@ def parse_reading_line(line: str) -> StoreRecord:
     )
 
 
-def alert_line(a: AnomalyAlert) -> str:
-    return "\t".join(
-        [
-            a.device_id.hex(),
-            a.rule,
-            str(a.window_start_ms),
-            str(a.window_end_ms),
-            ",".join(str(b) for b in a.observed_bpm),
-        ]
-    )
-
-
-def parse_alert_line(line: str) -> AnomalyAlert:
-    parts = line.rstrip("\n").split("\t")
-    if len(parts) != 5:
-        raise ValueError(f"bad alerts line: {line!r}")
-    return AnomalyAlert(
-        device_id=bytes.fromhex(parts[0]),
-        rule=parts[1],
-        window_start_ms=int(parts[2]),
-        window_end_ms=int(parts[3]),
-        observed_bpm=tuple(int(b) for b in parts[4].split(",")),
-    )
-
-
 class Store:
     """Append-only readings and alerts logs, safe for concurrent sessions.
 
@@ -204,7 +179,8 @@ class Store:
     the lines of one call never interleave with another's. The server
     writes each burst of readings in one call (`ServerSession.flush`),
     so a crash loses at most the unwritten part of one burst, none of it
-    promised stored (the protocol has no Ack). Nothing is fsynced.
+    promised stored (the protocol has no Ack). Nothing is fsynced. It
+    writes the lines `ServerSession` builds; a failed write is a `StoreError`.
     """
 
     def __init__(self, directory):
@@ -222,14 +198,17 @@ class Store:
         """Appends a burst of readings lines in one write."""
         self._append(self._readings, lines)
 
-    def append_alert(self, a: AnomalyAlert) -> None:
-        self._append(self._alerts, [alert_line(a)])
+    def append_alert(self, line: str) -> None:
+        self._append(self._alerts, [line])
 
     def _append(self, fh, lines: list[str]) -> None:
         data = memoryview(("\n".join(lines) + "\n").encode("utf-8"))
         with self._lock:
-            while data:  # an unbuffered write may take only part of it
-                data = data[fh.write(data):]
+            try:
+                while data:  # an unbuffered write may take only part of it
+                    data = data[fh.write(data):]
+            except OSError as exc:
+                raise StoreError(str(exc)) from exc
 
     def close(self) -> None:
         with self._lock:
@@ -326,12 +305,14 @@ class ServerSession:
     The ClientHello and ClientFinish share one deadline (`timeout`). A
     record's body length is checked against `records.RECORD_BODIES` before
     any GCM work, and its tag before any reading is decoded. One pass over
-    the payload then checks each reading and its order, formats its line,
-    which names `device_id`, the subject's first 8 bytes, and runs the
-    detector. The lines go to the store in one write at `flush`, which the
-    caller makes before each wait, and before an alert is stored or the
-    session ends. So a fault at the k-th reading, counted across records,
-    persists the k readings before it and none after."""
+    the payload then checks each reading and its order, formats its line
+    and runs the detector. The lines go to the store in one write at
+    `flush`, which the caller makes before each wait, and before an alert
+    is stored or the session ends. So a fault at the k-th reading, counted
+    across records, persists the k readings before it and none after. Only
+    the session names whom its lines are about: the authenticated subject
+    and the device id, its first 8 bytes in hex, set as the handshake ends.
+    A failed store write ends it as `session_fatal cause=StoreError`."""
 
     def __init__(self, server: IngestionServer, peer: str):
         self.server, self.peer = server, peer
@@ -344,6 +325,7 @@ class ServerSession:
                                    ticket_key=server.ticket_key)
         # set once the handshake ends
         self._session_hex, self._recv, self._detector, self._prefix = "-", None, None, ""
+        self._subject = self._device = ""
         self._pending: list[str] = []
         self._last_ts = -1
 
@@ -371,9 +353,10 @@ class ServerSession:
         log.info("session_established session=%s subject=%s peer=%s",
                  session_hex[:16], log_value(subject), self.peer)
         self._recv = DirectionState(keys.c2s_key, keys.c2s_salt)
-        self._detector = AnomalyDetector(self.server.cfg.anomaly, peer_subject[:8])
+        self._detector = AnomalyDetector(self.server.cfg.anomaly)
+        self._subject, self._device = subject, peer_subject[:8].hex()
         # a readings line: the columns of `StoreRecord`, tab-separated
-        self._prefix = f"{session_hex}\t{subject}\t{peer_subject[:8].hex()}\t"
+        self._prefix = f"{session_hex}\t{subject}\t{self._device}\t"
         return [Frame(TYPE_NEW_TICKET, hs.new_ticket())]
 
     def _record(self, frame: Frame) -> list[Frame]:
@@ -399,12 +382,14 @@ class ServerSession:
             if alert is not None:
                 self.flush()
                 pending = self._pending
-                self.server.store.append_alert(alert)
+                start, end, bpms = (alert.window_start_ms, alert.window_end_ms,
+                                    ",".join(map(str, alert.observed_bpm)))
+                self.server.store.append_alert(  # device, rule, window, bpms
+                    f"{self._device}\t{alert.rule}\t{start}\t{end}\t{bpms}")
                 self._alerts += 1
-                log.warning("alert session=%s device=%s rule=%s bpm=%s window=%d..%d peer=%s",
-                            self._session_hex[:16], alert.device_id.hex(), alert.rule,
-                            ",".join(str(b) for b in alert.observed_bpm),
-                            alert.window_start_ms, alert.window_end_ms, self.peer)
+                log.warning("alert session=%s subject=%s device=%s rule=%s bpm=%s window=%d..%d "
+                            "peer=%s", self._session_hex[:16], log_value(self._subject),
+                            self._device, alert.rule, bpms, start, end, self.peer)
         self._last_ts = last_ts
         return []
 
@@ -419,7 +404,7 @@ class ServerSession:
         """Logs the terminal line of the fault `exc`, or the store's, and returns the reply."""
         try:
             self.flush()
-        except OSError as store_error:
+        except StoreError as store_error:
             exc = store_error
         _, level, event, cause, abort = next(f for f in _FAULTS if isinstance(exc, f[0]))
         self._end(level, event, cause or type(exc).__name__, str(exc) or "-")
@@ -463,11 +448,14 @@ class DeviceConfig:
 
 @dataclass
 class DeviceReport:
-    sent_count: int = 0
     session_id: str = ""
     duration_s: float = 0.0
     sent: list = field(default_factory=list)  # (timestamp_ms, bpm) pairs
     error: str | None = None
+
+    @property
+    def sent_count(self) -> int:
+        return len(self.sent)
 
 
 # (server host, port, own credential bytes, trust-root bytes) -> the ticket
@@ -544,7 +532,6 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
             payload = b"".join([reading_encode(r) for r in readings])
             frame_write(sock, record_seal(send_dir, TYPE_DATA, payload))
             report.sent += [(r.timestamp_ms, r.bpm) for r in readings]
-            report.sent_count += len(readings)
             if cfg.realtime:
                 time.sleep(cfg.interval_ms / 1000.0)
         frame_write(sock, record_seal(send_dir, TYPE_CLOSE, b""))

@@ -97,6 +97,10 @@ class MalformedReading(VitalinkError):
     """Telemetry payload has wrong length or out-of-range fields."""
 
 
+class StoreError(VitalinkError):
+    """The server's store could not write a line: a fault of the server, not the peer."""
+
+
 class EndOfStream(VitalinkError):
     """Peer closed the stream without an authenticated Close frame."""
 

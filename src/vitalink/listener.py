@@ -10,10 +10,16 @@ sessions would pay each time. A wait that sees no connection within
 `_IDLE_S` seconds ends its worker, unless it is the last one waiting, so
 the threads of a burst drain to one; a thread started at most once a
 second costs under 0.01% of a CPU.
+
+An `accept()` out of descriptors, buffers or memory would fail again at
+once, so its worker logs `accept_failed` and pauses `_ACCEPT_RETRY_S`, as
+asyncio does; `stop()` ends the pause. Any other failure, such as a peer
+that reset before `accept()` returned, is retried at once.
 """
 
 from __future__ import annotations
 
+import errno
 import logging
 import socket
 import threading
@@ -22,6 +28,8 @@ from contextlib import suppress
 log = logging.getLogger("vitalink")
 
 _IDLE_S = 1.0
+_ACCEPT_RETRY_S = 1.0
+_OUT_OF_RESOURCES = {errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM}
 
 
 class Listener:
@@ -33,7 +41,7 @@ class Listener:
         self._sock.settimeout(_IDLE_S)  # accepted sockets still block
         self.port = self._sock.getsockname()[1]
         self._lock = threading.Lock()
-        self._stopping = False
+        self._stopping = threading.Event()
         self._open: set[socket.socket] = set()
         self._waiting = 0  # workers not serving a connection
         self._threads: set[threading.Thread] = set()
@@ -57,16 +65,19 @@ class Listener:
                     with self._lock:
                         # the last waiting worker stays, so a connection never
                         # waits for a thread to start
-                        if self._stopping or self._waiting > 1:
+                        if self._stopping.is_set() or self._waiting > 1:
                             self._waiting -= 1
                             return
                     continue
-                except OSError:
-                    if self._stopping:
+                except OSError as exc:
+                    if self._stopping.is_set():
                         return
-                    continue  # e.g. the peer reset the connection before accept returned
+                    if exc.errno in _OUT_OF_RESOURCES:
+                        log.error("accept_failed cause=%s", errno.errorcode[exc.errno])
+                        self._stopping.wait(_ACCEPT_RETRY_S)
+                    continue
                 with self._lock:
-                    if self._stopping:
+                    if self._stopping.is_set():
                         conn.close()
                         return
                     # registered here, so stop() sees every accepted connection
@@ -79,7 +90,7 @@ class Listener:
                             log.exception("worker_start_failed peer=%s:%s", addr[0], addr[1])
                 self._serve(conn, addr)
                 with self._lock:
-                    if self._stopping:
+                    if self._stopping.is_set():
                         return
                     self._waiting += 1
         finally:
@@ -103,7 +114,7 @@ class Listener:
         through its own error path, wakes every waiting worker so it exits,
         then joins every thread."""
         with self._lock:
-            self._stopping = True
+            self._stopping.set()  # also ends a pause after a failed accept()
             for conn in self._open:
                 with suppress(OSError):
                     conn.shutdown(socket.SHUT_RDWR)

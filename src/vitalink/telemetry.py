@@ -5,7 +5,7 @@ A reading is 11 bytes on the wire, big-endian with no padding: the
 timestamp in ms as an unsigned 64-bit integer, the bpm as an unsigned
 16-bit integer (at most `BPM_MAX`) and one status byte. It names no
 device: the handshake authenticated the sender once for the whole
-session, so the server takes the device id from the session. One
+session, and the server's session names whom its alerts are about. One
 `struct.Struct` packs a reading, and unpacks a whole Data payload in one
 `iter_unpack` pass that checks each reading as it reaches it, so the
 readings before a bad one come first. A failure is a `MalformedReading`.
@@ -145,7 +145,6 @@ class AnomalyConfig:
 
 @dataclass(frozen=True)
 class AnomalyAlert:
-    device_id: bytes
     window_start_ms: int
     window_end_ms: int
     observed_bpm: tuple
@@ -162,12 +161,11 @@ class AnomalyDetector:
     the runs of consecutive ok-readings above the high threshold and below
     the low one. An in-band reading resets both and skips the window, so
     the window holds the last N out-of-band ok-readings: when a run reaches
-    N, the last N ok-readings, which name the alert's window. A detector
-    watches one device, `device_id`, which names its alerts."""
+    N, the last N ok-readings, which name the alert's window. Its alerts
+    name no one: the session that feeds it knows whose readings they are."""
 
-    def __init__(self, cfg: AnomalyConfig, device_id: bytes):
+    def __init__(self, cfg: AnomalyConfig):
         self.cfg = cfg
-        self.device_id = device_id
         self.window: deque[tuple[int, int, int]] = deque(maxlen=cfg.consecutive)
         self.high_run = 0
         self.low_run = 0
@@ -195,7 +193,6 @@ class AnomalyDetector:
             return None
         self.armed = False
         return AnomalyAlert(
-            device_id=self.device_id,
             window_start_ms=self.window[0][0],
             window_end_ms=timestamp_ms,
             observed_bpm=tuple(w[1] for w in self.window),

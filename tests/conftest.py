@@ -1,3 +1,4 @@
+import errno
 import os
 import shlex
 import threading
@@ -159,6 +160,19 @@ def forged_ticket(key, secret, pki, cause, now) -> bytes:
     plain = handshake._TICKET.pack(secret, issued, cred.subject_id, valid_to)
     nonce = os.urandom(12)
     return nonce + gcm.seal(key, nonce, b"", plain)
+
+
+class FullDisk:
+    """An unbuffered log file on a full disk: every write fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def close(self):
+        self.fh.close()
 
 
 def fields(line: str) -> tuple[str, dict]:

@@ -24,7 +24,6 @@ from vitalink.endpoints import (
     check_identity,
     detect_suite_for_credential,
     load_identity,
-    parse_alert_line,
     parse_reading_line,
     run_device,
 )
@@ -47,9 +46,8 @@ from vitalink.records import (
     frame_write,
     record_seal,
 )
-from vitalink.telemetry import AnomalyAlert
 
-from conftest import BAD_ROOTS, Pki, bad_root, forged_ticket, terminal
+from conftest import BAD_ROOTS, FullDisk, Pki, bad_root, forged_ticket, terminal
 
 
 @pytest.fixture()
@@ -174,13 +172,6 @@ def test_reading_line_round_trip():
         parse_reading_line(line.replace("\tok\t", "\twat\t"))
 
 
-def test_alert_line_round_trip():
-    from vitalink.endpoints import alert_line
-
-    a = AnomalyAlert(b"\xcc" * 8, 0, 2000, (160, 165, 158), "high_hr")
-    assert parse_alert_line(alert_line(a) + "\n") == a
-
-
 def test_wrong_trust_root_device_rejected(files, server, tmp_path):
     # device credential chained to a different root: the server must
     # abort before persisting anything
@@ -278,10 +269,18 @@ def test_scripted_anomaly_produces_alert(files, server, tmp_path):
     cfg = device_cfg(files, server.port, count=15, anomaly_script=str(script))
     report = run_device(cfg)
     assert report.error is None
-    alerts = [parse_alert_line(l) for l in read_store_lines(server, "alerts.log")]
-    assert len(alerts) == 1
-    assert alerts[0].rule == "high_hr"
-    assert alerts[0].observed_bpm == (180, 180, 180)
+    # an alerts line: device, rule, window start and end, bpms
+    [alert] = [l.split("\t") for l in read_store_lines(server, "alerts.log")]
+    assert alert[1] == "high_hr"
+    assert alert[4] == "180,180,180"
+
+
+def test_a_server_that_cannot_store_is_an_error_to_the_device(files, server):
+    # not the hang-up after the device's Close, which it counts as success
+    server.store._readings = FullDisk(server.store._readings)
+    report = run_device(device_cfg(files, server.port, count=3))
+    assert report.error is not None and report.sent_count == 3
+    assert read_store_lines(server) == []
 
 
 def test_a_short_write_still_puts_the_whole_burst_on_disk(tmp_path):

@@ -2,6 +2,7 @@
 threads that drain to one waiting when idle, and handler errors that stay in
 the handler."""
 
+import errno
 import logging
 import os
 import re
@@ -260,3 +261,47 @@ def test_a_handler_that_raises_is_logged_and_the_next_connection_served(listen, 
     assert failures[0].exc_info[0] is RuntimeError
     assert failures[0].getMessage().startswith("handler_error peer=127.0.0.1:")
     assert escaped == []
+
+
+def failing_accept(monkeypatch, code, times=None):
+    """Makes `accept()` fail with `code`, the first `times` calls or every
+    call; returns the list of attempts, which grows by one per call."""
+    attempts = []
+    real = socket.socket.accept
+
+    def accept(sock):
+        attempts.append(time.monotonic())
+        if times is None or len(attempts) <= times:
+            raise OSError(code, os.strerror(code))
+        return real(sock)
+
+    monkeypatch.setattr(socket.socket, "accept", accept)
+    return attempts
+
+
+@pytest.mark.parametrize("code", [errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM])
+def test_a_listener_out_of_resources_pauses_between_accepts(listen, monkeypatch, caplog, code):
+    caplog.set_level(logging.ERROR, logger="vitalink")
+    attempts = failing_accept(monkeypatch, code)
+    lst = listen(lambda conn, addr: None)
+    time.sleep(0.5)
+    assert 1 <= len(attempts) <= 3  # not a busy loop
+    t0 = time.monotonic()
+    threads = set(lst._threads)
+    lst.stop()  # ends the pause at once
+    assert time.monotonic() - t0 < 0.5
+    assert not any(t.is_alive() for t in threads)
+    assert {r.getMessage() for r in caplog.records} == {
+        f"accept_failed cause={errno.errorcode[code]}"}
+
+
+def test_any_other_accept_failure_is_retried_at_once(listen, monkeypatch):
+    # such as a peer that reset before accept() returned: pausing there
+    # would let any peer stall the listener
+    attempts = failing_accept(monkeypatch, errno.ECONNABORTED, times=3)
+    served = threading.Event()
+    lst = listen(lambda conn, addr: served.set())
+    t0 = time.monotonic()
+    session(lst.port)
+    assert served.wait(5.0) and time.monotonic() - t0 < 0.5
+    assert len(attempts) >= 4

@@ -10,7 +10,7 @@ import pytest
 
 from vitalink import keyfiles
 from vitalink.endpoints import IngestionServer, ServerConfig, ServerSession, parse_reading_line
-from vitalink.errors import EndOfStream, VitalinkError
+from vitalink.errors import EndOfStream, StoreError, VitalinkError
 from vitalink.handshake import ClientHandshake
 from vitalink.records import (
     MAX_READINGS_PER_RECORD,
@@ -25,9 +25,9 @@ from vitalink.records import (
     Frame,
     record_seal,
 )
-from vitalink.telemetry import SensorSim, reading_encode
+from vitalink.telemetry import HeartRateReading, SensorSim, reading_encode
 
-from conftest import terminal_lines
+from conftest import FullDisk, fields, terminal_lines
 
 PEER = "127.0.0.1:4000"
 
@@ -54,15 +54,15 @@ def feed(session, frame) -> list:
     """The types of the frames `_handle` writes back for `frame`."""
     try:
         replies = session.receive(frame)
-    except VitalinkError as exc:
+    except (VitalinkError, OSError) as exc:
         replies = session.fail(exc)
     return [f.frame_type for f in replies]
 
 
-def establish(session, pki, seed=31):
-    """Runs the handshake through `session`; returns the session id and the
-    device's sending direction."""
-    hs = ClientHandshake(pki.suite, pki.device, pki.root, rng=keyfiles.drbg(seed))
+def establish(session, pki, seed=31, device=None):
+    """Runs the handshake through `session` as `device`, by default `pki`'s;
+    returns the session id and the device's sending direction."""
+    hs = ClientHandshake(pki.suite, device or pki.device, pki.root, rng=keyfiles.drbg(seed))
     [hello] = session.receive(Frame(TYPE_CLIENT_HELLO, hs.start()))
     assert hello.frame_type == TYPE_SERVER_HELLO
     finish, keys = hs.finish(hello.body)
@@ -187,28 +187,44 @@ def test_a_connection_error_gets_no_reply(toy_pki, server, endings):
         **counts("-", "-", 0)})]
 
 
-@pytest.mark.parametrize("at", ["wait", "fault"])
-def test_a_store_that_cannot_write_ends_the_session_in_one_line(toy_pki, server, endings,
-                                                                monkeypatch, at):
-    # the held lines fail to go out at the flush before a wait, or at the
-    # one `fail` makes for a bad tag on the next record
+@pytest.mark.parametrize("at", ["wait", "fault", "close"])
+def test_a_store_that_cannot_write_ends_the_session_in_one_line(toy_pki, server, endings, at):
+    # the held lines fail to go out at the flush before a wait, at the one
+    # `fail` makes for a bad tag on the next record, or at the Close's: the
+    # server's fault, answered with an Abort, so a device that has sent its
+    # Close does not take the hang-up for success
     session = ServerSession(server, PEER)
     session_hex, tx = establish(session, toy_pki)
     first, second = data_records(tx, 2)
     second.body = second.body[:-1] + bytes([second.body[-1] ^ 1])
     assert feed(session, first) == []
-
-    def full(lines):
-        raise OSError(28, "No space left on device")
-
-    monkeypatch.setattr(server.store, "append_reading", full)
+    server.store._readings = FullDisk(server.store._readings)
     if at == "wait":
-        with pytest.raises(OSError) as info:
+        with pytest.raises(StoreError) as info:
             session.flush()
-        assert session.fail(info.value) == []
+        assert [f.frame_type for f in session.fail(info.value)] == [TYPE_ABORT]
+    elif at == "fault":
+        assert feed(session, second) == [TYPE_ABORT]
     else:
-        assert feed(session, second) == []
+        assert feed(session, record_seal(tx, TYPE_CLOSE, b"")) == [TYPE_ABORT]
     session.close()  # nothing is left to write again
-    assert endings() == [("connection_error", {
-        "cause": "OSError", "detail": "[Errno 28] No space left on device",
+    assert endings() == [("session_fatal", {
+        "cause": "StoreError", "detail": "[Errno 28] No space left on device",
         **counts(session_hex, "full", 0)})]
+
+
+def test_an_alert_line_names_the_subject_the_device_id_cannot(toy_pki, server, caplog):
+    # the device id is a subject's first 8 bytes: both read "watch-00"
+    caplog.set_level(logging.WARNING, logger="vitalink")
+    breach = b"".join(reading_encode(HeartRateReading(1000 * i, 180)) for i in range(3))
+    for seed, name in enumerate(["watch-000", "watch-001"], 40):
+        session = ServerSession(server, PEER)
+        _, tx = establish(session, toy_pki, seed,
+                          toy_pki.issue_device(name, keyfiles.drbg(seed)))
+        assert feed(session, record_seal(tx, TYPE_DATA, breach)) == []
+        session.close()
+    alerts = [fields(r.getMessage())[1] for r in caplog.records
+              if r.getMessage().startswith("alert ")]
+    assert [a["subject"] for a in alerts] == ["watch-000", "watch-001"]
+    assert [a["device"] for a in alerts] == [b"watch-00".hex()] * 2
+    assert list(alerts[0]) == ["session", "subject", "device", "rule", "bpm", "window", "peer"]

@@ -568,9 +568,10 @@ def test_a_reading_is_on_disk_before_its_alert_is_stored(toy_pki, server, lines,
     on_disk_at_alert = []
     append_alert = Store.append_alert
 
-    def spy(store, alert):
-        on_disk_at_alert.append((alert.window_end_ms, [ts for ts, _, _ in stored_rows(server)]))
-        append_alert(store, alert)
+    def spy(store, line):
+        window_end_ms = int(line.split("\t")[3])
+        on_disk_at_alert.append((window_end_ms, [ts for ts, _, _ in stored_rows(server)]))
+        append_alert(store, line)
 
     monkeypatch.setattr(Store, "append_alert", spy)
 
@@ -588,6 +589,7 @@ def test_a_reading_is_on_disk_before_its_alert_is_stored(toy_pki, server, lines,
     alert_lines = [r.getMessage() for r in lines.records if r.getMessage().startswith("alert ")]
     assert [fields(l) for l in alert_lines] == [("alert", {
         "session": keys.session_id.hex()[:16],
+        "subject": "watch-1",
         "device": toy_pki.device_cred.subject_id[:8].hex(),
         "rule": "high_hr",
         "bpm": "180,180,180",

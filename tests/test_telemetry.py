@@ -23,9 +23,6 @@ from vitalink.telemetry import (
     reading_encode,
 )
 
-DEV = b"watch-01"
-
-
 def test_encode_decode_round_trip():
     r = HeartRateReading(1_700_000_000_123, 72, STATUS_OK)
     encoded = reading_encode(r)
@@ -184,7 +181,7 @@ def test_script_parser():
 
 
 def run_detector(bpms, cfg=AnomalyConfig(low=40, high=150, consecutive=3), statuses=None):
-    det = AnomalyDetector(cfg, DEV)
+    det = AnomalyDetector(cfg)
     alerts = []
     for i, bpm in enumerate(bpms):
         status = statuses[i] if statuses else STATUS_OK
@@ -238,7 +235,6 @@ def test_sustained_high_fires_once():
     assert idx == 2 and alert.rule == "high_hr"
     assert alert.observed_bpm == (160, 165, 158)
     assert alert.window_start_ms == 0 and alert.window_end_ms == 2000
-    assert alert.device_id == DEV  # the detector's device: readings name none
 
 
 def test_rearm_rule_hand_traced():
@@ -290,7 +286,7 @@ def test_an_anomaly_config_needs_a_window_of_at_least_one_reading(consecutive):
     with pytest.raises(ValueError, match="at least 1"):
         AnomalyConfig(consecutive=consecutive)
     # the smallest window alerts on one out-of-band reading
-    alert = AnomalyDetector(AnomalyConfig(consecutive=1), DEV).check(HeartRateReading(5, 200))
+    alert = AnomalyDetector(AnomalyConfig(consecutive=1)).check(HeartRateReading(5, 200))
     assert alert is not None and alert.observed_bpm == (200,) and alert.rule == "high_hr"
 
 
@@ -299,5 +295,5 @@ def test_an_anomaly_config_needs_thresholds_in_order_within_the_bpm_range(low, h
     with pytest.raises(ValueError, match="0 <= low < high"):
         AnomalyConfig(low=low, high=high)
     # the widest band there is still checks every reading
-    detector = AnomalyDetector(AnomalyConfig(low=0, high=BPM_MAX, consecutive=1), DEV)
+    detector = AnomalyDetector(AnomalyConfig(low=0, high=BPM_MAX, consecutive=1))
     assert detector.check(HeartRateReading(5, BPM_MAX)) is None
