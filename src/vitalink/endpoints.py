@@ -22,10 +22,11 @@ the ServerHello; the server's verdict on the ClientFinish, a NewTicket or
 an Abort, before any reading is sealed; and after its Close the server's
 hang-up, which means it read the Close and is the only success. Each
 Data record carries every reading the device has ready: one per interval
-for a `realtime` device, else all of them, MAX_READINGS_PER_RECORD to a
-record (one `frame_write` each). Records go out with no read between
-them, so an Abort mid-stream shows as the write error the server's
-hang-up causes, or after the Close. A frame read waits at most
+for a `realtime` device, which sleeps an interval between records, else
+all of them, MAX_READINGS_PER_RECORD (256) to a record, so 1000 go out as
+256, 256, 256 and 232 (one `frame_write` each). Records go out with no
+read between them, so an Abort mid-stream shows as the write error the
+server's hang-up causes, or after the Close. A frame read waits at most
 `records.READ_TIMEOUT_S`, read as it starts.
 
 A process checks its own identity once, at startup, with `check_identity`:
@@ -523,17 +524,15 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
         send_dir = DirectionState(keys.c2s_key, keys.c2s_salt)
 
         start_ms = cfg.start_ms if cfg.start_ms is not None else int(time.time() * 1000)
-        # every reading that is ready goes in one record: one per interval in
-        # real time, else all of them, MAX_READINGS_PER_RECORD at a time
         per_record = 1 if cfg.realtime else MAX_READINGS_PER_RECORD
         for first in range(0, cfg.count, per_record):
+            if cfg.realtime and first:  # between records only: none after the last
+                time.sleep(cfg.interval_ms / 1000.0)
             readings = [sim.next_reading(start_ms + i * cfg.interval_ms)
                         for i in range(first, min(first + per_record, cfg.count))]
             payload = b"".join([reading_encode(r) for r in readings])
             frame_write(sock, record_seal(send_dir, TYPE_DATA, payload))
             report.sent += [(r.timestamp_ms, r.bpm) for r in readings]
-            if cfg.realtime:
-                time.sleep(cfg.interval_ms / 1000.0)
         frame_write(sock, record_seal(send_dir, TYPE_CLOSE, b""))
         sock.shutdown(socket.SHUT_WR)
         with suppress(EndOfStream):  # the hang-up; any frame, a late NewTicket too, fails

@@ -40,8 +40,8 @@ XORs the integer with the round key broadcast to N bytes per slice, kept
 for the last N a key batched and rebuilt when N changes (0.1-0.2 ms).
 The cost is per batch, not per block: on the host above one block costs
 about 8 µs at N = 3 (`encrypt_block`: 12-20 µs), 1.7 µs at N = 24, 1.2 µs
-at N = 76 (88 µs in all) and 0.9 µs at N = 192; N = 44, the counter blocks
-of a 64-reading record, took about 70% of the N = 76 time. The 16-piece
+at N = 76 (88 µs in all) and 0.9 µs at N = 192; N = 176, the counter
+blocks of a 256-reading record, took 1.8 times the N = 76 time. The 16-piece
 ShiftRows it replaced took 109 µs at N = 76 (medians of 15 interleaved
 runs).
 

@@ -43,9 +43,9 @@ MAGIC = b"\xa5\x5a"
 VERSION = 0x01
 HEADER_LEN = 8
 READ_TIMEOUT_S = 10.0
-# about 117 one-reading frames of 35 bytes or 5 of 64 readings (728 bytes);
-# 64 KiB read no faster per frame and raised the server's peak RSS by about
-# 11% on the benchmark's reject_mix workload
+# about 117 one-reading frames of 35 bytes, or one whole frame of the largest,
+# 256 readings (2840 bytes); 64 KiB read no faster per frame and raised the
+# server's peak RSS by about 11% on the benchmark's reject_mix workload
 READ_CHUNK = 4 * 1024
 _LAST_SEQ = 2**64 - 2
 
@@ -67,12 +67,12 @@ FRAME_TYPES = {
     TYPE_ABORT,
 }
 
-MAX_READINGS_PER_RECORD = 64
+MAX_READINGS_PER_RECORD = 256
 # the only records a device sends, as (type, body length): a Data record of
 # 1 to MAX_READINGS_PER_RECORD sealed readings, and an empty Close
 RECORD_BODIES = {(TYPE_CLOSE, gcm.TAG_LEN)} | {(TYPE_DATA, j * telemetry.READING_LEN + gcm.TAG_LEN)
                                                for j in range(1, MAX_READINGS_PER_RECORD + 1)}
-# the largest body the protocol sends, 720 bytes; the largest handshake
+# the largest body the protocol sends, 2832 bytes; the largest handshake
 # body, a P-256 ServerHello, is 444
 MAX_BODY = max(length for _, length in RECORD_BODIES)
 
@@ -168,7 +168,7 @@ class FrameReader:
 
     It receives into one reused buffer of `READ_CHUNK` bytes, so it holds
     at most one chunk beyond a partial frame: under `READ_CHUNK` +
-    MAX_BODY + 8 bytes, 4824.
+    `MAX_BODY` + `HEADER_LEN` bytes.
     """
 
     def __init__(self, sock: socket.socket):

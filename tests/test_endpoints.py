@@ -114,10 +114,13 @@ def test_honest_session_persists_every_reading(files, server):
 
 
 # a Data frame is an 8-byte header, 11 bytes a reading and a 16-byte tag
-@pytest.mark.parametrize("realtime, frames", [(False, [728, 728, 46]), (True, [35] * 130)],
-                         ids=["backlog", "realtime"])
+@pytest.mark.parametrize("realtime, count, frames", [
+    (False, 2 * records.MAX_READINGS_PER_RECORD + 2,
+     [records.HEADER_LEN + records.MAX_BODY] * 2 + [8 + 2 * 11 + 16]),
+    (True, 130, [8 + 11 + 16] * 130),
+], ids=["backlog", "realtime"])
 def test_a_device_seals_every_reading_it_has_ready_in_one_record(files, server, monkeypatch,
-                                                                 realtime, frames):
+                                                                 realtime, count, frames):
     sent = bytearray()  # every byte the device writes to its socket
 
     class Counting(socket.socket):
@@ -133,8 +136,8 @@ def test_a_device_seals_every_reading_it_has_ready_in_one_record(files, server, 
 
     monkeypatch.setattr(socket, "create_connection", connect)
     monkeypatch.setattr(time, "sleep", lambda s: None)
-    report = run_device(device_cfg(files, server.port, count=130, realtime=realtime))
-    assert report.error is None and report.sent_count == 130
+    report = run_device(device_cfg(files, server.port, count=count, realtime=realtime))
+    assert report.error is None and report.sent_count == count
     data_frames, at = [], 0
     while at < len(sent):
         frame_type, length = records.parse_header(bytes(sent[at : at + records.HEADER_LEN]))
@@ -144,7 +147,15 @@ def test_a_device_seals_every_reading_it_has_ready_in_one_record(files, server, 
     assert data_frames == frames
     stored = [parse_reading_line(line) for line in read_store_lines(server)]
     assert [(r.timestamp_ms, r.bpm) for r in stored] == report.sent
-    assert [ts for ts, _ in report.sent] == [1_000_000 + 1000 * i for i in range(130)]
+    assert [ts for ts, _ in report.sent] == [1_000_000 + 1000 * i for i in range(count)]
+
+
+def test_a_realtime_device_sleeps_between_records_not_after_its_last(files, server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    report = run_device(device_cfg(files, server.port, count=3, realtime=True))
+    assert report.error is None and report.sent_count == 3
+    assert sleeps == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("bad", [dict(interval_ms=99), dict(count=0), dict(start_ms=-1)],

@@ -23,6 +23,7 @@ from vitalink.records import (
     HEADER_LEN,
     MAGIC,
     MAX_BODY,
+    MAX_READINGS_PER_RECORD,
     READ_CHUNK,
     TYPE_CLOSE,
     TYPE_DATA,
@@ -329,6 +330,16 @@ def test_a_bad_header_is_refused_before_its_body_arrives(header, error):
     a.close(); b.close()
 
 
+def test_the_largest_frame_arrives_in_one_receive():
+    # the cap on readings per record keeps a whole frame within one chunk
+    assert HEADER_LEN + MAX_BODY <= READ_CHUNK
+    frame = Frame(TYPE_DATA, bytes(MAX_BODY))
+    src = Segments([frame.encode()])
+    assert FrameReader(src).read(timeout=1.0) == frame
+    assert src.recvs == 1
+    src.close()
+
+
 def test_a_reader_holds_one_chunk_beyond_a_partial_frame():
     # enough of the largest frames that some straddle the reader's chunks
     bodies = [bytes([i]) * MAX_BODY for i in range(3 * READ_CHUNK // MAX_BODY)]
@@ -511,18 +522,18 @@ def test_a_direction_refuses_a_record_past_the_last_seq():
 
 
 def test_a_direction_of_every_record_length_keeps_one_batch_size():
-    # an authenticated peer may send one record of each length from 11 to 64
-    # readings, each an `encrypt_blocks` batch of its own size; the key keeps
-    # the broadcast round keys of the last size only
+    # an authenticated peer may send one record of each length from 11 to
+    # MAX_READINGS_PER_RECORD readings, each an `encrypt_blocks` batch of its
+    # own size; the key keeps the broadcast round keys of the last size only
     tx, rx = DirectionState(KEY, SALT), DirectionState(KEY, SALT)
-    for seq, readings in enumerate(range(11, 65)):
-        payload = bytes([readings]) * (11 * readings)
+    for seq, readings in enumerate(range(11, MAX_READINGS_PER_RECORD + 1)):
+        payload = bytes([readings % 256]) * (11 * readings)
         frame = record_seal(tx, TYPE_DATA, payload)
         aad = MAGIC + bytes([VERSION, TYPE_DATA]) + seq.to_bytes(8, "big")
         assert frame.body == gcm.seal(gcm.GcmKey(KEY), SALT + seq.to_bytes(8, "big"), aad, payload)
         assert record_open(rx, frame) == (TYPE_DATA, payload)
     for d in (tx, rx):
-        assert list(d.gcm_key.aes._wide) == [(11 * 64 + 15) // 16]
+        assert list(d.gcm_key.aes._wide) == [(11 * MAX_READINGS_PER_RECORD + 15) // 16]
 
 
 def test_a_zeroized_direction_keeps_no_broadcast_keys():

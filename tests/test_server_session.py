@@ -103,7 +103,8 @@ def test_an_honest_session_runs_through_the_session_alone(toy_pki, server, endin
     session.close()
     assert len(stored(server)) == MAX_READINGS_PER_RECORD
     assert endings() == [("session_closed", {
-        "cause": "-", "detail": "-", **counts(keys.session_id.hex()[:16], "full", 64)})]
+        "cause": "-", "detail": "-",
+        **counts(keys.session_id.hex()[:16], "full", MAX_READINGS_PER_RECORD)})]
 
 
 def test_the_handshake_has_one_deadline_and_records_a_deadline_each(toy_pki, server):
@@ -121,8 +122,9 @@ def test_a_peer_abort_is_answered_with_an_abort(toy_pki, server, endings):
     assert feed(session, Frame(TYPE_ABORT, b"")) == [TYPE_ABORT] and session.ended
     session.close()
     assert endings() == [("peer_abort", {
-        "cause": "unauthenticated", "detail": "-", **counts(session_hex, "full", 64)})]
-    assert len(stored(server)) == 64
+        "cause": "unauthenticated", "detail": "-",
+        **counts(session_hex, "full", MAX_READINGS_PER_RECORD)})]
+    assert len(stored(server)) == MAX_READINGS_PER_RECORD
 
 
 def test_a_failed_handshake_stores_nothing(toy_pki, server, endings):
@@ -147,8 +149,9 @@ def test_a_bad_tag_on_the_third_record_keeps_the_first_two(toy_pki, server, endi
     assert [feed(session, r) for r in (first, second, third)] == [[], [], [TYPE_ABORT]]
     session.close()
     assert endings() == [("record_auth_failure", {
-        "cause": "AuthFailure", "detail": "-", **counts(session_hex, "full", 128)})]
-    assert len(stored(server)) == 128
+        "cause": "AuthFailure", "detail": "-",
+        **counts(session_hex, "full", 2 * MAX_READINGS_PER_RECORD)})]
+    assert len(stored(server)) == 2 * MAX_READINGS_PER_RECORD
 
 
 def test_a_reading_back_in_time_keeps_the_readings_before_it(toy_pki, server, endings):
@@ -174,7 +177,7 @@ def test_a_stream_that_ends_without_a_close_is_suspicious(toy_pki, server, endin
     session.close()
     assert endings() == [("suspicious_termination", {
         "cause": "no_authenticated_close", "detail": "mid-frame",
-        **counts(session_hex, "full", 64)})]
+        **counts(session_hex, "full", MAX_READINGS_PER_RECORD)})]
 
 
 def test_a_connection_error_gets_no_reply(toy_pki, server, endings):

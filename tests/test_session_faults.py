@@ -705,11 +705,12 @@ def spy_on_open(monkeypatch) -> list:
     return opened
 
 
-# past MAX_BODY (720) the header alone is refused
+# past MAX_BODY, a record of MAX_READINGS_PER_RECORD (the cap) readings, the
+# header alone is refused
 @pytest.mark.parametrize("body_len, cause", [
-    (16, "MalformedFrame"), (11 * 65 + 16, "OversizeFrame"), (11 + 17, "MalformedFrame"),
-    (11 * 64 + 17, "OversizeFrame"),
-], ids=["no_reading", "65_readings", "1_reading_plus_1", "64_readings_plus_1"])
+    (16, "MalformedFrame"), (MAX_BODY + READING_LEN, "OversizeFrame"), (11 + 17, "MalformedFrame"),
+    (MAX_BODY + 1, "OversizeFrame"),
+], ids=["no_reading", "cap_plus_1_readings", "1_reading_plus_1", "cap_readings_plus_1"])
 def test_a_data_body_that_is_no_whole_count_of_readings_is_refused_before_gcm(
         toy_pki, server, lines, monkeypatch, body_len, cause):
     opened = spy_on_open(monkeypatch)
