@@ -75,14 +75,21 @@ def _rng(seed):
     return keyfiles.drbg(seed) if seed is not None else os.urandom
 
 
-def _run_until_signalled(service) -> int:
-    """Starts a server or proxy, serves until SIGINT or SIGTERM, then stops it."""
+def _run_until_signalled(service, listen: str) -> int:
+    """Starts a server or proxy, serves until SIGINT or SIGTERM, then stops
+    it, also when it could not start. A `listen` address it cannot bind is
+    a usage error."""
     shutdown = threading.Event()
     for sig in (signal.SIGINT, signal.SIGTERM):
         signal.signal(sig, lambda *_: shutdown.set())
-    service.start()
     try:
+        service.start()
         shutdown.wait()
+    except OSError as exc:  # from start(): the listening socket could not be made
+        # the system's reason, without the address `create_server` appends;
+        # a failed name lookup has a negative errno
+        reason = os.strerror(exc.errno) if (exc.errno or 0) > 0 else exc.strerror or exc
+        raise UsageError(f"--listen {listen}: {reason}") from exc
     finally:
         service.stop()
     return EXIT_OK
@@ -151,7 +158,7 @@ def cmd_serve(args) -> int:
         store_dir=args.store_dir,
         anomaly=anomaly,
     )
-    return _run_until_signalled(IngestionServer(cfg))
+    return _run_until_signalled(IngestionServer(cfg), args.listen)
 
 
 def cmd_device(args) -> int:
@@ -191,7 +198,7 @@ def cmd_proxy(args) -> int:
     upstream = _host_port(args.upstream, "--upstream")
     plan = TamperPlan(mode=args.mode, target_index=args.target_index,
                       bit_offset=args.bit_offset)
-    return _run_until_signalled(TamperProxy(*listen, *upstream, plan))
+    return _run_until_signalled(TamperProxy(*listen, *upstream, plan), args.listen)
 
 
 def build_parser() -> argparse.ArgumentParser:

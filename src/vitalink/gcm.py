@@ -90,9 +90,9 @@ ciphertext, and the failure carries no cause detail.
 
 from __future__ import annotations
 
-import hmac as _hmac
 import struct
 
+from . import kdf
 from .errors import AuthFailure, PayloadTooLarge
 
 TAG_LEN = 16
@@ -426,6 +426,6 @@ def open_(gk: GcmKey, nonce: bytes, aad: bytes, record: bytes) -> bytes:
     ct, tag = record[:-TAG_LEN], record[-TAG_LEN:]
     if len(ct) > MAX_PLAINTEXT:
         raise PayloadTooLarge(f"ciphertext exceeds {MAX_PLAINTEXT} bytes")
-    if not _hmac.compare_digest(gk._tag(nonce, aad, ct), tag):
+    if not kdf.compare_digest(gk._tag(nonce, aad, ct), tag):
         raise AuthFailure()
     return gk._ctr(nonce, ct)

@@ -72,7 +72,6 @@ the device, seeing a credential, runs the full handshake.
 from __future__ import annotations
 
 import enum
-import hmac
 import os
 import struct
 import time
@@ -287,7 +286,7 @@ class _Side:
             self._fail(HandshakeError(f"{self.PEER} ephemeral invalid: {exc}"))
 
     def _check_finished(self, key: bytes, digest: bytes, mac: bytes) -> None:
-        if not hmac.compare_digest(kdf.hmac_sha256(key, digest), mac):
+        if not kdf.compare_digest(kdf.hmac_sha256(key, digest), mac):
             self._fail(BadFinishedMac(f"{self.PEER} finished MAC mismatch"))
 
     def _establish(self, frame: bytes, keys: SessionKeys) -> SessionKeys:
@@ -427,7 +426,7 @@ class ServerHandshake(_Side):
             self.refusal = "TicketExpired"
         elif creds.expired(valid_to, now):
             self.refusal = creds.EXPIRED
-        elif not hmac.compare_digest(_binder(secret, client_hello[: -kdf.HASH_LEN]), binder):
+        elif not kdf.compare_digest(_binder(secret, client_hello[: -kdf.HASH_LEN]), binder):
             self.refusal = "BadBinder"
         else:
             self._claims = (issued, subject, valid_to)  # the chain keeps its issue time

@@ -11,11 +11,10 @@ CLI reports it as a configuration error (exit 2).
 
 from __future__ import annotations
 
-import hashlib
 import os
 from pathlib import Path
 
-from . import curves
+from . import curves, kdf
 from .credentials import Credential, credential_decode
 from .curves import CurveSuite, Point
 from .errors import ConfigurationError, MalformedCredential, MalformedPoint
@@ -28,9 +27,7 @@ def drbg(seed: int):
     def generate(n: int) -> bytes:
         out = b""
         while len(out) < n:
-            out += hashlib.sha256(
-                state["seed"] + state["counter"].to_bytes(8, "big")
-            ).digest()
+            out += kdf.hash_(state["seed"] + state["counter"].to_bytes(8, "big"))
             state["counter"] += 1
         return out[:n]
 
@@ -84,4 +81,4 @@ def read_credential(path: str | Path, suite: CurveSuite) -> Credential:
 
 
 def fingerprint(Q: Point, suite: CurveSuite) -> str:
-    return hashlib.sha256(curves.point_encode(Q, suite)).hexdigest()[:16]
+    return kdf.hash_(curves.point_encode(Q, suite)).hex()[:16]

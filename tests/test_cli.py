@@ -1,6 +1,9 @@
 """CLI contract: flags, exit codes, and on-disk artifacts."""
 
+import logging
 import os
+import signal
+import socket
 import stat
 import subprocess
 import sys
@@ -8,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from vitalink import cli, curves, keyfiles
+from vitalink import cli, curves, endpoints, keyfiles, proxy
 from vitalink.cli import EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from vitalink.credentials import Role, credential_verify, verify_trust_root
 
@@ -296,7 +299,7 @@ def test_the_cli_refuses_toy_suite_files(command, toy_pki, tmp_path, capsys, mon
     # the toy curve is for in-process tests: any key on it falls to 19 guesses
     toy_pki.write_files(tmp_path)
     # a server that accepted them would stop at once instead of serving until a signal
-    monkeypatch.setattr(cli, "_run_until_signalled", lambda service: service.stop() or EXIT_OK)
+    monkeypatch.setattr(cli, "_run_until_signalled", lambda service, listen: service.stop() or EXIT_OK)
     code, out, err = run(endpoint_argv(command, tmp_path), capsys)
     assert code == EXIT_USAGE and out == ""
     [line] = [line for line in err.splitlines() if line.startswith("error:")]
@@ -314,7 +317,7 @@ def test_a_private_key_that_group_or_others_can_use_is_refused(command, mode, pk
     key = tmp_path / ("server.vlk" if command == "serve" else "device.vlk")
     key.chmod(mode)
     # an accepted server stops at once instead of serving until a signal
-    monkeypatch.setattr(cli, "_run_until_signalled", lambda service: service.stop() or EXIT_OK)
+    monkeypatch.setattr(cli, "_run_until_signalled", lambda service, listen: service.stop() or EXIT_OK)
     code, out, err = run(endpoint_argv(command, tmp_path), capsys)
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     if mode & 0o077:
@@ -387,3 +390,36 @@ def test_a_malformed_host_port_is_a_usage_error(command, flag, value, tmp_path, 
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         f"error: {flag}: expected HOST:PORT with a port in 0-65535, got {value!r}"]
     assert not (tmp_path / "store").exists()
+
+
+@pytest.mark.parametrize("command", ["serve", "proxy"])
+def test_a_listen_address_in_use_exits_usage_and_stops_the_service(command, pki, tmp_path,
+                                                                    capsys, caplog, monkeypatch):
+    pki.write_files(tmp_path)
+    service = {"serve": endpoints.IngestionServer, "proxy": proxy.TamperProxy}[command]
+    stopped = []
+    real_stop = service.stop
+    monkeypatch.setattr(service, "stop", lambda self: stopped.append(self) or real_stop(self))
+    caplog.set_level(logging.INFO, logger="vitalink")
+    handlers = {sig: signal.getsignal(sig) for sig in (signal.SIGINT, signal.SIGTERM)}
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        listen = f"127.0.0.1:{taken.getsockname()[1]}"
+        argv = {
+            "serve": endpoint_argv("serve", tmp_path),
+            "proxy": ["proxy", "--listen", "127.0.0.1:0", "--upstream", "127.0.0.1:1",
+                      "--mode", "passthrough"],
+        }[command]
+        argv[argv.index("--listen") + 1] = listen
+        try:
+            code, out, err = run(argv, capsys)
+        finally:
+            for sig, handler in handlers.items():
+                signal.signal(sig, handler)
+    assert code == EXIT_USAGE and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: --listen {listen}: Address already in use"]
+    assert not [r for r in caplog.records if "listening" in r.getMessage()]
+    [stopped_service] = stopped  # so the store's files are closed and the ticket key zeroized
+    if command == "serve":
+        assert stopped_service.store._readings.closed and stopped_service.store._alerts.closed
+        assert stopped_service.ticket_key._key is None

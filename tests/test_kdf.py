@@ -1,12 +1,23 @@
-"""Hash, HMAC, and extract/expand against their published standard vectors."""
+"""Hash, HMAC, and extract/expand against their published standard vectors
+and against the OpenSSL-backed standard library code they replace."""
 
+import hashlib
+import hmac
+import json
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vitalink.errors import InvalidLength
-from vitalink.kdf import hash_, hkdf_expand, hkdf_extract, hmac_sha256
+from vitalink.kdf import compare_digest, hash_, hkdf_expand, hkdf_extract, hmac_sha256
+
+TESTS = Path(__file__).resolve().parent
 
 
 def test_sha256_fips180_known_answers():
@@ -29,7 +40,7 @@ def test_sha256_deterministic_and_sensitive():
         assert hash_(bytes(other)) != hash_(msg)
 
 
-# RFC 4231 test cases 1, 2, and 6 (key longer than the block size)
+# RFC 4231 test cases 1-7
 HMAC_VECTORS = [
     (
         b"\x0b" * 20, b"Hi There",
@@ -40,16 +51,69 @@ HMAC_VECTORS = [
         "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
     ),
     (
+        b"\xaa" * 20, b"\xdd" * 50,
+        "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+    ),
+    (
+        bytes(range(1, 26)), b"\xcd" * 50,
+        "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+    ),
+    (  # the RFC gives only the first 128 bits
+        b"\x0c" * 20, b"Test With Truncation",
+        "a3b6167473100ee06e0c796c2955552b",
+    ),
+    (  # key longer than the block size
         b"\xaa" * 131,
         b"Test Using Larger Than Block-Size Key - Hash Key First",
         "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
+    ),
+    (  # key and data longer than the block size
+        b"\xaa" * 131,
+        b"This is a test using a larger than block-size key and a larger than block-size "
+        b"data. The key needs to be hashed before being used by the HMAC algorithm.",
+        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
     ),
 ]
 
 
 @pytest.mark.parametrize("key,msg,mac", HMAC_VECTORS)
 def test_hmac_rfc4231_vectors(key, msg, mac):
-    assert hmac_sha256(key, msg).hex() == mac
+    assert hmac_sha256(key, msg).hex()[: len(mac)] == mac
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.binary(max_size=200), msg=st.binary(max_size=300))
+@example(key=b"", msg=b"")
+@example(key=b"\x00" * 63, msg=b"\x00" * 63)
+@example(key=b"\x01" * 64, msg=b"\x01" * 64)
+@example(key=b"\x02" * 65, msg=b"\x02" * 65)
+def test_hmac_and_hash_match_the_standard_library(key, msg):
+    # keys of 0-200 bytes cross SHA-256's 64-byte block, past which a key is hashed first
+    assert hmac_sha256(key, msg) == hmac.new(key, msg, hashlib.sha256).digest()
+    assert hash_(msg) == hashlib.sha256(msg).digest()
+
+
+def test_compare_digest():
+    mac = hmac_sha256(b"k", b"m")
+    assert compare_digest(mac, bytes(mac))
+    assert compare_digest(b"", b"")
+    assert not compare_digest(mac, mac[:-1] + bytes([mac[-1] ^ 1]))
+    assert not compare_digest(mac, mac[:16])
+    assert not compare_digest(mac[:16], mac)
+    assert compare_digest(memoryview(mac)[16:], mac[16:])  # a slice of a received frame
+
+
+def test_no_process_of_the_package_loads_openssl():
+    # `hashlib`, `hmac` and `ssl` map libcrypto into the process, about 3.5 MB
+    pytest.importorskip("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+    proc = subprocess.run(
+        [sys.executable, str(TESTS / "footprint.py")], capture_output=True, text=True,
+        timeout=60, env=dict(os.environ, PYTHONPATH=str(TESTS.parent / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == []
+    assert result["sha256_module"] in sys.stdlib_module_names
 
 
 def test_hmac_key_separation():
