@@ -47,8 +47,11 @@ def _p256_credential(path: str) -> str:
 
 
 def _host_port(value: str, flag: str) -> tuple[str, int]:
-    """HOST:PORT split at its last colon, with a port in 0-65535."""
+    """HOST:PORT split at its last colon, with a port in 0-65535; an IPv6
+    HOST may come in brackets, as in [::1]:7700."""
     host, sep, port = value.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
     if not (sep and host and port.isascii() and port.isdigit()) or int(port) > 65535:
         raise UsageError(f"{flag}: expected HOST:PORT with a port in 0-65535, got {value!r}")
     return host, int(port)

@@ -8,17 +8,18 @@ and the leaves it issues. Private keys are stored as raw scalars on disk;
 there is deliberately no at-rest encryption, so key files must be kept
 out of untrusted locations.
 
-Devices reconnect to the same server again and again, so
-`credential_verify` remembers per process, by suite, trust-root bytes and
-credential bytes, each credential whose issuer signature passed (never a
-failure; at most `_VERIFIED_CAP`, oldest evicted first). A hit skips only
-the signature: issuer, validity window and role are checked on every call.
+Whether a trust root's key signed a credential is a pure fact of the two
+credentials and the suite, so `credential_verify` remembers the answer per
+process, pass or fail, for the 1024 most recently used triples. A hit skips
+only the signature: issuer, validity window and role are checked on every
+call.
 """
 
 from __future__ import annotations
 
+import functools
 import os
-import threading
+import struct
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
@@ -130,52 +131,43 @@ class Credential:
 
     def tbs(self, suite: CurveSuite) -> bytes:
         """To-be-signed bytes: every field except the signature, wire order."""
-        return (
-            bytes([self.version])
-            + self.subject_id
-            + bytes([self.role])
-            + curves.point_encode(self.static_pub, suite)
-            + self.valid_from.to_bytes(8, "big")
-            + self.valid_to.to_bytes(8, "big")
-            + self.issuer_id
-        )
+        return _tbs_layout(suite).pack(
+            self.version, self.subject_id, self.role,
+            curves.point_encode(self.static_pub, suite),
+            self.valid_from, self.valid_to, self.issuer_id)
 
     def encode(self, suite: CurveSuite) -> bytes:
         return self.tbs(suite) + self.signature.encode(suite)
 
 
+@functools.cache
+def _tbs_layout(suite: CurveSuite) -> struct.Struct:
+    """The signed part of a credential: version(1) || subject(16) || role(1) ||
+    static public key || valid_from(8) || valid_to(8) || issuer(16)."""
+    return struct.Struct(f">B{SUBJECT_LEN}sB{suite.point_len}sQQ{SUBJECT_LEN}s")
+
+
 def credential_len(suite: CurveSuite) -> int:
     """Wire length of a credential; distinct per suite."""
-    plen = suite.point_len
-    return 1 + SUBJECT_LEN + 1 + plen + 8 + 8 + SUBJECT_LEN + plen + suite.scalar_len
+    return _tbs_layout(suite).size + suite.point_len + suite.scalar_len
 
 
 def credential_decode(data: bytes, suite: CurveSuite) -> Credential:
-    plen = suite.point_len
     want = credential_len(suite)
     if len(data) != want:
         raise MalformedCredential(f"credential length {len(data)}, expected {want}")
-    off = 0
-    version = data[off]; off += 1
-    subject = data[off : off + SUBJECT_LEN]; off += SUBJECT_LEN
+    layout = _tbs_layout(suite)
+    version, subject, role, pub, valid_from, valid_to, issuer = layout.unpack_from(data)
     if _subject_name(subject) is None:
         raise MalformedCredential("subject is not 1..16 bytes of printable UTF-8")
     try:
-        role = Role(data[off])
+        role = Role(role)
     except ValueError as exc:
         raise MalformedCredential("unknown role") from exc
-    off += 1
     try:
-        pub = curves.point_decode(data[off : off + plen], suite)
-    except MalformedPoint as exc:
-        raise MalformedCredential(str(exc)) from exc
-    off += plen
-    valid_from = int.from_bytes(data[off : off + 8], "big"); off += 8
-    valid_to = int.from_bytes(data[off : off + 8], "big"); off += 8
-    issuer = data[off : off + SUBJECT_LEN]; off += SUBJECT_LEN
-    try:
-        sig = sig_decode(data[off:], suite)
-    except MalformedSignature as exc:
+        pub = curves.point_decode(pub, suite)
+        sig = sig_decode(data[layout.size:], suite)
+    except (MalformedPoint, MalformedSignature) as exc:
         raise MalformedCredential(str(exc)) from exc
     return Credential(version, subject, role, pub, valid_from, valid_to, issuer, sig)
 
@@ -215,9 +207,12 @@ NOT_YET_VALID = "NotYetValid"
 UNKNOWN_ISSUER = "UnknownIssuer"
 ROLE_MISMATCH = "RoleMismatch"
 
-_VERIFIED_CAP = 1024  # a guess: no fleet size is known to fit it to
-_VERIFIED: dict = {}  # (suite id, root bytes, credential bytes) -> None, oldest first
-_VERIFIED_LOCK = threading.Lock()
+
+@functools.lru_cache(maxsize=1024)
+def _issued_by(root: Credential, cred: Credential, suite: CurveSuite) -> bool:
+    """Whether `root`'s key signed `cred`. A pure function of its arguments,
+    so a failure is remembered like a pass."""
+    return schnorr_verify(root.static_pub, cred.tbs(suite), cred.signature, suite)
 
 
 def expired(valid_to: int, now: int) -> bool:
@@ -239,14 +234,8 @@ def credential_verify(
     """
     if cred.issuer_id != trust_root.subject_id:
         return UNKNOWN_ISSUER
-    key = (suite.suite_id, trust_root.encode(suite), cred.encode(suite))
-    if key not in _VERIFIED:
-        if not schnorr_verify(trust_root.static_pub, cred.tbs(suite), cred.signature, suite):
-            return BAD_SIGNATURE
-        with _VERIFIED_LOCK:
-            _VERIFIED[key] = None
-            while len(_VERIFIED) > _VERIFIED_CAP:
-                del _VERIFIED[next(iter(_VERIFIED))]
+    if not _issued_by(trust_root, cred, suite):
+        return BAD_SIGNATURE
     if now < cred.valid_from - CLOCK_SKEW_S:
         return NOT_YET_VALID
     if expired(cred.valid_to, now):

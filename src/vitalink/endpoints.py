@@ -459,10 +459,9 @@ class DeviceReport:
         return len(self.sent)
 
 
-# (server host, port, own credential bytes, trust-root bytes) -> the ticket
-# of the last session there, taken by the next
+# (server host, port, own credential, trust root) -> the ticket of the last
+# session there, taken by the next
 _TICKETS: dict[tuple, Resumption] = {}
-_TICKETS_LOCK = threading.Lock()
 
 
 def run_device(cfg: DeviceConfig) -> DeviceReport:
@@ -486,10 +485,8 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
         script = telemetry.parse_anomaly_script(Path(cfg.anomaly_script).read_text())
     sim = SensorSim(seed=cfg.seed or 0, script=script)
 
-    cache_key = (cfg.server_host, cfg.server_port, identity.credential.encode(suite),
-                 trust_root.encode(suite))
-    with _TICKETS_LOCK:
-        resumption = _TICKETS.pop(cache_key, None)  # each ticket is offered once
+    cache_key = (cfg.server_host, cfg.server_port, identity.credential, trust_root)
+    resumption = _TICKETS.pop(cache_key, None)  # each ticket is offered once
 
     report = DeviceReport()
     t0 = time.monotonic()
@@ -519,8 +516,7 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
         report.session_id = keys.session_id.hex()
         # the server's verdict on the ClientFinish, before any reading is sealed
         ticket = read_server_frame(TYPE_NEW_TICKET)
-        with _TICKETS_LOCK:
-            _TICKETS[cache_key] = hs.resumption_for(ticket)
+        _TICKETS[cache_key] = hs.resumption_for(ticket)
         send_dir = DirectionState(keys.c2s_key, keys.c2s_salt)
 
         start_ms = cfg.start_ms if cfg.start_ms is not None else int(time.time() * 1000)

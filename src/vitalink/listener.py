@@ -35,9 +35,12 @@ _OUT_OF_RESOURCES = {errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM}
 class Listener:
     def __init__(self, host: str, port: int, handle):
         self._handle = handle
+        # create_server binds IPv4 unless told; only an IPv6 literal has a colon
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
         # the system's most: a burst of connects waits in the queue instead
         # of being dropped, which costs a client a 1 s SYN retransmit
-        self._sock = socket.create_server((host, port), backlog=socket.SOMAXCONN)
+        self._sock = socket.create_server((host, port), family=family,
+                                          backlog=socket.SOMAXCONN)
         self._sock.settimeout(_IDLE_S)  # accepted sockets still block
         self.port = self._sock.getsockname()[1]
         self._lock = threading.Lock()

@@ -124,14 +124,12 @@ class Relay:
         self.upstream = upstream
         self.plan = plan
         self.report = report
-        self._lock = threading.Lock()
         self._client_hello: Frame | None = None
 
     def _note(self, direction: str, frame: Frame, fault: str) -> None:
         line = (f"frame dir={direction} type=0x{frame.frame_type:02x} "
                 f"len={len(frame.body)} fault={fault}")
-        with self._lock:
-            self.report.append(line)
+        self.report.append(line)
         log.info("%s", line)
 
     def _pump(self, src: socket.socket, dst: socket.socket, direction: str) -> None:

@@ -84,9 +84,9 @@ def no_thread_outlives_its_test():
 
 @pytest.fixture(autouse=True)
 def cold_credential_memo():
-    """Every test starts with no verified credential remembered, so that
-    counts of signature checks do not depend on the order tests run in."""
-    creds._VERIFIED.clear()
+    """Every test starts with no signature check remembered, so that counts
+    of signature checks do not depend on the order tests run in."""
+    creds._issued_by.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -423,3 +423,22 @@ def test_a_listen_address_in_use_exits_usage_and_stops_the_service(command, pki,
     if command == "serve":
         assert stopped_service.store._readings.closed and stopped_service.store._alerts.closed
         assert stopped_service.ticket_key._key is None
+
+
+def test_a_device_session_runs_over_ipv6(pki, tmp_path, capsys):
+    # an IPv6 HOST comes in brackets, as in a URL; the listener binds it as IPv6
+    pki.write_files(tmp_path)
+    host, port = cli._host_port("[::1]:0", "--listen")
+    server = endpoints.IngestionServer(endpoints.ServerConfig(
+        listen_host=host, listen_port=port, key_path=str(tmp_path / "server.vlk"),
+        cred_path=str(tmp_path / "server.vlc"), root_path=str(tmp_path / "root.vlc"),
+        store_dir=str(tmp_path / "store")))
+    server.start()
+    try:
+        argv = endpoint_argv("device", tmp_path)
+        argv[argv.index("--connect") + 1] = f"[::1]:{server.port}"
+        code, out, _ = run(argv, capsys)
+    finally:
+        server.stop()
+    assert code == EXIT_OK and out.startswith("sent_count=1 ")
+    assert len((tmp_path / "store" / "readings.log").read_text().splitlines()) == 1

@@ -320,51 +320,51 @@ def test_the_same_leaf_under_another_root_of_the_same_name_is_checked_afresh(ver
     assert len(verifies) == 2
 
 
-def test_a_bad_signature_is_never_remembered(verifies):
+def test_a_forged_credential_checked_twice_makes_one_schnorr_check(verifies):
     rng = keyfiles.drbg(34)
     root_d, root = _root(P256, rng)
     leaf = _leaf(root_d, root, P256, rng)
     bad = replace(leaf, signature=SchnorrSig(leaf.signature.R,
                                              (leaf.signature.s + 1) % P256.n))
-    for attempt in range(1, 4):
+    for _ in range(2):
         assert credential_verify(bad, root, NOW, P256) == BAD_SIGNATURE
-        assert len(verifies) == attempt
+    assert len(verifies) == 1
 
 
-def test_the_memo_never_grows_past_its_cap(verifies, monkeypatch):
-    monkeypatch.setattr(creds, "_VERIFIED_CAP", 4)
+def test_at_the_cap_a_credential_checked_again_outlives_the_next_new_one(verifies):
     rng = keyfiles.drbg(35)
     root_d, root = _root(TOY, rng)
-    leaves = [_leaf(root_d, root, TOY, rng, name=f"watch-{i}") for i in range(10)]
-    for leaf in leaves:
+    leaves = [_leaf(root_d, root, TOY, rng, name=f"watch-{i}") for i in range(1025)]
+    for leaf in leaves[:1024]:
         assert credential_verify(leaf, root, NOW, TOY) is None
-        assert len(creds._VERIFIED) <= 4
-    assert len(creds._VERIFIED) == 4 and len(verifies) == 10
-    # oldest out first: the newest are hits, the first must be checked again
-    assert credential_verify(leaves[-1], root, NOW, TOY) is None
-    assert len(verifies) == 10
     assert credential_verify(leaves[0], root, NOW, TOY) is None
-    assert len(verifies) == 11 and len(creds._VERIFIED) == 4
+    assert len(verifies) == 1024
+    assert credential_verify(leaves[1024], root, NOW, TOY) is None
+    # least recently used out first: leaves[1] goes, the re-checked leaves[0] stays
+    assert credential_verify(leaves[0], root, NOW, TOY) is None
+    assert len(verifies) == 1025
+    assert credential_verify(leaves[1], root, NOW, TOY) is None
+    assert len(verifies) == 1026 and creds._issued_by.cache_info().currsize == 1024
 
 
-def test_the_memo_holds_under_concurrent_sessions(monkeypatch):
-    monkeypatch.setattr(creds, "_VERIFIED_CAP", 8)
+def test_the_memo_holds_under_concurrent_sessions():
     rng = keyfiles.drbg(36)
     root_d, root = _root(TOY, rng)
-    leaves = [_leaf(root_d, root, TOY, rng, name=f"watch-{i}") for i in range(24)]
+    # more leaves than the memo keeps, so the threads race evictions too
+    leaves = [_leaf(root_d, root, TOY, rng, name=f"watch-{i}") for i in range(1100)]
     results, errors = [], []
 
     def worker(offset):
         try:
             for i in range(1500):
-                results.append(credential_verify(leaves[(i + offset) % 24], root, NOW, TOY))
-        except Exception as exc:  # a lost race shows as KeyError or RuntimeError
+                results.append(credential_verify(leaves[(i + offset) % 1100], root, NOW, TOY))
+        except Exception as exc:
             errors.append(exc)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(7 * t,)) for t in range(6)]
+        threads = [threading.Thread(target=worker, args=(183 * t,)) for t in range(6)]
         for t in threads:
             t.start()
         for t in threads:
@@ -372,4 +372,4 @@ def test_the_memo_holds_under_concurrent_sessions(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads) and errors == []
-    assert results == [None] * 9000 and len(creds._VERIFIED) <= 8
+    assert results == [None] * 9000 and creds._issued_by.cache_info().currsize == 1024
