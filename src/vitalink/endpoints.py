@@ -4,8 +4,9 @@ the secure channel, persists readings, and raises anomaly alerts.
 
 On the server, a `ServerSession` per connection, fed whole frames, makes
 every decision; `IngestionServer._handle` only reads, feeds and writes.
-Persistence is append-only line-delimited text, one write per burst of
-readings, so concurrent sessions never interleave within a burst.
+Persistence is append-only line-delimited text, one write per Data
+record's readings as it is opened, so concurrent sessions never
+interleave within a record.
 
 Every established session ends its handshake with a NewTicket from the
 server, sealed under a ticket key made when the server starts and never
@@ -63,7 +64,7 @@ from .errors import (
     VitalinkError,
 )
 from .handshake import ClientHandshake, LocalIdentity, Phase, Resumption, ServerHandshake
-from .listener import Listener
+from .listener import Listener, host_port
 from .records import (
     MAX_READINGS_PER_RECORD,
     RECORD_BODIES,
@@ -178,10 +179,10 @@ class Store:
 
     Each call writes until all its bytes are on disk, under one lock, so
     the lines of one call never interleave with another's. The server
-    writes each burst of readings in one call (`ServerSession.flush`),
-    so a crash loses at most the unwritten part of one burst, none of it
-    promised stored (the protocol has no Ack). Nothing is fsynced. It
-    writes the lines `ServerSession` builds; a failed write is a `StoreError`.
+    writes each Data record's readings in one call as it opens the record,
+    so a crash loses at most the record being opened, none of it promised
+    stored (the protocol has no Ack). Nothing is fsynced. It writes the
+    lines `ServerSession` builds; a failed write is a `StoreError`.
     """
 
     def __init__(self, directory):
@@ -196,7 +197,7 @@ class Store:
                 f"store directory {self.dir}: {exc.strerror or exc}") from exc
 
     def append_reading(self, lines: list[str]) -> None:
-        """Appends a burst of readings lines in one write."""
+        """Appends one record's readings lines in one write."""
         self._append(self._readings, lines)
 
     def append_alert(self, line: str) -> None:
@@ -257,15 +258,13 @@ class IngestionServer:
     def start(self) -> None:
         self._listener = Listener(self.cfg.listen_host, self.cfg.listen_port, self._handle)
         self.port = self._listener.port
-        log.info("listening addr=%s:%d", self.cfg.listen_host, self.port)
+        log.info("listening addr=%s", host_port(self.cfg.listen_host, self.port))
 
     def _handle(self, conn: socket.socket, addr) -> None:
-        session = ServerSession(self, f"{addr[0]}:{addr[1]}")
+        session = ServerSession(self, host_port(addr[0], addr[1]))
         reader = FrameReader(conn)
         try:
             while not session.ended:
-                if not reader.has_frame():
-                    session.flush()
                 for reply in session.receive(frame_read(reader, session.timeout())):
                     frame_write(conn, reply)
         except (VitalinkError, OSError) as exc:
@@ -307,13 +306,14 @@ class ServerSession:
     record's body length is checked against `records.RECORD_BODIES` before
     any GCM work, and its tag before any reading is decoded. One pass over
     the payload then checks each reading and its order, formats its line
-    and runs the detector. The lines go to the store in one write at
-    `flush`, which the caller makes before each wait, and before an alert
-    is stored or the session ends. So a fault at the k-th reading, counted
-    across records, persists the k readings before it and none after. Only
-    the session names whom its lines are about: the authenticated subject
-    and the device id, its first 8 bytes in hex, set as the handshake ends.
-    A failed store write ends it as `session_fatal cause=StoreError`."""
+    and runs the detector. The record's lines then go to the store in one
+    write, before its alerts, within the `receive` that opened it; a bad
+    reading takes the same write before it raises. So a fault at the k-th
+    reading, counted across records, persists the k readings before it and
+    none after, and no line is held between frames. Only the session names
+    whom its lines are about: the authenticated subject and the device id,
+    its first 8 bytes in hex, set as the handshake ends. A failed store
+    write ends it as `session_fatal cause=StoreError`."""
 
     def __init__(self, server: IngestionServer, peer: str):
         self.server, self.peer = server, peer
@@ -327,7 +327,6 @@ class ServerSession:
         # set once the handshake ends
         self._session_hex, self._recv, self._detector, self._prefix = "-", None, None, ""
         self._subject = self._device = ""
-        self._pending: list[str] = []
         self._last_ts = -1
 
     def timeout(self) -> float | None:
@@ -367,22 +366,27 @@ class ServerSession:
             raise MalformedFrame(f"{len(frame.body)}-byte record of type {frame.frame_type}")
         ftype, payload = record_open(self._recv, frame)
         if ftype == TYPE_CLOSE:
-            self.flush()
             self._end(logging.INFO, "session_closed", "-")
             return []
         received = f"\t{int(time.time() * 1000)}"
-        prefix, pending, last_ts, detector = (self._prefix, self._pending, self._last_ts,
-                                              self._detector)
-        for r in reading_decode(payload):
-            ts, bpm, status = r
-            if ts < last_ts:
-                raise MalformedReading("timestamps went backwards")
-            last_ts = ts
-            pending.append(f"{prefix}{ts}\t{bpm}\t{STATUS_NAMES[status]}{received}")
-            alert = detector.check(r)
-            if alert is not None:
-                self.flush()
-                pending = self._pending
+        prefix, last_ts, detector = self._prefix, self._last_ts, self._detector
+        lines, alerts = [], []
+        try:
+            for r in reading_decode(payload):
+                ts, bpm, status = r
+                if ts < last_ts:
+                    raise MalformedReading("timestamps went backwards")
+                last_ts = ts
+                lines.append(f"{prefix}{ts}\t{bpm}\t{STATUS_NAMES[status]}{received}")
+                alert = detector.check(r)
+                if alert is not None:
+                    alerts.append(alert)
+            self._last_ts = last_ts
+        finally:  # a bad reading ends the session, and the ones before it are stored
+            if lines:
+                self.server.store.append_reading(lines)
+                self._stored += len(lines)
+            for alert in alerts:
                 start, end, bpms = (alert.window_start_ms, alert.window_end_ms,
                                     ",".join(map(str, alert.observed_bpm)))
                 self.server.store.append_alert(  # device, rule, window, bpms
@@ -391,22 +395,10 @@ class ServerSession:
                 log.warning("alert session=%s subject=%s device=%s rule=%s bpm=%s window=%d..%d "
                             "peer=%s", self._session_hex[:16], log_value(self._subject),
                             self._device, alert.rule, bpms, start, end, self.peer)
-        self._last_ts = last_ts
         return []
 
-    def flush(self) -> None:
-        """Writes the held readings lines in one store write, never retried."""
-        lines, self._pending = self._pending, []
-        if lines:
-            self.server.store.append_reading(lines)
-            self._stored += len(lines)
-
     def fail(self, exc: VitalinkError | OSError) -> list[Frame]:
-        """Logs the terminal line of the fault `exc`, or the store's, and returns the reply."""
-        try:
-            self.flush()
-        except StoreError as store_error:
-            exc = store_error
+        """Logs the terminal line of the fault `exc` and returns the reply."""
         _, level, event, cause, abort = next(f for f in _FAULTS if isinstance(exc, f[0]))
         self._end(level, event, cause or type(exc).__name__, str(exc) or "-")
         return [Frame(TYPE_ABORT, b"")] if abort else []
@@ -421,10 +413,9 @@ class ServerSession:
                 1000 * (time.monotonic() - self._wall0), self.peer)
 
     def close(self) -> None:
-        """Zeroizes the record key and writes any lines it still holds."""
+        """Zeroizes the record key."""
         if self._recv is not None:
             self._recv.zeroize()
-        self.flush()
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,11 @@ _ACCEPT_RETRY_S = 1.0
 _OUT_OF_RESOURCES = {errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM}
 
 
+def host_port(host: str, port: int) -> str:
+    """`host:port`, with an IPv6 host in brackets (RFC 5952 §6)."""
+    return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+
+
 class Listener:
     def __init__(self, host: str, port: int, handle):
         self._handle = handle
@@ -90,7 +95,8 @@ class Listener:
                         try:
                             self._start_worker()
                         except RuntimeError:  # the process is out of threads
-                            log.exception("worker_start_failed peer=%s:%s", addr[0], addr[1])
+                            log.exception("worker_start_failed peer=%s",
+                                          host_port(addr[0], addr[1]))
                 self._serve(conn, addr)
                 with self._lock:
                     if self._stopping.is_set():
@@ -104,7 +110,7 @@ class Listener:
         try:
             self._handle(conn, addr)
         except Exception:
-            log.exception("handler_error peer=%s:%s", addr[0], addr[1])
+            log.exception("handler_error peer=%s", host_port(addr[0], addr[1]))
         finally:
             with self._lock:
                 self._open.discard(conn)

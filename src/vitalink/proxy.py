@@ -34,7 +34,7 @@ from .curves import SUITES
 from .errors import VitalinkError
 from .gcm import TAG_LEN
 from .handshake import LocalIdentity, ServerHandshake
-from .listener import Listener
+from .listener import Listener, host_port
 from .records import (
     HEADER_LEN,
     TYPE_CLIENT_HELLO,
@@ -190,7 +190,7 @@ class TamperProxy:
     def start(self) -> None:
         self._listener = Listener(self.listen_host, self.listen_port, self._handle)
         self.port = self._listener.port
-        log.info("proxy_listening addr=%s:%d mode=%s", self.listen_host, self.port,
+        log.info("proxy_listening addr=%s mode=%s", host_port(self.listen_host, self.port),
                  self.plan.mode)
 
     def _handle(self, conn: socket.socket, addr) -> None:

@@ -9,12 +9,13 @@ tag failure at the receiver. Tag failure is unconditionally fatal.
 Frame I/O: each connection reads through one `FrameReader`, kept from its
 first frame to its last, since a peer may send a ClientFinish and the
 first records in one segment. While a whole frame is buffered, `read`
-returns it with no syscall; otherwise it waits with `select` and takes
+returns it with no syscall; otherwise it waits with `poll` and takes
 what has arrived, up to `READ_CHUNK`, with one `recv_into` into a buffer
-it reuses, so a burst of frames costs one `select` and one `recv_into`
-instead of two of each per frame. A header is checked (magic,
-version, type, length bound) as soon as its 8 bytes are buffered, before
-any body is awaited. Every read has an absolute deadline from its call,
+it reuses, so a burst of frames costs one `poll` and one `recv_into`
+instead of two of each per frame. Its one poll object is registered when
+it is made, and takes a descriptor of any number, where `select` refuses
+one of 1024 or more. A header is checked (magic, version, type, length
+bound) as soon as its 8 bytes are buffered, before any body is awaited. Every read has an absolute deadline from its call,
 so a peer trickling bytes cannot stretch it. A stream that ends with
 nothing buffered ends "at-boundary"; one that ends inside a frame ends
 "mid-frame", the classic truncation.
@@ -175,11 +176,8 @@ class FrameReader:
         self.sock = sock
         self._buf = bytearray()
         self._chunk = memoryview(bytearray(READ_CHUNK))
-
-    def has_frame(self) -> bool:
-        """Whether a whole frame is buffered, so that `read` makes no syscall."""
-        buf = self._buf
-        return len(buf) >= HEADER_LEN and len(buf) >= HEADER_LEN + int.from_bytes(buf[4:8], "big")
+        self._poll = select.poll()
+        self._poll.register(sock, select.POLLIN)
 
     def read(self, timeout: float | None = None) -> Frame:
         """The next frame, which must be whole within `timeout` seconds of
@@ -201,7 +199,7 @@ class FrameReader:
 
     def _fill(self, deadline: float) -> None:
         remaining = deadline - monotonic()
-        if remaining <= 0 or not select.select([self.sock], [], [], remaining)[0]:
+        if remaining <= 0 or not self._poll.poll(remaining * 1000):
             raise FrameTimeout("frame incomplete at its deadline")
         data = self._chunk[: self.sock.recv_into(self._chunk)]
         if not data:

@@ -1,5 +1,6 @@
 import errno
 import os
+import select
 import shlex
 import threading
 import time
@@ -173,6 +174,26 @@ class FullDisk:
 
     def close(self):
         self.fh.close()
+
+
+def count_polls(monkeypatch, thread=None) -> list:
+    """Stands in for `select.poll` with poll objects that add the arguments
+    of each wait made on `thread` (on any, by default) to the list returned:
+    a poll object takes no new attributes, so its waits are counted here."""
+    waits, real_poll = [], select.poll
+
+    class CountingPoll:
+        def __init__(self):
+            self._poll = real_poll()
+            self.register = self._poll.register
+
+        def poll(self, *args):
+            if thread is None or threading.current_thread() is thread:
+                waits.append(args)
+            return self._poll.poll(*args)
+
+    monkeypatch.setattr(select, "poll", CountingPoll)
+    return waits
 
 
 def fields(line: str) -> tuple[str, dict]:

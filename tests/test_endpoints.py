@@ -1,6 +1,9 @@
 """End-to-end loopback sessions: honest runs, rejection paths, persistence."""
 
 import logging
+import os
+import re
+import resource
 import select
 import shlex
 import socket
@@ -8,6 +11,7 @@ import struct
 import sys
 import threading
 import time
+from contextlib import suppress
 from types import SimpleNamespace
 
 import pytest
@@ -27,7 +31,7 @@ from vitalink.endpoints import (
     parse_reading_line,
     run_device,
 )
-from vitalink.errors import ConfigurationError, EndOfStream, InvalidPeerKey
+from vitalink.errors import ConfigurationError, EndOfStream, FrameTimeout, InvalidPeerKey
 from vitalink.handshake import TICKET_LIFETIME_S, ClientHandshake, Resumption, ServerHandshake
 from vitalink.records import (
     MAGIC,
@@ -47,7 +51,8 @@ from vitalink.records import (
     record_seal,
 )
 
-from conftest import BAD_ROOTS, FullDisk, Pki, bad_root, forged_ticket, terminal
+from conftest import (BAD_ROOTS, FullDisk, Pki, bad_root, count_polls, forged_ticket, terminal,
+                      terminal_lines)
 
 
 @pytest.fixture()
@@ -430,6 +435,60 @@ def test_the_session_established_line_names_the_subject_and_the_socket_address(
     }
 
 
+def test_an_ipv6_address_is_logged_in_brackets(toy_pki, tmp_path, caplog):
+    # RFC 5952 section 6: `::1:7700` would read as an address with no port
+    caplog.set_level(logging.INFO, logger="vitalink")
+    toy_pki.write_files(tmp_path)
+    srv = IngestionServer(ServerConfig(
+        listen_host="::1", key_path=str(tmp_path / "server.vlk"),
+        cred_path=str(tmp_path / "server.vlc"), root_path=str(tmp_path / "root.vlc"),
+        store_dir=str(tmp_path / "store"),
+    ))
+    srv.start()
+    try:
+        report = run_device(device_cfg(tmp_path, srv.port, server_host="::1", count=1))
+    finally:
+        srv.stop()
+    assert report.error is None
+    messages = [r.getMessage() for r in caplog.records]
+    assert f"listening addr=[::1]:{srv.port}" in messages
+    [(event, pairs)] = terminal_lines(messages)
+    assert event == "session_closed" and re.fullmatch(r"\[::1\]:\d+", pairs["peer"])
+
+
+def test_a_session_runs_on_descriptors_past_1024(toy_pki, tmp_path):
+    # `select` refuses a descriptor of 1024 or more; past 1030 held here, the
+    # server's and the device's sockets both get one
+    held_count = 1030
+    soft, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+    want = held_count + 64
+    if soft < want:
+        if hard != resource.RLIM_INFINITY and hard < want:
+            pytest.skip(f"the hard limit of {hard} descriptors is too low")
+        resource.setrlimit(resource.RLIMIT_NOFILE, (want, hard))
+    toy_pki.write_files(tmp_path)
+    held = []
+    try:
+        for _ in range(held_count):
+            held.append(os.open(os.devnull, os.O_RDONLY))
+        srv = IngestionServer(ServerConfig(
+            key_path=str(tmp_path / "server.vlk"), cred_path=str(tmp_path / "server.vlc"),
+            root_path=str(tmp_path / "root.vlc"), store_dir=str(tmp_path / "store"),
+        ))
+        srv.start()
+        try:
+            report = run_device(device_cfg(tmp_path, srv.port, count=3))
+        finally:
+            srv.stop()
+    finally:
+        for fd in held:
+            os.close(fd)
+        resource.setrlimit(resource.RLIMIT_NOFILE, (soft, hard))
+    assert max(held) >= 1024
+    assert report.error is None and report.sent_count == 3
+    assert len(read_store_lines(srv)) == 3
+
+
 def test_a_trickling_client_is_cut_at_the_frame_deadline(pki, files, tmp_path, caplog,
                                                           monkeypatch):
     caplog.set_level(logging.INFO, logger="vitalink")
@@ -640,9 +699,10 @@ def serve_one_session(pki, ending):
             if ending == "no_verdict":
                 device_left.wait(10.0)
                 return
-            if ending == "held_verdict" and (
-                    reader.has_frame() or select.select([conn], [], [], 0.3)[0]):
-                frame_write(conn, Frame(TYPE_ABORT, b""))  # a record came before it
+            if ending == "held_verdict":
+                with suppress(FrameTimeout):  # a record that comes before it is aborted
+                    frame_read(reader, timeout=0.3)
+                    frame_write(conn, Frame(TYPE_ABORT, b""))
             frame_write(conn, Frame(TYPE_NEW_TICKET, tickets[0]))
             conn.settimeout(10.0)
             while conn.recv(4096):  # the readings and the Close, up to SHUT_WR
@@ -789,22 +849,14 @@ def test_the_device_writes_no_reading_before_the_verdict(toy_pki, tmp_path):
     assert [r.ticket for r in endpoints._TICKETS.values()] == sent
 
 
-def test_a_session_makes_no_select_per_reading(toy_pki, tmp_path, monkeypatch):
+def test_a_session_makes_no_poll_per_reading(toy_pki, tmp_path, monkeypatch):
     toy_pki.write_files(tmp_path)
     srv = IngestionServer(ServerConfig(
         key_path=str(tmp_path / "server.vlk"), cred_path=str(tmp_path / "server.vlc"),
         root_path=str(tmp_path / "root.vlc"), store_dir=str(tmp_path / "store"),
     ))
     srv.start()
-    main, calls = threading.current_thread(), []
-    real_select = select.select
-
-    def counting_select(*args):
-        if threading.current_thread() is main:
-            calls.append(args)
-        return real_select(*args)
-
-    monkeypatch.setattr(select, "select", counting_select)
+    polls = count_polls(monkeypatch, threading.current_thread())
     try:
         report = run_device(device_cfg(tmp_path, srv.port, count=50))
     finally:
@@ -812,7 +864,7 @@ def test_a_session_makes_no_select_per_reading(toy_pki, tmp_path, monkeypatch):
         srv.stop()
     assert report.error is None and report.sent_count == 50
     # one per read, at most two for a frame split across segments
-    assert len(calls) <= 6
+    assert 3 <= len(polls) <= 6
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,14 @@ def names_read(trees: dict) -> set:
     return used
 
 
+def names_read_anywhere() -> set:
+    """Every name the package, its tests or the bench reads."""
+    used = set()
+    for directory in (PACKAGE_DIR, REPO / "tests", REPO / "bench"):
+        used |= names_read(parse_all(directory))
+    return used
+
+
 def top_level_names(trees: dict) -> list:
     """(module, name) for each constant, function and class a module defines."""
     out = []
@@ -71,11 +79,21 @@ def test_every_private_top_level_name_is_used():
 def test_every_public_top_level_name_is_read_somewhere():
     # a public name that neither the package, its tests nor the bench reads is dead code
     trees = parse_all(PACKAGE_DIR)
-    used = set()
-    for directory in (PACKAGE_DIR, REPO / "tests", REPO / "bench"):
-        used |= names_read(parse_all(directory))
+    used = names_read_anywhere()
     dead = [f"{module}: {d}" for module, d in top_level_names(trees)
             if not d.startswith("_") and d not in used]
+    assert dead == []
+
+
+def test_every_public_method_is_read_somewhere():
+    # a public method that nothing reads is dead code, which the checks on
+    # top-level names and assigned attributes do not see
+    trees = parse_all(PACKAGE_DIR)
+    used = names_read_anywhere()
+    dead = [f"{module}: {cls.name}.{node.name}" for module, tree in trees.items()
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_") and node.name not in used]
     assert dead == []
 
 

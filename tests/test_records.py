@@ -38,6 +38,8 @@ from vitalink.records import (
     record_seal,
 )
 
+from conftest import count_polls
+
 KEY = bytes(range(16))
 SALT = b"\x0a\x0b\x0c\x0d"
 
@@ -229,7 +231,7 @@ class CountingSocket:
 
 
 class Segments:
-    """Delivers `segments` one per receive call, then EOF; `select` always
+    """Delivers `segments` one per receive call, then EOF; `poll` always
     sees it readable, so each read shows exactly which bytes were buffered."""
 
     def __init__(self, segments):
@@ -255,23 +257,14 @@ FRAMES = [Frame(TYPE_DATA, bytes([i]) * (19 + 16)) for i in range(5)] + [Frame(T
 WIRE = b"".join(f.encode() for f in FRAMES)
 
 
-def test_frames_arriving_in_one_segment_cost_one_recv_and_one_select(monkeypatch):
-    import select as select_module
-
-    selects = []
-    real_select = select_module.select
-
-    def counting_select(*args):
-        selects.append(args)
-        return real_select(*args)
-
+def test_frames_arriving_in_one_segment_cost_one_recv_and_one_poll(monkeypatch):
+    polls = count_polls(monkeypatch)
     a, b = socket_pair()
     a.sendall(WIRE)
     counted = CountingSocket(b)
     reader = FrameReader(counted)
-    monkeypatch.setattr(select_module, "select", counting_select)
     assert [reader.read(timeout=2.0) for _ in FRAMES] == FRAMES
-    assert counted.recvs == 1 and len(selects) == 1
+    assert counted.recvs == 1 and len(polls) == 1
     assert len(reader._buf) == 0
     a.close(); b.close()
 

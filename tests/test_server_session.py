@@ -10,7 +10,7 @@ import pytest
 
 from vitalink import keyfiles
 from vitalink.endpoints import IngestionServer, ServerConfig, ServerSession, parse_reading_line
-from vitalink.errors import EndOfStream, StoreError, VitalinkError
+from vitalink.errors import EndOfStream, VitalinkError
 from vitalink.handshake import ClientHandshake
 from vitalink.records import (
     MAX_READINGS_PER_RECORD,
@@ -190,30 +190,31 @@ def test_a_connection_error_gets_no_reply(toy_pki, server, endings):
         **counts("-", "-", 0)})]
 
 
-@pytest.mark.parametrize("at", ["wait", "fault", "close"])
+def test_a_data_record_is_on_disk_when_receive_returns(toy_pki, server):
+    session = ServerSession(server, PEER)
+    _, tx = establish(session, toy_pki)
+    for n, record in enumerate(data_records(tx, 2), 1):
+        assert session.receive(record) == []
+        assert len(stored(server)) == n * MAX_READINGS_PER_RECORD
+
+
+@pytest.mark.parametrize("at", ["readings", "alerts"])
 def test_a_store_that_cannot_write_ends_the_session_in_one_line(toy_pki, server, endings, at):
-    # the held lines fail to go out at the flush before a wait, at the one
-    # `fail` makes for a bad tag on the next record, or at the Close's: the
-    # server's fault, answered with an Abort, so a device that has sent its
+    # the store fails at the record's own readings write or at its alert's:
+    # the server's fault, answered with an Abort, so a device that has sent its
     # Close does not take the hang-up for success
     session = ServerSession(server, PEER)
     session_hex, tx = establish(session, toy_pki)
-    first, second = data_records(tx, 2)
-    second.body = second.body[:-1] + bytes([second.body[-1] ^ 1])
-    assert feed(session, first) == []
-    server.store._readings = FullDisk(server.store._readings)
-    if at == "wait":
-        with pytest.raises(StoreError) as info:
-            session.flush()
-        assert [f.frame_type for f in session.fail(info.value)] == [TYPE_ABORT]
-    elif at == "fault":
-        assert feed(session, second) == [TYPE_ABORT]
-    else:
-        assert feed(session, record_seal(tx, TYPE_CLOSE, b"")) == [TYPE_ABORT]
-    session.close()  # nothing is left to write again
+    breach = b"".join(reading_encode(HeartRateReading(1000 * i, 180)) for i in range(3))
+    name = f"_{at}"
+    setattr(server.store, name, FullDisk(getattr(server.store, name)))
+    assert feed(session, record_seal(tx, TYPE_DATA, breach)) == [TYPE_ABORT]
+    session.close()
+    kept = 0 if at == "readings" else 3
     assert endings() == [("session_fatal", {
         "cause": "StoreError", "detail": "[Errno 28] No space left on device",
-        **counts(session_hex, "full", 0)})]
+        **counts(session_hex, "full", kept)})]
+    assert len(stored(server)) == kept
 
 
 def test_an_alert_line_names_the_subject_the_device_id_cannot(toy_pki, server, caplog):

@@ -6,7 +6,6 @@ after, an Abort back to the device, one log line naming the cause, and no
 exception out of the handler."""
 
 import logging
-import math
 import socket
 import threading
 import time
@@ -22,7 +21,6 @@ from vitalink.handshake import ClientHandshake, Resumption
 from vitalink.records import (
     FRAME_TYPES,
     MAX_BODY,
-    READ_CHUNK,
     TYPE_ABORT,
     TYPE_CLIENT_FINISH,
     TYPE_CLIENT_HELLO,
@@ -469,8 +467,8 @@ def test_a_reply_to_a_peer_abort_that_cannot_be_written_adds_no_second_line(
 
 
 # ---------------------------------------------------------------------------
-# burst ingest: the readings buffered on a connection go to the store in one
-# write, before the server waits again, stores an alert, or ends the session
+# ingest: each Data record's readings go to the store in one write as the
+# record is opened, before its alerts are stored
 
 
 def as_rows(readings) -> list:
@@ -482,13 +480,13 @@ def stored_rows(server, session_hex=None) -> list:
 
 
 @pytest.mark.parametrize("readings", [1, 95, 200])
-def test_a_burst_is_persisted_in_order_in_one_write_per_chunk(toy_pki, server, lines,
-                                                               monkeypatch, readings):
-    bursts = []
+def test_a_burst_is_persisted_in_order_in_one_write_per_record(toy_pki, server, lines,
+                                                                monkeypatch, readings):
+    writes = []
     append = Store.append_reading
 
     def spy(store, lines):
-        bursts.append(len(lines))
+        writes.append(len(lines))
         append(store, lines)
 
     monkeypatch.setattr(Store, "append_reading", spy)
@@ -504,10 +502,7 @@ def test_a_burst_is_persisted_in_order_in_one_write_per_chunk(toy_pki, server, l
     assert lines.problems() == []
     assert stored_rows(server, keys.session_id.hex()) == as_rows(
         sensor_readings(21, readings))
-    assert sum(bursts) == readings
-    # a one-reading Data frame is 35 bytes on the wire
-    frame_len = records.HEADER_LEN + READING_LEN + gcm.TAG_LEN
-    assert len(bursts) <= math.ceil(readings * frame_len / READ_CHUNK) + 1, bursts
+    assert writes == [1] * readings  # one write per one-reading record
 
 
 def test_buffered_readings_are_on_disk_before_the_server_waits_again(toy_pki, server, lines):
@@ -804,8 +799,8 @@ def test_a_bad_reading_inside_a_record_stores_the_readings_before_it(
     assert stored_rows(server, keys.session_id.hex()) == as_rows(sent[:64 + j])
 
 
-def test_records_of_1_to_64_readings_are_stored_in_order(toy_pki, server, lines):
-    sizes = (64, 1, 2, 63, 7)
+def test_records_of_1_to_256_readings_are_stored_in_order(toy_pki, server, lines):
+    sizes = (256, 1, 2, 255, 7)
     sent = sensor_readings(34, sum(sizes))
 
     def device_side(reader):
