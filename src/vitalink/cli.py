@@ -15,7 +15,7 @@ import threading
 import time
 from pathlib import Path
 
-from . import curves, keyfiles
+from . import curves, keyfiles, records
 from . import credentials as creds
 from .credentials import Role
 from .endpoints import (DeviceConfig, IngestionServer, ServerConfig, check_identity,
@@ -246,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_SEED, default=None)
     p.add_argument("--anomaly-script", default=None)
     p.add_argument("--realtime", action="store_true",
-                   help="sleep the sample interval between readings")
+                   help="sleep the sample interval between readings; the interval must "
+                        f"then be under the {records.READ_TIMEOUT_S:g} s frame read timeout")
     p.set_defaults(func=cmd_device)
 
     p = sub.add_parser("proxy", help="run the tamper proxy")

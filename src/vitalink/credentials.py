@@ -20,8 +20,8 @@ from __future__ import annotations
 import functools
 import os
 import struct
-from dataclasses import dataclass, replace
 from enum import IntEnum
+from typing import NamedTuple
 
 from . import curves
 from .curves import CurveSuite, Point, RandomSource
@@ -43,8 +43,7 @@ class Role(IntEnum):
     ISSUER = 2
 
 
-@dataclass(frozen=True)
-class SchnorrSig:
+class SchnorrSig(NamedTuple):
     R: Point
     s: int
 
@@ -118,8 +117,7 @@ def decode_subject(raw: bytes) -> str:
     return raw.rstrip(b"\x00").decode("utf-8")
 
 
-@dataclass(frozen=True)
-class Credential:
+class Credential(NamedTuple):
     version: int
     subject_id: bytes
     role: Role
@@ -197,7 +195,7 @@ def credential_issue(
     )
     issuer_pub = curves.scalar_mul(issuer_priv, suite.G, suite)
     sig = schnorr_sign(issuer_priv, issuer_pub, unsigned.tbs(suite), suite, rng)
-    return replace(unsigned, signature=sig)
+    return unsigned._replace(signature=sig)
 
 
 # verification outcomes; OK is None, everything else names the rejection cause

@@ -28,7 +28,8 @@ all of them, MAX_READINGS_PER_RECORD (256) to a record, so 1000 go out as
 256, 256, 256 and 232 (one `frame_write` each). Records go out with no
 read between them, so an Abort mid-stream shows as the write error the
 server's hang-up causes, or after the Close. A frame read waits at most
-`records.READ_TIMEOUT_S`, read as it starts.
+`records.READ_TIMEOUT_S`, read as it starts, so a `realtime` interval must
+be shorter, or the server times out between two records.
 
 A process checks its own identity once, at startup, with `check_identity`:
 `IngestionServer` when it is made, and the `device` command before its
@@ -46,8 +47,8 @@ import socket
 import threading
 import time
 from contextlib import suppress
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import credentials, curves, gcm, keyfiles, records, telemetry
 from .credentials import Credential, Role, credential_len, decode_subject
@@ -144,8 +145,7 @@ def detect_suite_for_credential(path) -> CurveSuite:
 # persistence
 
 
-@dataclass(frozen=True)
-class StoreRecord:
+class StoreRecord(NamedTuple):
     """One parsed readings line."""
 
     session_id: str  # hex of the transcript digest
@@ -222,15 +222,14 @@ class Store:
 # server
 
 
-@dataclass
-class ServerConfig:
+class ServerConfig(NamedTuple):
     listen_host: str = "127.0.0.1"
     listen_port: int = 0
     key_path: str = ""
     cred_path: str = ""
     root_path: str = ""
     store_dir: str = "store"
-    anomaly: AnomalyConfig = field(default_factory=AnomalyConfig)
+    anomaly: AnomalyConfig = AnomalyConfig()
 
 
 class IngestionServer:
@@ -422,8 +421,7 @@ class ServerSession:
 # device
 
 
-@dataclass
-class DeviceConfig:
+class DeviceConfig(NamedTuple):
     server_host: str = "127.0.0.1"
     server_port: int = 0
     key_path: str = ""
@@ -438,12 +436,14 @@ class DeviceConfig:
     start_ms: int | None = None
 
 
-@dataclass
 class DeviceReport:
-    session_id: str = ""
-    duration_s: float = 0.0
-    sent: list = field(default_factory=list)  # (timestamp_ms, bpm) pairs
-    error: str | None = None
+    """What one `run_device` session did, filled in as it goes."""
+
+    __slots__ = ("session_id", "duration_s", "sent", "error")
+
+    def __init__(self):
+        self.session_id, self.duration_s, self.error = "", 0.0, None
+        self.sent = []  # (timestamp_ms, bpm) pairs
 
     @property
     def sent_count(self) -> int:
@@ -463,6 +463,10 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
     """
     if cfg.interval_ms < 100:
         raise ValueError("sample interval must be at least 100 ms")
+    if cfg.realtime and cfg.interval_ms >= records.READ_TIMEOUT_S * 1000:
+        # the server's wait for the next record would end first
+        raise ValueError("a realtime sample interval must be under the "
+                         f"{records.READ_TIMEOUT_S:g} s frame read timeout")
     if cfg.count < 1:
         raise ValueError("count must be at least 1")
     if cfg.start_ms is not None and cfg.start_ms < 0:

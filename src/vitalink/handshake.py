@@ -75,7 +75,7 @@ import enum
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import credentials as creds
 from . import curves, gcm, kdf
@@ -115,27 +115,36 @@ class Phase(enum.Enum):
     FAILED = "Failed"
 
 
-@dataclass
 class SessionKeys:
-    c2s_key: bytes
-    c2s_salt: bytes
-    client_fin_key: bytes
-    server_fin_key: bytes
-    session_id: bytes = b""
-    resumption_secret: bytes = b""
-    prk: bytes = field(default=b"", repr=False)  # kept only until establishment
+    """One session's keys; equal on both sides of it. It has no repr of its
+    fields, which are secrets."""
+
+    __slots__ = ("c2s_key", "c2s_salt", "client_fin_key", "server_fin_key", "session_id",
+                 "resumption_secret", "prk")
+
+    def __init__(self, c2s_key: bytes, c2s_salt: bytes, client_fin_key: bytes,
+                 server_fin_key: bytes, prk: bytes = b""):
+        self.c2s_key, self.c2s_salt = c2s_key, c2s_salt
+        self.client_fin_key, self.server_fin_key = client_fin_key, server_fin_key
+        self.session_id = self.resumption_secret = b""  # set at establishment
+        self.prk = prk  # kept only until establishment
+
+    def __eq__(self, other) -> bool:
+        return type(other) is SessionKeys and all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
-@dataclass(frozen=True)
-class LocalIdentity:
+class LocalIdentity(NamedTuple):
     """Static keypair plus the credential vouching for it."""
 
     static_priv: int
     credential: Credential
 
+    def __repr__(self) -> str:  # without the private key
+        return f"LocalIdentity(credential={self.credential!r})"
 
-@dataclass(frozen=True)
-class Resumption:
+
+class Resumption(NamedTuple):
     """What a device keeps from one session to resume its next with the same
     server: the NewTicket body (opaque to it), that session's resumption
     secret, and the server credential it checked then."""
@@ -143,6 +152,9 @@ class Resumption:
     ticket: bytes
     secret: bytes
     server: Credential
+
+    def __repr__(self) -> str:  # without the secret
+        return f"Resumption(ticket={self.ticket!r}, server={self.server!r})"
 
 
 def derive_session_keys(

@@ -25,7 +25,7 @@ import logging
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import credentials as creds
 from . import curves
@@ -58,13 +58,14 @@ DATA_MODES = (
 MODES = ("passthrough", *DATA_MODES, "forge_handshake")
 
 
-@dataclass(frozen=True)
-class TamperPlan:
-    mode: str = "passthrough"
-    target_index: int = 0  # which c2s Data frame, 0-based
-    bit_offset: int = 0
+class TamperPlan(namedtuple("TamperPlan", "mode target_index bit_offset",
+                            defaults=("passthrough", 0, 0))):
+    """One run's fault: `mode` on the c2s Data frame at `target_index`,
+    0-based. An unknown mode or a negative index raises `ValueError`."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):  # the fields are set before it runs
         if self.mode not in MODES:
             raise ValueError(f"unknown tamper mode {self.mode!r}")
         if self.target_index < 0:

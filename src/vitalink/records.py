@@ -26,8 +26,8 @@ from __future__ import annotations
 import select
 import socket
 import struct
-from dataclasses import dataclass, field
 from time import monotonic
+from typing import NamedTuple
 
 from . import gcm, telemetry
 from .errors import (
@@ -78,8 +78,7 @@ RECORD_BODIES = {(TYPE_CLOSE, gcm.TAG_LEN)} | {(TYPE_DATA, j * telemetry.READING
 MAX_BODY = max(length for _, length in RECORD_BODIES)
 
 
-@dataclass
-class Frame:
+class Frame(NamedTuple):
     frame_type: int
     body: bytes
 
@@ -108,23 +107,21 @@ def parse_header(header: bytes) -> tuple[int, int]:
     return frame_type, length
 
 
-@dataclass
 class DirectionState:
     """One direction's key, nonce salt, and sequence counter.
 
     Owned by exactly one sender or one receiver; the counter doubles as
     send_seq or recv_seq depending on which side holds it. Its one
     `gcm.GcmKey` serves every record of the direction and runs each
-    record's AES blocks when it is sealed or opened.
+    record's AES blocks when it is sealed or opened. It has no repr of its
+    fields, which are secrets.
     """
 
-    key: bytes
-    salt: bytes
-    seq: int = 0
-    gcm_key: gcm.GcmKey = field(init=False, repr=False, compare=False)
+    __slots__ = ("key", "salt", "seq", "gcm_key")
 
-    def __post_init__(self) -> None:
-        self.gcm_key = gcm.GcmKey(self.key)
+    def __init__(self, key: bytes, salt: bytes, seq: int = 0):
+        self.key, self.salt, self.seq = key, salt, seq
+        self.gcm_key = gcm.GcmKey(key)
 
     def _next_nonce(self) -> bytes:
         """The nonce of the record at `seq`."""

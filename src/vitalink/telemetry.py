@@ -19,8 +19,7 @@ from __future__ import annotations
 import math
 import random
 import struct
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from typing import Iterator, NamedTuple
 
 from .errors import MalformedReading
@@ -69,8 +68,7 @@ def _checked(readings: Iterator[tuple[int, int, int]]) -> Iterator[tuple[int, in
         yield r
 
 
-@dataclass
-class ScriptSegment:
+class ScriptSegment(NamedTuple):
     """Force a fixed bpm for reading indices start..end inclusive."""
 
     start: int
@@ -129,13 +127,13 @@ class SensorSim:
         return HeartRateReading(now_ms, bpm, STATUS_OK)
 
 
-@dataclass(frozen=True)
-class AnomalyConfig:
-    low: int = 40
-    high: int = 150
-    consecutive: int = 3
+class AnomalyConfig(namedtuple("AnomalyConfig", "low high consecutive", defaults=(40, 150, 3))):
+    """The detector's thresholds. A `consecutive` below 1, or thresholds
+    out of order or out of range, raise `ValueError`."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):  # the fields are set before it runs
         if self.consecutive < 1:
             raise ValueError(f"consecutive must be at least 1, not {self.consecutive}")
         if not 0 <= self.low < self.high <= BPM_MAX:
@@ -143,8 +141,7 @@ class AnomalyConfig:
                              f"not low={self.low} high={self.high}")
 
 
-@dataclass(frozen=True)
-class AnomalyAlert:
+class AnomalyAlert(NamedTuple):
     window_start_ms: int
     window_end_ms: int
     observed_bpm: tuple

@@ -4,7 +4,6 @@ import select
 import shlex
 import threading
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -56,10 +55,10 @@ class Pki:
         """A device identity signed by the root whose subject field is `raw`
         padded with NUL, past the checks `credential_issue` makes."""
         device = self.issue_device("placeholder", keyfiles.drbg(88))
-        cred = replace(device.credential, subject_id=raw.ljust(creds.SUBJECT_LEN, b"\x00"))
+        cred = device.credential._replace(subject_id=raw.ljust(creds.SUBJECT_LEN, b"\x00"))
         sig = creds.schnorr_sign(self.root_priv, self.root.static_pub, cred.tbs(self.suite),
                                  self.suite, keyfiles.drbg(89))
-        return LocalIdentity(device.static_priv, replace(cred, signature=sig))
+        return LocalIdentity(device.static_priv, cred._replace(signature=sig))
 
     def write_files(self, directory):
         suite = self.suite

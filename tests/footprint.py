@@ -1,6 +1,8 @@
 """Runs what a `vitalink serve` or `vitalink device` process runs, on the toy
-suite, and prints as JSON which OpenSSL-backed modules got loaded and which
-module `kdf` took SHA-256 from. It needs nothing but the package:
+suite, and prints as JSON which OpenSSL-backed modules got loaded, which
+module `kdf` took SHA-256 from, and which of `dataclasses` and the
+introspection modules it imports got loaded. It needs nothing but the
+package:
 
     PYTHONPATH=src python tests/footprint.py
 
@@ -22,6 +24,7 @@ from vitalink.credentials import Role
 from vitalink.endpoints import DeviceConfig, IngestionServer, ServerConfig, run_device
 
 OPENSSL_MODULES = ("hashlib", "_hashlib", "hmac", "ssl", "_ssl")
+INTROSPECTION_MODULES = ("dataclasses", "inspect", "ast", "dis")
 
 
 def write_toy_pki(directory: Path) -> None:
@@ -60,11 +63,12 @@ def main() -> None:
         finally:
             server.stop()
         stored = (d / "store" / "readings.log").read_text().splitlines()
-    assert report.error is None and report.sent_count == len(stored) == 3, report
+    assert report.error is None and report.sent_count == len(stored) == 3, report.error
     print(json.dumps({
         "python": ".".join(map(str, sys.version_info[:3])),
         "loaded": [m for m in OPENSSL_MODULES if m in sys.modules],
         "sha256_module": kdf._sha256.__module__,
+        "introspection_loaded": [m for m in INTROSPECTION_MODULES if m in sys.modules],
     }))
 
 

@@ -308,6 +308,15 @@ def test_the_cli_refuses_toy_suite_files(command, toy_pki, tmp_path, capsys, mon
     assert not (tmp_path / "store").exists()
 
 
+def test_a_realtime_device_needs_an_interval_under_the_read_timeout(pki, tmp_path, capsys):
+    # the server would time out waiting for the second record
+    pki.write_files(tmp_path)
+    argv = endpoint_argv("device", tmp_path) + ["--realtime", "--interval-ms", "10000"]
+    code, out, err = run(argv, capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "error: a realtime sample interval must be under the 10 s frame read timeout" in err
+
+
 @pytest.mark.parametrize("mode", [0o644, 0o640, 0o600, 0o400],
                          ids=["0644", "0640", "0600", "0400"])
 @pytest.mark.parametrize("command", ["serve", "device"])

@@ -2,7 +2,6 @@
 
 import sys
 import threading
-from dataclasses import replace
 
 import pytest
 
@@ -324,8 +323,8 @@ def test_a_forged_credential_checked_twice_makes_one_schnorr_check(verifies):
     rng = keyfiles.drbg(34)
     root_d, root = _root(P256, rng)
     leaf = _leaf(root_d, root, P256, rng)
-    bad = replace(leaf, signature=SchnorrSig(leaf.signature.R,
-                                             (leaf.signature.s + 1) % P256.n))
+    bad = leaf._replace(signature=SchnorrSig(leaf.signature.R,
+                                            (leaf.signature.s + 1) % P256.n))
     for _ in range(2):
         assert credential_verify(bad, root, NOW, P256) == BAD_SIGNATURE
     assert len(verifies) == 1

@@ -163,8 +163,9 @@ def test_a_realtime_device_sleeps_between_records_not_after_its_last(files, serv
     assert sleeps == [1.0, 1.0]
 
 
-@pytest.mark.parametrize("bad", [dict(interval_ms=99), dict(count=0), dict(start_ms=-1)],
-                         ids=["interval", "count", "start"])
+@pytest.mark.parametrize("bad", [dict(interval_ms=99), dict(count=0), dict(start_ms=-1),
+                                 dict(realtime=True, interval_ms=10_000)],
+                         ids=["interval", "count", "start", "realtime_interval"])
 def test_run_device_refuses_a_bad_config_before_it_connects(files, monkeypatch, bad):
     monkeypatch.setattr(socket, "create_connection", None)  # any connect would fail loudly
     with pytest.raises(ValueError):

@@ -28,6 +28,7 @@ from vitalink.handshake import (
     ServerHandshake,
     derive_session_keys,
 )
+from vitalink.records import DirectionState
 
 from conftest import Pki, forged_ticket
 
@@ -393,6 +394,24 @@ def resumed_pair(pki, ticket_key, now=None):
     server = ServerHandshake(pki.server, pki.root, suite=pki.suite, now=now,
                              ticket_key=ticket_key)
     return client, server
+
+
+def test_no_repr_shows_a_secret(pki):
+    # a repr reaches a log line or a failed test's report
+    client, _ = resumed_pair(pki, GcmKey(os.urandom(16)))
+    _, _, keys, _, _ = run_handshake(pki)
+    shown = {
+        repr(pki.device): [pki.device.static_priv],
+        repr(client.resumption): [client.resumption.secret],
+        repr(keys): [keys.c2s_key, keys.c2s_salt, keys.client_fin_key, keys.server_fin_key,
+                     keys.resumption_secret],
+        repr(DirectionState(keys.c2s_key, keys.c2s_salt)): [keys.c2s_key, keys.c2s_salt],
+    }
+    for text, secrets in shown.items():
+        for secret in secrets:
+            forms = (str(secret), f"{secret:x}") if isinstance(secret, int) else (
+                repr(secret), secret.hex())
+            assert not any(form in text for form in forms), text
 
 
 def test_a_resumed_session_agrees_on_new_keys_without_a_signature(pki, monkeypatch):

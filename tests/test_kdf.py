@@ -103,17 +103,27 @@ def test_compare_digest():
     assert compare_digest(memoryview(mac)[16:], mac[16:])  # a slice of a received frame
 
 
-def test_no_process_of_the_package_loads_openssl():
-    # `hashlib`, `hmac` and `ssl` map libcrypto into the process, about 3.5 MB
-    pytest.importorskip("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+@pytest.fixture(scope="module")
+def footprint():
+    """What tests/footprint.py reports of a server and a device session."""
     proc = subprocess.run(
         [sys.executable, str(TESTS / "footprint.py")], capture_output=True, text=True,
         timeout=60, env=dict(os.environ, PYTHONPATH=str(TESTS.parent / "src")),
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["loaded"] == []
-    assert result["sha256_module"] in sys.stdlib_module_names
+    return json.loads(proc.stdout)
+
+
+def test_no_process_of_the_package_loads_openssl(footprint):
+    # `hashlib`, `hmac` and `ssl` map libcrypto into the process, about 3.5 MB
+    pytest.importorskip("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+    assert footprint["loaded"] == []
+    assert footprint["sha256_module"] in sys.stdlib_module_names
+
+
+def test_no_process_of_the_package_loads_dataclasses_or_inspect(footprint):
+    # `dataclasses` imports `inspect`, `ast` and `dis`: about 0.9 MB of peak RSS
+    assert footprint["introspection_loaded"] == []
 
 
 def test_hmac_key_separation():

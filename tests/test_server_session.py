@@ -145,7 +145,7 @@ def test_a_bad_tag_on_the_third_record_keeps_the_first_two(toy_pki, server, endi
     session = ServerSession(server, PEER)
     session_hex, tx = establish(session, toy_pki)
     first, second, third = data_records(tx, 3)
-    third.body = third.body[:-1] + bytes([third.body[-1] ^ 1])
+    third = third._replace(body=third.body[:-1] + bytes([third.body[-1] ^ 1]))
     assert [feed(session, r) for r in (first, second, third)] == [[], [], [TYPE_ABORT]]
     session.close()
     assert endings() == [("record_auth_failure", {
