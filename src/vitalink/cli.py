@@ -11,7 +11,6 @@ import logging
 import os
 import signal
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -79,16 +78,17 @@ def _rng(seed):
 
 
 def _run_until_signalled(service, listen: str) -> int:
-    """Starts a server or proxy, serves until SIGINT or SIGTERM, then stops
-    it, also when it could not start. A `listen` address it cannot bind is
-    a usage error."""
-    shutdown = threading.Event()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, lambda *_: shutdown.set())
+    """Binds a server or proxy, runs its loop on this, the main, thread
+    until SIGINT or SIGTERM, then stops it, also when it could not bind. A
+    `listen` address it cannot bind is a usage error."""
+    for sig in (signal.SIGINT, signal.SIGTERM):  # until the loop runs, as SIGINT does
+        signal.signal(sig, signal.default_int_handler)
     try:
-        service.start()
-        shutdown.wait()
-    except OSError as exc:  # from start(): the listening socket could not be made
+        loop = service.listen()
+        for sig in (signal.SIGINT, signal.SIGTERM):  # on this thread it only asks
+            signal.signal(sig, lambda *_: loop.stop())
+        loop.run()
+    except OSError as exc:  # from listen(): the listening socket could not be made
         # the system's reason, without the address `create_server` appends;
         # a failed name lookup has a negative errno
         reason = os.strerror(exc.errno) if (exc.errno or 0) > 0 else exc.strerror or exc

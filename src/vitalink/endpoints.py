@@ -3,10 +3,10 @@ and ships heart-rate readings, and the ingestion server that terminates
 the secure channel, persists readings, and raises anomaly alerts.
 
 On the server, a `ServerSession` per connection, fed whole frames, makes
-every decision; `IngestionServer._handle` only reads, feeds and writes.
-Persistence is append-only line-delimited text, one write per Data
-record's readings as it is opened, so concurrent sessions never
-interleave within a record.
+every decision; `IngestionServer._handle`, which the `listener` loop calls
+at each event on a connection, only reads, feeds and writes. Persistence
+is append-only line-delimited text, one write per Data record's readings
+as it is opened.
 
 Every established session ends its handshake with a NewTicket from the
 server, sealed under a ticket key made when the server starts and never
@@ -44,7 +44,6 @@ from __future__ import annotations
 import logging
 import os
 import socket
-import threading
 import time
 from contextlib import suppress
 from pathlib import Path
@@ -65,7 +64,7 @@ from .errors import (
     VitalinkError,
 )
 from .handshake import ClientHandshake, LocalIdentity, Phase, Resumption, ServerHandshake
-from .listener import Listener, host_port
+from .listener import Connection, Listener, host_port
 from .records import (
     MAX_READINGS_PER_RECORD,
     RECORD_BODIES,
@@ -175,19 +174,19 @@ def parse_reading_line(line: str) -> StoreRecord:
 
 
 class Store:
-    """Append-only readings and alerts logs, safe for concurrent sessions.
+    """Append-only readings and alerts logs.
 
-    Each call writes until all its bytes are on disk, under one lock, so
-    the lines of one call never interleave with another's. The server
-    writes each Data record's readings in one call as it opens the record,
-    so a crash loses at most the record being opened, none of it promised
-    stored (the protocol has no Ack). Nothing is fsynced. It writes the
-    lines `ServerSession` builds; a failed write is a `StoreError`.
+    Each call writes until all its bytes are on disk, within one call of
+    the server's loop, so the lines of one call never interleave with
+    another's. The server writes each Data record's readings in one call
+    as it opens the record, so a crash loses at most the record being
+    opened, none of it promised stored (the protocol has no Ack). Nothing
+    is fsynced. It writes the lines `ServerSession` builds; a failed
+    write is a `StoreError`.
     """
 
     def __init__(self, directory):
         self.dir = Path(directory)
-        self._lock = threading.Lock()
         try:
             self.dir.mkdir(parents=True, exist_ok=True)
             self._readings = open(self.dir / "readings.log", "ab", buffering=0)
@@ -205,17 +204,15 @@ class Store:
 
     def _append(self, fh, lines: list[str]) -> None:
         data = memoryview(("\n".join(lines) + "\n").encode("utf-8"))
-        with self._lock:
-            try:
-                while data:  # an unbuffered write may take only part of it
-                    data = data[fh.write(data):]
-            except OSError as exc:
-                raise StoreError(str(exc)) from exc
+        try:
+            while data:  # an unbuffered write may take only part of it
+                data = data[fh.write(data):]
+        except OSError as exc:
+            raise StoreError(str(exc)) from exc
 
     def close(self) -> None:
-        with self._lock:
-            self._readings.close()
-            self._alerts.close()
+        self._readings.close()
+        self._alerts.close()
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +230,8 @@ class ServerConfig(NamedTuple):
 
 
 class IngestionServer:
-    """Accepts concurrent device sessions, each on a worker thread that the
-    listener reuses across connections. A failed connection never perturbs
-    the listener or other sessions."""
+    """Serves concurrent device sessions on one `listener` loop. A failed
+    connection never perturbs the loop or other sessions."""
 
     def __init__(self, cfg: ServerConfig):
         self.cfg = cfg
@@ -243,35 +239,41 @@ class IngestionServer:
         self.identity = load_identity(cfg.key_path, cfg.cred_path, self.suite)
         self.trust_root = keyfiles.read_credential(cfg.root_path, self.suite)
         check_identity(self.identity, self.trust_root, Role.SERVER, self.suite)
-        # this process's tickets only; the GHASH table is built now, since
-        # every session seals one ticket and nearly every one opens one. Every
-        # handler shares the key: past this point a seal or open changes
-        # nothing in it, since a ticket's 4 counter blocks run block by
-        # block, never through `encrypt_blocks`.
-        self.ticket_key = gcm.GcmKey(os.urandom(16))
-        self.ticket_key.build_table()
+        self.ticket_key = gcm.GcmKey(os.urandom(16))  # this process's tickets only
         self.store = Store(cfg.store_dir)
         self._listener: Listener | None = None
         self.port = 0
 
-    def start(self) -> None:
+    def listen(self) -> Listener:
+        """Binds; the loop returned serves once it runs."""
         self._listener = Listener(self.cfg.listen_host, self.cfg.listen_port, self._handle)
         self.port = self._listener.port
         log.info("listening addr=%s", host_port(self.cfg.listen_host, self.port))
+        return self._listener
 
-    def _handle(self, conn: socket.socket, addr) -> None:
-        session = ServerSession(self, host_port(addr[0], addr[1]))
-        reader = FrameReader(conn)
+    def start(self) -> None:
+        """Binds and serves on a new thread, for library and test use."""
+        self.listen().start()
+
+    def _handle(self, conn: Connection) -> None:
+        """Feeds the session every whole frame that arrived and writes its
+        replies; then closes the connection or moves its deadline."""
+        conn.state = session = conn.state or ServerSession(self, conn.peer)
+        session._cpu0 = time.thread_time()
         try:
-            while not session.ended:
-                for reply in session.receive(frame_read(reader, session.timeout())):
-                    frame_write(conn, reply)
+            while not session.ended and (frame := frame_read(
+                    conn.reader, session.deadline - time.monotonic())) is not None:
+                for reply in session.receive(frame):
+                    frame_write(conn.sock, reply)
         except (VitalinkError, OSError) as exc:
             with suppress(OSError):
                 for reply in session.fail(exc):
-                    frame_write(conn, reply)
-        finally:  # the listener shuts conn down and closes it
+                    frame_write(conn.sock, reply)
+        session._cpu += time.thread_time() - session._cpu0
+        conn.deadline = session.deadline
+        if session.ended:
             session.close()
+            conn.close()
 
     def stop(self) -> None:
         if self._listener is not None:
@@ -301,11 +303,13 @@ class ServerSession:
     `ended`: `<event> cause=… detail=… session=… handshake=full|resumed|-
     readings=N alerts=K cpu_ms=… wall_ms=… peer=…`, `-` where there is none.
 
-    The ClientHello and ClientFinish share one deadline (`timeout`). A
-    record's body length is checked against `records.RECORD_BODIES` before
-    any GCM work, and its tag before any reading is decoded. One pass over
-    the payload then checks each reading and its order, formats its line
-    and runs the detector. The record's lines then go to the store in one
+    The next frame must be whole by `deadline` (`time.monotonic()`): the
+    ClientHello and ClientFinish share one, then each record gets
+    `records.READ_TIMEOUT_S` from the one before. A record's body length
+    is checked against `records.RECORD_BODIES` before any GCM work, and
+    its tag before any reading is decoded. One pass over the payload then
+    checks each reading and its order, formats its line and runs the
+    detector. The record's lines then go to the store in one
     write, before its alerts, within the `receive` that opened it; a bad
     reading takes the same write before it raises. So a fault at the k-th
     reading, counted across records, persists the k readings before it and
@@ -318,9 +322,9 @@ class ServerSession:
         self.server, self.peer = server, peer
         self.ended = False
         self._stored = self._alerts = 0
-        # a listener's worker is reused, so its CPU time is a difference
-        self._cpu0, self._wall0 = time.thread_time(), time.monotonic()
-        self._deadline = self._wall0 + records.READ_TIMEOUT_S
+        # CPU time summed over the `_handle` calls for it: each sets `_cpu0`
+        self._cpu, self._cpu0, self._wall0 = 0.0, time.thread_time(), time.monotonic()
+        self.deadline = self._wall0 + records.READ_TIMEOUT_S
         self._hs = ServerHandshake(server.identity, server.trust_root, suite=server.suite,
                                    ticket_key=server.ticket_key)
         # set once the handshake ends
@@ -328,13 +332,10 @@ class ServerSession:
         self._subject = self._device = ""
         self._last_ts = -1
 
-    def timeout(self) -> float | None:
-        """The handshake's time left, then None: `frame_read`'s READ_TIMEOUT_S."""
-        return None if self._recv is not None else self._deadline - time.monotonic()
-
     def receive(self, frame: Frame) -> list[Frame]:
         """The frames that answer `frame`; raises on any fault, a peer's Abort too."""
         if self._recv is not None:
+            self.deadline = time.monotonic() + records.READ_TIMEOUT_S
             return self._record(frame)
         hs = self._hs
         if hs.phase is Phase.START:
@@ -356,6 +357,7 @@ class ServerSession:
         self._subject, self._device = subject, peer_subject[:8].hex()
         # a readings line: the columns of `StoreRecord`, tab-separated
         self._prefix = f"{session_hex}\t{subject}\t{self._device}\t"
+        self.deadline = time.monotonic() + records.READ_TIMEOUT_S
         return [Frame(TYPE_NEW_TICKET, hs.new_ticket())]
 
     def _record(self, frame: Frame) -> list[Frame]:
@@ -408,7 +410,7 @@ class ServerSession:
         log.log(level, "%s cause=%s detail=%s session=%s handshake=%s readings=%d alerts=%d "
                 "cpu_ms=%.2f wall_ms=%.2f peer=%s", event, cause, log_value(detail),
                 self._session_hex[:16], handshake, self._stored, self._alerts,
-                1000 * (time.thread_time() - self._cpu0),
+                1000 * (self._cpu + time.thread_time() - self._cpu0),
                 1000 * (time.monotonic() - self._wall0), self.peer)
 
     def close(self) -> None:

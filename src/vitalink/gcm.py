@@ -314,8 +314,7 @@ class GcmKey:
     round keys and H, and GHASH multiplies with `gf128_mul` until the key
     has hashed `_BLOCKS_BEFORE_TABLE` blocks, then builds its table; so a
     key that carries no record costs nothing and one that carries a few
-    readings builds no table. `build_table` builds it at once, for a key
-    shared by threads."""
+    readings builds no table."""
 
     def __init__(self, key: bytes):
         if len(key) != 16:
@@ -345,14 +344,6 @@ class GcmKey:
             self.aes._wide.clear()
         self._h = 0
         self._tables = None
-
-    def build_table(self) -> None:
-        """Builds the round keys, H and the GHASH table now. Past this, a seal
-        or open of under `_BATCH_BLOCKS` counter blocks changes nothing in
-        the key, so threads may share it."""
-        self._ready()
-        if self._tables is None:
-            self._tables = _ghash_tables(self._h)
 
     def ghash(self, aad: bytes, ct: bytes) -> int:
         """GHASH_H(aad, ct) per SP 800-38D, as a big-endian integer."""

@@ -1,33 +1,39 @@
-"""The one TCP listener behind the ingestion server and the tamper proxy.
+"""The one event loop behind the ingestion server and the tamper proxy.
 
-Every worker thread waits in `accept()` on the shared listening socket
-itself, and whichever one takes a connection serves it: it runs
-`handle(conn, addr)`, closes `conn`, and waits in `accept()` again. A
-worker that takes a connection while no other waits starts one before it
-serves, so a connection never waits for another to end. Reusing threads
-saves starting and ending one per connection, which short, frequent
-sessions would pay each time. A wait that sees no connection within
-`_IDLE_S` seconds ends its worker, unless it is the last one waiting, so
-the threads of a burst drain to one; a thread started at most once a
-second costs under 0.01% of a CPU.
+One thread runs a `selectors` loop (Schmidt's Reactor) over the listening
+socket and every connection, so a held connection costs no thread. It
+calls `handle(conn)` when it accepts `conn`, once it has fed `conn.reader`
+what arrived (into one buffer every connection shares) or the end of the
+stream, and when `conn.deadline` passes. A handler takes every whole frame
+buffered, never waits for more, and moves `conn.deadline` or `close()`s
+`conn`; one that raises is logged as `handler_error` and `conn` closed.
+Every socket is non-blocking, so a reply goes out with one `sendall` or
+fails: a session's are under 1 KB, which a send buffer takes at once.
+`stop` feeds every open connection the end of its stream, so each ends
+through its handler.
 
 An `accept()` out of descriptors, buffers or memory would fail again at
-once, so its worker logs `accept_failed` and pauses `_ACCEPT_RETRY_S`, as
-asyncio does; `stop()` ends the pause. Any other failure, such as a peer
-that reset before `accept()` returned, is retried at once.
+once, so the loop logs `accept_failed` and stops accepting for
+`_ACCEPT_RETRY_S`, as asyncio does; any other failure is retried at once.
 """
 
 from __future__ import annotations
 
 import errno
+import heapq
+import itertools
 import logging
+import selectors
 import socket
 import threading
 from contextlib import suppress
+from math import inf
+from time import monotonic
+
+from .records import READ_CHUNK, FrameReader
 
 log = logging.getLogger("vitalink")
 
-_IDLE_S = 1.0
 _ACCEPT_RETRY_S = 1.0
 _OUT_OF_RESOURCES = {errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM}
 
@@ -35,6 +41,22 @@ _OUT_OF_RESOURCES = {errno.EMFILE, errno.ENFILE, errno.ENOBUFS, errno.ENOMEM}
 def host_port(host: str, port: int) -> str:
     """`host:port`, with an IPv6 host in brackets (RFC 5952 §6)."""
     return f"[{host}]:{port}" if ":" in host else f"{host}:{port}"
+
+
+class Connection:
+    """One socket on the loop, with its `reader`, its `deadline` on the
+    `time.monotonic()` clock, and `state`, whatever its handler keeps."""
+
+    __slots__ = ("sock", "peer", "reader", "state", "deadline", "_loop", "_timer")
+
+    def __init__(self, loop: Listener, sock: socket.socket, peer: str):
+        self.sock, self.peer, self._loop = sock, peer, loop
+        self.reader, self.state, self.deadline = FrameReader(), None, inf
+        self._timer = [inf, 0, None]  # its entry in the loop's heap, once armed
+
+    def close(self) -> None:
+        """Sends a FIN and closes the socket."""
+        self._loop._drop(self)
 
 
 class Listener:
@@ -46,90 +68,119 @@ class Listener:
         # of being dropped, which costs a client a 1 s SYN retransmit
         self._sock = socket.create_server((host, port), family=family,
                                           backlog=socket.SOMAXCONN)
-        self._sock.settimeout(_IDLE_S)  # accepted sockets still block
+        self._sock.setblocking(False)
         self.port = self._sock.getsockname()[1]
-        self._lock = threading.Lock()
-        self._stopping = threading.Event()
-        self._open: set[socket.socket] = set()
-        self._waiting = 0  # workers not serving a connection
-        self._threads: set[threading.Thread] = set()
-        with self._lock:
-            self._start_worker()
+        # a byte on `_wake` ends a wait in select(), from any thread or a signal handler
+        self._wake, self._woken = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._sock, selectors.EVENT_READ)
+        self._selector.register(self._woken, selectors.EVENT_READ)
+        self._conns: set[Connection] = set()
+        # [when, tie-break, its Connection, None once dead, or self to end an accept pause]
+        self._timers: list = []
+        self._seq = itertools.count()
+        self._chunk = memoryview(bytearray(READ_CHUNK))
+        self._thread: threading.Thread | None = None
 
-    def _start_worker(self) -> None:
-        """Starts a worker, counted as waiting; called under `self._lock`, so
-        stop() joins only started threads."""
-        thread = threading.Thread(target=self._work, daemon=True)
-        thread.start()
-        self._threads.add(thread)
-        self._waiting += 1
+    def start(self) -> None:
+        self._thread = threading.Thread(target=self.run, daemon=True)
+        self._thread.start()
 
-    def _work(self) -> None:
+    def run(self) -> None:
+        """Serves on the calling thread until `stop()`."""
         try:
             while True:
-                try:
-                    conn, addr = self._sock.accept()
-                except TimeoutError:
-                    with self._lock:
-                        # the last waiting worker stays, so a connection never
-                        # waits for a thread to start
-                        if self._stopping.is_set() or self._waiting > 1:
-                            self._waiting -= 1
-                            return
-                    continue
-                except OSError as exc:
-                    if self._stopping.is_set():
+                timeout = max(0.0, self._timers[0][0] - monotonic()) if self._timers else None
+                for key, _ in self._selector.select(timeout):
+                    if key.data is not None:
+                        self._receive(key.data)
+                    elif key.fileobj is self._sock:
+                        self._accept()
+                    else:  # woken by stop()
                         return
-                    if exc.errno in _OUT_OF_RESOURCES:
-                        log.error("accept_failed cause=%s", errno.errorcode[exc.errno])
-                        self._stopping.wait(_ACCEPT_RETRY_S)
-                    continue
-                with self._lock:
-                    if self._stopping.is_set():
-                        conn.close()
-                        return
-                    # registered here, so stop() sees every accepted connection
-                    self._open.add(conn)
-                    self._waiting -= 1
-                    if not self._waiting:
-                        try:
-                            self._start_worker()
-                        except RuntimeError:  # the process is out of threads
-                            log.exception("worker_start_failed peer=%s",
-                                          host_port(addr[0], addr[1]))
-                self._serve(conn, addr)
-                with self._lock:
-                    if self._stopping.is_set():
-                        return
-                    self._waiting += 1
+                while self._timers and self._timers[0][0] <= monotonic():
+                    timer = heapq.heappop(self._timers)
+                    timer[0] = inf  # unarmed: `_call` arms the next
+                    if timer[2] is self:  # the pause after a failed accept() is over
+                        self._selector.register(self._sock, selectors.EVENT_READ)
+                    elif timer[2] is not None:
+                        self._call(timer[2])
         finally:
-            with self._lock:
-                self._threads.discard(threading.current_thread())
-
-    def _serve(self, conn: socket.socket, addr) -> None:
-        try:
-            self._handle(conn, addr)
-        except Exception:
-            log.exception("handler_error peer=%s", host_port(addr[0], addr[1]))
-        finally:
-            with self._lock:
-                self._open.discard(conn)
-            with suppress(OSError):  # the FIN, even if the handler left a makefile() open
-                conn.shutdown(socket.SHUT_WR)
-            conn.close()
+            for conn in list(self._conns):
+                if conn in self._conns:  # a handler may close another connection
+                    conn.reader.feed(b"")
+                    self._call(conn)
+                    conn.close()
+            self._selector.close()
+            for sock in (self._sock, self._wake, self._woken):
+                sock.close()
 
     def stop(self) -> None:
-        """Stops accepting, cuts every open connection so its handler ends
-        through its own error path, wakes every waiting worker so it exits,
-        then joins every thread."""
-        with self._lock:
-            self._stopping.set()  # also ends a pause after a failed accept()
-            for conn in self._open:
-                with suppress(OSError):
-                    conn.shutdown(socket.SHUT_RDWR)
-            threads = list(self._threads)
+        """Ends the loop; on its thread (a signal handler), once the call it
+        interrupted returns. From another thread it waits for `start`'s thread."""
+        with suppress(OSError):  # closed once the loop has ended
+            self._wake.send(b"\0")
+        if self._thread is not None and self._thread is not threading.current_thread():
+            self._thread.join()
+
+    def attach(self, sock: socket.socket, addr) -> Connection:
+        """Serves `sock`, such as the proxy's upstream, from its first event;
+        call it on the loop's thread or before the loop runs."""
+        sock.setblocking(False)
+        conn = Connection(self, sock, host_port(addr[0], addr[1]))
+        self._conns.add(conn)
+        self._selector.register(sock, selectors.EVENT_READ, conn)
+        return conn
+
+    def _accept(self) -> None:
+        try:
+            sock, addr = self._sock.accept()
+        except OSError as exc:
+            if exc.errno in _OUT_OF_RESOURCES:
+                log.error("accept_failed cause=%s", errno.errorcode[exc.errno])
+                self._selector.unregister(self._sock)
+                pause = [monotonic() + _ACCEPT_RETRY_S, next(self._seq), self]
+                heapq.heappush(self._timers, pause)
+            return
+        self._call(self.attach(sock, addr))
+
+    def _receive(self, conn: Connection) -> None:
+        if conn not in self._conns:  # closed by a handler earlier in this round
+            return
+        try:
+            n = conn.sock.recv_into(self._chunk)
+            conn.reader.feed(self._chunk[:n])
+        except OSError as exc:
+            conn.reader.end, n = exc, 0
+        if not n:  # nothing follows the end of a stream
+            self._selector.unregister(conn.sock)
+        self._call(conn)
+
+    def _call(self, conn: Connection) -> None:
+        try:
+            self._handle(conn)
+        except Exception:
+            log.exception("handler_error peer=%s", conn.peer)
+            conn.close()
+        # a later deadline keeps the entry it has: the handler is called when
+        # that passes, and arms the new one
+        if conn in self._conns and conn.deadline < conn._timer[0]:
+            conn._timer[2] = None
+            conn._timer = [conn.deadline, next(self._seq), conn]
+            heapq.heappush(self._timers, conn._timer)
+
+    def _drop(self, conn: Connection) -> None:
+        if conn not in self._conns:
+            return
+        self._conns.discard(conn)
+        conn._timer[2] = None
+        # a busy server closes connections long before their deadlines, so
+        # the heap sheds its closed entries once they are most of it
+        if len(self._timers) > 2 * len(self._conns) + 64:
+            self._timers = [t for t in self._timers if t[2] is not None]
+            heapq.heapify(self._timers)
+        with suppress(KeyError):  # not watched after the end of its stream
+            self._selector.unregister(conn.sock)
         with suppress(OSError):
-            self._sock.shutdown(socket.SHUT_RDWR)  # wakes every waiting accept()
-        for thread in threads:
-            thread.join()
-        self._sock.close()
+            conn.sock.shutdown(socket.SHUT_WR)
+        conn.sock.close()

@@ -17,32 +17,31 @@ must refuse.
 
 Each relayed frame is logged as `frame dir=… type=0x.. len=… fault=…`
 on the `vitalink.proxy` logger and kept in `TamperProxy.report`.
+
+Every relay runs on one `listener` loop, with its upstream connection,
+whose connect blocks the loop at most 5 s. A direction that ends, at the
+end of its stream, a fault or a wait of `records.READ_TIMEOUT_S` for a
+frame, sends the other side a FIN; both close once both have ended.
 """
 
 from __future__ import annotations
 
 import logging
 import socket
-import threading
 import time
 from collections import namedtuple
+from contextlib import suppress
+from math import inf
 
 from . import credentials as creds
-from . import curves
+from . import curves, records
 from .credentials import Role
 from .curves import SUITES
 from .errors import VitalinkError
 from .gcm import TAG_LEN
 from .handshake import LocalIdentity, ServerHandshake
-from .listener import Listener, host_port
-from .records import (
-    HEADER_LEN,
-    TYPE_CLIENT_HELLO,
-    TYPE_DATA,
-    TYPE_SERVER_HELLO,
-    Frame,
-    FrameReader,
-)
+from .listener import Connection, Listener, host_port
+from .records import HEADER_LEN, TYPE_CLIENT_HELLO, TYPE_DATA, TYPE_SERVER_HELLO, Frame
 
 log = logging.getLogger("vitalink.proxy")
 
@@ -117,15 +116,18 @@ def _rogue_server_hello(client_hello: Frame | None) -> bytes | None:
 
 
 class Relay:
-    """One proxied connection: a pump per direction over parsed frames."""
+    """One proxied connection: the device's `client` and the server's
+    `upstream`, each a `Connection` with this relay as its `state`. A
+    direction has ended once its source's deadline is `inf`."""
 
-    def __init__(self, client: socket.socket, upstream: socket.socket, plan: TamperPlan,
+    def __init__(self, client: Connection, upstream: Connection, plan: TamperPlan,
                  report: list):
-        self.client = client
-        self.upstream = upstream
-        self.plan = plan
-        self.report = report
+        self.client, self.upstream, self.plan, self.report = client, upstream, plan, report
         self._client_hello: Frame | None = None
+        self._data_index = 0  # c2s Data frames so far
+        self._held = b""  # reorder_pair's target, sent after the frame that follows it
+        for conn in (client, upstream):
+            conn.state, conn.deadline = self, time.monotonic() + records.READ_TIMEOUT_S
 
     def _note(self, direction: str, frame: Frame, fault: str) -> None:
         line = (f"frame dir={direction} type=0x{frame.frame_type:02x} "
@@ -133,73 +135,75 @@ class Relay:
         self.report.append(line)
         log.info("%s", line)
 
-    def _pump(self, src: socket.socket, dst: socket.socket, direction: str) -> None:
+    def pump(self, src: Connection) -> None:
+        """Relays every whole frame `src` has buffered to the other side."""
+        dst, direction = ((self.upstream, "c2s") if src is self.client
+                          else (self.client, "s2c"))
         plan = self.plan
-        data_index = 0
-        held = b""  # reorder_pair's target, sent after the frame that follows it
-        reader = FrameReader(src)
         try:
-            while True:
-                frame = reader.read()
+            while src.deadline < inf and (
+                    frame := src.reader.read(src.deadline - time.monotonic())) is not None:
+                src.deadline = time.monotonic() + records.READ_TIMEOUT_S
                 out, fault = frame.encode(), "none"
-                if held:
-                    out, held, fault = out + held, b"", "reorder_pair"
+                if self._held and direction == "c2s":
+                    out, self._held, fault = out + self._held, b"", "reorder_pair"
                 elif frame.frame_type == TYPE_CLIENT_HELLO:
                     self._client_hello = frame
                 elif frame.frame_type == TYPE_SERVER_HELLO and plan.mode == "forge_handshake":
                     out, fault = _rogue_server_hello(self._client_hello) or out, plan.mode
                 elif frame.frame_type == TYPE_DATA and direction == "c2s":
-                    if data_index == plan.target_index and plan.mode in DATA_MODES:
+                    if self._data_index == plan.target_index and plan.mode in DATA_MODES:
                         out, fault = apply_tamper(plan, frame), plan.mode
                         if plan.mode == "reorder_pair":
-                            held, fault = frame.encode(), "reorder_hold"
-                    data_index += 1
+                            self._held, fault = frame.encode(), "reorder_hold"
+                    self._data_index += 1
                 self._note(direction, frame, fault)
-                dst.sendall(out)
+                dst.sock.sendall(out)
                 if fault == "truncate_stream":
                     break
+            else:
+                return
         except (VitalinkError, OSError):
             pass
-        finally:
-            # half-close only: the other direction may still carry a late Abort
-            try:
-                dst.shutdown(socket.SHUT_WR)
-            except OSError:
-                pass
-
-    def run(self) -> None:
-        c2s = threading.Thread(target=self._pump, args=(self.client, self.upstream, "c2s"),
-                               daemon=True)
-        c2s.start()
-        self._pump(self.upstream, self.client, "s2c")
-        c2s.join()
-        for s in (self.client, self.upstream):
-            s.close()
+        if src.deadline < inf:  # half-close only: the other direction may carry a late Abort
+            src.deadline = inf
+            with suppress(OSError):
+                dst.sock.shutdown(socket.SHUT_WR)
+        if dst.deadline == inf:
+            self.client.close()
+            self.upstream.close()
 
 
 class TamperProxy:
     def __init__(self, listen_host: str, listen_port: int, upstream_host: str,
                  upstream_port: int, plan: TamperPlan):
-        self.listen_host = listen_host
-        self.listen_port = listen_port
+        self.listen_host, self.listen_port = listen_host, listen_port
         self.upstream = (upstream_host, upstream_port)
         self.plan = plan
         self.report: list[str] = []
         self._listener: Listener | None = None
         self.port = 0
 
-    def start(self) -> None:
+    def listen(self) -> Listener:
+        """Binds; the loop returned serves once it runs."""
         self._listener = Listener(self.listen_host, self.listen_port, self._handle)
         self.port = self._listener.port
         log.info("proxy_listening addr=%s mode=%s", host_port(self.listen_host, self.port),
                  self.plan.mode)
+        return self._listener
 
-    def _handle(self, conn: socket.socket, addr) -> None:
-        try:
-            up = socket.create_connection(self.upstream, timeout=5.0)
-        except OSError:
-            return  # the listener closes conn
-        Relay(conn, up, self.plan, self.report).run()
+    def start(self) -> None:
+        """Binds and serves on a new thread, for library and test use."""
+        self.listen().start()
+
+    def _handle(self, conn: Connection) -> None:
+        if conn.state is None:  # a device that has just connected
+            try:
+                up = socket.create_connection(self.upstream, timeout=5.0)
+            except OSError:
+                return conn.close()
+            Relay(conn, self._listener.attach(up, self.upstream), self.plan, self.report)
+        conn.state.pump(conn)
 
     def stop(self) -> None:
         if self._listener is not None:

@@ -8,17 +8,15 @@ tag failure at the receiver. Tag failure is unconditionally fatal.
 
 Frame I/O: each connection reads through one `FrameReader`, kept from its
 first frame to its last, since a peer may send a ClientFinish and the
-first records in one segment. While a whole frame is buffered, `read`
-returns it with no syscall; otherwise it waits with `poll` and takes
-what has arrived, up to `READ_CHUNK`, with one `recv_into` into a buffer
-it reuses, so a burst of frames costs one `poll` and one `recv_into`
-instead of two of each per frame. Its one poll object is registered when
-it is made, and takes a descriptor of any number, where `select` refuses
-one of 1024 or more. A header is checked (magic, version, type, length
-bound) as soon as its 8 bytes are buffered, before any body is awaited. Every read has an absolute deadline from its call,
-so a peer trickling bytes cannot stretch it. A stream that ends with
-nothing buffered ends "at-boundary"; one that ends inside a frame ends
-"mid-frame", the classic truncation.
+first records in one segment. A header is checked (magic, version, type,
+length bound) as soon as its 8 bytes are buffered, before any body is
+awaited. The server's loop (`listener`) `feed`s a reader what arrived.
+The device's reader owns its socket: it waits with one `poll` object,
+which unlike `select` takes a descriptor of 1024 or more, and takes up to
+`READ_CHUNK` with one `recv_into`, so a burst of frames costs one of each.
+A frame has an absolute deadline, so a peer trickling bytes cannot
+stretch it. A stream that ends with nothing buffered ends "at-boundary";
+one that ends inside a frame ends "mid-frame", the classic truncation.
 """
 
 from __future__ import annotations
@@ -162,24 +160,32 @@ def record_open(direction: DirectionState, frame: Frame) -> tuple[int, bytes]:
 
 
 class FrameReader:
-    """One connection's inbound frames (see the module docstring).
-
-    It receives into one reused buffer of `READ_CHUNK` bytes, so it holds
+    """One connection's inbound frames (see the module docstring). It holds
     at most one chunk beyond a partial frame: under `READ_CHUNK` +
-    `MAX_BODY` + `HEADER_LEN` bytes.
-    """
+    `MAX_BODY` + `HEADER_LEN` bytes."""
 
-    def __init__(self, sock: socket.socket):
+    __slots__ = ("sock", "end", "_buf", "_chunk", "_poll")
+
+    def __init__(self, sock: socket.socket | None = None):
         self.sock = sock
+        self.end: Exception | None = None  # ends the stream once nothing whole is buffered
         self._buf = bytearray()
-        self._chunk = memoryview(bytearray(READ_CHUNK))
-        self._poll = select.poll()
-        self._poll.register(sock, select.POLLIN)
+        if sock is not None:
+            self._chunk = memoryview(bytearray(READ_CHUNK))
+            self._poll = select.poll()
+            self._poll.register(sock, select.POLLIN)
 
-    def read(self, timeout: float | None = None) -> Frame:
-        """The next frame, which must be whole within `timeout` seconds of
-        the call, `READ_TIMEOUT_S` as it stands then if not given: a peer
-        trickling bytes cannot stretch it."""
+    def feed(self, data) -> None:
+        """Buffers bytes received; empty bytes end the stream."""
+        if data:
+            self._buf += data
+        else:
+            self.end = EndOfStream("mid-frame" if self._buf else "at-boundary")
+
+    def read(self, timeout: float | None = None) -> Frame | None:
+        """The next frame, which must be whole within `timeout` seconds,
+        `READ_TIMEOUT_S` as it stands then if not given; from a fed reader,
+        None while no frame is whole and time is left."""
         deadline = monotonic() + (READ_TIMEOUT_S if timeout is None else timeout)
         buf = self._buf
         while True:
@@ -192,24 +198,20 @@ class FrameReader:
                     body = bytes(buf[HEADER_LEN:end])
                     del buf[:end]
                     return Frame(frame_type, body)
-            self._fill(deadline)
-
-    def _fill(self, deadline: float) -> None:
-        remaining = deadline - monotonic()
-        if remaining <= 0 or not self._poll.poll(remaining * 1000):
-            raise FrameTimeout("frame incomplete at its deadline")
-        data = self._chunk[: self.sock.recv_into(self._chunk)]
-        if not data:
-            # both cases are a stream ending without an authenticated Close;
-            # a mid-frame cut is the classic truncation attack
-            raise EndOfStream("mid-frame" if self._buf else "at-boundary")
-        self._buf += data
+            if self.end is not None:
+                raise self.end
+            remaining = deadline - monotonic()
+            if remaining <= 0 or self.sock is not None and not self._poll.poll(remaining * 1000):
+                raise FrameTimeout("frame incomplete at its deadline")
+            if self.sock is None:
+                return None
+            self.feed(self._chunk[: self.sock.recv_into(self._chunk)])
 
 
 # a module function, not only `FrameReader.read`, so that bench/tracing.py
 # can wrap it where `endpoints` calls it by name and time the wait
-def frame_read(reader: FrameReader, timeout: float | None = None) -> Frame:
-    """Reads one whole frame from a connection's reader."""
+def frame_read(reader: FrameReader, timeout: float | None = None) -> Frame | None:
+    """Reads one whole frame from a connection's reader (see `FrameReader.read`)."""
     return reader.read(timeout)
 
 

@@ -1,6 +1,7 @@
-"""The shared listener core: prompt shutdown with live peers, reused worker
-threads that drain to one waiting when idle, and handler errors that stay in
-the handler."""
+"""The shared listener core, one event loop: held peers cost no thread,
+each idle peer ends once at its deadline, stop ends every connection
+through its handler, a handler's error stays with its connection, and an
+accept() out of resources pauses on a timer."""
 
 import errno
 import logging
@@ -16,26 +17,34 @@ from pathlib import Path
 
 import pytest
 
-from vitalink import listener as listener_module
-from vitalink.endpoints import IngestionServer, ServerConfig
+from vitalink import listener, records
+from vitalink.endpoints import DeviceConfig, IngestionServer, ServerConfig, run_device
+from vitalink.errors import EndOfStream
 from vitalink.handshake import ClientHandshake
 from vitalink.listener import Listener
-from vitalink.records import (TYPE_CLIENT_HELLO, TYPE_SERVER_HELLO, Frame, FrameReader, frame_read,
-                              frame_write)
+from vitalink.records import (TYPE_ABORT, TYPE_CLIENT_HELLO, TYPE_SERVER_HELLO, Frame,
+                              FrameReader, frame_read, frame_write)
+
+from conftest import terminal_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def make_server(files, store):
+    srv = IngestionServer(ServerConfig(
+        key_path=str(files / "server.vlk"),
+        cred_path=str(files / "server.vlc"),
+        root_path=str(files / "root.vlc"),
+        store_dir=str(store),
+    ))
+    srv.start()
+    return srv
 
 
 @pytest.fixture()
 def server(pki, tmp_path):
     pki.write_files(tmp_path)
-    srv = IngestionServer(ServerConfig(
-        key_path=str(tmp_path / "server.vlk"),
-        cred_path=str(tmp_path / "server.vlc"),
-        root_path=str(tmp_path / "root.vlc"),
-        store_dir=str(tmp_path / "store"),
-    ))
-    srv.start()
+    srv = make_server(tmp_path, tmp_path / "store")
     yield srv
     srv.stop()
 
@@ -49,13 +58,16 @@ def wait_for(predicate, timeout=5.0):
     return True
 
 
+def held(srv) -> int:
+    """The connections the server's loop holds open."""
+    return len(srv._listener._conns)
+
+
 def test_stop_cuts_an_idle_peer_promptly_and_logs_it(server, caplog):
     caplog.set_level(logging.INFO, logger="vitalink")
-    before = threading.active_count()
     peer = socket.create_connection(("127.0.0.1", server.port))
     try:
-        # the handler thread exists once the listener has accepted the peer
-        assert wait_for(lambda: threading.active_count() > before)
+        assert wait_for(lambda: held(server) == 1)  # the loop has accepted the peer
         t0 = time.monotonic()
         server.stop()
         elapsed = time.monotonic() - t0
@@ -72,6 +84,67 @@ def test_handler_threads_do_not_accumulate(server):
     for _ in range(50):
         socket.create_connection(("127.0.0.1", server.port)).close()
     assert wait_for(lambda: threading.active_count() == before)
+
+
+def test_held_peers_cost_no_thread_and_the_next_peer_is_served(server, tmp_path):
+    before = threading.active_count()
+    peers = [socket.create_connection(("127.0.0.1", server.port)) for _ in range(32)]
+    try:
+        # connections are accepted in order, so all 32 are held by the time
+        # a 33rd peer's session is done
+        report = run_device(DeviceConfig(
+            server_port=server.port, key_path=str(tmp_path / "device.vlk"),
+            cred_path=str(tmp_path / "device.vlc"), root_path=str(tmp_path / "root.vlc"),
+            count=5, seed=7))
+        assert report.error is None and report.sent_count == 5
+        assert threading.active_count() == before
+        assert held(server) == 32
+    finally:
+        for peer in peers:
+            peer.close()
+
+
+def test_each_idle_peer_ends_once_at_its_deadline(toy_pki, tmp_path, monkeypatch, caplog):
+    toy_pki.write_files(tmp_path)
+    monkeypatch.setattr(records, "READ_TIMEOUT_S", 0.3)
+    caplog.set_level(logging.INFO, logger="vitalink")
+    srv = make_server(tmp_path, tmp_path / "store")
+    peers = [socket.create_connection(("127.0.0.1", srv.port)) for _ in range(32)]
+    names = sorted("127.0.0.1:%d" % peer.getsockname()[1] for peer in peers)
+    try:
+        for peer in peers:  # an Abort, then the hang-up
+            reader = FrameReader(peer)
+            assert frame_read(reader, timeout=5.0).frame_type == TYPE_ABORT
+            with pytest.raises(EndOfStream):
+                frame_read(reader, timeout=5.0)
+        time.sleep(0.5)  # past a second deadline, which no peer may have
+        lines = terminal_lines(r.getMessage() for r in caplog.records)
+    finally:
+        srv.stop()
+        for peer in peers:
+            peer.close()
+    assert sorted(pairs["peer"] for _, pairs in lines) == names
+    assert {(event, pairs["cause"]) for event, pairs in lines} == {
+        ("session_fatal", "FrameTimeout")}
+
+
+def test_stop_ends_each_peer_mid_handshake_once(pki, server, caplog):
+    caplog.set_level(logging.INFO, logger="vitalink")
+    peers = [socket.create_connection(("127.0.0.1", server.port)) for _ in range(4)]
+    try:
+        for peer in peers:
+            frame_write(peer, Frame(TYPE_CLIENT_HELLO,
+                                    ClientHandshake(pki.suite, pki.device, pki.root).start()))
+            assert frame_read(FrameReader(peer), timeout=30.0).frame_type == TYPE_SERVER_HELLO
+        t0 = time.monotonic()
+        server.stop()
+        assert time.monotonic() - t0 < 1.0
+    finally:
+        for peer in peers:
+            peer.close()
+    lines = terminal_lines(r.getMessage() for r in caplog.records)
+    assert [(event, pairs["handshake"]) for event, pairs in lines] == [
+        ("suspicious_termination", "-")] * 4
 
 
 def test_serve_exits_promptly_on_sigterm_with_a_peer_mid_handshake(pki, tmp_path):
@@ -117,6 +190,7 @@ def listen():
 
     def start(handle):
         started.append(Listener("127.0.0.1", 0, handle))
+        started[-1].start()
         return started[-1]
 
     yield start
@@ -131,111 +205,57 @@ def session(port):
         assert peer.recv(1) == b""
 
 
-def test_back_to_back_connections_reuse_a_few_threads(listen):
+def test_every_connection_is_served_on_the_loops_one_thread(listen):
     tids = []
-    lst = listen(lambda conn, addr: tids.append(threading.get_native_id()))
+
+    def handle(conn):
+        tids.append(threading.get_native_id())
+        conn.close()
+
+    lst = listen(handle)
     for _ in range(200):
         session(lst.port)
     assert len(tids) == 200
-    assert len(set(tids)) <= 3
+    assert set(tids) == {lst._thread.native_id}
+
+
+def echo(conn):
+    """Sends back each frame that arrives, and closes at the end of the stream."""
+    try:
+        while (frame := conn.reader.read()) is not None:
+            conn.sock.sendall(frame.encode())
+    except EndOfStream:
+        conn.close()
 
 
 def test_concurrent_idle_peers_are_all_served_at_once(listen):
-    running = set()
-    lock = threading.Lock()
-
-    def handle(conn, addr):
-        with lock:
-            running.add(threading.get_ident())
-        conn.recv(1)  # until the peer hangs up
-
-    lst = listen(handle)
+    lst = listen(echo)
     peers = [socket.create_connection(("127.0.0.1", lst.port)) for _ in range(8)]
     try:
-        assert wait_for(lambda: len(running) == 8)
+        for i, peer in reversed(list(enumerate(peers))):  # none waits for another
+            frame = Frame(TYPE_ABORT, bytes([i]))
+            frame_write(peer, frame)
+            assert frame_read(FrameReader(peer), timeout=5.0) == frame
     finally:
         for peer in peers:
             peer.close()
 
 
-def test_an_idle_worker_exits(listen, monkeypatch):
-    monkeypatch.setattr(listener_module, "_IDLE_S", 0.05)
-    release = threading.Event()
-    busy = []
-
-    def handle(conn, addr):
-        busy.append(addr)
-        release.wait(5.0)
-
-    lst = listen(handle)
+def test_stop_with_idle_peers_returns_at_once(listen):
+    lst = listen(echo)
     peers = [socket.create_connection(("127.0.0.1", lst.port)) for _ in range(4)]
-    # 4 workers serve and a 5th waits
-    assert wait_for(lambda: len(busy) == 4 and lst._waiting == 1)
-    burst = set(lst._threads)
-    assert len(burst) == 5
-    release.set()
-    for peer in peers:
-        peer.close()
-    # the burst's extra workers exit, down to exactly one waiting
-    assert wait_for(lambda: sum(t.is_alive() for t in burst) == 1, timeout=2.0)
-    assert len(lst._threads) == 1 and lst._waiting == 1
-
-
-def test_the_last_waiting_worker_never_exits(listen, monkeypatch):
-    monkeypatch.setattr(listener_module, "_IDLE_S", 0.05)
-    threads = []
-    lst = listen(lambda conn, addr: threads.append(threading.current_thread()))
-    session(lst.port)
-    assert wait_for(lambda: len(lst._threads) == 1, timeout=2.0)
-    [last] = lst._threads
-    time.sleep(0.5)  # ten idle timeouts
-    session(lst.port)
-    assert threads[-1] is last
-
-
-def test_handoffs_that_race_idle_exits_lose_no_connection(listen, monkeypatch):
-    # waits close to the idle timeout, so connections often arrive just as a
-    # worker's accept() times out and it decides whether to exit
-    monkeypatch.setattr(listener_module, "_IDLE_S", 0.002)
-    served = []
-    lst = listen(lambda conn, addr: served.append(addr))
-    failures = []
-
-    def client(k):
-        try:
-            for i in range(50):
-                session(lst.port)
-                time.sleep((i + k) % 4 * 0.001)
-        except Exception as exc:
-            failures.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
     try:
-        clients = [threading.Thread(target=client, args=(k,)) for k in range(4)]
-        for t in clients:
-            t.start()
-        for t in clients:
-            t.join(timeout=30.0)
+        assert wait_for(lambda: len(lst._conns) == 4)
+        t0 = time.monotonic()
+        lst.stop()
+        assert time.monotonic() - t0 < 0.1
+        assert not lst._thread.is_alive() and not lst._conns
+        for peer in peers:  # the echo handler closed each at the end of its stream
+            peer.settimeout(5.0)
+            assert peer.recv(1) == b""
     finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in clients)
-    assert failures == []
-    assert len(served) == 200
-
-
-def test_stop_with_idle_workers_returns_at_once(listen):
-    served = []
-    lst = listen(lambda conn, addr: served.append(addr))
-    peers = [socket.create_connection(("127.0.0.1", lst.port)) for _ in range(4)]
-    for peer in peers:
-        peer.close()
-    assert wait_for(lambda: len(served) == 4 and lst._waiting >= 1 and not lst._open)
-    threads = set(lst._threads)
-    t0 = time.monotonic()
-    lst.stop()
-    assert time.monotonic() - t0 < 0.1
-    assert not lst._threads and not any(t.is_alive() for t in threads)
+        for peer in peers:
+            peer.close()
 
 
 def test_a_handler_that_raises_is_logged_and_the_next_connection_served(listen, caplog,
@@ -246,11 +266,12 @@ def test_a_handler_that_raises_is_logged_and_the_next_connection_served(listen, 
     served = threading.Event()
     calls = []
 
-    def handle(conn, addr):
+    def handle(conn):
         calls.append(conn)
         if len(calls) == 1:
             raise RuntimeError("handler bug")
         served.set()
+        conn.close()
 
     lst = listen(handle)
     session(lst.port)  # ends: the listener closed the failed handler's connection
@@ -283,14 +304,15 @@ def failing_accept(monkeypatch, code, times=None):
 def test_a_listener_out_of_resources_pauses_between_accepts(listen, monkeypatch, caplog, code):
     caplog.set_level(logging.ERROR, logger="vitalink")
     attempts = failing_accept(monkeypatch, code)
-    lst = listen(lambda conn, addr: None)
-    time.sleep(0.5)
-    assert 1 <= len(attempts) <= 3  # not a busy loop
-    t0 = time.monotonic()
-    threads = set(lst._threads)
-    lst.stop()  # ends the pause at once
-    assert time.monotonic() - t0 < 0.5
-    assert not any(t.is_alive() for t in threads)
+    lst = listen(lambda conn: conn.close())
+    # the queued connection keeps the listening socket readable
+    with socket.create_connection(("127.0.0.1", lst.port)):
+        assert wait_for(lambda: len(attempts) >= 2)  # the pause ended on its timer
+        assert attempts[1] - attempts[0] >= 0.95 * listener._ACCEPT_RETRY_S  # not a busy loop
+        t0 = time.monotonic()
+        lst.stop()  # ends the pause at once
+        assert time.monotonic() - t0 < 0.5
+    assert not lst._thread.is_alive()
     assert {r.getMessage() for r in caplog.records} == {
         f"accept_failed cause={errno.errorcode[code]}"}
 
@@ -300,7 +322,12 @@ def test_any_other_accept_failure_is_retried_at_once(listen, monkeypatch):
     # would let any peer stall the listener
     attempts = failing_accept(monkeypatch, errno.ECONNABORTED, times=3)
     served = threading.Event()
-    lst = listen(lambda conn, addr: served.set())
+
+    def handle(conn):
+        served.set()
+        conn.close()
+
+    lst = listen(handle)
     t0 = time.monotonic()
     session(lst.port)
     assert served.wait(5.0) and time.monotonic() - t0 < 0.5

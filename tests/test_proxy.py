@@ -2,7 +2,6 @@
 
 import logging
 import socket
-import threading
 import time
 
 import pytest
@@ -10,6 +9,7 @@ import pytest
 from vitalink.endpoints import (MAX_READINGS_PER_RECORD, DeviceConfig, IngestionServer,
                                 ServerConfig, run_device)
 from vitalink.errors import EndOfStream
+from vitalink.listener import Listener
 from vitalink.proxy import MODES, Relay, TamperPlan, TamperProxy, apply_tamper
 from vitalink.records import (TYPE_ABORT, TYPE_CLIENT_FINISH, TYPE_CLIENT_HELLO, TYPE_CLOSE,
                               TYPE_DATA, TYPE_SERVER_HELLO, Frame, FrameReader, frame_read,
@@ -73,11 +73,31 @@ def test_modes_registry_is_complete():
     }
 
 
+def relay_on_a_loop(client, upstream, plan, report):
+    """Serves a `Relay` between two sockets on a `Listener` loop of its own;
+    returns a function that waits for the relay to close both, stops the
+    loop, and says whether the relay had closed them."""
+    loop = Listener("127.0.0.1", 0, lambda conn: conn.state.pump(conn))
+    Relay(loop.attach(client, ("device", 0)), loop.attach(upstream, ("server", 0)), plan,
+          report)
+    loop.start()
+
+    def finish():
+        deadline = time.monotonic() + 5.0
+        while (client.fileno(), upstream.fileno()) != (-1, -1):
+            if time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        loop.stop()
+        return (client.fileno(), upstream.fileno()) == (-1, -1)
+
+    return finish
+
+
 def test_relay_carries_a_late_abort_after_the_device_half_closes():
     device, client = socket.socketpair()
     upstream, server = socket.socketpair()
-    relay = threading.Thread(target=Relay(client, upstream, TamperPlan(), []).run)
-    relay.start()
+    finish = relay_on_a_loop(client, upstream, TamperPlan(), [])
     try:
         frame_write(device, FRAME)
         device.shutdown(socket.SHUT_WR)
@@ -89,8 +109,7 @@ def test_relay_carries_a_late_abort_after_the_device_half_closes():
         frame_write(server, Frame(TYPE_ABORT, b""))
         server.close()
         assert frame_read(FrameReader(device), timeout=2.0).frame_type == TYPE_ABORT
-        relay.join(timeout=5.0)
-        assert not relay.is_alive()
+        assert finish()
     finally:
         device.close()
         server.close()
@@ -151,10 +170,8 @@ C2S_MODES = [m for m in MODES if m != "forge_handshake"]
 def test_the_relay_sends_upstream_exactly_the_planned_frames(mode, idx):
     device, client = socket.socketpair()
     upstream, server = socket.socketpair()
-    relay = threading.Thread(
-        target=Relay(client, upstream, TamperPlan(mode, target_index=idx, bit_offset=13),
-                     []).run)
-    relay.start()
+    finish = relay_on_a_loop(client, upstream,
+                             TamperPlan(mode, target_index=idx, bit_offset=13), [])
     try:
         device.sendall(_wire([HELLO, FINISH, *DATA, CLOSE]))
         device.shutdown(socket.SHUT_WR)
@@ -162,8 +179,29 @@ def test_the_relay_sends_upstream_exactly_the_planned_frames(mode, idx):
         server.shutdown(socket.SHUT_WR)
         assert _recv_all(server) == _expected_upstream(mode, idx)
         assert _recv_all(device) == _wire(S2C)  # s2c frames pass untouched
-        relay.join(timeout=5.0)
-        assert not relay.is_alive()
+        assert finish()
+    finally:
+        device.close()
+        server.close()
+
+
+def test_a_held_frame_goes_upstream_even_if_a_server_frame_comes_first():
+    # both directions share one relay; reorder_pair's held frame is the device's
+    device, client = socket.socketpair()
+    upstream, server = socket.socketpair()
+    finish = relay_on_a_loop(client, upstream, TamperPlan("reorder_pair", target_index=0), [])
+    try:
+        device.sendall(_wire([HELLO, FINISH, DATA[0]]))
+        server.settimeout(5.0)
+        before = _wire([HELLO, FINISH])  # DATA[0] is held
+        assert b"".join(server.recv(1) for _ in before) == before
+        server.sendall(_wire(S2C))
+        server.shutdown(socket.SHUT_WR)
+        assert _recv_all(device) == _wire(S2C)
+        device.sendall(_wire([DATA[1], CLOSE]))
+        device.shutdown(socket.SHUT_WR)
+        assert _recv_all(server) == _wire([DATA[1], DATA[0], CLOSE])
+        assert finish()
     finally:
         device.close()
         server.close()
@@ -174,16 +212,14 @@ def test_frame_lines_go_to_the_proxy_logger_not_stdout(caplog, capsys):
     device, client = socket.socketpair()
     upstream, server = socket.socketpair()
     report = []
-    relay = threading.Thread(
-        target=Relay(client, upstream, TamperPlan("drop_frame", target_index=1), report).run)
-    relay.start()
+    finish = relay_on_a_loop(client, upstream, TamperPlan("drop_frame", target_index=1),
+                             report)
     try:
         device.sendall(_wire([HELLO, *DATA[:2]]))
         device.shutdown(socket.SHUT_WR)
         server.shutdown(socket.SHUT_WR)
         _recv_all(server)
-        relay.join(timeout=5.0)
-        assert not relay.is_alive()
+        assert finish()
     finally:
         device.close()
         server.close()

@@ -342,15 +342,14 @@ def test_a_reader_holds_one_chunk_beyond_a_partial_frame():
     a, b = socket_pair()
     sender = threading.Thread(target=a.sendall, args=(wire,))
     sender.start()
-    reader = FrameReader(b)
     sizes = []
-    real_fill = reader._fill
 
-    def fill(deadline):
-        real_fill(deadline)
-        sizes.append(len(reader._buf))
+    class Measured(FrameReader):
+        def feed(self, data):  # each receive's bytes
+            super().feed(data)
+            sizes.append(len(self._buf))
 
-    reader._fill = fill
+    reader = Measured(b)
     assert [reader.read(timeout=5.0).body for _ in bodies] == bodies
     assert max(sizes) <= big - 1 + READ_CHUNK
     sender.join(timeout=5.0)

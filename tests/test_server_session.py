@@ -5,6 +5,7 @@ way a session ends returns its reply and logs exactly one terminal line
 with the right counts."""
 
 import logging
+import time
 
 import pytest
 
@@ -109,9 +110,19 @@ def test_an_honest_session_runs_through_the_session_alone(toy_pki, server, endin
 
 def test_the_handshake_has_one_deadline_and_records_a_deadline_each(toy_pki, server):
     session = ServerSession(server, PEER)
-    assert 0 < session.timeout() <= 10.0
-    establish(session, toy_pki)
-    assert session.timeout() is None  # each record read gets READ_TIMEOUT_S
+    handshake = session.deadline
+    assert 0 < handshake - time.monotonic() <= 10.0
+    hs = ClientHandshake(toy_pki.suite, toy_pki.device, toy_pki.root, rng=keyfiles.drbg(31))
+    [hello] = session.receive(Frame(TYPE_CLIENT_HELLO, hs.start()))
+    assert session.deadline == handshake  # the ClientFinish has what is left
+    finish, keys = hs.finish(hello.body)
+    session.receive(Frame(TYPE_CLIENT_FINISH, finish))
+    time.sleep(0.01)
+    before = time.monotonic()
+    [record] = data_records(DirectionState(keys.c2s_key, keys.c2s_salt), 1)
+    session.receive(record)
+    # each record gets READ_TIMEOUT_S from the one before
+    assert before + 10.0 <= session.deadline <= time.monotonic() + 10.0
     session.close()
 
 

@@ -1,13 +1,12 @@
 """One mutated frame, fed to `IngestionServer._handle` over a socketpair on the
-toy suite: a ClientHello or ClientFinish, or a Data or Close frame after a
-live handshake. Whatever the mutation, the session must end in exactly one
-classified outcome: the readings before the mutated frame persisted and none
-after, an Abort back to the device, one log line naming the cause, and no
-exception out of the handler."""
+toy suite, served by a `Listener` loop: a ClientHello or ClientFinish, or a
+Data or Close frame after a live handshake. Whatever the mutation, the
+session must end in exactly one classified outcome: the readings before the
+mutated frame persisted and none after, an Abort back to the device, one log
+line naming the cause, and no exception out of the handler."""
 
 import logging
 import socket
-import threading
 import time
 
 import pytest
@@ -18,6 +17,7 @@ from vitalink import endpoints, gcm, keyfiles, records
 from vitalink.endpoints import IngestionServer, ServerConfig, Store, log_value, parse_reading_line
 from vitalink.errors import EndOfStream, HandshakeError
 from vitalink.handshake import ClientHandshake, Resumption
+from vitalink.listener import Listener
 from vitalink.records import (
     FRAME_TYPES,
     MAX_BODY,
@@ -90,32 +90,35 @@ def persisted(server, session_hex=None) -> list:
 
 
 def serve_one(server, device_side):
-    """Runs `device_side(reader)` against `server._handle` on the other end of a
-    socketpair, with one `FrameReader` over the device's end for its whole
-    life; returns what it returns once the handler has finished, and fails
-    if an exception escaped the handler. The server's end is closed when the
-    handler returns, as the listener does. `_handle` only reads, feeds a
-    `ServerSession` and writes its replies, so this checks the session
-    through its read loop; `test_server_session.py` feeds one directly."""
+    """Runs `device_side(reader)` against `server._handle` on a `Listener`
+    loop that serves the other end of a socketpair, with one `FrameReader`
+    over the device's end for its whole life; returns what it returns once
+    the loop has closed the server's end, and fails if an exception escaped
+    the handler. `_handle` only reads, feeds a `ServerSession` and writes
+    its replies, so this checks the session through its event handling;
+    `test_server_session.py` feeds one directly."""
     device, server_end = socket.socketpair()
     escaped = []
 
-    def handle():
+    def handle(conn):
         try:
-            server._handle(server_end, ("socketpair", 0))
+            server._handle(conn)
         except Exception as exc:  # the property: nothing gets here
             escaped.append(exc)
-        finally:
-            server_end.close()
+            raise
 
-    handler = threading.Thread(target=handle)
-    handler.start()
+    loop = Listener("127.0.0.1", 0, handle)
+    handle(loop.attach(server_end, ("socketpair", 0)))  # the call an accept() makes
+    loop.start()
     try:
         result = device_side(FrameReader(device))
     finally:
         device.close()
-        handler.join(timeout=10.0)
-    assert not handler.is_alive() and escaped == []
+        deadline = time.monotonic() + 10.0
+        while server_end.fileno() != -1 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        loop.stop()
+    assert server_end.fileno() == -1 and escaped == []
     return result
 
 
