@@ -18,18 +18,18 @@ and a full handshake on the same connection. A resumed session's ticket
 keeps the issue time of the one it resumed, so resumptions end
 `TICKET_LIFETIME_S` after the last full handshake.
 
-A device session makes three reads, through one reader in `run_device`:
-the ServerHello; the server's verdict on the ClientFinish, a NewTicket or
-an Abort, before any reading is sealed; and after its Close the server's
-hang-up, which means it read the Close and is the only success. Each
-Data record carries every reading the device has ready: one per interval
-for a `realtime` device, which sleeps an interval between records, else
-all of them, MAX_READINGS_PER_RECORD (256) to a record, so 1000 go out as
-256, 256, 256 and 232 (one `frame_write` each). Records go out with no
-read between them, so an Abort mid-stream shows as the write error the
-server's hang-up causes, or after the Close. A frame read waits at most
-`records.READ_TIMEOUT_S`, read as it starts, so a `realtime` interval must
-be shorter, or the server times out between two records.
+A device session makes three reads, through one reader in `run_device`: the
+ServerHello; the server's verdict on the ClientFinish, a NewTicket or an
+Abort, before any reading is sealed; and after its Close the server's
+hang-up, which means it read the Close and is the only success. Each Data
+record carries every reading the device has ready: one per interval for a
+`realtime` device, which sleeps an interval between records, else all of
+them, MAX_READINGS_PER_RECORD (256) to a record, so 1000 go out as 256,
+256, 256 and 232 (one `frame_write` each). Records go out with no read
+between them, so an Abort mid-stream shows as the write error the server's
+hang-up causes, or after the Close. A read or a write waits at most
+`records.READ_TIMEOUT_S` (a write's as at connect), so a server that stops
+reading cannot hold the device, and a `realtime` interval must be shorter.
 
 A process checks its own identity once, at startup, with `check_identity`:
 `IngestionServer` when it is made, and the `device` command before its
@@ -261,8 +261,7 @@ class IngestionServer:
         conn.state = session = conn.state or ServerSession(self, conn.peer)
         session._cpu0 = time.thread_time()
         try:
-            while not session.ended and (frame := frame_read(
-                    conn.reader, session.deadline - time.monotonic())) is not None:
+            while not session.ended and (frame := frame_read(conn.reader)) is not None:
                 for reply in session.receive(frame):
                     frame_write(conn.sock, reply)
         except (VitalinkError, OSError) as exc:
@@ -488,11 +487,11 @@ def run_device(cfg: DeviceConfig) -> DeviceReport:
     report = DeviceReport()
     t0 = time.monotonic()
     try:
-        sock = socket.create_connection((cfg.server_host, cfg.server_port), timeout=10.0)
+        sock = socket.create_connection((cfg.server_host, cfg.server_port),
+                                        timeout=records.READ_TIMEOUT_S)
     except OSError as exc:
         report.error = f"connection refused: {exc}"
         return report
-    sock.settimeout(None)
     send_dir: DirectionState | None = None
     reader = FrameReader(sock)
     hs = ClientHandshake(suite, identity, trust_root, rng, resumption=resumption)

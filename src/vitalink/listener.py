@@ -1,27 +1,23 @@
 """The one event loop behind the ingestion server and the tamper proxy.
 
 One thread runs a `selectors` loop (Schmidt's Reactor) over the listening
-socket and every connection, so a held connection costs no thread. It
-calls `handle(conn)` when it accepts `conn`, once it has fed `conn.reader`
-what arrived (into one buffer every connection shares) or the end of the
-stream, and when `conn.deadline` passes. A handler takes every whole frame
-buffered, never waits for more, and moves `conn.deadline` or `close()`s
-`conn`; one that raises is logged as `handler_error` and `conn` closed.
-Every socket is non-blocking, so a reply goes out with one `sendall` or
-fails: a session's are under 1 KB, which a send buffer takes at once.
-`stop` feeds every open connection the end of its stream, so each ends
-through its handler.
-
-An `accept()` out of descriptors, buffers or memory would fail again at
-once, so the loop logs `accept_failed` and stops accepting for
-`_ACCEPT_RETRY_S`, as asyncio does; any other failure is retried at once.
+socket and every connection: a held connection costs no thread. It calls
+`handle(conn)` at accept, once `conn.reader` is fed what arrived or the end
+of the stream, and once `conn.deadline` has passed, with a `FrameTimeout`
+as the reader's `end`. A handler takes every whole frame, never waits, and
+moves `conn.deadline` (another's only later, or to no earlier than its own)
+or `close()`s `conn`; one that raises is logged as `handler_error` and
+`conn` closed. The loop keeps the earliest deadline set, so an event costs
+O(1) and only a passed deadline scans the connections. Sockets are
+non-blocking: a session's replies, under 1 KB, go out in one `sendall`.
+`stop` feeds each open connection the end of its stream. An `accept()` out
+of descriptors, buffers or memory logs `accept_failed` and pauses accepts
+for `_ACCEPT_RETRY_S`, as asyncio does.
 """
 
 from __future__ import annotations
 
 import errno
-import heapq
-import itertools
 import logging
 import selectors
 import socket
@@ -30,6 +26,7 @@ from contextlib import suppress
 from math import inf
 from time import monotonic
 
+from .errors import FrameTimeout
 from .records import READ_CHUNK, FrameReader
 
 log = logging.getLogger("vitalink")
@@ -47,12 +44,11 @@ class Connection:
     """One socket on the loop, with its `reader`, its `deadline` on the
     `time.monotonic()` clock, and `state`, whatever its handler keeps."""
 
-    __slots__ = ("sock", "peer", "reader", "state", "deadline", "_loop", "_timer")
+    __slots__ = ("sock", "peer", "reader", "state", "deadline", "_loop")
 
     def __init__(self, loop: Listener, sock: socket.socket, peer: str):
         self.sock, self.peer, self._loop = sock, peer, loop
         self.reader, self.state, self.deadline = FrameReader(), None, inf
-        self._timer = [inf, 0, None]  # its entry in the loop's heap, once armed
 
     def close(self) -> None:
         """Sends a FIN and closes the socket."""
@@ -76,9 +72,7 @@ class Listener:
         self._selector.register(self._sock, selectors.EVENT_READ)
         self._selector.register(self._woken, selectors.EVENT_READ)
         self._conns: set[Connection] = set()
-        # [when, tie-break, its Connection, None once dead, or self to end an accept pause]
-        self._timers: list = []
-        self._seq = itertools.count()
+        self._accept_at = self._next = inf  # an accept pause's end; no deadline is earlier
         self._chunk = memoryview(bytearray(READ_CHUNK))
         self._thread: threading.Thread | None = None
 
@@ -90,21 +84,24 @@ class Listener:
         """Serves on the calling thread until `stop()`."""
         try:
             while True:
-                timeout = max(0.0, self._timers[0][0] - monotonic()) if self._timers else None
-                for key, _ in self._selector.select(timeout):
+                wait = min(self._accept_at, self._next) - monotonic()
+                for key, _ in self._selector.select(None if wait == inf else max(0.0, wait)):
                     if key.data is not None:
                         self._receive(key.data)
                     elif key.fileobj is self._sock:
                         self._accept()
                     else:  # woken by stop()
                         return
-                while self._timers and self._timers[0][0] <= monotonic():
-                    timer = heapq.heappop(self._timers)
-                    timer[0] = inf  # unarmed: `_call` arms the next
-                    if timer[2] is self:  # the pause after a failed accept() is over
-                        self._selector.register(self._sock, selectors.EVENT_READ)
-                    elif timer[2] is not None:
-                        self._call(timer[2])
+                now = monotonic()
+                if self._accept_at <= now:
+                    self._accept_at = inf
+                    self._selector.register(self._sock, selectors.EVENT_READ)
+                if self._next <= now:
+                    for conn in [c for c in self._conns if c.deadline <= now]:
+                        if conn in self._conns and conn.deadline <= now:  # not closed or moved since
+                            conn.reader.end = FrameTimeout("frame incomplete at its deadline")
+                            self._call(conn)
+                    self._next = min((c.deadline for c in self._conns), default=inf)
         finally:
             for conn in list(self._conns):
                 if conn in self._conns:  # a handler may close another connection
@@ -139,8 +136,7 @@ class Listener:
             if exc.errno in _OUT_OF_RESOURCES:
                 log.error("accept_failed cause=%s", errno.errorcode[exc.errno])
                 self._selector.unregister(self._sock)
-                pause = [monotonic() + _ACCEPT_RETRY_S, next(self._seq), self]
-                heapq.heappush(self._timers, pause)
+                self._accept_at = monotonic() + _ACCEPT_RETRY_S
             return
         self._call(self.attach(sock, addr))
 
@@ -162,23 +158,12 @@ class Listener:
         except Exception:
             log.exception("handler_error peer=%s", conn.peer)
             conn.close()
-        # a later deadline keeps the entry it has: the handler is called when
-        # that passes, and arms the new one
-        if conn in self._conns and conn.deadline < conn._timer[0]:
-            conn._timer[2] = None
-            conn._timer = [conn.deadline, next(self._seq), conn]
-            heapq.heappush(self._timers, conn._timer)
+        self._next = min(self._next, conn.deadline)
 
     def _drop(self, conn: Connection) -> None:
         if conn not in self._conns:
             return
         self._conns.discard(conn)
-        conn._timer[2] = None
-        # a busy server closes connections long before their deadlines, so
-        # the heap sheds its closed entries once they are most of it
-        if len(self._timers) > 2 * len(self._conns) + 64:
-            self._timers = [t for t in self._timers if t[2] is not None]
-            heapq.heapify(self._timers)
         with suppress(KeyError):  # not watched after the end of its stream
             self._selector.unregister(conn.sock)
         with suppress(OSError):

@@ -20,8 +20,8 @@ on the `vitalink.proxy` logger and kept in `TamperProxy.report`.
 
 Every relay runs on one `listener` loop, with its upstream connection,
 whose connect blocks the loop at most 5 s. A direction that ends, at the
-end of its stream, a fault or a wait of `records.READ_TIMEOUT_S` for a
-frame, sends the other side a FIN; both close once both have ended.
+end of its stream, a fault or `records.READ_TIMEOUT_S` with no frame
+either way, sends the other side a FIN; both close once both have ended.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _rogue_server_hello(client_hello: Frame | None) -> bytes | None:
 class Relay:
     """One proxied connection: the device's `client` and the server's
     `upstream`, each a `Connection` with this relay as its `state`. A
-    direction has ended once its source's deadline is `inf`."""
+    direction has ended once its source's deadline is `inf`, which `max` keeps."""
 
     def __init__(self, client: Connection, upstream: Connection, plan: TamperPlan,
                  report: list):
@@ -141,9 +141,9 @@ class Relay:
                           else (self.client, "s2c"))
         plan = self.plan
         try:
-            while src.deadline < inf and (
-                    frame := src.reader.read(src.deadline - time.monotonic())) is not None:
-                src.deadline = time.monotonic() + records.READ_TIMEOUT_S
+            while src.deadline < inf and (frame := src.reader.read()) is not None:
+                for conn in (src, dst):  # either way: a server is silent while a device sends
+                    conn.deadline = max(conn.deadline, time.monotonic() + records.READ_TIMEOUT_S)
                 out, fault = frame.encode(), "none"
                 if self._held and direction == "c2s":
                     out, self._held, fault = out + self._held, b"", "reorder_pair"

@@ -10,13 +10,13 @@ Frame I/O: each connection reads through one `FrameReader`, kept from its
 first frame to its last, since a peer may send a ClientFinish and the
 first records in one segment. A header is checked (magic, version, type,
 length bound) as soon as its 8 bytes are buffered, before any body is
-awaited. The server's loop (`listener`) `feed`s a reader what arrived.
-The device's reader owns its socket: it waits with one `poll` object,
-which unlike `select` takes a descriptor of 1024 or more, and takes up to
-`READ_CHUNK` with one `recv_into`, so a burst of frames costs one of each.
-A frame has an absolute deadline, so a peer trickling bytes cannot
-stretch it. A stream that ends with nothing buffered ends "at-boundary";
-one that ends inside a frame ends "mid-frame", the classic truncation.
+awaited. A frame has an absolute deadline, so a peer trickling bytes
+cannot stretch it. The server's loop (`listener`) `feed`s a reader what
+arrived and ends it at that deadline: a fed reader takes no timeout. The
+device's reader owns its socket: it waits with one `poll`, which unlike
+`select` takes a descriptor of 1024 or more, and takes up to `READ_CHUNK`
+with one `recv_into`, so a burst of frames costs one of each. A stream
+ends "at-boundary" with nothing buffered, else "mid-frame" (truncation).
 """
 
 from __future__ import annotations
@@ -183,9 +183,9 @@ class FrameReader:
             self.end = EndOfStream("mid-frame" if self._buf else "at-boundary")
 
     def read(self, timeout: float | None = None) -> Frame | None:
-        """The next frame, which must be whole within `timeout` seconds,
-        `READ_TIMEOUT_S` as it stands then if not given; from a fed reader,
-        None while no frame is whole and time is left."""
+        """The next frame: from a fed reader, None until one is whole or
+        `end` is set; else it must be whole within `timeout` seconds,
+        `READ_TIMEOUT_S` as it stands then if not given."""
         deadline = monotonic() + (READ_TIMEOUT_S if timeout is None else timeout)
         buf = self._buf
         while True:
@@ -200,11 +200,11 @@ class FrameReader:
                     return Frame(frame_type, body)
             if self.end is not None:
                 raise self.end
-            remaining = deadline - monotonic()
-            if remaining <= 0 or self.sock is not None and not self._poll.poll(remaining * 1000):
-                raise FrameTimeout("frame incomplete at its deadline")
             if self.sock is None:
                 return None
+            remaining = deadline - monotonic()
+            if remaining <= 0 or not self._poll.poll(remaining * 1000):
+                raise FrameTimeout("frame incomplete at its deadline")
             self.feed(self._chunk[: self.sock.recv_into(self._chunk)])
 
 

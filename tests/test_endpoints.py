@@ -681,8 +681,12 @@ def serve_one_session(pki, ending):
     for the `no_verdict` and `hang_up_for_verdict` endings none. It reads up
     to the device's hang-up, then ends as `ending` names. Returns the port,
     a function that lets go of the connection and waits for the thread, and
-    the list the ticket it made goes into."""
+    the list the ticket it made goes into. At `stop_reading` it reads
+    nothing after its verdict, through a receive buffer shrunk so that a
+    few thousand readings fill it, and holds the connection open."""
     listener = socket.create_server(("127.0.0.1", 0))
+    if ending == "stop_reading":  # an accepted socket takes the listener's buffer
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
     device_left, tickets = threading.Event(), []
 
     def run():
@@ -705,6 +709,9 @@ def serve_one_session(pki, ending):
                     frame_read(reader, timeout=0.3)
                     frame_write(conn, Frame(TYPE_ABORT, b""))
             frame_write(conn, Frame(TYPE_NEW_TICKET, tickets[0]))
+            if ending == "stop_reading":
+                device_left.wait(10.0)
+                return
             conn.settimeout(10.0)
             while conn.recv(4096):  # the readings and the Close, up to SHUT_WR
                 pass
@@ -789,6 +796,26 @@ def test_frames_after_the_close_cannot_hold_the_device_past_one_deadline(
         join()
     assert report is not None and report.sent_count == 3
     assert report.error == "ConnectionAborted: unexpected frame type 4 from the server"
+
+
+def test_a_server_that_stops_reading_cannot_hold_the_device(toy_pki, tmp_path, monkeypatch):
+    toy_pki.write_files(tmp_path)
+    monkeypatch.setattr(records, "READ_TIMEOUT_S", 1.0)
+    connect = socket.create_connection
+
+    def small_send_buffer(*args, **kwargs):  # the device's, so that its writes block soon
+        sock = connect(*args, **kwargs)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        return sock
+
+    monkeypatch.setattr(socket, "create_connection", small_send_buffer)
+    port, join, _ = serve_one_session(toy_pki, "stop_reading")
+    try:
+        report = device_report_within(device_cfg(tmp_path, port, count=5000), 10.0)
+    finally:
+        join()
+    assert report is not None and report.error == "TimeoutError: timed out"
+    assert 0 < report.sent_count < 5000
 
 
 def test_a_silent_listener_holds_the_device_for_one_read_timeout(toy_pki, tmp_path,

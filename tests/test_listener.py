@@ -1,7 +1,9 @@
 """The shared listener core, one event loop: held peers cost no thread,
-each idle peer ends once at its deadline, stop ends every connection
-through its handler, a handler's error stays with its connection, and an
-accept() out of resources pauses on a timer."""
+each idle peer ends once at its deadline, a handler runs at its current
+deadline only and reads a `FrameTimeout` there, the loop sleeps until the
+next deadline once one has passed, stop ends every connection through its
+handler, a handler's error stays with its connection, and an accept() out
+of resources pauses."""
 
 import errno
 import logging
@@ -13,13 +15,14 @@ import subprocess
 import sys
 import threading
 import time
+from math import inf
 from pathlib import Path
 
 import pytest
 
 from vitalink import listener, records
 from vitalink.endpoints import DeviceConfig, IngestionServer, ServerConfig, run_device
-from vitalink.errors import EndOfStream
+from vitalink.errors import EndOfStream, FrameTimeout
 from vitalink.handshake import ClientHandshake
 from vitalink.listener import Listener
 from vitalink.records import (TYPE_ABORT, TYPE_CLIENT_HELLO, TYPE_SERVER_HELLO, Frame,
@@ -256,6 +259,51 @@ def test_stop_with_idle_peers_returns_at_once(listen):
     finally:
         for peer in peers:
             peer.close()
+
+
+def test_a_handler_runs_at_its_current_deadline_not_one_it_has_moved(listen):
+    calls, ends = [], []
+
+    def handle(conn):
+        calls.append(time.monotonic())
+        if len(calls) == 1:  # accepted
+            conn.deadline = calls[0] + 0.3
+        elif len(calls) == 2:  # a partial frame arrived
+            conn.deadline = calls[0] + 0.6
+        else:
+            try:
+                conn.reader.read()
+            except FrameTimeout as exc:
+                ends.append(str(exc))
+            conn.close()
+
+    lst = listen(handle)
+    with socket.create_connection(("127.0.0.1", lst.port)) as peer:
+        time.sleep(0.05)
+        peer.sendall(Frame(TYPE_ABORT, b"").encode()[:3])
+        peer.settimeout(5.0)
+        assert peer.recv(1) == b""  # closed at the third call
+    assert len(calls) == 3 and calls[2] - calls[0] >= 0.6
+    assert ends == ["frame incomplete at its deadline"]
+
+
+def test_the_loop_sleeps_until_the_next_deadline_once_one_has_passed(listen):
+    rounds, moved = [], threading.Event()
+
+    def handle(conn):
+        if conn.deadline == inf:  # accepted
+            conn.deadline = time.monotonic() + 0.1
+        elif conn.deadline <= time.monotonic():
+            conn.reader.end, conn.deadline = None, time.monotonic() + 3600.0
+            moved.set()
+
+    lst = listen(handle)
+    select = lst._selector.select
+    lst._selector.select = lambda timeout=None: rounds.append(timeout) or select(timeout)
+    with socket.create_connection(("127.0.0.1", lst.port)):
+        assert moved.wait(5.0)
+        time.sleep(0.3)
+        assert len(rounds) < 10 and rounds[-1] > 3000  # no polling at a passed deadline
 
 
 def test_a_handler_that_raises_is_logged_and_the_next_connection_served(listen, caplog,

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from vitalink import records
 from vitalink.endpoints import (MAX_READINGS_PER_RECORD, DeviceConfig, IngestionServer,
                                 ServerConfig, run_device)
 from vitalink.errors import EndOfStream
@@ -235,22 +236,26 @@ def test_frame_lines_go_to_the_proxy_logger_not_stdout(caplog, capsys):
 # --- end to end -----------------------------------------------------------
 
 
+def start_server(files):
+    srv = IngestionServer(ServerConfig(
+        key_path=str(files / "server.vlk"),
+        cred_path=str(files / "server.vlc"),
+        root_path=str(files / "root.vlc"),
+        store_dir=str(files / "store"),
+    ))
+    srv.start()
+    return srv
+
+
 @pytest.fixture()
 def stack(pki, tmp_path):
     pki.write_files(tmp_path)
-    cfg = ServerConfig(
-        key_path=str(tmp_path / "server.vlk"),
-        cred_path=str(tmp_path / "server.vlc"),
-        root_path=str(tmp_path / "root.vlc"),
-        store_dir=str(tmp_path / "store"),
-    )
-    srv = IngestionServer(cfg)
-    srv.start()
+    srv = start_server(tmp_path)
     yield srv, tmp_path
     srv.stop()
 
 
-def run_through_proxy(srv, files, plan, count=8):
+def run_through_proxy(srv, files, plan, count=8, **device):
     proxy = TamperProxy("127.0.0.1", 0, "127.0.0.1", srv.port, plan)
     proxy.start()
     try:
@@ -262,6 +267,7 @@ def run_through_proxy(srv, files, plan, count=8):
             count=count,
             seed=3,
             start_ms=1_000_000,
+            **device,
         )
         report = run_device(cfg)
     finally:
@@ -292,6 +298,26 @@ def test_tag_flip_detected_and_stream_cut(stack):
     # don't pin)
     assert len(persisted(srv)) == 3 * MAX_READINGS_PER_RECORD
     assert any("fault=flip_tag_bit" in n for n in notes)
+
+
+def test_a_silent_server_direction_outlasts_one_read_timeout_while_the_device_sends(
+        toy_pki, tmp_path, monkeypatch):
+    # a server sends nothing between its NewTicket and its hang-up; were that
+    # direction cut one read timeout after the NewTicket, the device would
+    # take the early FIN for the hang-up and never see the server's Abort
+    toy_pki.write_files(tmp_path)
+    monkeypatch.setattr(records, "READ_TIMEOUT_S", 0.5)
+    srv = start_server(tmp_path)
+    try:
+        report, notes = run_through_proxy(srv, tmp_path, TamperPlan("flip_tag_bit",
+                                                                    target_index=14),
+                                          count=15, realtime=True, interval_ms=100)
+    finally:
+        srv.stop()
+    assert report.sent_count == 15 and report.duration_s > 1.0  # well past one timeout
+    assert report.error == "ConnectionAborted: server aborted the session"
+    assert len(persisted(srv)) == 14
+    assert "frame dir=s2c type=0x1f len=0 fault=none" in notes
 
 
 def test_forged_handshake_rejected_before_any_data(stack):
